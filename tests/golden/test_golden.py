@@ -1,0 +1,205 @@
+"""Golden hashes: the library's outputs, pinned bit for bit.
+
+Each fixture below builds an artefact from fixed seeds and reduces it
+to SHA-256 digests of its arrays (dtype, shape and raw bytes).  The
+pinned digests in ``hashes.json`` are the whole-model evidence that a
+refactor left training, inference and forgery unchanged: the same trees
+from ``TrainWithTrigger``, the same per-tree answers, the same forged
+sets.  Arrays are hashed rather than artefact bytes, so persisted
+metadata may change without disturbing the pins.
+
+A legitimate change of outputs re-pins with::
+
+    PYTHONPATH=src python tests/golden/test_golden.py --write
+
+The second half checks that artefacts written by an earlier release
+(``legacy_forest.*``, whose persisted params still carry the retired
+``splitter`` key) keep loading, with bit-identical ``predict_all`` in
+every format and load mode.  Those files are frozen: never regenerate
+them.
+"""
+
+from __future__ import annotations
+
+import functools
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.api import EmbeddingSchedule, TrainerConfig, TriggerPolicy, Watermarker
+from repro.attacks import forge_trigger_set
+from repro.core.signature import random_signature
+from repro.datasets import breast_cancer_like, ijcnn1_like, mnist26_like
+from repro.ensemble import GradientBoostingClassifier, RandomForestClassifier
+from repro.model_selection import train_test_split
+from repro.persistence import available_formats, get_exporter, load
+from repro.trees import DecisionTreeClassifier
+
+HERE = Path(__file__).resolve().parent
+HASHES = HERE / "hashes.json"
+
+
+def digest(*arrays) -> str:
+    """SHA-256 over each array's dtype, shape and C-order bytes."""
+    h = hashlib.sha256()
+    for array in arrays:
+        if array is None:
+            h.update(b"none;")
+            continue
+        array = np.ascontiguousarray(array)
+        h.update(f"{array.dtype.str}{array.shape};".encode())
+        h.update(array.tobytes())
+    return h.hexdigest()
+
+
+def table_digest(tables: dict) -> str:
+    """Digest of a node-tables dict, keys in sorted order."""
+    return digest(*(np.asarray(tables[key]) if tables[key] is not None else None
+                    for key in sorted(tables)))
+
+
+# -- fixtures -------------------------------------------------------------
+
+
+def _dispute_model(dataset, seed: int):
+    """The perfbench dispute owner recipe with a 16-bit signature."""
+    X_train, X_test, y_train, y_test = train_test_split(
+        dataset.X, dataset.y, test_size=0.3, random_state=seed + 1
+    )
+    owner = Watermarker(
+        signature=random_signature(16, 0.5, random_state=seed + 2),
+        trigger=TriggerPolicy(fraction=0.02),
+        schedule=EmbeddingSchedule(escalation_factor=2.0),
+        trainer=TrainerConfig(
+            base_params={"max_depth": 10, "min_samples_leaf": 1},
+            adjust=True,
+            tree_feature_fraction=0.35,
+        ),
+        random_state=seed + 3,
+    )
+    return owner.fit(X_train, y_train), X_test, y_test
+
+
+@functools.lru_cache(maxsize=None)
+def ijcnn1_dispute():
+    return _dispute_model(ijcnn1_like(700, random_state=101), 110)
+
+
+@functools.lru_cache(maxsize=None)
+def mnist26_dispute():
+    return _dispute_model(mnist26_like(300, random_state=201, image_size=14), 210)
+
+
+def _forged(epsilon: float, n_jobs):
+    model, X_test, y_test = mnist26_dispute()
+    fake = random_signature(16, 0.5, random_state=301)
+    result = forge_trigger_set(
+        model.ensemble, fake, X_test, y_test, epsilon,
+        max_instances=24, solver_budget=2000, n_jobs=n_jobs, random_state=302,
+    )
+    statuses = np.array(
+        [result.statuses.get(key, 0) for key in ("sat", "unsat", "unknown")],
+        dtype=np.int64,
+    )
+    return digest(result.forged_X, result.source_index, statuses)
+
+
+def _small_batch():
+    """Fewer than MIN_COMPILE_ROWS rows on a never-compiled forest: the
+    object-graph route answers ``predict`` and ``predict_proba``."""
+    ds = breast_cancer_like(200, random_state=401)
+    forest = RandomForestClassifier(
+        n_estimators=8, max_depth=6, random_state=402
+    ).fit(ds.X, ds.y)
+    rows = ds.X[:20]
+    return digest(forest.predict_all(rows), forest.predict(rows), forest.predict_proba(rows))
+
+
+def _best_first_entropy():
+    ds = breast_cancer_like(300, random_state=501)
+    forest = RandomForestClassifier(
+        n_estimators=6, criterion="entropy", max_leaf_nodes=12,
+        max_features="sqrt", tree_feature_fraction=0.8, random_state=502,
+    ).fit(ds.X, ds.y)
+    return table_digest(forest.compile().to_tables())
+
+
+def _three_class_tree():
+    rng = np.random.default_rng(601)
+    X = rng.random((240, 6))
+    y = np.digitize(X[:, 0] + 0.5 * X[:, 3] + 0.2 * rng.random(240), [0.6, 1.1])
+    tree = DecisionTreeClassifier(max_depth=7, random_state=602).fit(X, y)
+    return table_digest(tree.compile().to_tables())
+
+
+def _gbdt():
+    ds = breast_cancer_like(300, random_state=701)
+    model = GradientBoostingClassifier(
+        n_estimators=10, max_depth=3, learning_rate=0.3
+    ).fit(ds.X, ds.y)
+    return table_digest(model.compile().to_tables())
+
+
+FIXTURES = {
+    "wm_ijcnn1_tables": lambda: table_digest(ijcnn1_dispute()[0].ensemble.compile().to_tables()),
+    "wm_mnist26_tables": lambda: table_digest(mnist26_dispute()[0].ensemble.compile().to_tables()),
+    "wm_ijcnn1_predict_all": lambda: digest(
+        ijcnn1_dispute()[0].ensemble.predict_all(ijcnn1_dispute()[1])
+    ),
+    "wm_mnist26_predict_all": lambda: digest(
+        mnist26_dispute()[0].ensemble.predict_all(mnist26_dispute()[1])
+    ),
+    "best_first_entropy_tables": _best_first_entropy,
+    "three_class_tree_tables": _three_class_tree,
+    "gbdt_tables": _gbdt,
+    "small_batch_object_route": _small_batch,
+    "forged_eps0.1_serial": lambda: _forged(0.1, None),
+    "forged_eps0.3_serial": lambda: _forged(0.3, None),
+    "forged_eps0.1_jobs2": lambda: _forged(0.1, 2),
+    "forged_eps0.3_jobs2": lambda: _forged(0.3, 2),
+}
+
+
+def _pinned() -> dict:
+    return json.loads(HASHES.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_golden_hash(name):
+    assert FIXTURES[name]() == _pinned()[name]
+
+
+def test_every_fixture_is_pinned():
+    assert set(_pinned()) == set(FIXTURES) | {"legacy_forest_predict_all"}
+
+
+# -- artefacts written by an earlier release --------------------------------
+
+
+def legacy_rows() -> np.ndarray:
+    return breast_cancer_like(120, random_state=801).X
+
+
+@pytest.mark.parametrize("fmt", sorted(available_formats()))
+def test_legacy_artefact_loads(fmt):
+    exporter = get_exporter(fmt)
+    path = HERE / f"legacy_forest{exporter.extensions[0]}"
+    modes = [None] + (["r"] if exporter.supports_mmap else [])
+    for mmap_mode in modes:
+        restored = load(path, mmap_mode=mmap_mode)
+        assert digest(restored.predict_all(legacy_rows())) == (
+            _pinned()["legacy_forest_predict_all"]
+        ), f"{fmt} (mmap_mode={mmap_mode})"
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/golden/test_golden.py --write")
+    pinned = {name: build() for name, build in sorted(FIXTURES.items())}
+    pinned["legacy_forest_predict_all"] = _pinned()["legacy_forest_predict_all"]
+    HASHES.write_text(json.dumps(pinned, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"pinned {len(pinned)} hashes in {HASHES}")
