@@ -1,27 +1,19 @@
 """Engineering benchmark — the shared-encoding, parallel forgery engine.
 
 Not a paper artefact: this benchmark measures the forgery solver sweep
-(:func:`repro.attacks.forge_trigger_set` over the Fig. 4 ε grid) in its
-four operating modes:
+(:func:`repro.attacks.forge_trigger_set` over the Fig. 4 ε grid), which
+compiles the forest's encoding once per signature pattern and re-solves
+it per instance with assumption-style incremental SAT, in two modes:
 
-- **fresh** — the pre-engine behaviour: rebuild the forest's
-  path/threshold encoding for every instance, serially
-  (``reuse_encoding=False``);
-- **reuse** — layer 1: compile the encoding once per signature pattern
-  and re-solve it per instance with assumption-style incremental SAT
-  (the default);
-- **fresh+par** — layer 2 alone: per-instance rebuilds fanned out over
-  ``n_jobs=4`` worker processes;
-- **reuse+par** — both layers: the compiled encoding shared with every
-  fork worker copy-on-write.
+- **serial** — one process;
+- **parallel** — instances fanned out over ``n_jobs=4`` worker
+  processes, the compiled encoding shared with every fork worker
+  copy-on-write.
 
-The determinism contract is asserted on every run, in both modes:
-all four modes must return **byte-identical** forged sets, source
-indices and status counts.  The acceptance bar (full mode) is a ≥ 3×
-end-to-end speedup of ``reuse+par`` (``n_jobs=4``) over the fresh
-serial baseline; on a single-core machine — where process fan-out
-cannot pay for itself — the bar falls to layer 1 alone (``reuse``),
-which carries the same contract.
+The determinism contract is asserted on every run, in both modes: the
+two modes must return **byte-identical** forged sets, source indices
+and status counts.  The parallel speedup is recorded, not asserted: it
+depends on the core count of the machine.
 
 Run (full)::
 
@@ -51,13 +43,10 @@ FULL_INSTANCES = 30
 QUICK_INSTANCES = 6
 
 PARALLEL_JOBS = 4
-MIN_SPEEDUP = 3.0
 
 MODES = [
-    ("fresh", dict(reuse_encoding=False)),
-    ("reuse", dict(reuse_encoding=True)),
-    ("fresh+par", dict(reuse_encoding=False, n_jobs=PARALLEL_JOBS)),
-    ("reuse+par", dict(reuse_encoding=True, n_jobs=PARALLEL_JOBS)),
+    ("serial", dict()),
+    ("parallel", dict(n_jobs=PARALLEL_JOBS)),
 ]
 
 
@@ -113,7 +102,7 @@ def test_forgery_engine_speedup(quick_mode):
         fingerprints[name] = _fingerprint(results)
         forged_totals[name] = sum(r.n_forged for r in results)
 
-    baseline = timings["fresh"]
+    baseline = timings["serial"]
     rows = [
         [
             name,
@@ -131,22 +120,8 @@ def test_forgery_engine_speedup(quick_mode):
     )
     emit("forgery_engine", text, headers=headers, rows=rows)
 
-    # Determinism contract: every mode forges byte-identical sets.
-    for name, _mode in MODES[1:]:
-        assert fingerprints[name] == fingerprints["fresh"], (
-            f"mode {name!r} diverged from the serial fresh baseline"
-        )
-    assert forged_totals["fresh"] > 0, "benchmark forged nothing — not measuring"
-
-    if quick_mode:
-        return  # smoke: exercise all modes + contract, skip the perf bar
-
-    # Acceptance: both layers together beat the serial baseline 3x.  A
-    # single-core runner cannot amortise process fan-out, so the same
-    # bar applies to the encoding-reuse layer alone there.
-    headline = "reuse+par" if (os.cpu_count() or 1) >= 2 else "reuse"
-    speedup = baseline / timings[headline]
-    assert speedup >= MIN_SPEEDUP, (
-        f"{headline} speedup {speedup:.2f}x below the {MIN_SPEEDUP}x bar "
-        f"(timings: { {k: round(v, 2) for k, v in timings.items()} })"
+    # Determinism contract: both modes forge byte-identical sets.
+    assert fingerprints["parallel"] == fingerprints["serial"], (
+        "parallel mode diverged from the serial baseline"
     )
+    assert forged_totals["serial"] > 0, "benchmark forged nothing — not measuring"

@@ -11,19 +11,19 @@ instances".
 Two engine-level speedups apply on top of the paper's loop, neither of
 which changes what is computed:
 
-- **Encoding reuse** (``reuse_encoding=True``, the default): the
-  forest's leaf boxes, threshold atoms and clause skeleton are
-  compiled once per required-label pattern
+- **Encoding reuse**: the forest's leaf boxes, threshold atoms and
+  clause skeleton are compiled once per required-label pattern
   (:class:`repro.solver.CompiledPatternEncoding`) and re-solved per
-  instance with only the ``L∞`` box supplied as assumptions.
+  instance, on one persistent solver, with only the ``L∞`` box
+  supplied as assumptions.
 - **Parallel fan-out** (``n_jobs``): instance attempts are dispatched
   in deterministic contiguous chunks over a process pool.  Every
   per-instance solve is a pure function of the forest, the signature
   and the instance bounds, so ``forged_X``, ``source_index`` and
   ``statuses`` are bitwise identical for a fixed ``random_state``
-  regardless of worker count or the ``reuse_encoding`` flag — the
-  early stop at ``target_size`` consumes results in serial attempt
-  order and discards any speculative surplus the pool solved.
+  regardless of worker count — the early stop at ``target_size``
+  consumes results in serial attempt order and discards any
+  speculative surplus the pool solved.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from ..parallel import (
     run_batches,
     shared_payload,
 )
-from ..solver import EncodingCache, compile_pattern_encoding, required_labels
+from ..solver import EncodingCache, required_labels
 
 __all__ = ["ForgeryAttackResult", "forge_trigger_set", "forgery_distortion"]
 
@@ -80,33 +80,22 @@ class ForgeryAttackResult:
 
 
 def _solve_instance(
-    cache: EncodingCache | None,
-    roots,
+    cache: EncodingCache,
     signature: Signature,
     label: int,
     center: np.ndarray,
     epsilon: float,
-    n_features: int,
     engine: str,
     budget: int | None,
 ):
     """Solve one forgery instance — a pure function of its arguments.
 
-    ``cache`` carries compiled encodings when reuse is on; ``None``
-    recompiles the skeleton for this instance alone.  Both paths run
-    the identical per-instance procedure, which is what the serial ==
-    parallel == fresh-encoding determinism contract rests on.
+    A reset solver is bit-for-bit a fresh one, so the outcome depends
+    only on the cached encoding and the instance bounds, which is what
+    the serial == parallel determinism contract rests on.
     """
-    required = required_labels(signature, label)
-    if cache is not None:
-        encoding = cache.for_required(required)
-        return encoding.solve(
-            center=center, epsilon=epsilon, engine=engine, budget=budget, reuse=True
-        )
-    encoding = compile_pattern_encoding(roots, required, n_features)
-    return encoding.solve(
-        center=center, epsilon=epsilon, engine=engine, budget=budget, reuse=False
-    )
+    encoding = cache.for_required(required_labels(signature, label))
+    return encoding.solve(center=center, epsilon=epsilon, engine=engine, budget=budget)
 
 
 def _forge_batch(
@@ -118,33 +107,27 @@ def _forge_batch(
     n_features: int,
     engine: str,
     budget: int | None,
-    reuse_encoding: bool,
 ) -> list[tuple[str, np.ndarray | None]]:
     """Worker entry point: solve a contiguous batch of instances.
 
     Under a fork-based pool the parent's compiled encodings arrive for
     free via :func:`repro.parallel.shared_payload`; otherwise (spawn
-    platforms, or reuse disabled) the worker builds its own.  Either
-    way each instance solve is the same pure function, so results do
-    not depend on which path was taken.
+    platforms) the worker builds its own.  Either way each instance
+    solve is the same pure function, so results do not depend on which
+    path was taken.
     """
-    cache = None
-    if reuse_encoding:
-        inherited = shared_payload()
-        if isinstance(inherited, EncodingCache):
-            cache = inherited
-        else:
-            if roots is None:
-                raise RuntimeError(
-                    "forgery worker received no tree roots and no shared "
-                    "encoding cache — fork detection went wrong"
-                )
-            cache = EncodingCache(roots, n_features)
+    cache = shared_payload()
+    if not isinstance(cache, EncodingCache):
+        if roots is None:
+            raise RuntimeError(
+                "forgery worker received no tree roots and no shared "
+                "encoding cache — fork detection went wrong"
+            )
+        cache = EncodingCache(roots, n_features)
     out: list[tuple[str, np.ndarray | None]] = []
     for label, center in zip(labels, centers):
         outcome = _solve_instance(
-            cache, roots, signature, int(label), center, epsilon,
-            n_features, engine, budget,
+            cache, signature, int(label), center, epsilon, engine, budget
         )
         out.append((outcome.status, outcome.instance))
     return out
@@ -161,7 +144,6 @@ def forge_trigger_set(
     max_instances: int | None = None,
     solver_budget: int | None = 100_000,
     n_jobs: int | None = None,
-    reuse_encoding: bool = True,
     random_state=None,
 ) -> ForgeryAttackResult:
     """Attempt to forge a trigger set against a (stolen) forest.
@@ -191,11 +173,6 @@ def forge_trigger_set(
     n_jobs:
         Worker processes for the instance sweep (``None``/``1`` serial,
         ``-1`` all cores).  Results are identical across settings.
-    reuse_encoding:
-        Compile the forest's path/threshold encoding once per
-        required-label pattern and re-solve it per instance (default),
-        instead of rebuilding it from scratch every time.  Results are
-        identical either way; reuse is simply faster.
     random_state:
         Shuffles the attempt order over the test set.
     """
@@ -241,13 +218,13 @@ def forge_trigger_set(
         return True
 
     if n_workers == 1:
-        cache = EncodingCache(roots, n_features) if reuse_encoding else None
+        cache = EncodingCache(roots, n_features)
         for row in order:
             if target_size is not None and len(forged) >= target_size:
                 break
             outcome = _solve_instance(
-                cache, roots, fake_signature, int(y_test[row]), X_test[row],
-                float(epsilon), n_features, engine, solver_budget,
+                cache, fake_signature, int(y_test[row]), X_test[row],
+                float(epsilon), engine, solver_budget,
             )
             consume(int(row), outcome.status, outcome.instance)
     else:
@@ -259,7 +236,7 @@ def forge_trigger_set(
         # fork-based worker copy-on-write.
         shared_cache = None
         payload_roots = roots
-        if reuse_encoding and fork_available():
+        if fork_available():
             # Workers inherit the warmed cache copy-on-write; don't
             # also pickle the tree roots into every payload.  On
             # spawn-only platforms pre-compiling here would be wasted
@@ -291,7 +268,6 @@ def forge_trigger_set(
                     n_features,
                     engine,
                     solver_budget,
-                    reuse_encoding,
                 )
                 for batch in batches
             ]

@@ -20,12 +20,10 @@ keep it fast without changing what Algorithm 1 computes:
   process pool, bitwise-deterministically thanks to per-tree seed
   streams;
 - **presorted split search** — every retraining round changes only the
-  sample weights, never ``X``, so the per-feature sort orders behind the
-  default ``splitter="presorted"`` engine (see
-  :mod:`repro.trees.presort`) are computed once and reused by ``T0``,
-  ``T1``, every escalation round, every ``refit_trees`` call and the
-  ``Adjust`` probe — trees still come out bit-for-bit identical to the
-  node-local splitter's.
+  sample weights, never ``X``, so the per-feature sort orders behind
+  split search (see :mod:`repro.trees.presort`) are computed once and
+  reused by ``T0``, ``T1``, every escalation round, every
+  ``refit_trees`` call and the ``Adjust`` probe.
 """
 
 from __future__ import annotations

@@ -82,12 +82,6 @@ class RandomForestClassifier:
         Fraction of the features assigned to each tree's private
         subspace (sampled without replacement per tree).  ``1.0`` gives
         every tree the full feature set.
-    splitter:
-        Split-search engine for every tree: ``"presorted"`` (default)
-        presorts each feature column once per dataset and reuses the
-        orders across all trees, refit rounds and weight changes;
-        ``"local"`` is the node-local re-sorting escape hatch.  Fitted
-        forests are bit-for-bit identical across the two engines.
     random_state:
         Seed/generator controlling subspace assignment and per-split
         feature sampling.  Internally expanded into one
@@ -116,7 +110,6 @@ class RandomForestClassifier:
         min_impurity_decrease: float = 0.0,
         max_features=None,
         tree_feature_fraction: float = 0.7,
-        splitter: str = "presorted",
         random_state=None,
         n_jobs: int | None = None,
     ) -> None:
@@ -129,7 +122,6 @@ class RandomForestClassifier:
         self.min_impurity_decrease = min_impurity_decrease
         self.max_features = max_features
         self.tree_feature_fraction = tree_feature_fraction
-        self.splitter = splitter
         self.random_state = random_state
         self.n_jobs = n_jobs
         self._trees_: list[DecisionTreeClassifier] | None = None
@@ -184,7 +176,6 @@ class RandomForestClassifier:
             "min_impurity_decrease": self.min_impurity_decrease,
             "max_features": self.max_features,
             "tree_feature_fraction": self.tree_feature_fraction,
-            "splitter": self.splitter,
             "random_state": self.random_state,
             "n_jobs": self.n_jobs,
         }
@@ -218,7 +209,6 @@ class RandomForestClassifier:
             "min_samples_leaf": self.min_samples_leaf,
             "min_impurity_decrease": self.min_impurity_decrease,
             "max_features": self.max_features,
-            "splitter": self.splitter,
         }
 
     def _fit_slots(
@@ -235,14 +225,14 @@ class RandomForestClassifier:
         results are flattened back into seed order, keeping the output
         independent of the execution plan.
 
-        With the presorted splitter the parent computes (or re-uses) the
-        dataset's sort orders *before* dispatch and hands them to the
-        pool as the fork-inherited shared payload — one presort serves
-        every tree of every round, in every worker.
+        The parent computes (or re-uses) the dataset's sort orders
+        *before* dispatch and hands them to the pool as the
+        fork-inherited shared payload — one presort serves every tree of
+        every round, in every worker.
         """
         jobs = resolve_n_jobs(self.n_jobs, n_tasks=len(seeds))
         subspace_size = self._subspace_size(X.shape[1])
-        presort = presorted_dataset(X) if self.splitter == "presorted" else None
+        presort = presorted_dataset(X)
         batches = [
             (X, y, weights, self._tree_params(), subspace_size, chunk)
             for chunk in partition(seeds, jobs)

@@ -74,7 +74,6 @@ def _sweep_one_dataset(
     max_instances: int | None,
     solver_budget: int,
     n_jobs: int | None,
-    reuse_encoding: bool,
 ) -> list[ForgerySweepRow]:
     model, (X_train, X_test, y_train, y_test) = build_watermarked_model(config, dataset)
     original_k = model.trigger.size
@@ -107,7 +106,6 @@ def _sweep_one_dataset(
                 max_instances=max_instances,
                 solver_budget=solver_budget,
                 n_jobs=n_jobs,
-                reuse_encoding=reuse_encoding,
                 random_state=attempt_seed,
             )
             sizes.append(result.n_forged)
@@ -135,7 +133,6 @@ def forgery_epsilon_sweep(
     max_instances: int | None = 40,
     solver_budget: int = 50_000,
     n_jobs: int | None = None,
-    reuse_encoding: bool = True,
 ) -> list[ForgerySweepRow]:
     """Fig. 4: forged trigger-set size vs ε (image dataset).
 
@@ -143,12 +140,11 @@ def forgery_epsilon_sweep(
     defaults here are scaled down for laptop runtimes — override
     ``n_signatures``/``max_instances`` to widen.  ``n_jobs`` fans the
     per-instance solver sweep over worker processes (``None`` defers to
-    ``config.n_jobs``); results are identical across settings and
-    across the ``reuse_encoding`` flag.
+    ``config.n_jobs``); results are identical across settings.
     """
     return _sweep_one_dataset(
         config, dataset, epsilons, n_signatures, engine, max_instances,
-        solver_budget, _resolve_jobs(config, n_jobs), reuse_encoding,
+        solver_budget, _resolve_jobs(config, n_jobs),
     )
 
 
@@ -161,7 +157,6 @@ def forgery_tabular_results(
     max_instances: int | None = 40,
     solver_budget: int = 50_000,
     n_jobs: int | None = None,
-    reuse_encoding: bool = True,
 ) -> list[ForgerySweepRow]:
     """§4.2.2 text results: forgery on the tabular datasets at small ε."""
     rows: list[ForgerySweepRow] = []
@@ -169,7 +164,7 @@ def forgery_tabular_results(
         rows.extend(
             _sweep_one_dataset(
                 config, dataset, epsilons, n_signatures, engine, max_instances,
-                solver_budget, _resolve_jobs(config, n_jobs), reuse_encoding,
+                solver_budget, _resolve_jobs(config, n_jobs),
             )
         )
     return rows
@@ -183,7 +178,6 @@ def forged_instance_study(
     max_instances: int | None = 25,
     solver_budget: int = 50_000,
     n_jobs: int | None = None,
-    reuse_encoding: bool = True,
 ) -> list[ForgedInstanceRow]:
     """Fig. 5: distortion of forged instances and the accuracy a standard
     ensemble loses on them relative to the originals."""
@@ -213,7 +207,6 @@ def forged_instance_study(
             max_instances=max_instances,
             solver_budget=solver_budget,
             n_jobs=_resolve_jobs(config, n_jobs),
-            reuse_encoding=reuse_encoding,
             random_state=int(rng.integers(2**31 - 1)),
         )
         distortion = forgery_distortion(result, X_test)

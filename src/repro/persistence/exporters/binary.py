@@ -32,7 +32,12 @@ import numpy as np
 
 from ...exceptions import SerializationError
 from ..atomic import atomic_write
-from ..serialize import FORMAT_VERSION, _report_from_dict, _report_to_dict
+from ..serialize import (
+    FORMAT_VERSION,
+    _forest_from_params,
+    _report_from_dict,
+    _report_to_dict,
+)
 from .base import Exporter, register
 
 __all__ = ["BinaryExporter", "MAGIC"]
@@ -431,11 +436,9 @@ class BinaryExporter(Exporter):
             ) from exc
 
     def _build_forest(self, arrays, trailer, path, source):
-        from ...ensemble.forest import RandomForestClassifier
-
         engine = self._engine_from(arrays, trailer, path)
         try:
-            forest = RandomForestClassifier(**trailer["params"])
+            forest = _forest_from_params(trailer["params"])
             forest.classes_ = np.asarray(arrays["classes"], dtype=np.int64)
             forest.n_features_in_ = int(trailer["n_features_in"])
             lengths = np.asarray(arrays["subset_len"], dtype=np.int64)

@@ -161,9 +161,9 @@ class SklearnExporter(Exporter):
     def load(self, path, mmap_mode: str | None = None):
         # npz archives are zip containers; mmap_mode is advisory only.
         from ...ensemble.boosting import GradientBoostingClassifier
-        from ...ensemble.forest import RandomForestClassifier
         from ...trees.regression import RegressionTree
         from ...trees.tree import DecisionTreeClassifier
+        from ..serialize import _forest_from_params
 
         path = Path(path)
         try:
@@ -192,7 +192,7 @@ class SklearnExporter(Exporter):
             ]
             if kind == "forest":
                 classes = np.asarray(meta["classes"], dtype=np.int64)
-                forest = RandomForestClassifier(**meta["params"])
+                forest = _forest_from_params(meta["params"])
                 forest.classes_ = classes
                 forest.n_features_in_ = int(meta["n_features_in"])
                 forest.feature_subsets_ = [

@@ -45,6 +45,22 @@ __all__ = [
 
 FORMAT_VERSION = 1
 
+#: Forest constructor keys that artefacts from earlier releases carry
+#: but the constructor no longer takes: ``splitter`` chose between two
+#: split-search engines that grew identical trees.
+_RETIRED_FOREST_PARAMS = frozenset({"splitter"})
+
+
+def _forest_from_params(params: dict) -> RandomForestClassifier:
+    """An unfitted forest built from persisted constructor params.
+
+    Every loader goes through here, so artefacts written before a
+    parameter was retired keep loading.
+    """
+    return RandomForestClassifier(
+        **{key: value for key, value in params.items() if key not in _RETIRED_FOREST_PARAMS}
+    )
+
 
 def node_to_dict(node: TreeNode) -> dict:
     """Serialise a tree node (and its subtree) to nested dicts.
@@ -323,7 +339,7 @@ def forest_from_dict(data: dict) -> RandomForestClassifier:
             raise SerializationError(
                 f"unsupported format version {data['format_version']}"
             )
-        forest = RandomForestClassifier(**data["params"])
+        forest = _forest_from_params(data["params"])
         forest.classes_ = np.array(data["classes"], dtype=np.int64)
         forest.n_features_in_ = int(data["n_features_in"])
         forest.feature_subsets_ = [

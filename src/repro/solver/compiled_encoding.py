@@ -32,10 +32,9 @@ re-solves the persistent solver after a :meth:`~repro.solver.sat.SATSolver.reset
 **Determinism contract.**  A reset solver is bit-for-bit equivalent to
 a freshly constructed one (learned clauses and heuristic state are
 discarded), so every instance solve is a pure function of the skeleton
-and the instance bounds.  Consequently ``reuse=True`` (cached skeleton
-+ persistent solver) and ``reuse=False`` (rebuild per instance) return
-*identical* outcomes — statuses and witnesses — and the forgery attack
-can fan instances out over worker processes without changing results.
+and the instance bounds: the outcome — status and witness — equals what
+a freshly compiled encoding would return, and the forgery attack can
+fan instances out over worker processes without changing results.
 """
 
 from __future__ import annotations
@@ -187,7 +186,6 @@ class CompiledPatternEncoding:
         center: np.ndarray | None = None,
         epsilon: float | None = None,
         max_conflicts: int | None = _DEFAULT_CONFLICTS,
-        reuse: bool = True,
     ) -> PatternOutcome:
         """Decide one instance via assumption-style CDCL re-solving."""
         lo, hi = self.feature_bounds(center, epsilon)
@@ -196,14 +194,11 @@ class CompiledPatternEncoding:
         if self.compatible_masks(lo, hi) is None:
             return PatternOutcome(status="unsat", stats={"trivial": True})
 
-        if reuse:
-            solver = self.warm()._solver
-            assert solver is not None
-            if self._solver_dirty:
-                solver.reset()
-            self._solver_dirty = True
-        else:
-            solver = SATSolver(self.cnf)
+        solver = self.warm()._solver
+        assert solver is not None
+        if self._solver_dirty:
+            solver.reset()
+        self._solver_dirty = True
         solver.max_conflicts = max_conflicts
 
         result = solver.solve(self.bound_assumptions(lo, hi))
@@ -213,7 +208,6 @@ class CompiledPatternEncoding:
             "propagations": result.propagations,
             "n_vars": self.cnf.n_vars,
             "n_clauses": len(self.cnf),
-            "reused": reuse,
         }
         if result.status != "sat":
             return PatternOutcome(status=result.status, stats=stats)
@@ -284,7 +278,6 @@ class CompiledPatternEncoding:
         epsilon: float | None = None,
         engine: str = "smt",
         budget: int | None = None,
-        reuse: bool = True,
     ) -> PatternOutcome:
         """Engine dispatcher mirroring :func:`repro.solver.solve_pattern`.
 
@@ -294,14 +287,14 @@ class CompiledPatternEncoding:
         """
         if engine == "smt":
             max_conflicts = _DEFAULT_CONFLICTS if budget is None else budget
-            return self.solve_smt(center, epsilon, max_conflicts, reuse=reuse)
+            return self.solve_smt(center, epsilon, max_conflicts)
         if engine == "boxes":
             max_nodes = _DEFAULT_NODES if budget is None else budget
             return self.solve_boxes(center, epsilon, max_nodes)
         if engine == "portfolio":
             max_conflicts = _DEFAULT_CONFLICTS if budget is None else budget
             max_nodes = _DEFAULT_NODES if budget is None else budget
-            smt = self.solve_smt(center, epsilon, max_conflicts, reuse=reuse)
+            smt = self.solve_smt(center, epsilon, max_conflicts)
             boxes = self.solve_boxes(center, epsilon, max_nodes)
             return merge_portfolio_outcomes(smt, boxes)
         from ..exceptions import ValidationError

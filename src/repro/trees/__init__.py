@@ -12,22 +12,13 @@ Public surface:
 - :func:`tree_stats`, :func:`ensemble_structure`, :func:`tree_to_text` —
   structural statistics (used by the detection attack) and export.
 - :class:`CompiledTree`, :func:`compile_tree` — flat-array inference
-  engine behind ``predict`` (see :mod:`repro.trees.compiled`), with
-  :func:`set_inference_backend` / :func:`inference_backend` as the
-  object-graph escape hatch.
+  engine behind ``predict`` (see :mod:`repro.trees.compiled`).
 - :class:`SortedDataset`, :func:`presorted_dataset` — the training-side
-  per-dataset sort cache behind the default ``splitter="presorted"``
-  engine (see :mod:`repro.trees.presort`), with ``splitter="local"`` as
-  the node-local escape hatch.
+  per-dataset sort cache behind split search (see
+  :mod:`repro.trees.presort`).
 """
 
-from .compiled import (
-    CompiledTree,
-    compile_tree,
-    get_inference_backend,
-    inference_backend,
-    set_inference_backend,
-)
+from .compiled import CompiledTree, compile_tree
 from .criteria import entropy_impurity, gini_impurity
 from .export import TreeStats, ensemble_structure, tree_stats, tree_to_text
 from .node import InternalNode, Leaf, TreeNode, iter_leaves, iter_nodes, predict_batch, predict_one
@@ -40,16 +31,13 @@ from .presort import (
 )
 from .pruning import prune_cost_complexity, pruning_path, subtree_risk
 from .regression import RegressionTree
-from .tree import SPLITTERS, DecisionTreeClassifier, resolve_max_features
+from .tree import DecisionTreeClassifier, resolve_max_features
 
 __all__ = [
     "Box",
     "CompiledTree",
     "compile_tree",
     "DecisionTreeClassifier",
-    "get_inference_backend",
-    "inference_backend",
-    "set_inference_backend",
     "InternalNode",
     "Leaf",
     "TreeNode",
@@ -67,7 +55,6 @@ __all__ = [
     "pruning_path",
     "RegressionTree",
     "SortedDataset",
-    "SPLITTERS",
     "clear_presort_cache",
     "presort_cache_stats",
     "presorted_dataset",

@@ -37,19 +37,16 @@ does not hold they transparently fall back to a two-gather select
 kernel.
 
 The engine is wired behind the sklearn-style estimators with a
-lazy-compile-on-first-predict path; the **escape hatch** for debugging
-is the backend switch below (``set_inference_backend("object")`` or the
-``REPRO_INFERENCE_BACKEND`` environment variable), which routes every
-prediction back through the object-graph traversal.
+lazy-compile-on-first-predict path: batches of at least
+:data:`MIN_COMPILE_ROWS` rows compile the model once and descend the
+table, smaller batches on a never-compiled model walk the object graph.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import weakref
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,9 +70,6 @@ __all__ = [
     "ensure_compiled",
     "adopt_compiled",
     "model_lock",
-    "get_inference_backend",
-    "set_inference_backend",
-    "inference_backend",
     "MIN_COMPILE_ROWS",
 ]
 
@@ -85,48 +79,6 @@ __all__ = [
 #: freshly retrained forest per round would cost more than it saves.  An
 #: already-compiled model is used whatever the batch size.
 MIN_COMPILE_ROWS = 32
-
-_VALID_BACKENDS = ("compiled", "object")
-
-
-def _initial_backend() -> str:
-    value = os.environ.get("REPRO_INFERENCE_BACKEND", "compiled").strip().lower()
-    return value if value in _VALID_BACKENDS else "compiled"
-
-
-_backend = _initial_backend()
-
-
-def get_inference_backend() -> str:
-    """The active inference backend: ``"compiled"`` or ``"object"``."""
-    return _backend
-
-
-def set_inference_backend(name: str) -> None:
-    """Select the inference backend globally.
-
-    ``"compiled"`` (default) routes estimator predictions through the
-    flat-array engine, lazily compiling fitted models on first use;
-    ``"object"`` forces the original object-graph traversal everywhere
-    (the debugging escape hatch).
-    """
-    if name not in _VALID_BACKENDS:
-        raise ValidationError(
-            f"inference backend must be one of {_VALID_BACKENDS}, got {name!r}"
-        )
-    global _backend
-    _backend = name
-
-
-@contextmanager
-def inference_backend(name: str):
-    """Temporarily switch the inference backend (context manager)."""
-    previous = get_inference_backend()
-    set_inference_backend(name)
-    try:
-        yield
-    finally:
-        set_inference_backend(previous)
 
 
 # ----------------------------------------------------------------------
@@ -215,8 +167,6 @@ def lazy_compiled(model, sources: tuple, n_rows: int, builder):
     object-graph traversal unless an engine is already cached.
     Compilation is serialized per model, like :func:`ensure_compiled`.
     """
-    if get_inference_backend() != "compiled":
-        return None
     engine = cached_engine(model, sources)
     if engine is not None:
         return engine

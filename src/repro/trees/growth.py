@@ -6,13 +6,11 @@ on ``max_leaf_nodes`` only makes sense with best-first growth (always
 expand the frontier leaf with the largest impurity decrease, as sklearn
 does); without a leaf cap, classic depth-first growth is used.
 
-When a dataset presort is supplied, both builders maintain a
-:class:`~repro.trees.presort.NodeOrdering` per frame: the root's
-feature-sorted lanes come from the global sort cache, and every split
-*partitions* the parent's lanes into the children's with one stable
-boolean compress per lane — no node ever re-sorts, and no per-node work
-depends on the full dataset size.  Orderings are an acceleration only:
-the grown tree is bit-for-bit identical with and without them.
+Both builders maintain a :class:`~repro.trees.presort.NodeOrdering`
+per frame: the root's feature-sorted lanes come from the dataset's
+global sort cache, and every split *partitions* the parent's lanes into
+the children's with one stable boolean compress per lane — no node ever
+re-sorts, and no per-node work depends on the full dataset size.
 """
 
 from __future__ import annotations
@@ -96,14 +94,12 @@ def _child_can_split(k: int, depth: int, params: GrowthParams) -> bool:
 
 def _child_orderings(
     presort,
-    ordering: NodeOrdering | None,
+    ordering: NodeOrdering,
     split: Split,
     child_depth: int,
     params: GrowthParams,
 ) -> tuple[NodeOrdering | None, NodeOrdering | None]:
     """Partition a split node's ordering for the children that need one."""
-    if ordering is None:
-        return None, None
     want_left = _child_can_split(split.left_index.shape[0], child_depth, params)
     want_right = _child_can_split(split.right_index.shape[0], child_depth, params)
     if not (want_left or want_right):
@@ -123,9 +119,13 @@ def _search_split(
     n_classes: int,
     params: GrowthParams,
     rng: np.random.Generator,
-    ordering: NodeOrdering | None = None,
+    ordering: NodeOrdering | None,
 ) -> Split | None:
-    """Find a split for a node, honouring all stopping criteria."""
+    """Find a split for a node, honouring all stopping criteria.
+
+    ``ordering`` is ``None`` exactly for nodes the early-outs below turn
+    into leaves (see :func:`_child_can_split`).
+    """
     if params.max_depth is not None and depth >= params.max_depth:
         return None
     if index.shape[0] < params.min_samples_split:
@@ -143,8 +143,8 @@ def _search_split(
         params.criterion,
         params.min_samples_leaf,
         params.min_impurity_decrease,
-        ordering=ordering,
-        lane_positions=positions,
+        ordering,
+        positions,
     )
     if split is None and positions is not None:
         # The sampled feature subset may have been uninformative even
@@ -162,7 +162,7 @@ def _search_split(
             params.criterion,
             params.min_samples_leaf,
             params.min_impurity_decrease,
-            ordering=ordering,
+            ordering,
         )
     return split
 
@@ -176,15 +176,11 @@ def _grow_depth_first(
     classes: np.ndarray,
     params: GrowthParams,
     rng: np.random.Generator,
-    presort=None,
+    presort,
 ) -> TreeNode:
     """Classic recursive growth (explicit stack, no recursion limits)."""
     n_classes = classes.shape[0]
-    ordering = (
-        root_ordering(presort, index, subspace, codes, weights)
-        if presort is not None
-        else None
-    )
+    ordering = root_ordering(presort, index, subspace, codes, weights)
     # Each frame is (index, depth, parent, side, ordering); parent None
     # means root.
     root_holder: list[TreeNode] = []
@@ -230,7 +226,7 @@ def _grow_best_first(
     classes: np.ndarray,
     params: GrowthParams,
     rng: np.random.Generator,
-    presort=None,
+    presort,
 ) -> TreeNode:
     """Best-first growth: repeatedly expand the frontier leaf with the
     largest weighted impurity decrease until ``max_leaf_nodes`` is hit."""
@@ -272,11 +268,7 @@ def _grow_best_first(
         else:
             heapq.heappush(heap, (-entry.split.gain, next(counter), entry))
 
-    ordering = (
-        root_ordering(presort, index, subspace, codes, weights)
-        if presort is not None
-        else None
-    )
+    ordering = root_ordering(presort, index, subspace, codes, weights)
     _push(
         _Frontier(
             index=index, depth=0, parent=None, side="left", split=None,
@@ -323,15 +315,15 @@ def grow_tree(
     classes: np.ndarray,
     params: GrowthParams,
     rng: np.random.Generator,
-    presort=None,
+    presort,
 ) -> TreeNode:
     """Grow a decision tree over the full training set.
 
     Chooses best-first growth when ``max_leaf_nodes`` is set (so the cap
     binds on the most useful expansions first, like sklearn) and
-    depth-first growth otherwise.  ``presort`` optionally supplies the
-    dataset's :class:`~repro.trees.presort.SortedDataset`; split search
-    results are bit-identical with and without it.
+    depth-first growth otherwise.  ``presort`` is the dataset's
+    :class:`~repro.trees.presort.SortedDataset` (see
+    :func:`~repro.trees.presort.presorted_dataset`).
     """
     index = np.arange(X.shape[0])
     positive_weight = weights[index] > 0

@@ -1,7 +1,7 @@
 """Per-dataset presorted feature orders — the training-side sort cache.
 
 Exact split search spends almost all of its time ordering feature
-columns: the node-local splitter re-runs ``np.argsort`` for every
+columns: a node-local search would re-run ``np.argsort`` for every
 candidate feature at every node.  But Algorithm 1 (``TrainWithTrigger``)
 retrains forests again and again on the *same* ``X`` with only the
 sample weights changed — escalation rounds, selective ``refit_trees``,
@@ -19,7 +19,7 @@ provided the subset index is ascending — which tree growth guarantees)
 or, for small nodes where an O(n) filter pass would cost more than an
 O(k log k) sort, by a node-local stable argsort.  Both produce the exact
 same permutation, so trees grown on top of this cache are **bit-for-bit
-identical** to the node-local splitter's output.
+identical** to what a node-local sort at every node would grow.
 
 The module-level cache is keyed by *array identity* (``X is cached.X``)
 rather than by content hash: the training pipelines thread one validated

@@ -45,24 +45,19 @@ class _RegNode:
 
 
 def _best_split_sse(
-    values: np.ndarray,
     targets: np.ndarray,
     weights: np.ndarray,
     min_samples_leaf: int,
-    order: np.ndarray | None = None,
-    sorted_values: np.ndarray | None = None,
+    order: np.ndarray,
+    sorted_values: np.ndarray,
 ) -> tuple[float, float] | None:
     """Best threshold of one feature by weighted SSE reduction.
 
-    Returns ``(sse_after, threshold)`` or ``None``.  ``order`` (and the
-    matching ``sorted_values``) may come from the dataset presort cache;
-    when omitted they are computed here.  Both routes are bit-identical
-    — a presorted order *is* the stable argsort.
+    Returns ``(sse_after, threshold)`` or ``None``.  ``order`` holds the
+    node's global row ids sorted by the feature (from the dataset
+    presort cache — a presorted order *is* the stable argsort) and
+    ``sorted_values`` the matching feature values.
     """
-    if order is None:
-        order = np.argsort(values, kind="stable")
-    if sorted_values is None:
-        sorted_values = values[order]
     if sorted_values[-1] - sorted_values[0] <= _MIN_VALUE_GAP:
         return None
     w = weights[order]
@@ -74,8 +69,6 @@ def _best_split_sse(
     prefix_wyy = np.cumsum(wyy)
     total_w, total_wy, total_wyy = prefix_w[-1], prefix_wy[-1], prefix_wyy[-1]
 
-    # Node size comes from the (possibly presorted) order, not from
-    # ``values`` — with an external order, ``values`` is the full column.
     n = sorted_values.shape[0]
     positions = np.arange(1, n)
     distinct = sorted_values[1:] - sorted_values[:-1] > _MIN_VALUE_GAP
@@ -111,11 +104,10 @@ class RegressionTree:
     means with Newton-step leaf values: it receives the index array of
     the samples in the leaf and returns the leaf's value.
 
-    ``splitter="presorted"`` (default) reuses the dataset's cached
-    per-feature sort orders — gradient boosting refits a tree per stage
-    on the *same* ``X`` with new residual targets, so the presort pays
-    for itself across all stages; ``"local"`` restores per-node
-    re-sorting.  Fitted trees are bit-identical either way.
+    Split search reuses the dataset's cached per-feature sort orders —
+    gradient boosting refits a tree per stage on the *same* ``X`` with
+    new residual targets, so the presort pays for itself across all
+    stages.
     """
 
     def __init__(
@@ -123,19 +115,13 @@ class RegressionTree:
         max_depth: int | None = 3,
         min_samples_split: int = 2,
         min_samples_leaf: int = 1,
-        splitter: str = "presorted",
         random_state=None,
     ) -> None:
         if max_depth is not None and max_depth < 1:
             raise ValidationError(f"max_depth must be >= 1, got {max_depth}")
-        if splitter not in ("presorted", "local"):
-            raise ValidationError(
-                f"splitter must be one of ('presorted', 'local'), got {splitter!r}"
-            )
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
-        self.splitter = splitter
         self.random_state = random_state
         self.root_ = None
         self.n_features_in_: int | None = None
@@ -149,15 +135,23 @@ class RegressionTree:
                 f"y must have shape ({X.shape[0]},), got {y.shape}"
             )
         weights = check_sample_weight(sample_weight, X.shape[0])
+        # Checked here rather than in __init__: loading a boosted
+        # artefact builds its stage trees without fitting them.
+        if self.min_samples_split < 2:
+            raise ValidationError(
+                f"min_samples_split must be >= 2, got {self.min_samples_split}"
+            )
+        if self.min_samples_leaf < 1:
+            raise ValidationError(
+                f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}"
+            )
 
         if leaf_value_fn is None:
 
             def leaf_value_fn(index: np.ndarray) -> float:
                 return float(np.average(y[index], weights=weights[index]))
 
-        presort = (
-            presorted_dataset(X) if self.splitter == "presorted" else None
-        )
+        presort = presorted_dataset(X)
         all_features = np.arange(X.shape[1])
 
         def build(index: np.ndarray, depth: int):
@@ -168,29 +162,19 @@ class RegressionTree:
             )
             split = None
             if can_split:
-                if presort is not None:
-                    # One membership filter yields every feature's node
-                    # ordering; the global rows double as gather indices
-                    # into the full y / weights arrays.
-                    rows, row_values = presort.node_sorted(index, all_features)
+                # One membership filter yields every feature's node
+                # ordering; the global rows double as gather indices
+                # into the full y / weights arrays.
+                rows, row_values = presort.node_sorted(index, all_features)
                 best_sse = np.inf
                 for feature in range(X.shape[1]):
-                    if presort is not None:
-                        result = _best_split_sse(
-                            X[:, feature],
-                            y,
-                            weights,
-                            self.min_samples_leaf,
-                            order=rows[feature],
-                            sorted_values=row_values[feature],
-                        )
-                    else:
-                        result = _best_split_sse(
-                            X[index, feature],
-                            y[index],
-                            weights[index],
-                            self.min_samples_leaf,
-                        )
+                    result = _best_split_sse(
+                        y,
+                        weights,
+                        self.min_samples_leaf,
+                        rows[feature],
+                        row_values[feature],
+                    )
                     if result is not None and result[0] < best_sse - 1e-15:
                         best_sse = result[0]
                         split = (feature, result[1])

@@ -7,24 +7,17 @@ paper relies on from sklearn: sample weights steer the chosen splits, so
 heavily re-weighted trigger instances dominate impurity and force the
 tree to carve them out correctly (Algorithm 1, ``TrainWithTrigger``).
 
-Two equivalent engines implement the search:
-
-- the **node-local** path (the seed implementation, kept as the
-  ``splitter="local"`` escape hatch): one Python iteration per candidate
-  feature, each re-running ``np.argsort`` on the node's values;
-- the **presorted** path (default): node orderings are derived from a
-  per-dataset :class:`~repro.trees.presort.SortedDataset` cache, and all
-  candidate features of a node are scored in one batched prefix-sum /
-  criterion evaluation — no per-node sorting, no per-feature Python
-  loop.
-
-The two paths are **bit-for-bit equivalent**: same thresholds, same
-equal-gain tie-break (lowest feature id), same midpoint-collapse guard.
-A stable global sort order filtered to an ascending-index subset *is*
-the stable argsort of that subset, and every arithmetic step of the
-batched evaluation is an element-wise image of the node-local one, so
-identical floats flow through identical operations.  The differential
-tests in ``tests/trees/test_presort.py`` pin this contract.
+The search is **presorted**: a node's feature-sorted lanes come from
+a :class:`~repro.trees.presort.NodeOrdering` that tree growth derives
+from the per-dataset :class:`~repro.trees.presort.SortedDataset` cache
+and partitions down the tree, and all candidate features of a node are
+scored in one batched prefix-sum / criterion evaluation — no per-node
+sorting, no per-feature Python loop.  A stable global sort order
+filtered to an ascending-index subset *is* the stable argsort of that
+subset, so the lanes are exactly what a node-local sort would give; the
+equal-gain tie-break (lowest feature id) and the midpoint-collapse guard
+are part of the contract.  ``tests/trees/test_splitter.py`` checks the
+search node by node against a node-local reference implementation.
 """
 
 from __future__ import annotations
@@ -63,102 +56,6 @@ class Split:
     gain: float
     left_index: np.ndarray
     right_index: np.ndarray
-
-
-def _class_count_prefixes(
-    codes: np.ndarray, weights: np.ndarray, n_classes: int
-) -> np.ndarray:
-    """Weighted class-count prefix sums: ``prefix[i, c]`` is the weight of
-    class ``c`` among the first ``i + 1`` samples in sorted order."""
-    one_hot = np.zeros((codes.shape[0], n_classes), dtype=np.float64)
-    one_hot[np.arange(codes.shape[0]), codes] = weights
-    return np.cumsum(one_hot, axis=0)
-
-
-def _best_position_for_feature(
-    values: np.ndarray,
-    codes: np.ndarray,
-    weights: np.ndarray,
-    n_classes: int,
-    criterion,
-    min_samples_leaf: int,
-    parent_weighted_impurity: float,
-) -> tuple[float, float, int] | None:
-    """Best split of one feature; returns ``(gain, threshold, position)``.
-
-    ``position`` is the number of sorted samples that go to the left
-    child.  Returns ``None`` when the feature admits no valid split.
-    This is the node-local engine: it re-sorts the node's values.
-    """
-    order = np.argsort(values, kind="stable")
-    sorted_values = values[order]
-    if sorted_values[-1] - sorted_values[0] <= _MIN_VALUE_GAP:
-        return None
-
-    prefix = _class_count_prefixes(codes[order], weights[order], n_classes)
-    total = prefix[-1]
-    n = values.shape[0]
-
-    # Candidate positions i mean "first i sorted samples go left".
-    positions = np.arange(1, n)
-    distinct = sorted_values[1:] - sorted_values[:-1] > _MIN_VALUE_GAP
-    big_enough = (positions >= min_samples_leaf) & (n - positions >= min_samples_leaf)
-    valid = distinct & big_enough
-    if not valid.any():
-        return None
-    positions = positions[valid]
-
-    left_counts = prefix[positions - 1]
-    right_counts = total[None, :] - left_counts
-    left_weight = left_counts.sum(axis=1)
-    right_weight = right_counts.sum(axis=1)
-    child_weighted = left_weight * criterion(left_counts) + right_weight * criterion(
-        right_counts
-    )
-    gains = parent_weighted_impurity - child_weighted
-
-    best = int(np.argmax(gains))
-    position = int(positions[best])
-    threshold = 0.5 * (sorted_values[position - 1] + sorted_values[position])
-    # Guard against midpoints that collapse onto the left value through
-    # floating-point rounding, which would route left-side samples right.
-    if threshold <= sorted_values[position - 1]:
-        threshold = sorted_values[position - 1]
-    return float(gains[best]), float(threshold), position
-
-
-def _local_best(
-    X: np.ndarray,
-    codes: np.ndarray,
-    weights: np.ndarray,
-    index: np.ndarray,
-    candidate_features: np.ndarray,
-    n_classes: int,
-    criterion,
-    min_samples_leaf: int,
-    parent_weighted_impurity: float,
-) -> tuple[float, float, int] | None:
-    """Node-local engine: Python loop over candidate features."""
-    node_codes = codes[index]
-    node_weights = weights[index]
-    best: tuple[float, float, int] | None = None  # gain, threshold, feature
-    for feature in candidate_features:
-        result = _best_position_for_feature(
-            X[index, feature],
-            node_codes,
-            node_weights,
-            n_classes,
-            criterion,
-            min_samples_leaf,
-            parent_weighted_impurity,
-        )
-        if result is None:
-            continue
-        gain, threshold, _position = result
-        key = (gain, -int(feature))  # deterministic tie-break: lowest feature id
-        if best is None or key > (best[0], -best[2]):
-            best = (gain, threshold, int(feature))
-    return best
 
 
 def _binary_child_weighted(
@@ -276,18 +173,19 @@ def _evaluate_feature_block(
 
     Lane ``j`` of each input holds the node's class codes, sample
     weights and feature values sorted by ``features[j]`` (feature-major,
-    contiguous lanes).  Every step is the element-wise image of
-    :func:`_best_position_for_feature` run per feature, so the floats at
-    valid positions — and hence the selected split — are identical; the
-    lanes merely share one prefix-sum and one criterion evaluation.
+    contiguous lanes).  Every step is the element-wise image of a
+    per-feature prefix-sum search over that lane, so the floats at valid
+    positions — and hence the selected split — are the ones a node-local
+    search would compute; the lanes merely share one prefix-sum and one
+    criterion evaluation.
     """
     n_features, k = sorted_codes.shape
     # Admissible positions form the contiguous window
     # ``min_samples_leaf <= position <= k - min_samples_leaf``; in the
     # gains-column space (column c ↔ position c+1) that is [lo, hi).
     # Positions are never below 1 or above k-1, so the window clamps to
-    # that range — which also keeps a (nonsensical but accepted)
-    # ``min_samples_leaf=0`` identical to the node-local path.
+    # that range, which also keeps a ``min_samples_leaf=0`` call
+    # (only reachable by calling the search directly) well defined.
     lo = max(0, min_samples_leaf - 1)
     hi = min(k - min_samples_leaf, k - 1)
     if lo >= hi:
@@ -364,69 +262,6 @@ def _blocked_best(
     return best
 
 
-def _presorted_best(
-    codes: np.ndarray,
-    weights: np.ndarray,
-    index: np.ndarray,
-    candidate_features: np.ndarray,
-    n_classes: int,
-    criterion,
-    min_samples_leaf: int,
-    parent_weighted_impurity: float,
-    presort,
-) -> tuple[float, float, int] | None:
-    """Presorted engine: derive lanes from the dataset cache, then batch."""
-    if index.shape[0] < 2:
-        return None
-    rows, sorted_values = presort.node_sorted(index, candidate_features)
-    return _blocked_best(
-        codes[rows],
-        weights[rows],
-        sorted_values,
-        candidate_features,
-        n_classes,
-        criterion,
-        min_samples_leaf,
-        parent_weighted_impurity,
-    )
-
-
-def _ordered_best(
-    ordering,
-    lane_positions: np.ndarray | None,
-    candidate_features: np.ndarray,
-    n_classes: int,
-    criterion,
-    min_samples_leaf: int,
-    parent_weighted_impurity: float,
-) -> tuple[float, float, int] | None:
-    """Growth-maintained engine: the node's lanes are already in hand.
-
-    ``lane_positions`` selects the candidate lanes out of the node's
-    subspace ordering (``None`` means every lane, in order).
-    """
-    if ordering.codes.shape[1] < 2:
-        return None
-    if lane_positions is None:
-        sorted_codes = ordering.codes
-        sorted_weights = ordering.weights
-        sorted_values = ordering.values
-    else:
-        sorted_codes = ordering.codes[lane_positions]
-        sorted_weights = ordering.weights[lane_positions]
-        sorted_values = ordering.values[lane_positions]
-    return _blocked_best(
-        sorted_codes,
-        sorted_weights,
-        sorted_values,
-        candidate_features,
-        n_classes,
-        criterion,
-        min_samples_leaf,
-        parent_weighted_impurity,
-    )
-
-
 def find_best_split(
     X: np.ndarray,
     codes: np.ndarray,
@@ -437,8 +272,7 @@ def find_best_split(
     criterion,
     min_samples_leaf: int,
     min_impurity_decrease: float,
-    presort=None,
-    ordering=None,
+    ordering,
     lane_positions: np.ndarray | None = None,
 ) -> Split | None:
     """Search for the best split of the node holding samples ``index``.
@@ -458,15 +292,11 @@ def find_best_split(
         Minimum number of samples (unweighted) in each child.
     min_impurity_decrease:
         Minimum absolute weighted impurity decrease to accept a split.
-    presort:
-        Optional :class:`~repro.trees.presort.SortedDataset` of ``X``.
-        When given, the batched presorted engine runs; when ``None``,
-        the node-local engine.  Both return bit-identical splits.
     ordering:
-        Optional :class:`~repro.trees.presort.NodeOrdering` carrying the
-        node's already-partitioned sorted lanes (tree growth maintains
-        these); takes precedence over ``presort``.  ``lane_positions``
-        selects the candidate lanes within it (``None`` = all lanes).
+        The :class:`~repro.trees.presort.NodeOrdering` carrying the
+        node's sorted lanes (tree growth maintains these).
+        ``lane_positions`` selects the candidate lanes within it
+        (``None`` = all lanes, in order).
 
     Returns
     -------
@@ -493,43 +323,20 @@ def find_best_split(
         )
     if parent_weighted_impurity <= 0.0:
         return None  # already pure
+    if ordering.codes.shape[1] < 2:
+        return None
 
-    candidate_features = np.asarray(candidate_features)
-    if ordering is not None:
-        best = _ordered_best(
-            ordering,
-            lane_positions,
-            candidate_features,
-            n_classes,
-            criterion,
-            min_samples_leaf,
-            parent_weighted_impurity,
-        )
-    elif presort is not None:
-        best = _presorted_best(
-            codes,
-            weights,
-            index,
-            candidate_features,
-            n_classes,
-            criterion,
-            min_samples_leaf,
-            parent_weighted_impurity,
-            presort,
-        )
-    else:
-        best = _local_best(
-            X,
-            codes,
-            weights,
-            index,
-            candidate_features,
-            n_classes,
-            criterion,
-            min_samples_leaf,
-            parent_weighted_impurity,
-        )
-
+    lanes = slice(None) if lane_positions is None else lane_positions
+    best = _blocked_best(
+        ordering.codes[lanes],
+        ordering.weights[lanes],
+        ordering.values[lanes],
+        np.asarray(candidate_features),
+        n_classes,
+        criterion,
+        min_samples_leaf,
+        parent_weighted_impurity,
+    )
     if best is None:
         return None
     gain, threshold, feature = best

@@ -31,13 +31,7 @@ from .growth import GrowthParams, grow_tree
 from .node import TreeNode, iter_leaves, predict_batch
 from .presort import presorted_dataset
 
-__all__ = ["DecisionTreeClassifier", "resolve_max_features", "SPLITTERS"]
-
-#: Split-search engines: ``"presorted"`` derives node orderings from the
-#: per-dataset sort cache and scores all candidate features in one
-#: batched evaluation; ``"local"`` is the node-local escape hatch that
-#: re-sorts at every node.  Both grow bit-identical trees.
-SPLITTERS = ("presorted", "local")
+__all__ = ["DecisionTreeClassifier", "resolve_max_features"]
 
 
 def resolve_max_features(max_features, n_features: int) -> int | None:
@@ -101,13 +95,6 @@ class DecisionTreeClassifier:
     feature_subset:
         Optional fixed subspace of feature ids this tree may ever split
         on (assigned by the forest, one subspace per tree).
-    splitter:
-        Split-search engine, one of :data:`SPLITTERS`.  ``"presorted"``
-        (default) reuses the dataset's cached per-feature sort orders
-        and batches the candidate-feature evaluation; ``"local"`` is the
-        node-local engine that re-sorts at every node.  The fitted tree
-        is bit-for-bit identical either way — the switch only trades
-        speed.
     random_state:
         Seed or generator for per-split feature sampling.
     """
@@ -122,7 +109,6 @@ class DecisionTreeClassifier:
         min_impurity_decrease: float = 0.0,
         max_features=None,
         feature_subset=None,
-        splitter: str = "presorted",
         random_state=None,
     ) -> None:
         self.criterion = criterion
@@ -133,7 +119,6 @@ class DecisionTreeClassifier:
         self.min_impurity_decrease = min_impurity_decrease
         self.max_features = max_features
         self.feature_subset = feature_subset
-        self.splitter = splitter
         self.random_state = random_state
         self.root_: TreeNode | None = None
         self.classes_: np.ndarray | None = None
@@ -163,10 +148,6 @@ class DecisionTreeClassifier:
         if self.min_impurity_decrease < 0:
             raise ValidationError(
                 f"min_impurity_decrease must be >= 0, got {self.min_impurity_decrease}"
-            )
-        if self.splitter not in SPLITTERS:
-            raise ValidationError(
-                f"splitter must be one of {SPLITTERS}, got {self.splitter!r}"
             )
         return GrowthParams(
             criterion=get_criterion(self.criterion),
@@ -203,9 +184,8 @@ class DecisionTreeClassifier:
             subspace = np.unique(subspace)
 
         rng = check_random_state(self.random_state)
-        presort = presorted_dataset(X) if self.splitter == "presorted" else None
         self.root_ = grow_tree(
-            X, codes, weights, subspace, classes, params, rng, presort
+            X, codes, weights, subspace, classes, params, rng, presorted_dataset(X)
         )
         self.classes_ = classes
         self.n_features_in_ = X.shape[1]
@@ -237,8 +217,7 @@ class DecisionTreeClassifier:
         The result is cached and reused by ``predict`` /
         ``predict_proba`` until ``root_`` is replaced (refit, pruning,
         modification attacks); call again after such surgery to refresh
-        eagerly.  See :mod:`repro.trees.compiled` for the engine and the
-        ``object`` backend escape hatch.
+        eagerly.  See :mod:`repro.trees.compiled` for the engine.
         """
         root = self._check_fitted()
         return ensure_compiled(

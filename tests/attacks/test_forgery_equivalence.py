@@ -4,9 +4,9 @@
 ``source_index`` and ``statuses`` for a fixed seed regardless of
 
 - worker count (``n_jobs`` ∈ {None, 2, 4}),
-- the encoding-reuse flag (compiled skeleton + assumption re-solve vs
-  rebuild-per-instance),
-- their combination, and
+- encoding reuse: the attack's cached encoding and persistent solver
+  must agree with a freshly compiled encoding per instance (the
+  reference replay below), and
 - the ``target_size`` early-stop path (parallel waves must consume
   results in serial attempt order and discard speculative surplus).
 
@@ -21,6 +21,7 @@ import pytest
 
 from repro.attacks import forge_trigger_set
 from repro.core import random_signature
+from repro.solver import compile_pattern_encoding, required_labels
 
 
 def _fingerprint(result):
@@ -33,6 +34,34 @@ def _fingerprint(result):
     )
 
 
+def _fresh_replay(ensemble, fake, X_test, y_test, epsilon, max_instances,
+                  random_state, engine="smt", budget=100_000):
+    """The attack's serial loop with a freshly compiled encoding (and so
+    a fresh solver) for every instance — the reference for reuse."""
+    order = np.random.default_rng(random_state).permutation(X_test.shape[0])
+    order = order[:max_instances]
+    forged, sources = [], []
+    statuses = {"sat": 0, "unsat": 0, "unknown": 0}
+    for row in order:
+        encoding = compile_pattern_encoding(
+            ensemble.roots(), required_labels(fake, int(y_test[row])), X_test.shape[1]
+        )
+        outcome = encoding.solve(
+            center=X_test[row], epsilon=epsilon, engine=engine, budget=budget
+        )
+        statuses[outcome.status] += 1
+        if outcome.is_sat:
+            forged.append(outcome.instance)
+            sources.append(int(row))
+    return (
+        len(order),
+        np.stack(forged).tobytes() if forged else b"",
+        (len(forged), X_test.shape[1]),
+        tuple(sources),
+        tuple(sorted(statuses.items())),
+    )
+
+
 @pytest.fixture(scope="module")
 def forge_setup(wm_model, bc_data):
     _, X_test, _, y_test = bc_data
@@ -42,27 +71,18 @@ def forge_setup(wm_model, bc_data):
 
 class TestForgeDeterminism:
     @pytest.mark.parametrize("n_jobs", [None, 2, 4])
-    @pytest.mark.parametrize("reuse_encoding", [True, False])
-    def test_bitwise_identical_across_jobs_and_reuse(
-        self, forge_setup, n_jobs, reuse_encoding
-    ):
+    def test_bitwise_identical_across_jobs_and_reuse(self, forge_setup, n_jobs):
         ensemble, fake, X_test, y_test = forge_setup
-        baseline = forge_trigger_set(
+        result = forge_trigger_set(
             ensemble, fake, X_test, y_test,
-            epsilon=0.6, max_instances=10, random_state=71,
+            epsilon=0.6, max_instances=10, random_state=71, n_jobs=n_jobs,
         )
-        other = forge_trigger_set(
-            ensemble, fake, X_test, y_test,
-            epsilon=0.6, max_instances=10, random_state=71,
-            n_jobs=n_jobs, reuse_encoding=reuse_encoding,
+        assert _fingerprint(result) == _fresh_replay(
+            ensemble, fake, X_test, y_test, 0.6, 10, 71
         )
-        assert _fingerprint(other) == _fingerprint(baseline)
 
     @pytest.mark.parametrize("n_jobs", [None, 2, 4])
-    @pytest.mark.parametrize("reuse_encoding", [True, False])
-    def test_target_size_early_stop_is_deterministic(
-        self, forge_setup, n_jobs, reuse_encoding
-    ):
+    def test_target_size_early_stop_is_deterministic(self, forge_setup, n_jobs):
         ensemble, fake, X_test, y_test = forge_setup
         baseline = forge_trigger_set(
             ensemble, fake, X_test, y_test,
@@ -70,8 +90,7 @@ class TestForgeDeterminism:
         )
         other = forge_trigger_set(
             ensemble, fake, X_test, y_test,
-            epsilon=0.8, target_size=2, random_state=72,
-            n_jobs=n_jobs, reuse_encoding=reuse_encoding,
+            epsilon=0.8, target_size=2, random_state=72, n_jobs=n_jobs,
         )
         assert _fingerprint(other) == _fingerprint(baseline)
         if baseline.n_forged:
@@ -89,7 +108,7 @@ class TestForgeDeterminism:
         parallel = forge_trigger_set(
             ensemble, fake, X_test, y_test,
             epsilon=0.6, max_instances=8, engine="boxes", random_state=73,
-            n_jobs=2, reuse_encoding=False,
+            n_jobs=2,
         )
         assert _fingerprint(parallel) == _fingerprint(serial)
 
@@ -99,12 +118,9 @@ class TestForgeDeterminism:
             ensemble, fake, X_test, y_test,
             epsilon=0.6, max_instances=6, engine="portfolio", random_state=74,
         )
-        fresh = forge_trigger_set(
-            ensemble, fake, X_test, y_test,
-            epsilon=0.6, max_instances=6, engine="portfolio", random_state=74,
-            reuse_encoding=False,
+        assert _fingerprint(compiled) == _fresh_replay(
+            ensemble, fake, X_test, y_test, 0.6, 6, 74, engine="portfolio"
         )
-        assert _fingerprint(fresh) == _fingerprint(compiled)
 
     def test_forged_instances_still_verify(self, forge_setup):
         ensemble, fake, X_test, y_test = forge_setup

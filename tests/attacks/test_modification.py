@@ -89,7 +89,8 @@ class TestFlipLeaves:
         # `predict_proba` (leaf distributions) must name the same
         # majority class — on the object path and the compiled path.
         from repro.ensemble import RandomForestClassifier
-        from repro.trees import inference_backend
+        from repro.trees.compiled import MIN_COMPILE_ROWS
+        from repro.trees.node import predict_batch
 
         X_train, X_test, y_train, _ = bc_data
         # Unconstrained trees reach pure leaves, so argmax is tie-free.
@@ -97,15 +98,25 @@ class TestFlipLeaves:
             n_estimators=3, tree_feature_fraction=1.0, random_state=23
         ).fit(X_train, y_train)
         attacked = flip_forest_leaves(forest, 1.0, random_state=24)
+        step = MIN_COMPILE_ROWS - 1
         for tree in attacked.trees_:
-            for backend in ("object", "compiled"):
-                with inference_backend(backend):
-                    if backend == "compiled":
-                        tree.compile()
-                    labels = tree.predict(X_test)
-                    proba = tree.predict_proba(X_test)
+            # Batches below MIN_COMPILE_ROWS on a never-compiled tree take
+            # the object path; after compile() every batch takes the engine.
+            assert tree._compiled_ is None
+            chunks = [X_test[i : i + step] for i in range(0, len(X_test), step)]
+            routes = {
+                "object": (
+                    np.concatenate([tree.predict(c) for c in chunks]),
+                    np.concatenate([tree.predict_proba(c) for c in chunks]),
+                )
+            }
+            assert tree._compiled_ is None
+            tree.compile()
+            routes["compiled"] = (tree.predict(X_test), tree.predict_proba(X_test))
+            for route, (labels, proba) in routes.items():
+                assert np.array_equal(labels, predict_batch(tree.root_, X_test)), route
                 by_proba = tree.classes_[np.argmax(proba, axis=1)]
-                assert np.array_equal(labels, by_proba), backend
+                assert np.array_equal(labels, by_proba), route
 
 
 def _leaves(root):

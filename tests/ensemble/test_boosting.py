@@ -72,6 +72,12 @@ class TestValidation:
         with pytest.raises(ValidationError):
             GradientBoostingClassifier(learning_rate=0.0)
 
+    def test_bad_min_samples_leaf_rejected(self, rng):
+        X = rng.uniform(size=(10, 2))
+        y = np.where(X[:, 0] > 0.5, 1, -1)
+        with pytest.raises(ValidationError, match="min_samples_leaf"):
+            GradientBoostingClassifier(n_estimators=2, min_samples_leaf=0).fit(X, y)
+
     def test_unfitted_raises(self):
         with pytest.raises(NotFittedError):
             GradientBoostingClassifier().predict(np.zeros((1, 2)))

@@ -60,9 +60,13 @@ class TestCompiledStatuses:
         compiled = compile_pattern_encoding(
             bc_forest.roots(), required, bc_forest.n_features_in_
         )
+        # One persistent solver across the sweep vs a freshly compiled
+        # encoding (hence a fresh solver) per instance.
         for i in range(6):
-            reused = compiled.solve(center=X_test[i], epsilon=0.4, reuse=True)
-            rebuilt = compiled.solve(center=X_test[i], epsilon=0.4, reuse=False)
+            reused = compiled.solve(center=X_test[i], epsilon=0.4)
+            rebuilt = compile_pattern_encoding(
+                bc_forest.roots(), required, bc_forest.n_features_in_
+            ).solve(center=X_test[i], epsilon=0.4)
             assert reused.status == rebuilt.status
             if reused.is_sat:
                 assert np.array_equal(reused.instance, rebuilt.instance)

@@ -13,8 +13,8 @@ engine) and must realise the required per-tree pattern exactly.
 
 The compiled encoding (:mod:`repro.solver.compiled_encoding`) joins
 the differential as a third implementation: its status must match the
-one-shot engines, and its reuse path must be bit-identical to its
-rebuild-per-instance path.
+one-shot engines, and its persistent (reset) solver must be
+bit-identical to a freshly compiled encoding of the same instance.
 """
 
 from __future__ import annotations
@@ -108,12 +108,13 @@ class TestEngineDifferential:
             compiled = compile_pattern_encoding(
                 problem.roots, problem.required, problem.n_features, problem.domain
             )
-            reused = compiled.solve(
-                center=problem.center, epsilon=problem.epsilon, reuse=True
-            )
-            rebuilt = compiled.solve(
-                center=problem.center, epsilon=problem.epsilon, reuse=False
-            )
+            compiled.solve(center=problem.center, epsilon=problem.epsilon)
+            # The second solve runs on the reset persistent solver; a
+            # freshly compiled encoding must give the same answer.
+            reused = compiled.solve(center=problem.center, epsilon=problem.epsilon)
+            rebuilt = compile_pattern_encoding(
+                problem.roots, problem.required, problem.n_features, problem.domain
+            ).solve(center=problem.center, epsilon=problem.epsilon)
 
             statuses = {
                 "smt": smt.status,
@@ -124,11 +125,11 @@ class TestEngineDifferential:
                 f"engine disagreement on seed {int(seed)}: {statuses}"
             )
             decided += 1
-            # Reuse flag must not even change the witness bit for bit.
+            # Solver reuse must not even change the witness bit for bit.
             assert rebuilt.status == reused.status
             if reused.is_sat:
                 assert np.array_equal(reused.instance, rebuilt.instance), (
-                    f"reuse flag changed the witness on seed {int(seed)}"
+                    f"solver reuse changed the witness on seed {int(seed)}"
                 )
 
             if smt.is_sat:

@@ -1,14 +1,21 @@
 """Public-API surface snapshot.
 
-Pins ``repro.__all__`` and the ``repro.api`` exports so accidental
-breaks of the public surface (a removed re-export, a renamed class, a
-new symbol nobody reviewed) fail tier-1 instead of shipping silently.
-When a change here is *intentional*, update the snapshot in the same
-commit that changes the surface.
+Pins ``repro.__all__``, the ``repro.api`` exports and ``repro.trees``
+so accidental breaks of the public surface (a removed re-export, a
+renamed class, a new symbol nobody reviewed) fail tier-1 instead of
+shipping silently.  When a change here is *intentional*, update the
+snapshot in the same commit that changes the surface.
+
+Migration note: ``repro.trees`` no longer exports ``SPLITTERS``,
+``get_inference_backend``, ``set_inference_backend`` or
+``inference_backend``, and the ``REPRO_INFERENCE_BACKEND`` variable is
+ignored.  They selected slower routes with identical outputs; outputs
+are unchanged.
 """
 
 import repro
 import repro.api
+import repro.trees
 
 REPRO_ALL = [
     "Attack",
@@ -81,6 +88,44 @@ API_ALL = [
     "run_scenario_matrix",
 ]
 
+TREES_ALL = [
+    "Box",
+    "CompiledTree",
+    "DecisionTreeClassifier",
+    "InternalNode",
+    "Leaf",
+    "RegressionTree",
+    "SortedDataset",
+    "TreeNode",
+    "TreeStats",
+    "boxes_for_label",
+    "clear_presort_cache",
+    "compile_tree",
+    "ensemble_structure",
+    "entropy_impurity",
+    "gini_impurity",
+    "iter_leaves",
+    "iter_nodes",
+    "leaf_boxes",
+    "predict_batch",
+    "predict_one",
+    "presort_cache_stats",
+    "presorted_dataset",
+    "prune_cost_complexity",
+    "pruning_path",
+    "resolve_max_features",
+    "subtree_risk",
+    "tree_stats",
+    "tree_to_text",
+]
+
+RETIRED_TREES_NAMES = (
+    "SPLITTERS",
+    "get_inference_backend",
+    "inference_backend",
+    "set_inference_backend",
+)
+
 REGISTERED_ATTACKS = (
     "chain",
     "detection",
@@ -118,3 +163,12 @@ class TestApiSurface:
 
     def test_attack_registry_is_pinned(self):
         assert repro.api.available_attacks() == REGISTERED_ATTACKS
+
+
+class TestTreesSurface:
+    def test_all_is_pinned(self):
+        assert sorted(repro.trees.__all__) == TREES_ALL
+
+    def test_retired_switches_are_gone(self):
+        for name in RETIRED_TREES_NAMES:
+            assert not hasattr(repro.trees, name), name

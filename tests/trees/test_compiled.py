@@ -16,16 +16,33 @@ from repro.ensemble import (
     compile_forest,
     compile_trees,
 )
+from repro.ensemble.voting import majority_vote
 from repro.exceptions import ValidationError
 from repro.trees import DecisionTreeClassifier, compile_tree
-from repro.trees.compiled import (
-    get_inference_backend,
-    inference_backend,
-    set_inference_backend,
-)
+from repro.trees.compiled import MIN_COMPILE_ROWS
 from repro.trees.node import InternalNode, Leaf, predict_batch
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
+
+
+def _object_all(forest, X):
+    """Per-tree answers walked through the object graph (the reference)."""
+    return np.stack([predict_batch(tree.root_, X) for tree in forest.trees_], axis=0)
+
+
+def _small_batches(model, method, X):
+    """``model.method`` over batches below :data:`MIN_COMPILE_ROWS`.
+
+    On a model that was never compiled these take the object-graph
+    route, which is what makes them a reference for the engine.
+    """
+    assert model._compiled_ is None
+    step = MIN_COMPILE_ROWS - 1
+    out = np.concatenate(
+        [getattr(model, method)(X[i : i + step]) for i in range(0, X.shape[0], step)]
+    )
+    assert model._compiled_ is None
+    return out
 
 
 def _random_data(gen, n_samples=200, n_features=6):
@@ -107,8 +124,7 @@ class TestCompiledTreeEquivalence:
         X, y = _random_data(gen, n_samples=300)
         tree = DecisionTreeClassifier(max_depth=5).fit(X, y)
         X_query = gen.normal(size=(128, X.shape[1]))
-        with inference_backend("object"):
-            reference = tree.predict_proba(X_query)
+        reference = _small_batches(tree, "predict_proba", X_query)
         assert np.array_equal(tree.compile().predict_proba(X_query), reference)
 
     def test_proba_requires_classes(self):
@@ -131,10 +147,9 @@ class TestCompiledForestEquivalence:
         ).fit(X, y)
         X_query = gen.normal(size=(200, X.shape[1]))
 
-        with inference_backend("object"):
-            reference_all = forest.predict_all(X_query)
-            reference_pred = forest.predict(X_query)
-            reference_proba = forest.predict_proba(X_query)
+        reference_all = _object_all(forest, X_query)
+        reference_pred = majority_vote(reference_all, forest.classes_)
+        reference_proba = _small_batches(forest, "predict_proba", X_query)
 
         engine = forest.compile()
         assert np.array_equal(engine.predict_all(X_query), reference_all)
@@ -145,7 +160,7 @@ class TestCompiledForestEquivalence:
             engine.predict_proba(X_query), reference_proba, rtol=0, atol=1e-12
         )
 
-        # The estimator API itself must agree with the object backend.
+        # The estimator API itself must agree with the object graph.
         assert np.array_equal(forest.predict_all(X_query), reference_all)
         assert np.array_equal(forest.predict(X_query), reference_pred)
 
@@ -179,10 +194,11 @@ class TestCompiledForestEquivalence:
         ).fit(X, y)
         X_query = gen.normal(size=(150, X.shape[1]))
 
-        with inference_backend("object"):
-            reference_contrib = model.stage_contributions(X_query)
-            reference_margin = model.decision_function(X_query)
-            reference_pred = model.predict(X_query)
+        reference_contrib = np.stack(
+            [model.learning_rate * tree.predict(X_query) for tree in model.trees_]
+        )
+        reference_margin = model.init_score_ + reference_contrib.sum(axis=0)
+        reference_pred = np.where(reference_margin >= 0.0, 1, -1)
 
         model.compile()
         assert np.array_equal(model.stage_contributions(X_query), reference_contrib)
@@ -191,20 +207,32 @@ class TestCompiledForestEquivalence:
 
 
 class TestBackendAndCaching:
+    """The batch size alone picks the route: the object graph below
+    :data:`MIN_COMPILE_ROWS` on a never-compiled model, the compiled
+    engine otherwise."""
+
     def test_backend_switch_and_restore(self):
-        assert get_inference_backend() == "compiled"
-        with inference_backend("object"):
-            assert get_inference_backend() == "object"
-        assert get_inference_backend() == "compiled"
-        with pytest.raises(ValidationError):
-            set_inference_backend("numba")
+        gen = np.random.default_rng(4)
+        X, y = _random_data(gen)
+        tree = DecisionTreeClassifier(max_depth=4).fit(X, y)
+        other = DecisionTreeClassifier(max_depth=4).fit(X, y)
+        X_query = gen.normal(size=(MIN_COMPILE_ROWS, X.shape[1]))
+        reference = predict_batch(tree.root_, X_query)
+        assert np.array_equal(tree.predict(X_query[:-1]), reference[:-1])
+        assert tree._compiled_ is None  # one row short: object route
+        assert np.array_equal(tree.predict(X_query), reference)
+        assert tree._compiled_ is not None  # at the threshold: compiled
+        # The switch is per model: nothing global changed for another one.
+        other.predict(X_query[:-1])
+        assert other._compiled_ is None
 
     def test_object_backend_never_compiles(self):
         gen = np.random.default_rng(5)
         X, y = _random_data(gen)
         tree = DecisionTreeClassifier(max_depth=4).fit(X, y)
-        with inference_backend("object"):
-            tree.predict(gen.normal(size=(500, X.shape[1])))
+        for _ in range(20):
+            tree.predict(gen.normal(size=(MIN_COMPILE_ROWS - 1, X.shape[1])))
+            tree.predict_proba(gen.normal(size=(1, X.shape[1])))
         assert tree._compiled_ is None
 
     def test_lazy_compile_skips_tiny_batches(self):
@@ -232,8 +260,7 @@ class TestBackendAndCaching:
 
         attacked = truncate_forest(forest, max_depth=1)
         X_query = gen.normal(size=(300, X.shape[1]))
-        with inference_backend("object"):
-            reference = attacked.predict_all(X_query)
+        reference = _object_all(attacked, X_query)
         assert np.array_equal(attacked.predict_all(X_query), reference)
         assert attacked._compiled_ is not stale
         # The original forest still answers from its untouched cache.
@@ -268,7 +295,7 @@ class TestBackendAndCaching:
 
 class TestCompiledVerificationPath:
     def test_verification_identical_across_backends(self):
-        """The watermark protocol sees identical bits from both engines."""
+        """The watermark protocol sees the bits the object graph gives."""
         from repro.core import random_signature, watermark
         from repro.core.verification import verify_ownership
 
@@ -284,15 +311,11 @@ class TestCompiledVerificationPath:
             random_state=3,
         )
         model.ensemble.compile()
-        compiled_report = verify_ownership(
+        report = verify_ownership(
             model.ensemble, signature, model.trigger.X, model.trigger.y
         )
-        with inference_backend("object"):
-            object_report = verify_ownership(
-                model.ensemble, signature, model.trigger.X, model.trigger.y
-            )
-        assert compiled_report.accepted and object_report.accepted
+        reference = _object_all(model.ensemble, model.trigger.X)
+        assert report.accepted
         assert np.array_equal(
-            compiled_report.per_tree_accuracy, object_report.per_tree_accuracy
+            report.per_tree_accuracy, (reference == model.trigger.y).mean(axis=1)
         )
-        assert compiled_report.recovered_bits == object_report.recovered_bits

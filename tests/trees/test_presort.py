@@ -1,24 +1,30 @@
 """Presorted training engine: cache mechanics + bitwise differential tests.
 
-The presorted splitter's contract is stronger than "statistically the
+The presorted search's contract is stronger than "statistically the
 same": trees grown through the sort cache must be **bit-for-bit
-identical** to the node-local (seed) splitter's — same thresholds, same
-tie-breaks, same serialised form, same predictions.  These tests pin
-that contract over seeded random datasets, including the degenerate
-shapes the watermarking pipeline produces (constant features, heavily
-re-weighted trigger rows, duplicated values), plus the cache's identity
-keying and fork-adoption behaviour.
+identical** to what node-local search grows (the reference in
+``node_local_oracle.py``) — same thresholds, same tie-breaks, same
+serialised form, same predictions.  These tests pin that contract over
+seeded random datasets, including the degenerate shapes the
+watermarking pipeline produces (constant features, heavily re-weighted
+trigger rows, duplicated values), plus the cache's identity keying and
+fork-adoption behaviour.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from node_local_oracle import node_local_growth
 
 from repro.ensemble import RandomForestClassifier
 from repro.exceptions import ValidationError
 from repro.persistence import forest_to_dict
-from repro.persistence.serialize import node_to_dict
+from repro.persistence.serialize import (
+    _forest_from_params,
+    node_to_dict,
+    regression_node_to_dict,
+)
 from repro.trees import (
     DecisionTreeClassifier,
     RegressionTree,
@@ -40,15 +46,6 @@ def _fresh_cache():
     clear_presort_cache()
     yield
     clear_presort_cache()
-
-
-def _forest_dicts_modulo_splitter(*forests):
-    out = []
-    for forest in forests:
-        data = forest_to_dict(forest)
-        data["params"].pop("splitter")
-        out.append(data)
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -213,7 +210,7 @@ class TestPresortCache:
 
 
 # ----------------------------------------------------------------------
-# Differential tests: presorted engine ≡ seed splitter, bit for bit
+# Differential tests: presorted search ≡ node-local search, bit for bit
 # ----------------------------------------------------------------------
 
 
@@ -244,19 +241,18 @@ def _random_problem(rng, trial):
 
 
 class TestDifferentialTrees:
-    def test_trees_bitwise_identical_across_engines(self):
+    def test_trees_bitwise_identical_across_engines(self, monkeypatch):
         rng = np.random.default_rng(1234)
         for trial in range(25):
             X, y, weights, params = _random_problem(rng, trial)
-            local = DecisionTreeClassifier(splitter="local", **params)
-            presorted = DecisionTreeClassifier(splitter="presorted", **params)
-            local.fit(X, y, sample_weight=weights)
-            presorted.fit(X, y, sample_weight=weights)
+            presorted = DecisionTreeClassifier(**params).fit(X, y, sample_weight=weights)
+            with node_local_growth(monkeypatch):
+                local = DecisionTreeClassifier(**params).fit(X, y, sample_weight=weights)
             assert node_to_dict(local.root_) == node_to_dict(presorted.root_), (
-                f"trial {trial}: presorted tree differs from seed tree"
+                f"trial {trial}: presorted tree differs from the node-local tree"
             )
 
-    def test_multiclass_generic_kernel_identical(self):
+    def test_multiclass_generic_kernel_identical(self, monkeypatch):
         rng = np.random.default_rng(99)
         for trial in range(8):
             n = int(rng.integers(20, 150))
@@ -266,29 +262,27 @@ class TestDifferentialTrees:
             w = rng.uniform(0.1, 3.0, size=n)
             for criterion in ("gini", "entropy"):
                 kw = dict(criterion=criterion, max_depth=6, random_state=trial)
-                a = DecisionTreeClassifier(splitter="local", **kw).fit(
-                    X, y, sample_weight=w
-                )
-                b = DecisionTreeClassifier(splitter="presorted", **kw).fit(
-                    X, y, sample_weight=w
-                )
+                b = DecisionTreeClassifier(**kw).fit(X, y, sample_weight=w)
+                with node_local_growth(monkeypatch):
+                    a = DecisionTreeClassifier(**kw).fit(X, y, sample_weight=w)
                 assert node_to_dict(a.root_) == node_to_dict(b.root_)
 
-    def test_zero_weight_rows_identical(self):
+    def test_zero_weight_rows_identical(self, monkeypatch):
         rng = np.random.default_rng(7)
         X = rng.normal(size=(80, 4))
         y = rng.choice([-1, 1], size=80)
         w = np.ones(80)
         w[::3] = 0.0  # zero-weight rows are dropped from the root index
-        a = DecisionTreeClassifier(splitter="local", max_depth=5, random_state=0)
-        b = DecisionTreeClassifier(splitter="presorted", max_depth=5, random_state=0)
-        a.fit(X, y, sample_weight=w)
-        b.fit(X, y, sample_weight=w)
+        b = DecisionTreeClassifier(max_depth=5, random_state=0).fit(X, y, sample_weight=w)
+        with node_local_growth(monkeypatch):
+            a = DecisionTreeClassifier(max_depth=5, random_state=0).fit(
+                X, y, sample_weight=w
+            )
         assert node_to_dict(a.root_) == node_to_dict(b.root_)
 
 
 class TestDifferentialForests:
-    def test_forests_bitwise_identical_and_predict_all_equal(self, rng):
+    def test_forests_bitwise_identical_and_predict_all_equal(self, rng, monkeypatch):
         X = rng.normal(size=(200, 8))
         y = np.where(X[:, 0] - X[:, 3] > 0, 1, -1)
         weights = np.ones(200)
@@ -299,39 +293,37 @@ class TestDifferentialForests:
             tree_feature_fraction=0.6,
             random_state=42,
         )
-        local = RandomForestClassifier(splitter="local", **common)
-        presorted = RandomForestClassifier(splitter="presorted", **common)
-        local.fit(X, y, sample_weight=weights)
-        presorted.fit(X, y, sample_weight=weights)
-        dicts = _forest_dicts_modulo_splitter(local, presorted)
-        assert dicts[0] == dicts[1]
+        presorted = RandomForestClassifier(**common).fit(X, y, sample_weight=weights)
+        with node_local_growth(monkeypatch):
+            local = RandomForestClassifier(**common).fit(X, y, sample_weight=weights)
+        assert forest_to_dict(local) == forest_to_dict(presorted)
         X_test = rng.normal(size=(64, 8))
         assert np.array_equal(local.predict_all(X_test), presorted.predict_all(X_test))
 
-    def test_refit_rounds_reuse_presort_and_stay_identical(self, rng):
+    def test_refit_rounds_reuse_presort_and_stay_identical(self, rng, monkeypatch):
         """Weight-only refresh: escalation rounds hit the cache, and the
-        refitted forests match a local-splitter replay bit for bit."""
+        refitted forests match a node-local replay bit for bit."""
         X = rng.normal(size=(150, 6))
         y = rng.choice([-1, 1], size=150)
-        weights = np.ones(150)
+        # Escalation-style rounds: weights change, X doesn't.
+        rounds = [np.ones(150)]
+        for _ in range(3):
+            rounds.append(rounds[-1].copy())
+            rounds[-1][:5] += 10.0
         common = dict(n_estimators=5, max_depth=6, random_state=3)
-        local = RandomForestClassifier(splitter="local", **common)
-        presorted = RandomForestClassifier(splitter="presorted", **common)
-        local.fit(X, y, sample_weight=weights)
-        presorted.fit(X, y, sample_weight=weights)
-
+        presorted = RandomForestClassifier(**common).fit(X, y, sample_weight=rounds[0])
         before = presort_cache_stats()
-        for _ in range(3):  # escalation-style rounds: weights change, X doesn't
-            weights = weights.copy()
-            weights[:5] += 10.0
-            local.refit_trees([0, 2], X, y, sample_weight=weights)
+        for weights in rounds[1:]:
             presorted.refit_trees([0, 2], X, y, sample_weight=weights)
         after = presort_cache_stats()
         assert after["misses"] == before["misses"], "refit rounds must not re-sort"
         assert after["hits"] - before["hits"] >= 3
 
-        dicts = _forest_dicts_modulo_splitter(local, presorted)
-        assert dicts[0] == dicts[1]
+        with node_local_growth(monkeypatch):
+            local = RandomForestClassifier(**common).fit(X, y, sample_weight=rounds[0])
+            for weights in rounds[1:]:
+                local.refit_trees([0, 2], X, y, sample_weight=weights)
+        assert forest_to_dict(local) == forest_to_dict(presorted)
 
     def test_parallel_presorted_fit_identical_to_serial(self, rng):
         X = rng.normal(size=(120, 5))
@@ -350,7 +342,7 @@ class TestDifferentialForests:
 
 
 class TestDifferentialRegression:
-    def test_regression_trees_identical_across_engines(self):
+    def test_regression_trees_identical_across_engines(self, monkeypatch):
         rng = np.random.default_rng(2024)
         for trial in range(10):
             n = int(rng.integers(10, 200))
@@ -360,12 +352,12 @@ class TestDifferentialRegression:
                 X[:, 0] = np.round(X[:, 0], 1)
             y = rng.normal(size=n)
             w = rng.uniform(0.1, 4.0, size=n)
-            a = RegressionTree(max_depth=4, splitter="local").fit(X, y, sample_weight=w)
-            b = RegressionTree(max_depth=4, splitter="presorted").fit(
-                X, y, sample_weight=w
-            )
+            b = RegressionTree(max_depth=4).fit(X, y, sample_weight=w)
+            with node_local_growth(monkeypatch):
+                a = RegressionTree(max_depth=4).fit(X, y, sample_weight=w)
             X_test = rng.normal(size=(50, f))
             assert np.array_equal(a.predict(X_test), b.predict(X_test))
+            assert regression_node_to_dict(a.root_) == regression_node_to_dict(b.root_)
 
     def test_boosting_stages_reuse_presort(self, rng):
         X = rng.normal(size=(100, 4))
@@ -379,16 +371,20 @@ class TestDifferentialRegression:
 
 
 class TestSplitterParam:
-    def test_unknown_splitter_rejected(self, rng):
-        X = rng.normal(size=(10, 2))
-        y = np.array([0, 1] * 5)
-        with pytest.raises(ValidationError, match="splitter"):
-            DecisionTreeClassifier(splitter="fancy").fit(X, y)
-        with pytest.raises(ValidationError, match="splitter"):
-            RegressionTree(splitter="fancy")
+    """``splitter`` is retired: constructors reject it, and only the
+    artefact loaders drop it from params persisted by older releases."""
+
+    def test_unknown_splitter_rejected(self):
+        for make in (DecisionTreeClassifier, RandomForestClassifier, RegressionTree):
+            with pytest.raises(TypeError, match="splitter"):
+                make(splitter="presorted")
+        with pytest.raises(ValidationError, match="unknown parameters"):
+            RandomForestClassifier().clone_with(splitter="local")
 
     def test_forest_get_params_roundtrip(self):
-        forest = RandomForestClassifier(splitter="local")
-        assert forest.get_params()["splitter"] == "local"
-        clone = forest.clone_with(splitter="presorted")
-        assert clone.splitter == "presorted"
+        forest = RandomForestClassifier(max_depth=4, random_state=1)
+        params = forest.get_params()
+        assert "splitter" not in params
+        assert forest.clone_with().get_params() == params
+        legacy = _forest_from_params({**params, "splitter": "local"})
+        assert legacy.get_params() == params

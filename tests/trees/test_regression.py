@@ -73,6 +73,22 @@ class TestValidation:
         with pytest.raises(ValidationError):
             RegressionTree(max_depth=0)
 
+    @pytest.mark.parametrize(
+        "params, match",
+        [
+            ({"min_samples_leaf": -1}, "min_samples_leaf"),
+            ({"min_samples_leaf": 0}, "min_samples_leaf"),
+            ({"min_samples_split": 0}, "min_samples_split"),
+            ({"min_samples_split": 1}, "min_samples_split"),
+        ],
+    )
+    def test_bad_sample_counts_rejected_at_fit(self, params, match):
+        # Rejected by fit, like DecisionTreeClassifier; construction
+        # stays permissive because loading builds trees without fitting.
+        tree = RegressionTree(**params)
+        with pytest.raises(ValidationError, match=match):
+            tree.fit(np.zeros((4, 1)), np.arange(4.0))
+
     def test_feature_mismatch_at_predict(self):
         tree = RegressionTree(max_depth=1).fit(np.zeros((4, 2)), np.arange(4.0))
         with pytest.raises(ValidationError, match="features"):
