@@ -12,10 +12,15 @@ Two engine-level speedups apply on top of the paper's loop, neither of
 which changes what is computed:
 
 - **Encoding reuse**: the forest's leaf boxes, threshold atoms and
-  clause skeleton are compiled once per required-label pattern
-  (:class:`repro.solver.CompiledPatternEncoding`) and re-solved per
-  instance, on one persistent solver, with only the ``L∞`` box
-  supplied as assumptions.
+  clause skeleton are compiled once per forest and required-label
+  pattern (:class:`repro.solver.CompiledPatternEncoding`) and
+  re-solved per instance, on one persistent solver, with only the
+  ``L∞`` box supplied as assumptions.  The encoding does not depend on
+  ``ε``, so it is kept across calls: an ε sweep (or several fake
+  signatures) on one forest compiles each pattern once.  The cache is
+  keyed weakly by the forest, pinned to the identity of its tree roots
+  (``fit`` and ``refit_trees`` replace them, so they recompile) and
+  bounded per forest (see ``repro.solver.compiled_encoding``).
 - **Parallel fan-out** (``n_jobs``): instance attempts are dispatched
   in deterministic contiguous chunks over a process pool.  Every
   per-instance solve is a pure function of the forest, the signature
@@ -28,7 +33,10 @@ which changes what is computed:
 
 from __future__ import annotations
 
+import threading
 import time
+import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +62,11 @@ _ENGINES = ("smt", "boxes", "portfolio")
 #: waste less speculative work once the target is reached.
 _WAVE_CHUNK = 8
 
+#: Encoding caches kept between calls, keyed weakly by the forest.  A
+#: call checks its forest's cache out (see :func:`_forest_encodings`).
+_CACHES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+_CACHES_LOCK = threading.Lock()
+
 
 @dataclass
 class ForgeryAttackResult:
@@ -77,6 +90,43 @@ class ForgeryAttackResult:
     def n_forged(self) -> int:
         """Size of the forged trigger set ``|D'_trigger|``."""
         return int(self.forged_X.shape[0])
+
+
+def _compiled_from(cache: EncodingCache, roots: list, n_features: int) -> bool:
+    """Whether ``cache`` was compiled from exactly these roots."""
+    return (
+        cache.n_features == n_features
+        and len(cache.roots) == len(roots)
+        and all(held is root for held, root in zip(cache.roots, roots))
+    )
+
+
+@contextmanager
+def _forest_encodings(forest, roots: list, n_features: int):
+    """The forest's :class:`EncodingCache`, checked out for one call.
+
+    The cache leaves the table while the call runs and returns in a
+    ``finally``: a concurrent call on the same forest finds none and
+    builds its own, so two threads never drive one persistent solver.
+    A cache compiled from other roots or another feature count is
+    replaced — root identity is the staleness rule of the forest's
+    compiled engine, and nothing edits nodes in place.  An ensemble
+    that cannot be weakly keyed gets a fresh cache per call.
+    """
+    try:
+        with _CACHES_LOCK:
+            cache = _CACHES.pop(forest, None)
+        keyed = True
+    except TypeError:
+        cache, keyed = None, False
+    if cache is None or not _compiled_from(cache, roots, n_features):
+        cache = EncodingCache(roots, n_features)
+    try:
+        yield cache
+    finally:
+        if keyed:
+            with _CACHES_LOCK:
+                _CACHES[forest] = cache
 
 
 def _solve_instance(
@@ -177,6 +227,11 @@ def forge_trigger_set(
         Shuffles the attempt order over the test set.
     """
     X_test, y_test = check_X_y(X_test, y_test)
+    for name, value in (
+        ("target_size", target_size), ("max_instances", max_instances)
+    ):
+        if value is not None and value < 0:
+            raise ValidationError(f"{name} must be >= 0 or None, got {value}")
     if len(fake_signature) != forest.n_trees_:
         raise ValidationError(
             f"fake signature has {len(fake_signature)} bits but the forest has "
@@ -217,70 +272,70 @@ def forge_trigger_set(
             sources.append(int(row))
         return True
 
-    if n_workers == 1:
-        cache = EncodingCache(roots, n_features)
-        for row in order:
-            if target_size is not None and len(forged) >= target_size:
-                break
-            outcome = _solve_instance(
-                cache, fake_signature, int(y_test[row]), X_test[row],
-                float(epsilon), engine, solver_budget,
-            )
-            consume(int(row), outcome.status, outcome.instance)
-    else:
-        # Deterministic waves: solve a contiguous slice of the attempt
-        # order across the pool, then fold results back *in attempt
-        # order*.  Without a target one wave covers everything; with a
-        # target the wave size bounds the speculative surplus.  The
-        # parent compiles the encodings once and shares them with every
-        # fork-based worker copy-on-write.
-        shared_cache = None
-        payload_roots = roots
-        if fork_available():
-            # Workers inherit the warmed cache copy-on-write; don't
-            # also pickle the tree roots into every payload.  On
-            # spawn-only platforms pre-compiling here would be wasted
-            # work — workers there build their own cache per batch.
-            shared_cache = EncodingCache(roots, n_features)
-            for label in np.unique(y_test[order]):
-                shared_cache.for_required(
-                    required_labels(fake_signature, int(label))
-                ).warm()
-            payload_roots = None
-        wave_size = (
-            len(order) if target_size is None else n_workers * _WAVE_CHUNK
-        )
-        position = 0
-        running = True
-        while running and position < len(order):
-            if target_size is not None and len(forged) >= target_size:
-                break
-            wave = order[position : position + wave_size]
-            position += len(wave)
-            batches = partition(list(wave), n_workers)
-            payloads = [
-                (
-                    payload_roots,
-                    fake_signature,
-                    y_test[batch],
-                    X_test[batch],
-                    float(epsilon),
-                    n_features,
-                    engine,
-                    solver_budget,
-                )
-                for batch in batches
-            ]
-            results = run_batches(
-                _forge_batch, payloads, n_workers, shared=shared_cache
-            )
-            rows = (int(row) for batch in batches for row in batch)
-            for row, (status, instance) in zip(
-                rows, (item for batch in results for item in batch)
-            ):
-                if not consume(row, status, instance):
-                    running = False
+    with _forest_encodings(forest, roots, n_features) as cache:
+        if n_workers == 1:
+            for row in order:
+                if target_size is not None and len(forged) >= target_size:
                     break
+                outcome = _solve_instance(
+                    cache, fake_signature, int(y_test[row]), X_test[row],
+                    float(epsilon), engine, solver_budget,
+                )
+                consume(int(row), outcome.status, outcome.instance)
+        else:
+            # Deterministic waves: solve a contiguous slice of the attempt
+            # order across the pool, then fold results back *in attempt
+            # order*.  Without a target one wave covers everything; with a
+            # target the wave size bounds the speculative surplus.
+            shared_cache = None
+            payload_roots = roots
+            if fork_available():
+                # Workers inherit the warmed cache copy-on-write (a solver
+                # left dirty by an earlier call resets before its first
+                # solve); don't also pickle the tree roots into every
+                # payload.  On spawn-only platforms warming here would be
+                # wasted work — workers there build their own cache per
+                # batch.
+                for label in np.unique(y_test[order]):
+                    cache.for_required(
+                        required_labels(fake_signature, int(label))
+                    ).warm()
+                shared_cache = cache
+                payload_roots = None
+            wave_size = (
+                len(order) if target_size is None else n_workers * _WAVE_CHUNK
+            )
+            position = 0
+            running = True
+            while running and position < len(order):
+                if target_size is not None and len(forged) >= target_size:
+                    break
+                wave = order[position : position + wave_size]
+                position += len(wave)
+                batches = partition(list(wave), n_workers)
+                payloads = [
+                    (
+                        payload_roots,
+                        fake_signature,
+                        y_test[batch],
+                        X_test[batch],
+                        float(epsilon),
+                        n_features,
+                        engine,
+                        solver_budget,
+                    )
+                    for batch in batches
+                ]
+                results = run_batches(
+                    _forge_batch, payloads, n_workers, shared=shared_cache
+                )
+                rows = (int(row) for batch in batches for row in batch)
+                for row, (status, instance) in zip(
+                    rows, (item for batch in results for item in batch)
+                ):
+                    if not consume(row, status, instance):
+                        running = False
+                        break
 
     forged_X = (
         np.stack(forged, axis=0)

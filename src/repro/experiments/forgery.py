@@ -36,7 +36,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ForgerySweepRow:
-    """One ε point of Fig. 4 (averaged over fake signatures)."""
+    """One ε point of Fig. 4 (averaged over fake signatures).
+
+    ``mean_seconds`` averages ``ForgeryAttackResult.elapsed_seconds``,
+    which includes compiling only the encodings the forest does not
+    hold yet: with up to four fake signatures the first ε point of a
+    sweep carries all the compile time.
+    """
 
     dataset: str
     epsilon: float

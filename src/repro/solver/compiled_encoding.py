@@ -20,9 +20,10 @@ Built once per ``(forest, required-label pattern)`` it precomputes:
 - the **clause skeleton**: selector-variable clauses for every
   candidate leaf and the per-feature ordering axioms — everything
   except the bound units, which are exactly the instance-specific part;
-- flattened constraint arrays for a vectorised **prescreen** that
-  detects trivially unsatisfiable instances (some tree keeps no
-  box compatible with the bounds) without touching the solver.
+- the box constraints of all trees flattened into one table, for a
+  vectorised **prescreen** that detects trivially unsatisfiable
+  instances (some tree keeps no box compatible with the bounds) in one
+  pass over the ensemble, without touching the solver.
 
 Per instance the engine then computes the feature bounds, turns them
 into *assumptions* (see :meth:`repro.solver.sat.SATSolver.solve`), and
@@ -58,55 +59,65 @@ __all__ = ["CompiledPatternEncoding", "compile_pattern_encoding", "EncodingCache
 _DEFAULT_CONFLICTS = 200_000
 _DEFAULT_NODES = 2_000_000
 
+#: Patterns one :class:`EncodingCache` keeps.  The forgery experiment
+#: sweeps ε outside three fake signatures, six patterns per forest.  A
+#: warmed encoding of a 64-tree forest with 1,000-1,400 leaves holds
+#: 2.2-3.0 MB (tracemalloc), so a full cache of one stays under 25 MB.
+_MAX_PATTERNS = 8
+
 
 @dataclass
-class _TreeScreen:
-    """Flattened box constraints of one tree, for vectorised screening."""
+class _FlatScreen:
+    """Box constraints of every tree, flattened for one vectorised screen.
 
-    n_boxes: int
-    upper_box: np.ndarray  # box index per upper constraint
+    Boxes are numbered across the ensemble in tree order; tree ``t``
+    owns boxes ``tree_offsets[t]:tree_offsets[t + 1]``.  Each upper
+    constraint ``x_f <= v`` and lower constraint ``x_f > v`` names its
+    box, feature and threshold.
+    """
+
+    tree_offsets: np.ndarray  # n_trees + 1 box offsets
+    upper_box: np.ndarray
     upper_feature: np.ndarray
     upper_value: np.ndarray
-    lower_box: np.ndarray  # box index per lower constraint
+    lower_box: np.ndarray
     lower_feature: np.ndarray
     lower_value: np.ndarray
 
-    def compatible(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Mask of boxes intersecting the closed bounds ``[lo, hi]``."""
-        bad = np.zeros(self.n_boxes, dtype=bool)
-        if self.upper_box.size:
-            violated = self.upper_value < lo[self.upper_feature]
-            bad[self.upper_box[violated]] = True
-        if self.lower_box.size:
-            violated = self.lower_value >= hi[self.lower_feature]
-            bad[self.lower_box[violated]] = True
-        return ~bad
+    def compatible(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
+        """Flat mask of boxes intersecting the closed bounds ``[lo, hi]``;
+        ``None`` when some tree keeps no compatible box."""
+        ok = np.ones(self.tree_offsets[-1], dtype=bool)
+        ok[self.upper_box[self.upper_value < lo[self.upper_feature]]] = False
+        ok[self.lower_box[self.lower_value >= hi[self.lower_feature]]] = False
+        # Compatible boxes per tree as differences of a running count
+        # at the tree offsets: a tree without boxes counts 0, where
+        # ``np.logical_or.reduceat`` would return its neighbour's box.
+        running = np.concatenate(([0], np.cumsum(ok)))
+        kept = running[self.tree_offsets[1:]] - running[self.tree_offsets[:-1]]
+        return ok if kept.all() else None
 
 
-def _tree_screen(boxes: list[Box]) -> _TreeScreen:
-    upper_box: list[int] = []
-    upper_feature: list[int] = []
-    upper_value: list[float] = []
-    lower_box: list[int] = []
-    lower_feature: list[int] = []
-    lower_value: list[float] = []
-    for index, box in enumerate(boxes):
-        for feature, value in box.upper.items():
-            upper_box.append(index)
-            upper_feature.append(feature)
-            upper_value.append(value)
-        for feature, value in box.lower.items():
-            lower_box.append(index)
-            lower_feature.append(feature)
-            lower_value.append(value)
-    return _TreeScreen(
-        n_boxes=len(boxes),
-        upper_box=np.asarray(upper_box, dtype=np.int64),
-        upper_feature=np.asarray(upper_feature, dtype=np.int64),
-        upper_value=np.asarray(upper_value, dtype=np.float64),
-        lower_box=np.asarray(lower_box, dtype=np.int64),
-        lower_feature=np.asarray(lower_feature, dtype=np.int64),
-        lower_value=np.asarray(lower_value, dtype=np.float64),
+def _flat_screen(candidates: list[list[Box]]) -> _FlatScreen:
+    upper: list[tuple[int, int, float]] = []
+    lower: list[tuple[int, int, float]] = []
+    offsets = [0]
+    for boxes in candidates:
+        for index, box in enumerate(boxes, start=offsets[-1]):
+            upper.extend((index, f, v) for f, v in box.upper.items())
+            lower.extend((index, f, v) for f, v in box.lower.items())
+        offsets.append(offsets[-1] + len(boxes))
+
+    def columns(rows):
+        box, feature, value = zip(*rows) if rows else ((), (), ())
+        return (
+            np.asarray(box, dtype=np.int64),
+            np.asarray(feature, dtype=np.int64),
+            np.asarray(value, dtype=np.float64),
+        )
+
+    return _FlatScreen(
+        np.asarray(offsets, dtype=np.int64), *columns(upper), *columns(lower)
     )
 
 
@@ -129,7 +140,7 @@ class CompiledPatternEncoding:
     atom_features: np.ndarray
     atom_thresholds: np.ndarray
     atom_variables: np.ndarray
-    screens: list[_TreeScreen]
+    screen: _FlatScreen
     always_unsat: bool
     _solver: SATSolver | None = field(default=None, repr=False)
     _solver_dirty: bool = field(default=False, repr=False)
@@ -146,13 +157,8 @@ class CompiledPatternEncoding:
     ) -> list[np.ndarray] | None:
         """Per-tree masks of bounds-compatible boxes; ``None`` when some
         tree keeps no compatible box (trivially unsatisfiable)."""
-        masks: list[np.ndarray] = []
-        for screen in self.screens:
-            mask = screen.compatible(lo, hi)
-            if not mask.any():
-                return None
-            masks.append(mask)
-        return masks
+        ok = self.screen.compatible(lo, hi)
+        return None if ok is None else np.split(ok, self.screen.tree_offsets[1:-1])
 
     def bound_assumptions(self, lo: np.ndarray, hi: np.ndarray) -> list[int]:
         """Atoms decided by the bounds, as assumption literals.
@@ -191,7 +197,7 @@ class CompiledPatternEncoding:
         lo, hi = self.feature_bounds(center, epsilon)
         if self.always_unsat or (lo > hi).any():
             return PatternOutcome(status="unsat", stats={"trivial": True})
-        if self.compatible_masks(lo, hi) is None:
+        if self.screen.compatible(lo, hi) is None:
             return PatternOutcome(status="unsat", stats={"trivial": True})
 
         solver = self.warm()._solver
@@ -383,7 +389,7 @@ def compile_pattern_encoding(
         atom_features=atom_features,
         atom_thresholds=atom_thresholds,
         atom_variables=atom_variables,
-        screens=[_tree_screen(boxes) for boxes in candidates],
+        screen=_flat_screen(candidates),
         always_unsat=always_unsat,
     )
 
@@ -393,7 +399,8 @@ class EncodingCache:
 
     The forgery attack needs at most two patterns per fake signature
     (one per test label ±1); this cache builds each lazily and hands
-    the same compiled object back for every subsequent instance.
+    the same compiled object back for every subsequent instance.  It
+    keeps the :data:`_MAX_PATTERNS` most recently used patterns.
     """
 
     def __init__(
@@ -405,14 +412,17 @@ class EncodingCache:
         self.roots = roots
         self.n_features = n_features
         self.domain = domain
+        # Insertion order is recency order: least recently used first.
         self._by_pattern: dict[tuple[int, ...], CompiledPatternEncoding] = {}
 
     def for_required(self, required: list[int]) -> CompiledPatternEncoding:
         key = tuple(required)
-        encoding = self._by_pattern.get(key)
+        encoding = self._by_pattern.pop(key, None)
         if encoding is None:
             encoding = compile_pattern_encoding(
                 self.roots, list(required), self.n_features, self.domain
             )
-            self._by_pattern[key] = encoding
+        self._by_pattern[key] = encoding
+        if len(self._by_pattern) > _MAX_PATTERNS:
+            del self._by_pattern[next(iter(self._by_pattern))]
         return encoding

@@ -85,6 +85,19 @@ class TestForgeTriggerSet:
         with pytest.raises(ValidationError, match="epsilon"):
             forge_trigger_set(wm_model.ensemble, good, X_test, y_test, epsilon=0.0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"max_instances": -1}, {"max_instances": -150}, {"target_size": -3}],
+    )
+    def test_negative_counts_rejected(self, wm_model, bc_data, kwargs):
+        """A negative count used to slice or stop the sweep silently."""
+        _, X_test, _, y_test = bc_data
+        fake = random_signature(len(wm_model.signature), random_state=62)
+        with pytest.raises(ValidationError, match=next(iter(kwargs))):
+            forge_trigger_set(
+                wm_model.ensemble, fake, X_test, y_test, epsilon=0.5, **kwargs
+            )
+
 
 class TestForgeryDistortion:
     def test_empty_result(self, wm_model, bc_data):

@@ -6,7 +6,9 @@
 - worker count (``n_jobs`` ∈ {None, 2, 4}),
 - encoding reuse: the attack's cached encoding and persistent solver
   must agree with a freshly compiled encoding per instance (the
-  reference replay below), and
+  reference replay below) — within one call and across calls, since
+  encodings are kept per forest between calls (ε sweeps, many fake
+  signatures with eviction, serial then forked calls, refits, threads),
 - the ``target_size`` early-stop path (parallel waves must consume
   results in serial attempt order and discard speculative surplus).
 
@@ -16,12 +18,16 @@ These tests are the executable form of the contract documented in
 
 from __future__ import annotations
 
+import copy
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.attacks import forge_trigger_set
 from repro.core import random_signature
-from repro.solver import compile_pattern_encoding, required_labels
+from repro.solver import compile_pattern_encoding, compiled_encoding, required_labels
 
 
 def _fingerprint(result):
@@ -134,3 +140,157 @@ class TestForgeDeterminism:
             labels = y_test[result.source_index][None, :]
             required = np.where(bits == 0, labels, -labels)
             assert np.array_equal(predictions, required)
+
+
+def _count_compiles(monkeypatch) -> list:
+    """Record every encoding compiled through the module-level name."""
+    calls: list = []
+    original = compiled_encoding.compile_pattern_encoding
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(compiled_encoding, "compile_pattern_encoding", counting)
+    return calls
+
+
+class TestEncodingReuseAcrossCalls:
+    """Encodings outlive a call; every call still equals the replay."""
+
+    def test_epsilon_sweep_equals_fresh_replay(self, forge_setup):
+        ensemble, fake, X_test, y_test = forge_setup
+        for epsilon in (0.3, 0.6, 0.9):
+            result = forge_trigger_set(
+                ensemble, fake, X_test, y_test,
+                epsilon=epsilon, max_instances=8, random_state=76,
+            )
+            assert _fingerprint(result) == _fresh_replay(
+                ensemble, fake, X_test, y_test, epsilon, 8, 76
+            )
+
+    def test_epsilon_sweep_compiles_once_per_label(self, forge_setup, monkeypatch):
+        ensemble, fake, X_test, y_test = forge_setup
+        ensemble = copy.deepcopy(ensemble)  # no encodings cached yet
+        calls = _count_compiles(monkeypatch)
+        for epsilon in (0.3, 0.6, 0.9):
+            forge_trigger_set(
+                ensemble, fake, X_test, y_test,
+                epsilon=epsilon, max_instances=12, random_state=77,
+            )
+        order = np.random.default_rng(77).permutation(len(y_test))[:12]
+        labels = np.unique(y_test[order])
+        assert len(labels) == 2
+        assert sorted(calls) == sorted(required_labels(fake, int(y)) for y in labels)
+
+    def test_driver_order_with_eviction_equals_fresh_replay(
+        self, forge_setup, monkeypatch
+    ):
+        """ε outer, signatures inner, more patterns than one forest keeps."""
+        ensemble, _, X_test, y_test = forge_setup
+        n_fakes = compiled_encoding._MAX_PATTERNS // 2 + 1
+        fakes = [
+            random_signature(ensemble.n_trees_, random_state=200 + i)
+            for i in range(n_fakes)
+        ]
+        calls = _count_compiles(monkeypatch)
+        for epsilon in (0.5, 0.8):
+            for i, fake in enumerate(fakes):
+                result = forge_trigger_set(
+                    ensemble, fake, X_test, y_test,
+                    epsilon=epsilon, max_instances=4, random_state=300 + i,
+                )
+                assert _fingerprint(result) == _fresh_replay(
+                    ensemble, fake, X_test, y_test, epsilon, 4, 300 + i
+                )
+        patterns = {tuple(required) for required in calls}
+        assert len(patterns) > compiled_encoding._MAX_PATTERNS
+        assert len(calls) > len(patterns)  # evicted patterns were rebuilt
+
+    def test_forked_call_after_serial_call(self, forge_setup):
+        """Forked workers inherit solvers the serial call left dirty."""
+        ensemble, fake, X_test, y_test = forge_setup
+        for n_jobs in (None, 2):
+            result = forge_trigger_set(
+                ensemble, fake, X_test, y_test,
+                epsilon=0.7, max_instances=10, random_state=78, n_jobs=n_jobs,
+            )
+            assert _fingerprint(result) == _fresh_replay(
+                ensemble, fake, X_test, y_test, 0.7, 10, 78
+            )
+
+    def test_refit_trees_recompiles(self, forge_setup, bc_data):
+        ensemble, fake, X_test, y_test = forge_setup
+        X_train, _, y_train, _ = bc_data
+        ensemble = copy.deepcopy(ensemble)
+        before = forge_trigger_set(
+            ensemble, fake, X_test, y_test,
+            epsilon=0.7, max_instances=10, random_state=79,
+        )
+        ensemble.refit_trees(range(ensemble.n_trees_), X_train, y_train)
+        after = forge_trigger_set(
+            ensemble, fake, X_test, y_test,
+            epsilon=0.7, max_instances=10, random_state=79,
+        )
+        replay = _fresh_replay(ensemble, fake, X_test, y_test, 0.7, 10, 79)
+        assert _fingerprint(after) == replay
+        assert _fingerprint(before) != replay
+
+    def test_ensemble_without_weakrefs_compiles_per_call(
+        self, forge_setup, monkeypatch
+    ):
+        ensemble, fake, X_test, y_test = forge_setup
+
+        class Unreferenceable:
+            __slots__ = ("n_trees_", "roots")
+
+        stolen = Unreferenceable()
+        stolen.n_trees_ = ensemble.n_trees_
+        stolen.roots = ensemble.roots
+        calls = _count_compiles(monkeypatch)
+        for _ in range(2):
+            result = forge_trigger_set(
+                stolen, fake, X_test, y_test,
+                epsilon=0.6, max_instances=12, random_state=77,
+            )
+            assert _fingerprint(result) == _fresh_replay(
+                ensemble, fake, X_test, y_test, 0.6, 12, 77
+            )
+        assert len(calls) == 4  # two labels, twice: nothing was kept
+
+    def test_concurrent_threads_on_one_forest(self, forge_setup):
+        """Each thread gets its own solvers while another holds the
+        forest's cache; every result equals its serial one."""
+        ensemble, fake, X_test, y_test = forge_setup
+        seeds = (80, 81, 82, 83)
+
+        def forge(seed):
+            return _fingerprint(forge_trigger_set(
+                ensemble, fake, X_test, y_test, epsilon=0.7, random_state=seed,
+            ))
+
+        expected = {seed: forge(seed) for seed in seeds}
+        results: dict = {}
+        errors: list = []
+        start = threading.Barrier(len(seeds))
+
+        def work(seed):
+            try:
+                start.wait(timeout=60)
+                results[seed] = forge(seed)
+            except Exception as exc:  # reported below, in the test thread
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in seeds]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert results == expected

@@ -129,6 +129,81 @@ class TestCompiledStructure:
         assert outcome.instance[0] <= 0.5
 
 
+def _per_tree_masks(encoding, lo, hi):
+    """Reference prescreen: one tree at a time, one box at a time.  A
+    box is compatible when every upper threshold is >= lo and every
+    lower threshold is < hi; ``None`` once a tree keeps no box."""
+    masks = []
+    for boxes in encoding.candidates:
+        mask = np.array(
+            [
+                all(v >= lo[f] for f, v in box.upper.items())
+                and all(v < hi[f] for f, v in box.lower.items())
+                for box in boxes
+            ],
+            dtype=bool,
+        )
+        if not mask.any():
+            return None
+        masks.append(mask)
+    return masks
+
+
+def _assert_same_masks(got, expected):
+    if expected is None:
+        assert got is None
+        return
+    assert got is not None and len(got) == len(expected)
+    for mask, reference in zip(got, expected):
+        assert mask.dtype == bool and np.array_equal(mask, reference)
+
+
+class TestFlatPrescreen:
+    """The one-pass screen over all trees equals the per-tree loop."""
+
+    def test_matches_per_tree_loop_on_random_bounds(self, bc_forest):
+        rng = np.random.default_rng(31)
+        n_features = bc_forest.n_features_in_
+        outcomes = {"none": 0, "masks": 0}
+        for draw in range(4):
+            signature = random_signature(bc_forest.n_trees_, random_state=40 + draw)
+            for label in (-1, +1):
+                encoding = compile_pattern_encoding(
+                    bc_forest.roots(), required_labels(signature, label), n_features
+                )
+                for width in (0.02, 0.1, 0.3, 0.6, 1.0):
+                    for _ in range(10):
+                        lo = rng.uniform(0.0, 1.0, n_features)
+                        hi = lo + rng.uniform(0.0, width, n_features)
+                        expected = _per_tree_masks(encoding, lo, hi)
+                        _assert_same_masks(encoding.compatible_masks(lo, hi), expected)
+                        outcomes["none" if expected is None else "masks"] += 1
+        assert outcomes["none"] and outcomes["masks"]
+
+    def test_single_leaf_tree_keeps_its_unconstrained_box(self):
+        roots = [Leaf(+1), _stump(), Leaf(+1)]
+        encoding = compile_pattern_encoding(roots, [+1, +1, +1], 1)
+        lo, hi = np.array([0.6]), np.array([0.9])
+        masks = encoding.compatible_masks(lo, hi)
+        _assert_same_masks(masks, _per_tree_masks(encoding, lo, hi))
+        assert [mask.tolist() for mask in masks] == [[True], [True], [True]]
+        # The stump's box needs x > 0.5: these bounds rule it out.
+        assert encoding.compatible_masks(np.array([0.1]), np.array([0.4])) is None
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_tree_without_candidates_screens_out(self, position):
+        """A tree with no box for its label is an empty segment of the
+        flat table, wherever it sits — never its neighbour's box."""
+        roots = [Leaf(+1), _stump(), Leaf(+1)]
+        roots[position] = InternalNode(0, 0.5, Leaf(-1), Leaf(-1))
+        encoding = compile_pattern_encoding(roots, [+1, +1, +1], 1)
+        assert encoding.candidates[position] == []
+        for lo, hi in ((0.0, 1.0), (0.6, 0.9), (0.1, 0.4)):
+            bounds = np.array([lo]), np.array([hi])
+            assert _per_tree_masks(encoding, *bounds) is None
+            assert encoding.compatible_masks(*bounds) is None
+
+
 class TestEncodingCache:
     def test_same_pattern_returns_same_object(self, bc_forest):
         cache = EncodingCache(bc_forest.roots(), bc_forest.n_features_in_)
