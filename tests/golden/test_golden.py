@@ -5,7 +5,8 @@ to SHA-256 digests of its arrays (dtype, shape and raw bytes).  The
 pinned digests in ``hashes.json`` are the whole-model evidence that a
 refactor left training, inference and forgery unchanged: the same trees
 from ``TrainWithTrigger``, the same per-tree answers, the same forged
-sets.  Arrays are hashed rather than artefact bytes, so persisted
+sets, the same minimal-distortion searches and solver witnesses.
+Arrays are hashed rather than artefact bytes, so persisted
 metadata may change without disturbing the pins.
 
 A legitimate change of outputs re-pins with::
@@ -35,8 +36,10 @@ from repro.attacks import forge_trigger_set
 from repro.core.signature import random_signature
 from repro.datasets import breast_cancer_like, ijcnn1_like, mnist26_like
 from repro.ensemble import GradientBoostingClassifier, RandomForestClassifier
+from repro.hardness import Clause, Formula3CNF, Literal, forgery_problem_from_formula
 from repro.model_selection import train_test_split
 from repro.persistence import available_formats, get_exporter, load
+from repro.solver import minimal_forgery_distortion, required_labels, solve_pattern_smt
 from repro.trees import DecisionTreeClassifier
 
 HERE = Path(__file__).resolve().parent
@@ -108,6 +111,32 @@ def _forged(epsilon: float, n_jobs):
     return digest(result.forged_X, result.source_index, statuses)
 
 
+def _minimal_distortion(row: int, fake_seed: int):
+    """The binary search for the smallest forgeable ε on one test row."""
+    model, X_test, y_test = ijcnn1_dispute()
+    fake = random_signature(16, 0.5, random_state=fake_seed)
+    result = minimal_forgery_distortion(
+        model.ensemble.roots(), required_labels(fake, int(y_test[row])),
+        X_test[row], X_test.shape[1],
+    )
+    epsilon = None if result.epsilon is None else np.array([result.epsilon])
+    return digest(epsilon, result.instance, np.array([result.solver_calls]))
+
+
+def _hardness_paper_example():
+    """Eager-SMT witness of the 3SAT reduction of the paper's Figure 2
+    formula, (x0 ∨ x1) ∧ (x1 ∨ x2 ∨ ¬x3)."""
+    formula = Formula3CNF(
+        n_vars=4,
+        clauses=(
+            Clause((Literal(0), Literal(1))),
+            Clause((Literal(1), Literal(2), Literal(3, negated=True))),
+        ),
+    )
+    outcome = solve_pattern_smt(forgery_problem_from_formula(formula))
+    return digest(np.frombuffer(outcome.status.encode(), dtype=np.uint8), outcome.instance)
+
+
 def _small_batch():
     """Fewer than MIN_COMPILE_ROWS rows on a never-compiled forest: the
     object-graph route answers ``predict`` and ``predict_proba``."""
@@ -161,6 +190,10 @@ FIXTURES = {
     "forged_eps0.3_serial": lambda: _forged(0.3, None),
     "forged_eps0.1_jobs2": lambda: _forged(0.1, 2),
     "forged_eps0.3_jobs2": lambda: _forged(0.3, 2),
+    "min_distortion_ijcnn1_row0": lambda: _minimal_distortion(0, 901),
+    "min_distortion_ijcnn1_row5": lambda: _minimal_distortion(5, 902),
+    "min_distortion_ijcnn1_row11": lambda: _minimal_distortion(11, 903),
+    "hardness_paper_example_smt": _hardness_paper_example,
 }
 
 
