@@ -449,7 +449,6 @@ class ForgeryAttack:
     strength_param: ClassVar[str] = "epsilon"
 
     epsilon: float = 0.3
-    engine: str = "smt"
     max_instances: int | None = None
     solver_budget: int | None = 50_000
     n_jobs: int | None = None
@@ -467,7 +466,6 @@ class ForgeryAttack:
             target.X_test,
             target.y_test,
             epsilon=self.epsilon,
-            engine=self.engine,
             target_size=model.trigger.size,
             max_instances=self.max_instances,
             solver_budget=self.solver_budget,

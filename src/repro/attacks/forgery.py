@@ -8,8 +8,10 @@ solver for a satisfying instance within ``L∞`` distance ``ε`` of each —
 the distance budget keeps forged triggers "reminiscent of real test
 instances".
 
-Two engine-level speedups apply on top of the paper's loop, neither of
-which changes what is computed:
+The paper decides each query with Z3; here the one engine is
+:class:`repro.solver.CompiledPatternEncoding` (threshold atoms decided
+by the library's CDCL solver).  Two speedups apply on top of the
+paper's loop, neither of which changes what is computed:
 
 - **Encoding reuse**: the forest's leaf boxes, threshold atoms and
   clause skeleton are compiled once per forest and required-label
@@ -54,8 +56,6 @@ from ..parallel import (
 from ..solver import EncodingCache, required_labels
 
 __all__ = ["ForgeryAttackResult", "forge_trigger_set", "forgery_distortion"]
-
-_ENGINES = ("smt", "boxes", "portfolio")
 
 #: Instances dispatched per worker per wave when an early-stop target
 #: is set.  Larger waves amortise pool/pickling overhead; smaller waves
@@ -135,7 +135,6 @@ def _solve_instance(
     label: int,
     center: np.ndarray,
     epsilon: float,
-    engine: str,
     budget: int | None,
 ):
     """Solve one forgery instance — a pure function of its arguments.
@@ -145,7 +144,7 @@ def _solve_instance(
     the serial == parallel determinism contract rests on.
     """
     encoding = cache.for_required(required_labels(signature, label))
-    return encoding.solve(center=center, epsilon=epsilon, engine=engine, budget=budget)
+    return encoding.solve(center=center, epsilon=epsilon, budget=budget)
 
 
 def _forge_batch(
@@ -155,7 +154,6 @@ def _forge_batch(
     centers: np.ndarray,
     epsilon: float,
     n_features: int,
-    engine: str,
     budget: int | None,
 ) -> list[tuple[str, np.ndarray | None]]:
     """Worker entry point: solve a contiguous batch of instances.
@@ -177,7 +175,7 @@ def _forge_batch(
     out: list[tuple[str, np.ndarray | None]] = []
     for label, center in zip(labels, centers):
         outcome = _solve_instance(
-            cache, signature, int(label), center, epsilon, engine, budget
+            cache, signature, int(label), center, epsilon, budget
         )
         out.append((outcome.status, outcome.instance))
     return out
@@ -189,7 +187,6 @@ def forge_trigger_set(
     X_test,
     y_test,
     epsilon: float,
-    engine: str = "smt",
     target_size: int | None = None,
     max_instances: int | None = None,
     solver_budget: int | None = 100_000,
@@ -205,21 +202,19 @@ def forge_trigger_set(
     fake_signature:
         The attacker's invented signature ``σ'`` (length = #trees).
     X_test, y_test:
-        Real test data the forged instances must stay close to.
+        Real test data the forged instances must stay close to, with
+        the forest's feature count.
     epsilon:
         ``L∞`` distortion budget relative to each test instance.
-    engine:
-        Forgery solver: ``"smt"`` (eager encoding + CDCL), ``"boxes"``
-        (DPLL over leaf boxes) or ``"portfolio"`` (both, cross-checked).
     target_size:
         Stop once this many instances were forged (the paper compares
         against the original trigger-set size).  ``None`` = no target.
     max_instances:
         Cap on test instances attempted (``None`` = all of them).
     solver_budget:
-        Per-instance solver budget (conflicts for ``smt``, nodes for
-        ``boxes``, both for ``portfolio``); exhausted attempts count as
-        ``"unknown"``.
+        Per-instance conflict budget, ``>= 0``; exhausted attempts count
+        as ``"unknown"``.  ``None`` means the solver's default of
+        200,000 conflicts, not an unlimited search.
     n_jobs:
         Worker processes for the instance sweep (``None``/``1`` serial,
         ``-1`` all cores).  Results are identical across settings.
@@ -227,8 +222,15 @@ def forge_trigger_set(
         Shuffles the attempt order over the test set.
     """
     X_test, y_test = check_X_y(X_test, y_test)
+    if X_test.shape[1] != forest.n_features_in_:
+        raise ValidationError(
+            f"X_test has {X_test.shape[1]} features but the forest was fitted "
+            f"with {forest.n_features_in_}"
+        )
     for name, value in (
-        ("target_size", target_size), ("max_instances", max_instances)
+        ("target_size", target_size),
+        ("max_instances", max_instances),
+        ("solver_budget", solver_budget),
     ):
         if value is not None and value < 0:
             raise ValidationError(f"{name} must be >= 0 or None, got {value}")
@@ -239,10 +241,6 @@ def forge_trigger_set(
         )
     if not 0.0 < epsilon < 1.0:
         raise ValidationError(f"epsilon must be in (0, 1), got {epsilon}")
-    if engine not in _ENGINES:
-        raise ValidationError(
-            f"unknown engine {engine!r}; expected one of {sorted(_ENGINES)}"
-        )
 
     rng = check_random_state(random_state)
     order = rng.permutation(X_test.shape[0])
@@ -279,7 +277,7 @@ def forge_trigger_set(
                     break
                 outcome = _solve_instance(
                     cache, fake_signature, int(y_test[row]), X_test[row],
-                    float(epsilon), engine, solver_budget,
+                    float(epsilon), solver_budget,
                 )
                 consume(int(row), outcome.status, outcome.instance)
         else:
@@ -321,7 +319,6 @@ def forge_trigger_set(
                         X_test[batch],
                         float(epsilon),
                         n_features,
-                        engine,
                         solver_budget,
                     )
                     for batch in batches

@@ -76,7 +76,6 @@ def _sweep_one_dataset(
     dataset: str,
     epsilons,
     n_signatures: int,
-    engine: str,
     max_instances: int | None,
     solver_budget: int,
     n_jobs: int | None,
@@ -107,7 +106,6 @@ def _sweep_one_dataset(
                 X_test,
                 y_test,
                 epsilon=epsilon,
-                engine=engine,
                 target_size=original_k,
                 max_instances=max_instances,
                 solver_budget=solver_budget,
@@ -135,7 +133,6 @@ def forgery_epsilon_sweep(
     dataset: str = "mnist26",
     epsilons=(0.1, 0.3, 0.5, 0.7, 0.9),
     n_signatures: int = 3,
-    engine: str = "smt",
     max_instances: int | None = 40,
     solver_budget: int = 50_000,
     n_jobs: int | None = None,
@@ -149,7 +146,7 @@ def forgery_epsilon_sweep(
     ``config.n_jobs``); results are identical across settings.
     """
     return _sweep_one_dataset(
-        config, dataset, epsilons, n_signatures, engine, max_instances,
+        config, dataset, epsilons, n_signatures, max_instances,
         solver_budget, _resolve_jobs(config, n_jobs),
     )
 
@@ -159,7 +156,6 @@ def forgery_tabular_results(
     datasets=("breast-cancer", "ijcnn1"),
     epsilons=(0.1, 0.3),
     n_signatures: int = 3,
-    engine: str = "smt",
     max_instances: int | None = 40,
     solver_budget: int = 50_000,
     n_jobs: int | None = None,
@@ -169,7 +165,7 @@ def forgery_tabular_results(
     for dataset in datasets:
         rows.extend(
             _sweep_one_dataset(
-                config, dataset, epsilons, n_signatures, engine, max_instances,
+                config, dataset, epsilons, n_signatures, max_instances,
                 solver_budget, _resolve_jobs(config, n_jobs),
             )
         )
@@ -180,7 +176,6 @@ def forged_instance_study(
     config: ExperimentConfig,
     dataset: str = "mnist26",
     epsilons=(0.3, 0.5, 0.7),
-    engine: str = "smt",
     max_instances: int | None = 25,
     solver_budget: int = 50_000,
     n_jobs: int | None = None,
@@ -209,7 +204,6 @@ def forged_instance_study(
             X_test,
             y_test,
             epsilon=epsilon,
-            engine=engine,
             max_instances=max_instances,
             solver_budget=solver_budget,
             n_jobs=_resolve_jobs(config, n_jobs),

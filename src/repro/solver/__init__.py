@@ -6,18 +6,20 @@ Layers:
 - :class:`PatternProblem` — the watermark forgery problem
   (Definition 1) with optional ``L∞``-ball and domain constraints;
 - :func:`solve_pattern_smt` — eager SMT encoding over threshold atoms,
-  decided by the CDCL core (sound and complete on this fragment);
-- :func:`solve_pattern_boxes` — an independent theory-specific solver
-  (DPLL over leaf boxes) used to cross-validate the encoding;
-- :class:`CompiledPatternEncoding` — the instance-independent skeleton
-  of a forgery query (per-tree leaf boxes, threshold atoms, clause
-  skeleton), built once per signature pattern and re-solved per test
-  instance with assumption-style incremental SAT;
-- :func:`solve_pattern` — engine dispatcher.
+  decided by the CDCL core (sound and complete on this fragment); the
+  one-shot entry point for a :class:`PatternProblem`;
+- :class:`CompiledPatternEncoding` — the forgery engine: the
+  instance-independent skeleton of a forgery query (per-tree leaf
+  boxes, threshold atoms, clause skeleton), built once per signature
+  pattern and re-solved per test instance with assumption-style
+  incremental SAT;
+- :func:`minimal_forgery_distortion` — binary search for the smallest
+  forgeable ``L∞`` budget.
+
+An independent box-DPLL solver cross-checks these in the test suite
+(``tests/solver/box_dpll_oracle.py``); the library ships one engine.
 """
 
-from ..exceptions import SolverError, ValidationError
-from .boxdpll import solve_clipped_boxes, solve_pattern_boxes
 from .cnf import CNF
 from .compiled_encoding import (
     CompiledPatternEncoding,
@@ -38,9 +40,7 @@ from .problem import (
     required_labels,
 )
 from .sat import SATResult, SATSolver, solve_cnf
-from .simplify import SimplifiedCNF, parse_dimacs, simplify_cnf
 from .optimize import MinimalDistortion, minimal_forgery_distortion
-from .portfolio import merge_portfolio_outcomes, solve_pattern_portfolio
 
 __all__ = [
     "CNF",
@@ -56,32 +56,9 @@ __all__ = [
     "decode_atom_intervals",
     "decode_model",
     "encode_pattern_problem",
-    "merge_portfolio_outcomes",
     "required_labels",
-    "solve_clipped_boxes",
     "solve_cnf",
-    "solve_pattern",
-    "solve_pattern_boxes",
     "solve_pattern_smt",
-    "SimplifiedCNF",
-    "parse_dimacs",
-    "simplify_cnf",
     "MinimalDistortion",
     "minimal_forgery_distortion",
-    "solve_pattern_portfolio",
 ]
-
-_ENGINES = {
-    "smt": solve_pattern_smt,
-    "boxes": solve_pattern_boxes,
-    "portfolio": solve_pattern_portfolio,
-}
-
-
-def solve_pattern(problem: PatternProblem, engine: str = "smt", **kwargs) -> PatternOutcome:
-    """Solve a pattern problem with the chosen engine (``smt``/``boxes``)."""
-    if engine not in _ENGINES:
-        raise ValidationError(
-            f"unknown engine {engine!r}; expected one of {sorted(_ENGINES)}"
-        )
-    return _ENGINES[engine](problem, **kwargs)

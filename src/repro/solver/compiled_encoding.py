@@ -1,4 +1,4 @@
-"""Compiled, instance-independent forgery encodings.
+"""Compiled, instance-independent forgery encodings — the forgery engine.
 
 The forgery attack (§4.2.2) solves one :class:`PatternProblem` per test
 instance, but across a sweep only the ``L∞`` box around the test point
@@ -9,10 +9,10 @@ box, re-discretises every threshold and rebuilds the clause skeleton
 from scratch on every call.
 
 :class:`CompiledPatternEncoding` hoists all of that out of the loop.
-Built once per ``(forest, required-label pattern)`` it precomputes:
+Built once per ``(forest, required-label pattern)`` from the per-tree
+candidate leaf boxes (leaves carrying the required label, in the
+enumeration order of the one-shot encoder) it precomputes:
 
-- the per-tree candidate leaf boxes (leaves carrying the required
-  label), in the same enumeration order the one-shot encoders use;
 - the threshold **atom table** — one propositional variable per
   distinct ``x_f <= v`` predicate — as flat feature/threshold/variable
   arrays, so the atoms decided by an instance's bounds fall out of two
@@ -44,20 +44,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..exceptions import SolverError
+from ..exceptions import SolverError, ValidationError
 from ..trees.node import TreeNode
 from ..trees.paths import Box, leaf_boxes
-from .boxdpll import bounds_box, solve_clipped_boxes
 from .cnf import CNF
 from .encoding import decode_atom_intervals
-from .portfolio import merge_portfolio_outcomes
 from .problem import PatternOutcome, check_pattern, compute_feature_bounds
 from .sat import SATSolver
 
 __all__ = ["CompiledPatternEncoding", "compile_pattern_encoding", "EncodingCache"]
 
 _DEFAULT_CONFLICTS = 200_000
-_DEFAULT_NODES = 2_000_000
 
 #: Patterns one :class:`EncodingCache` keeps.  The forgery experiment
 #: sweeps ε outside three fake signatures, six patterns per forest.  A
@@ -133,7 +130,6 @@ class CompiledPatternEncoding:
     required: list[int]
     n_features: int
     domain: tuple[float, float] | None
-    candidates: list[list[Box]]
     cnf: CNF
     atom_vars: dict[tuple[int, float], int]
     # Atom table sorted by (feature, threshold); slices index per feature.
@@ -151,14 +147,6 @@ class CompiledPatternEncoding:
         self, center: np.ndarray | None, epsilon: float | None
     ) -> tuple[np.ndarray, np.ndarray]:
         return compute_feature_bounds(self.n_features, center, epsilon, self.domain)
-
-    def compatible_masks(
-        self, lo: np.ndarray, hi: np.ndarray
-    ) -> list[np.ndarray] | None:
-        """Per-tree masks of bounds-compatible boxes; ``None`` when some
-        tree keeps no compatible box (trivially unsatisfiable)."""
-        ok = self.screen.compatible(lo, hi)
-        return None if ok is None else np.split(ok, self.screen.tree_offsets[1:-1])
 
     def bound_assumptions(self, lo: np.ndarray, hi: np.ndarray) -> list[int]:
         """Atoms decided by the bounds, as assumption literals.
@@ -185,15 +173,18 @@ class CompiledPatternEncoding:
             self._solver_dirty = False
         return self
 
-    # -- engines ---------------------------------------------------------
-
-    def solve_smt(
+    def solve(
         self,
         center: np.ndarray | None = None,
         epsilon: float | None = None,
-        max_conflicts: int | None = _DEFAULT_CONFLICTS,
+        budget: int | None = None,
     ) -> PatternOutcome:
-        """Decide one instance via assumption-style CDCL re-solving."""
+        """Decide one instance via assumption-style CDCL re-solving.
+
+        ``budget`` caps the solver's conflicts; ``None`` means the
+        200,000-conflict default, not an unlimited search.  An exhausted
+        budget returns ``status="unknown"``.
+        """
         lo, hi = self.feature_bounds(center, epsilon)
         if self.always_unsat or (lo > hi).any():
             return PatternOutcome(status="unsat", stats={"trivial": True})
@@ -205,7 +196,7 @@ class CompiledPatternEncoding:
         if self._solver_dirty:
             solver.reset()
         self._solver_dirty = True
-        solver.max_conflicts = max_conflicts
+        solver.max_conflicts = _DEFAULT_CONFLICTS if budget is None else budget
 
         result = solver.solve(self.bound_assumptions(lo, hi))
         stats = {
@@ -238,77 +229,6 @@ class CompiledPatternEncoding:
             )
         return PatternOutcome(status="sat", instance=instance, stats=stats)
 
-    def solve_boxes(
-        self,
-        center: np.ndarray | None = None,
-        epsilon: float | None = None,
-        max_nodes: int | None = _DEFAULT_NODES,
-    ) -> PatternOutcome:
-        """Decide one instance via box DPLL over the cached candidates."""
-        lo, hi = self.feature_bounds(center, epsilon)
-        if self.always_unsat or (lo > hi).any():
-            return PatternOutcome(status="unsat", stats={"trivial": True})
-        masks = self.compatible_masks(lo, hi)
-        if masks is None:
-            return PatternOutcome(status="unsat", stats={"trivial": True})
-
-        start = bounds_box(lo, hi)
-        clipped: list[list[Box]] = []
-        for boxes, mask in zip(self.candidates, masks):
-            usable = []
-            for box, ok in zip(boxes, mask):
-                if not ok:
-                    continue
-                merged = box.intersect(start)
-                if not merged.is_empty():
-                    usable.append(merged)
-            if not usable:
-                return PatternOutcome(status="unsat", stats={"trivial": True})
-            clipped.append(usable)
-
-        return solve_clipped_boxes(
-            clipped,
-            start,
-            roots=self.roots,
-            required=self.required,
-            n_features=self.n_features,
-            center=center,
-            epsilon=epsilon,
-            domain=self.domain,
-            max_nodes=max_nodes,
-        )
-
-    def solve(
-        self,
-        center: np.ndarray | None = None,
-        epsilon: float | None = None,
-        engine: str = "smt",
-        budget: int | None = None,
-    ) -> PatternOutcome:
-        """Engine dispatcher mirroring :func:`repro.solver.solve_pattern`.
-
-        ``budget`` maps to the engine's natural knob: conflicts for
-        ``smt``, search nodes for ``boxes``, both for ``portfolio``.
-        ``None`` keeps the module defaults.
-        """
-        if engine == "smt":
-            max_conflicts = _DEFAULT_CONFLICTS if budget is None else budget
-            return self.solve_smt(center, epsilon, max_conflicts)
-        if engine == "boxes":
-            max_nodes = _DEFAULT_NODES if budget is None else budget
-            return self.solve_boxes(center, epsilon, max_nodes)
-        if engine == "portfolio":
-            max_conflicts = _DEFAULT_CONFLICTS if budget is None else budget
-            max_nodes = _DEFAULT_NODES if budget is None else budget
-            smt = self.solve_smt(center, epsilon, max_conflicts)
-            boxes = self.solve_boxes(center, epsilon, max_nodes)
-            return merge_portfolio_outcomes(smt, boxes)
-        from ..exceptions import ValidationError
-
-        raise ValidationError(
-            f"unknown engine {engine!r}; expected 'smt', 'boxes' or 'portfolio'"
-        )
-
 
 def compile_pattern_encoding(
     roots: list[TreeNode],
@@ -324,8 +244,6 @@ def compile_pattern_encoding(
     interchangeable.
     """
     if len(roots) != len(required):
-        from ..exceptions import ValidationError
-
         raise ValidationError(
             f"{len(roots)} trees but {len(required)} required labels"
         )
@@ -383,7 +301,6 @@ def compile_pattern_encoding(
         required=list(required),
         n_features=n_features,
         domain=domain,
-        candidates=candidates,
         cnf=cnf,
         atom_vars=atom_vars,
         atom_features=atom_features,

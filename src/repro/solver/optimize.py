@@ -19,11 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import ValidationError
-from .boxdpll import solve_pattern_boxes
 from .encoding import solve_pattern_smt
 from .problem import PatternProblem
-
-_ENGINES = {"smt": solve_pattern_smt, "boxes": solve_pattern_boxes}
 
 __all__ = ["MinimalDistortion", "minimal_forgery_distortion"]
 
@@ -52,7 +49,6 @@ def minimal_forgery_distortion(
     n_features: int,
     epsilon_max: float = 1.0,
     tolerance: float = 0.01,
-    engine: str = "smt",
     solver_budget: int | None = 100_000,
     domain: tuple[float, float] | None = (0.0, 1.0),
 ) -> MinimalDistortion:
@@ -61,29 +57,23 @@ def minimal_forgery_distortion(
     Parameters
     ----------
     roots, required, center, n_features, domain:
-        As in :class:`~repro.solver.PatternProblem`.
+        As in :class:`~repro.solver.PatternProblem` (``center`` must be
+        finite).
     epsilon_max:
-        Upper end of the search (1.0 covers the whole unit domain).
+        Upper end of the search (1.0 covers the whole unit domain);
+        finite and positive.
     tolerance:
-        Absolute precision of the returned threshold.
-    engine, solver_budget:
-        Forwarded to :func:`~repro.solver.solve_pattern`; a budget
-        exhaustion ("unknown") is treated conservatively as infeasible
-        at that ε, so the result stays an upper bound.
+        Absolute precision of the returned threshold; finite and
+        positive.
+    solver_budget:
+        Conflict budget of each :func:`~repro.solver.solve_pattern_smt`
+        call (``None`` = unlimited); a budget exhaustion ("unknown") is
+        treated conservatively as infeasible at that ε, so the result
+        stays an upper bound.
     """
-    if epsilon_max <= 0:
-        raise ValidationError(f"epsilon_max must be > 0, got {epsilon_max}")
-    if tolerance <= 0:
-        raise ValidationError(f"tolerance must be > 0, got {tolerance}")
-    if engine not in _ENGINES:
-        raise ValidationError(
-            f"unknown engine {engine!r}; expected one of {sorted(_ENGINES)}"
-        )
-    solve = _ENGINES[engine]
-
-    budget_kwargs = (
-        {"max_conflicts": solver_budget} if engine == "smt" else {"max_nodes": solver_budget}
-    )
+    for name, value in (("epsilon_max", epsilon_max), ("tolerance", tolerance)):
+        if not (np.isfinite(value) and value > 0):
+            raise ValidationError(f"{name} must be finite and > 0, got {value}")
     calls = 0
 
     def feasible_at(epsilon: float):
@@ -97,7 +87,7 @@ def minimal_forgery_distortion(
             epsilon=float(epsilon),
             domain=domain,
         )
-        outcome = solve(problem, **budget_kwargs)
+        outcome = solve_pattern_smt(problem, max_conflicts=solver_budget)
         return outcome.instance if outcome.is_sat else None
 
     witness = feasible_at(epsilon_max)

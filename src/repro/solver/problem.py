@@ -102,7 +102,8 @@ class PatternProblem:
     n_features:
         Ambient dimensionality ``d``.
     center, epsilon:
-        Optional ``L∞`` ball constraint ``‖x − center‖∞ ≤ ε``.
+        Optional ``L∞`` ball constraint ``‖x − center‖∞ ≤ ε``: a finite
+        center and a positive (not NaN) radius.
     domain:
         Feature domain ``[low, high]`` applied to every coordinate
         (``None`` disables it; the paper's data is normalised to [0,1]).
@@ -124,7 +125,7 @@ class PatternProblem:
             raise ValidationError("the ensemble must contain at least one tree")
         if (self.center is None) != (self.epsilon is None):
             raise ValidationError("center and epsilon must be given together")
-        if self.epsilon is not None and self.epsilon <= 0:
+        if self.epsilon is not None and not self.epsilon > 0:
             raise ValidationError(f"epsilon must be > 0, got {self.epsilon}")
         if self.center is not None:
             self.center = np.asarray(self.center, dtype=np.float64)
@@ -133,6 +134,8 @@ class PatternProblem:
                     f"center must have shape ({self.n_features},), got "
                     f"{self.center.shape}"
                 )
+            if not np.isfinite(self.center).all():
+                raise ValidationError("center must be finite")
         if self.domain is not None and self.domain[0] >= self.domain[1]:
             raise ValidationError(f"empty domain {self.domain}")
 

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from box_dpll_oracle import solve_pattern_boxes
 
 from repro.attacks import forge_trigger_set, forgery_distortion
 from repro.core import random_signature
 from repro.exceptions import ValidationError
+from repro.solver import PatternProblem, required_labels
 
 
 class TestForgeTriggerSet:
@@ -60,12 +62,25 @@ class TestForgeTriggerSet:
             assert result.n_attempted <= X_test.shape[0]
 
     def test_engines_agree_on_counts(self, wm_model, bc_data):
+        """Every attempt's status equals the box-DPLL oracle's."""
         _, X_test, _, y_test = bc_data
         fake = random_signature(len(wm_model.signature), random_state=58)
-        kwargs = dict(epsilon=0.7, max_instances=8, random_state=59)
-        smt = forge_trigger_set(wm_model.ensemble, fake, X_test, y_test, engine="smt", **kwargs)
-        boxes = forge_trigger_set(wm_model.ensemble, fake, X_test, y_test, engine="boxes", **kwargs)
-        assert smt.n_forged == boxes.n_forged
+        result = forge_trigger_set(
+            wm_model.ensemble, fake, X_test, y_test,
+            epsilon=0.7, max_instances=8, random_state=59,
+        )
+        oracle = {"sat": 0, "unsat": 0, "unknown": 0}
+        for row in np.random.default_rng(59).permutation(len(y_test))[:8]:
+            problem = PatternProblem(
+                roots=wm_model.ensemble.roots(),
+                required=required_labels(fake, int(y_test[row])),
+                n_features=X_test.shape[1],
+                center=X_test[row],
+                epsilon=0.7,
+            )
+            oracle[solve_pattern_boxes(problem).status] += 1
+        assert result.statuses == oracle
+        assert result.n_forged == oracle["sat"]
 
     def test_statuses_recorded(self, forged_result):
         _, result = forged_result
@@ -87,16 +102,32 @@ class TestForgeTriggerSet:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"max_instances": -1}, {"max_instances": -150}, {"target_size": -3}],
+        [
+            {"max_instances": -1},
+            {"max_instances": -150},
+            {"target_size": -3},
+            {"solver_budget": -5},
+        ],
     )
     def test_negative_counts_rejected(self, wm_model, bc_data, kwargs):
-        """A negative count used to slice or stop the sweep silently."""
+        """A negative count used to slice or stop the sweep silently (and
+        a negative budget acted as 0, reporting attempts as unknown)."""
         _, X_test, _, y_test = bc_data
         fake = random_signature(len(wm_model.signature), random_state=62)
         with pytest.raises(ValidationError, match=next(iter(kwargs))):
             forge_trigger_set(
                 wm_model.ensemble, fake, X_test, y_test, epsilon=0.5, **kwargs
             )
+
+    @pytest.mark.parametrize("width", [5, 60])
+    def test_wrong_width_rejected(self, wm_model, bc_data, width):
+        """Too few columns used to die with an IndexError deep in the
+        solver; too many forged rows in a space the forest never saw."""
+        _, X_test, _, y_test = bc_data
+        fake = random_signature(len(wm_model.signature), random_state=62)
+        X = np.resize(X_test, (X_test.shape[0], width))
+        with pytest.raises(ValidationError, match="features"):
+            forge_trigger_set(wm_model.ensemble, fake, X, y_test, epsilon=0.5)
 
 
 class TestForgeryDistortion:

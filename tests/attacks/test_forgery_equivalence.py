@@ -41,7 +41,7 @@ def _fingerprint(result):
 
 
 def _fresh_replay(ensemble, fake, X_test, y_test, epsilon, max_instances,
-                  random_state, engine="smt", budget=100_000):
+                  random_state, budget=100_000):
     """The attack's serial loop with a freshly compiled encoding (and so
     a fresh solver) for every instance — the reference for reuse."""
     order = np.random.default_rng(random_state).permutation(X_test.shape[0])
@@ -52,9 +52,7 @@ def _fresh_replay(ensemble, fake, X_test, y_test, epsilon, max_instances,
         encoding = compile_pattern_encoding(
             ensemble.roots(), required_labels(fake, int(y_test[row])), X_test.shape[1]
         )
-        outcome = encoding.solve(
-            center=X_test[row], epsilon=epsilon, engine=engine, budget=budget
-        )
+        outcome = encoding.solve(center=X_test[row], epsilon=epsilon, budget=budget)
         statuses[outcome.status] += 1
         if outcome.is_sat:
             forged.append(outcome.instance)
@@ -104,29 +102,6 @@ class TestForgeDeterminism:
             # Early stop means the attempt count stops at the decisive
             # instance, not at the end of the test set.
             assert baseline.n_attempted <= X_test.shape[0]
-
-    def test_boxes_engine_parallel_equivalence(self, forge_setup):
-        ensemble, fake, X_test, y_test = forge_setup
-        serial = forge_trigger_set(
-            ensemble, fake, X_test, y_test,
-            epsilon=0.6, max_instances=8, engine="boxes", random_state=73,
-        )
-        parallel = forge_trigger_set(
-            ensemble, fake, X_test, y_test,
-            epsilon=0.6, max_instances=8, engine="boxes", random_state=73,
-            n_jobs=2,
-        )
-        assert _fingerprint(parallel) == _fingerprint(serial)
-
-    def test_portfolio_engine_reuse_equivalence(self, forge_setup):
-        ensemble, fake, X_test, y_test = forge_setup
-        compiled = forge_trigger_set(
-            ensemble, fake, X_test, y_test,
-            epsilon=0.6, max_instances=6, engine="portfolio", random_state=74,
-        )
-        assert _fingerprint(compiled) == _fresh_replay(
-            ensemble, fake, X_test, y_test, 0.6, 6, 74, engine="portfolio"
-        )
 
     def test_forged_instances_still_verify(self, forge_setup):
         ensemble, fake, X_test, y_test = forge_setup
@@ -242,10 +217,11 @@ class TestEncodingReuseAcrossCalls:
         ensemble, fake, X_test, y_test = forge_setup
 
         class Unreferenceable:
-            __slots__ = ("n_trees_", "roots")
+            __slots__ = ("n_trees_", "n_features_in_", "roots")
 
         stolen = Unreferenceable()
         stolen.n_trees_ = ensemble.n_trees_
+        stolen.n_features_in_ = ensemble.n_features_in_
         stolen.roots = ensemble.roots
         calls = _count_compiles(monkeypatch)
         for _ in range(2):

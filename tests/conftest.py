@@ -11,6 +11,8 @@ the fitted-model fixtures register a serialised snapshot with
 from __future__ import annotations
 
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,10 @@ from repro.persistence import forest_to_dict
 from repro.solver import PatternProblem, required_labels
 
 BASE_PARAMS = {"max_depth": 8, "min_samples_leaf": 1}
+
+# The box-DPLL reference solver (``tests/solver/box_dpll_oracle.py``)
+# is imported by module name from every test directory.
+sys.path.insert(0, str(Path(__file__).resolve().parent / "solver"))
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from box_dpll_oracle import solve_pattern_boxes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,9 +20,13 @@ from repro.hardness import (
     random_3cnf,
 )
 from repro.hardness.reduction import all_zero_signature
-from repro.solver import solve_pattern
+from repro.solver import solve_pattern_smt
 from repro.trees.node import predict_one
 from repro.trees.export import tree_stats
+
+
+#: The library's solver and the box-DPLL oracle.
+SOLVERS = {"smt": solve_pattern_smt, "boxes": solve_pattern_boxes}
 
 
 def _paper_formula():
@@ -102,7 +107,7 @@ class TestEndToEndReduction:
     @pytest.mark.parametrize("engine", ["smt", "boxes"])
     def test_paper_example_solvable(self, engine):
         problem = forgery_problem_from_formula(_paper_formula())
-        outcome = solve_pattern(problem, engine)
+        outcome = SOLVERS[engine](problem)
         assert outcome.is_sat
         assignment = instance_to_assignment(outcome.instance)
         assert _paper_formula().evaluate(assignment)
@@ -113,7 +118,7 @@ class TestEndToEndReduction:
             n_vars=1,
             clauses=(Clause((Literal(0),)), Clause((Literal(0, negated=True),))),
         )
-        outcome = solve_pattern(forgery_problem_from_formula(formula), engine)
+        outcome = SOLVERS[engine](forgery_problem_from_formula(formula))
         assert outcome.is_unsat
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -124,7 +129,7 @@ class TestEndToEndReduction:
         n_clauses = int(gen.integers(1, 4 * n_vars))
         formula = random_3cnf(n_vars, n_clauses, random_state=seed)
         truth = brute_force_3sat(formula)
-        outcome = solve_pattern(forgery_problem_from_formula(formula), "smt")
+        outcome = solve_pattern_smt(forgery_problem_from_formula(formula))
         assert outcome.is_sat == (truth is not None)
         if outcome.is_sat:
             assert formula.evaluate(instance_to_assignment(outcome.instance))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from box_dpll_oracle import solve_pattern_boxes
 
 from repro.core import random_signature
 from repro.exceptions import ValidationError
@@ -10,10 +11,11 @@ from repro.solver import (
     PatternProblem,
     compile_pattern_encoding,
     required_labels,
-    solve_pattern_boxes,
     solve_pattern_smt,
 )
+from repro.solver.compiled_encoding import _DEFAULT_CONFLICTS
 from repro.trees.node import InternalNode, Leaf
+from repro.trees.paths import leaf_boxes
 
 
 def _stump(feature=0, threshold=0.5):
@@ -37,21 +39,11 @@ class TestCompiledStatuses:
                 center=center,
                 epsilon=epsilon,
             )
-            smt = solve_pattern_smt(problem)
-            boxes = solve_pattern_boxes(problem)
-            compiled_smt = compiled.solve(center=center, epsilon=epsilon)
-            compiled_boxes = compiled.solve(
-                center=center, epsilon=epsilon, engine="boxes"
-            )
-            assert compiled_smt.status == smt.status
-            assert compiled_boxes.status == boxes.status
-            if compiled_smt.is_sat:
-                assert problem.check_solution(compiled_smt.instance)
-            if compiled_boxes.is_sat:
-                assert problem.check_solution(compiled_boxes.instance)
-                # Same clipped candidates, same search: the box witness
-                # is bit-identical to the one-shot solver's.
-                assert np.array_equal(compiled_boxes.instance, boxes.instance)
+            outcome = compiled.solve(center=center, epsilon=epsilon)
+            assert outcome.status == solve_pattern_smt(problem).status
+            assert outcome.status == solve_pattern_boxes(problem).status
+            if outcome.is_sat:
+                assert problem.check_solution(outcome.instance)
 
     def test_reuse_and_rebuild_identical_across_a_sweep(self, bc_forest, bc_data):
         _, X_test, _, _ = bc_data
@@ -71,18 +63,13 @@ class TestCompiledStatuses:
             if reused.is_sat:
                 assert np.array_equal(reused.instance, rebuilt.instance)
 
-    def test_portfolio_engine_cross_checks(self):
+    def test_budget_caps_conflicts_and_none_is_the_default(self):
         encoding = compile_pattern_encoding([_stump()], [+1], 1)
-        outcome = encoding.solve(
-            center=np.array([0.8]), epsilon=0.3, engine="portfolio"
-        )
-        assert outcome.is_sat
-        assert outcome.stats["agreement"] is True
-
-    def test_unknown_engine_rejected(self):
-        encoding = compile_pattern_encoding([_stump()], [+1], 1)
-        with pytest.raises(ValidationError, match="unknown engine"):
-            encoding.solve(engine="z3")
+        center = np.array([0.8])
+        assert encoding.solve(center=center, epsilon=0.3, budget=7).is_sat
+        assert encoding._solver.max_conflicts == 7
+        assert encoding.solve(center=center, epsilon=0.3).is_sat
+        assert encoding._solver.max_conflicts == _DEFAULT_CONFLICTS == 200_000
 
 
 class TestCompiledStructure:
@@ -129,12 +116,26 @@ class TestCompiledStructure:
         assert outcome.instance[0] <= 0.5
 
 
+def _candidates(encoding):
+    """Per tree, the leaf boxes carrying the required label."""
+    return [
+        [box for leaf, box in leaf_boxes(root) if leaf.prediction == label]
+        for root, label in zip(encoding.roots, encoding.required)
+    ]
+
+
+def _compatible_masks(encoding, lo, hi):
+    """The flat screen's mask split per tree; ``None`` passes through."""
+    ok = encoding.screen.compatible(lo, hi)
+    return None if ok is None else np.split(ok, encoding.screen.tree_offsets[1:-1])
+
+
 def _per_tree_masks(encoding, lo, hi):
     """Reference prescreen: one tree at a time, one box at a time.  A
     box is compatible when every upper threshold is >= lo and every
     lower threshold is < hi; ``None`` once a tree keeps no box."""
     masks = []
-    for boxes in encoding.candidates:
+    for boxes in _candidates(encoding):
         mask = np.array(
             [
                 all(v >= lo[f] for f, v in box.upper.items())
@@ -176,7 +177,7 @@ class TestFlatPrescreen:
                         lo = rng.uniform(0.0, 1.0, n_features)
                         hi = lo + rng.uniform(0.0, width, n_features)
                         expected = _per_tree_masks(encoding, lo, hi)
-                        _assert_same_masks(encoding.compatible_masks(lo, hi), expected)
+                        _assert_same_masks(_compatible_masks(encoding, lo, hi), expected)
                         outcomes["none" if expected is None else "masks"] += 1
         assert outcomes["none"] and outcomes["masks"]
 
@@ -184,11 +185,11 @@ class TestFlatPrescreen:
         roots = [Leaf(+1), _stump(), Leaf(+1)]
         encoding = compile_pattern_encoding(roots, [+1, +1, +1], 1)
         lo, hi = np.array([0.6]), np.array([0.9])
-        masks = encoding.compatible_masks(lo, hi)
+        masks = _compatible_masks(encoding, lo, hi)
         _assert_same_masks(masks, _per_tree_masks(encoding, lo, hi))
         assert [mask.tolist() for mask in masks] == [[True], [True], [True]]
         # The stump's box needs x > 0.5: these bounds rule it out.
-        assert encoding.compatible_masks(np.array([0.1]), np.array([0.4])) is None
+        assert _compatible_masks(encoding, np.array([0.1]), np.array([0.4])) is None
 
     @pytest.mark.parametrize("position", [0, 1, 2])
     def test_tree_without_candidates_screens_out(self, position):
@@ -197,11 +198,11 @@ class TestFlatPrescreen:
         roots = [Leaf(+1), _stump(), Leaf(+1)]
         roots[position] = InternalNode(0, 0.5, Leaf(-1), Leaf(-1))
         encoding = compile_pattern_encoding(roots, [+1, +1, +1], 1)
-        assert encoding.candidates[position] == []
+        assert _candidates(encoding)[position] == []
         for lo, hi in ((0.0, 1.0), (0.6, 0.9), (0.1, 0.4)):
             bounds = np.array([lo]), np.array([hi])
             assert _per_tree_masks(encoding, *bounds) is None
-            assert encoding.compatible_masks(*bounds) is None
+            assert _compatible_masks(encoding, *bounds) is None
 
 
 class TestEncodingCache:

@@ -1,9 +1,9 @@
-"""Differential fuzzing of the pattern-solving engines.
+"""Differential fuzzing of the pattern solvers.
 
-The portfolio's online cross-check (eager SMT vs box DPLL — two
-independent implementations of the same decision procedure) promoted
-to a standing regression test: hundreds of seeded random
-:class:`PatternProblem` instances with varying tree counts, depths,
+The one-shot eager SMT encoding and the box-DPLL oracle
+(``box_dpll_oracle.py``) are independent implementations of the same
+decision procedure.  They are cross-checked on hundreds of seeded
+random :class:`PatternProblem` instances with varying tree counts, depths,
 ``ε`` budgets and required-label patterns.  On every decided instance
 the engines must agree — a disagreement means one of them is buggy and
 fails the suite with the offending seed in the assertion message.
@@ -11,22 +11,26 @@ Every ``sat`` witness is additionally replayed through the ensemble's
 real prediction path (``predict_all``, i.e. the compiled inference
 engine) and must realise the required per-tree pattern exactly.
 
-The compiled encoding (:mod:`repro.solver.compiled_encoding`) joins
-the differential as a third implementation: its status must match the
-one-shot engines, and its persistent (reset) solver must be
-bit-identical to a freshly compiled encoding of the same instance.
+The compiled encoding (:mod:`repro.solver.compiled_encoding`), the
+library's forgery engine, joins the differential as a third
+implementation: its status must match the other two, and its
+persistent (reset) solver must be bit-identical to a freshly compiled
+encoding of the same instance.  Random forgeries against a real
+watermarked forest complete the set.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from box_dpll_oracle import solve_pattern_boxes
 
+from repro.core import random_signature
 from repro.ensemble import RandomForestClassifier
 from repro.solver import (
     PatternProblem,
     compile_pattern_encoding,
-    solve_pattern_boxes,
+    required_labels,
     solve_pattern_smt,
 )
 from repro.trees.node import InternalNode, Leaf
@@ -154,3 +158,30 @@ class TestEngineDifferential:
         assert decided == N_CASES
         # The generator must exercise both verdicts, not fuzz one branch.
         assert 0 < sat_cases < N_CASES
+
+    def test_agreement_on_random_forgeries(self, wm_model, bc_data):
+        _, X_test, _, y_test = bc_data
+        roots = wm_model.ensemble.roots()
+        rng = np.random.default_rng(2)
+        for _ in range(10):
+            signature = random_signature(
+                wm_model.ensemble.n_trees_, random_state=int(rng.integers(1e9))
+            )
+            row = int(rng.integers(X_test.shape[0]))
+            problem = PatternProblem(
+                roots=roots,
+                required=required_labels(signature, int(y_test[row])),
+                n_features=X_test.shape[1],
+                center=X_test[row],
+                epsilon=float(rng.uniform(0.1, 0.9)),
+            )
+            smt = solve_pattern_smt(problem)
+            boxes = solve_pattern_boxes(problem)
+            compiled = compile_pattern_encoding(
+                roots, problem.required, problem.n_features
+            ).solve(center=problem.center, epsilon=problem.epsilon)
+            assert smt.status == boxes.status == compiled.status
+            assert smt.status in ("sat", "unsat")
+            for outcome in (smt, boxes, compiled):
+                if outcome.is_sat:
+                    assert problem.check_solution(outcome.instance)

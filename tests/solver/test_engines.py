@@ -1,25 +1,18 @@
-"""Tests for the two pattern-solving engines and their agreement.
+"""Tests for the eager-SMT pattern solver against the box-DPLL oracle.
 
-The box-DPLL solver is an independent implementation of the same
-decision problem as the eager SMT encoding; random cross-checking is
-the library's substitute for "trust Z3".
+The box-DPLL solver (``box_dpll_oracle.py``) is an independent
+implementation of the same decision problem as the eager SMT encoding;
+random cross-checking is the library's substitute for "trust Z3".
 """
 
 import numpy as np
-import pytest
+from box_dpll_oracle import solve_pattern_boxes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import random_signature
 from repro.ensemble import RandomForestClassifier
-from repro.exceptions import ValidationError
-from repro.solver import (
-    PatternProblem,
-    required_labels,
-    solve_pattern,
-    solve_pattern_boxes,
-    solve_pattern_smt,
-)
+from repro.solver import PatternProblem, required_labels, solve_pattern_smt
 from repro.trees.node import InternalNode, Leaf
 
 
@@ -95,18 +88,6 @@ class TestSimpleInstances:
             assert outcome.is_sat
             # The paper's own witness must satisfy the problem too.
             assert problem.check_solution(np.array([4.0, 3.0, 5.0]))
-
-
-class TestEngineDispatch:
-    def test_unknown_engine_rejected(self):
-        problem = PatternProblem(roots=[_stump()], required=[+1], n_features=1)
-        with pytest.raises(ValidationError, match="unknown engine"):
-            solve_pattern(problem, engine="z3")
-
-    def test_dispatch_works(self):
-        problem = PatternProblem(roots=[_stump()], required=[+1], n_features=1)
-        assert solve_pattern(problem, "smt").is_sat
-        assert solve_pattern(problem, "boxes").is_sat
 
 
 class TestCrossCheck:

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from box_dpll_oracle import solve_pattern_boxes
 
 from repro.exceptions import ValidationError
+from repro.solver import PatternProblem
 from repro.solver.optimize import minimal_forgery_distortion
 from repro.trees.node import InternalNode, Leaf
 
@@ -88,18 +90,23 @@ class TestMinimalDistortion:
             assert problem.check_solution(result.instance)
 
     def test_engines_agree_on_threshold(self):
+        """The box-DPLL oracle brackets the threshold the search found:
+        forgeable at ``epsilon``, not one tolerance below it."""
         roots = [_stump(0, 0.5), _stump(1, 0.7)]
         kwargs = dict(
             roots=roots,
             required=[+1, +1],
             center=np.array([0.2, 0.2]),
             n_features=2,
-            tolerance=0.002,
         )
-        smt = minimal_forgery_distortion(engine="smt", **kwargs)
-        boxes = minimal_forgery_distortion(engine="boxes", **kwargs)
-        assert smt.feasible == boxes.feasible
-        assert smt.epsilon == pytest.approx(boxes.epsilon, abs=0.01)
+        result = minimal_forgery_distortion(tolerance=0.002, **kwargs)
+        assert result.feasible
+
+        def oracle(epsilon):
+            return solve_pattern_boxes(PatternProblem(epsilon=epsilon, **kwargs))
+
+        assert oracle(result.epsilon).is_sat
+        assert oracle(result.epsilon - 0.002).is_unsat
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -110,3 +117,23 @@ class TestMinimalDistortion:
             minimal_forgery_distortion(
                 [_stump()], [+1], np.array([0.3]), 1, tolerance=0.0
             )
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"epsilon_max": float("inf")},
+            {"epsilon_max": float("nan")},
+            {"tolerance": float("nan")},
+            {"tolerance": float("inf")},
+            {"center": np.array([float("nan")])},
+        ],
+        ids=["epsilon_max-inf", "epsilon_max-nan", "tolerance-nan", "tolerance-inf",
+             "center-nan"],
+    )
+    def test_non_finite_inputs_rejected(self, kwargs):
+        """inf never terminated the search, a NaN tolerance returned after
+        one call, and a NaN epsilon_max or center raised a SolverError
+        blaming the encoding."""
+        args = {"center": np.array([0.3]), **kwargs}
+        with pytest.raises(ValidationError, match=next(iter(kwargs))):
+            minimal_forgery_distortion([_stump()], [+1], n_features=1, **args)

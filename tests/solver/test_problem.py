@@ -47,6 +47,23 @@ class TestPatternProblem:
                 epsilon=0.1,
             )
 
+    @pytest.mark.parametrize(
+        "center, epsilon, match",
+        [
+            (np.array([np.nan]), 0.1, "center"),
+            (np.array([np.inf]), 0.1, "center"),
+            (np.array([0.5]), np.nan, "epsilon"),
+        ],
+        ids=["center-nan", "center-inf", "epsilon-nan"],
+    )
+    def test_non_finite_ball_rejected(self, center, epsilon, match):
+        """A NaN used to reach the solver and surface as an encoding bug."""
+        with pytest.raises(ValidationError, match=match):
+            PatternProblem(
+                roots=[_stump()], required=[1], n_features=1,
+                center=center, epsilon=epsilon,
+            )
+
     def test_feature_bounds_ball_and_domain(self):
         problem = PatternProblem(
             roots=[_stump()],

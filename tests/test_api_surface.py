@@ -1,7 +1,7 @@
 """Public-API surface snapshot.
 
-Pins ``repro.__all__``, the ``repro.api`` exports and ``repro.trees``
-so accidental breaks of the public surface (a removed re-export, a
+Pins ``repro.__all__``, the ``repro.api`` exports, ``repro.trees`` and
+``repro.solver`` so accidental breaks of the public surface (a removed re-export, a
 renamed class, a new symbol nobody reviewed) fail tier-1 instead of
 shipping silently.  When a change here is *intentional*, update the
 snapshot in the same commit that changes the surface.
@@ -11,11 +11,24 @@ Migration note: ``repro.trees`` no longer exports ``SPLITTERS``,
 ``inference_backend``, and the ``REPRO_INFERENCE_BACKEND`` variable is
 ignored.  They selected slower routes with identical outputs; outputs
 are unchanged.
+
+Migration note: ``repro.solver`` no longer exports ``solve_pattern``,
+``solve_pattern_boxes``, ``solve_clipped_boxes``,
+``solve_pattern_portfolio``, ``merge_portfolio_outcomes``,
+``simplify_cnf``, ``parse_dimacs`` or ``SimplifiedCNF``, and the
+``engine=`` keyword is gone from ``forge_trigger_set``, the forgery
+experiment drivers, ``CompiledPatternEncoding.solve`` and
+``minimal_forgery_distortion``; ``ForgeryAttack`` params lose
+``"engine"``.  Every caller used the compiled CDCL engine (``"smt"``):
+removed; outputs unchanged.  Box DPLL lives on as a test oracle
+(``tests/solver/box_dpll_oracle.py``).
 """
 
 import repro
 import repro.api
+import repro.solver
 import repro.trees
+from repro.api import ForgeryAttack, attack_params
 
 REPRO_ALL = [
     "Attack",
@@ -126,6 +139,38 @@ RETIRED_TREES_NAMES = (
     "set_inference_backend",
 )
 
+SOLVER_ALL = [
+    "CNF",
+    "CompiledPatternEncoding",
+    "EncodingCache",
+    "MinimalDistortion",
+    "PatternOutcome",
+    "PatternProblem",
+    "SATResult",
+    "SATSolver",
+    "check_pattern",
+    "compile_pattern_encoding",
+    "compute_feature_bounds",
+    "decode_atom_intervals",
+    "decode_model",
+    "encode_pattern_problem",
+    "minimal_forgery_distortion",
+    "required_labels",
+    "solve_cnf",
+    "solve_pattern_smt",
+]
+
+RETIRED_SOLVER_NAMES = (
+    "SimplifiedCNF",
+    "merge_portfolio_outcomes",
+    "parse_dimacs",
+    "simplify_cnf",
+    "solve_clipped_boxes",
+    "solve_pattern",
+    "solve_pattern_boxes",
+    "solve_pattern_portfolio",
+)
+
 REGISTERED_ATTACKS = (
     "chain",
     "detection",
@@ -172,3 +217,17 @@ class TestTreesSurface:
     def test_retired_switches_are_gone(self):
         for name in RETIRED_TREES_NAMES:
             assert not hasattr(repro.trees, name), name
+
+
+class TestSolverSurface:
+    def test_all_is_pinned(self):
+        assert sorted(repro.solver.__all__) == SOLVER_ALL
+
+    def test_every_export_resolves(self):
+        for name in repro.solver.__all__:
+            assert getattr(repro.solver, name) is not None
+
+    def test_retired_engines_are_gone(self):
+        for name in RETIRED_SOLVER_NAMES:
+            assert not hasattr(repro.solver, name), name
+        assert "engine" not in attack_params(ForgeryAttack())
