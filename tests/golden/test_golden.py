@@ -5,7 +5,10 @@ to SHA-256 digests of its arrays (dtype, shape and raw bytes).  The
 pinned digests in ``hashes.json`` are the whole-model evidence that a
 refactor left training, inference and forgery unchanged: the same trees
 from ``TrainWithTrigger``, the same per-tree answers, the same forged
-sets, the same minimal-distortion searches and solver witnesses.
+sets, the same minimal-distortion searches and solver witnesses, and
+the same models from every embedding caller (experiment driver,
+multi-class driver, ``repro watermark``) and from the paper's literal
+full-retrain loop.
 Arrays are hashed rather than artefact bytes, so persisted
 metadata may change without disturbing the pins.
 
@@ -26,6 +29,7 @@ import functools
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -33,9 +37,14 @@ import pytest
 
 from repro.api import EmbeddingSchedule, TrainerConfig, TriggerPolicy, Watermarker
 from repro.attacks import forge_trigger_set
+from repro.cli import main as cli_main
+from repro.core.embedding import train_with_trigger
+from repro.core.multiclass import watermark_multiclass
 from repro.core.signature import random_signature
 from repro.datasets import breast_cancer_like, ijcnn1_like, mnist26_like
 from repro.ensemble import GradientBoostingClassifier, RandomForestClassifier
+from repro.experiments.config import SMALL
+from repro.experiments.detection import build_watermarked_model
 from repro.hardness import Clause, Formula3CNF, Literal, forgery_problem_from_formula
 from repro.model_selection import train_test_split
 from repro.persistence import available_formats, get_exporter, load
@@ -173,6 +182,60 @@ def _gbdt():
     return table_digest(model.compile().to_tables())
 
 
+def _detection_small_bc():
+    """The Table 2 owner model at ``SMALL`` scale (experiment driver path)."""
+    model, _split = build_watermarked_model(SMALL, "breast-cancer")
+    return table_digest(model.ensemble.compile().to_tables())
+
+
+def _multiclass():
+    """One watermarked one-vs-rest forest per class of a 3-class set."""
+    rng = np.random.default_rng(1001)
+    X = rng.random((240, 5))
+    y = np.digitize(X[:, 0] + 0.6 * X[:, 2] + 0.2 * rng.random(240), [0.6, 1.1])
+    model = watermark_multiclass(
+        X, y, m=6, trigger_size=4, base_params={"max_depth": 7}, random_state=1002
+    )
+    tables = {}
+    for label in model.classes:
+        part = model.per_class[label]
+        for key, value in part.ensemble.compile().to_tables().items():
+            tables[f"{label}/{key}"] = value
+        tables[f"{label}/~trigger"] = part.trigger.indices
+    return table_digest(tables)
+
+
+def _cli_watermark():
+    """The model file written by ``repro watermark`` with a fixed seed."""
+    with tempfile.TemporaryDirectory() as out_dir:
+        cli_main([
+            "watermark", "--dataset", "breast-cancer", "--samples", "240",
+            "--trees", "8", "--trigger-size", "5", "--max-depth", "8",
+            "--seed", "1101", "--out-dir", out_dir,
+        ])
+        forest = load(Path(out_dir) / "model.json")
+    return table_digest(forest.compile().to_tables())
+
+
+def _full_retrain_bc():
+    """The paper's literal TrainWithTrigger loop: every round refits all
+    trees.  Shallow trees and six flipped triggers force nine rounds."""
+    ds = breast_cancer_like(260, random_state=11)
+    X_train, _X_test, y_train, _y_test = train_test_split(
+        ds.X, ds.y, test_size=0.3, random_state=12
+    )
+    indices = np.array([0, 5, 10, 15, 20, 25])
+    y_train = y_train.copy()
+    y_train[indices] = -y_train[indices]
+    forest, rounds, weight = train_with_trigger(
+        X_train, y_train, indices, n_estimators=4,
+        params={"max_depth": 3, "min_samples_leaf": 1},
+        incremental=False, random_state=7,
+    )
+    tables = forest.compile().to_tables()
+    return table_digest({**tables, "~rounds": np.array([rounds]), "~weight": np.array([weight])})
+
+
 FIXTURES = {
     "wm_ijcnn1_tables": lambda: table_digest(ijcnn1_dispute()[0].ensemble.compile().to_tables()),
     "wm_mnist26_tables": lambda: table_digest(mnist26_dispute()[0].ensemble.compile().to_tables()),
@@ -194,6 +257,10 @@ FIXTURES = {
     "min_distortion_ijcnn1_row5": lambda: _minimal_distortion(5, 902),
     "min_distortion_ijcnn1_row11": lambda: _minimal_distortion(11, 903),
     "hardness_paper_example_smt": _hardness_paper_example,
+    "detection_small_breast_cancer_tables": _detection_small_bc,
+    "multiclass_3class_tables": _multiclass,
+    "cli_watermark_model_tables": _cli_watermark,
+    "full_retrain_bc_tables": _full_retrain_bc,
 }
 
 
