@@ -9,7 +9,7 @@ schedule and our geometric escalation.
 import numpy as np
 from conftest import BENCH, emit
 
-from repro.core import random_signature, watermark
+from repro.core import random_signature
 from repro.experiments import format_table, prepare_split
 
 
@@ -17,24 +17,18 @@ def _run():
     X_train, _X_test, y_train, _y_test = prepare_split(BENCH, "breast-cancer")
     rows = []
     for escalation, label in ((1.0, "additive (+1)"), (2.0, "geometric (x2)")):
+        config = BENCH.with_overrides(escalation_factor=escalation, max_rounds=60)
         for fraction in (0.01, 0.02, 0.04):
-            k = max(1, int(round(fraction * X_train.shape[0])))
-            model = watermark(
-                X_train,
-                y_train,
+            model = config.watermarker(
                 random_signature(BENCH.n_estimators, random_state=7),
-                trigger_size=k,
-                base_params=BENCH.base_params,
-                tree_feature_fraction=BENCH.tree_feature_fraction,
-                escalation_factor=escalation,
-                max_rounds=60,
+                fraction,
                 random_state=8,
-            )
+            ).fit(X_train, y_train)
             rows.append(
                 [
                     label,
                     fraction,
-                    k,
+                    model.trigger.size,
                     model.report.rounds_t0 + model.report.rounds_t1,
                     max(model.report.trigger_weight_t0, model.report.trigger_weight_t1),
                 ]

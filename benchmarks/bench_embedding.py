@@ -1,20 +1,20 @@
 """Engineering benchmark — incremental + parallel watermark embedding.
 
 Not a paper artefact: this benchmark measures the embedding engine
-(:func:`repro.core.embedding.watermark` / ``train_with_trigger``) in its
-three operating modes:
+(:class:`repro.api.Watermarker` and ``train_with_trigger``) against the
+paper's literal loop in three operating modes:
 
 - **full** — the paper's literal loop: every re-weighting round refits
-  all ``m`` trees from scratch (``incremental=False``), the behaviour
-  the repo shipped before the incremental engine;
-- **incremental** — trigger-compliant trees are kept across rounds and
-  only the stubborn ones refit (the default);
+  all ``m`` trees from scratch.  The library no longer ships it; the
+  reference copy kept with the tests (``tests/core/``) is timed here;
+- **incremental** — the library's loop: trigger-compliant trees are
+  kept across rounds and only the stubborn ones refit;
 - **incremental+parallel** — the same, with tree fits fanned out over
   a process pool (``n_jobs=-1``).
 
 The headline configuration embeds a 32-tree watermark with the paper's
 additive re-weighting schedule; the acceptance bar is a ≥ 3× wall-clock
-speedup of incremental+parallel over the full-retrain loop, with the
+speedup of incremental+parallel over the literal loop, with the
 resulting model accepted by ``verify_ownership`` in strict mode and
 bitwise-reproducible under a fixed ``random_state``.
 
@@ -29,14 +29,21 @@ Run (smoke mode, seconds)::
 
 from __future__ import annotations
 
+import contextlib
+import sys
 import time
+from pathlib import Path
 
 from conftest import emit, is_quick
 
-from repro.core import random_signature, verify_ownership, watermark
+from repro.api import TrainerConfig, TriggerPolicy, Watermarker
+from repro.core import random_signature, verify_ownership
 from repro.datasets import breast_cancer_like
 from repro.model_selection import train_test_split
 from repro.persistence import forest_to_dict
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests" / "core"))
+from full_retrain_oracle import literal_loop  # noqa: E402
 
 #: Headline scale: 32 trees (the acceptance-criterion configuration)
 #: after a warm-up size, on the breast-cancer stand-in.
@@ -48,10 +55,11 @@ MIN_SPEEDUP = 3.0
 
 BASE_PARAMS = {"max_depth": 8, "min_samples_leaf": 1}
 
+#: (label, embedding loop, n_jobs)
 MODES = [
-    ("full", dict(incremental=False)),
-    ("incremental", dict(incremental=True)),
-    ("incr+parallel", dict(incremental=True, n_jobs=-1)),
+    ("full", literal_loop, None),
+    ("incremental", contextlib.nullcontext, None),
+    ("incr+parallel", contextlib.nullcontext, -1),
 ]
 
 
@@ -60,19 +68,18 @@ def _split(n_samples: int):
     return train_test_split(ds.X, ds.y, test_size=0.3, random_state=6)
 
 
-def _embed(X_train, y_train, signature, **extra):
+def _embed(X_train, y_train, signature, loop, n_jobs):
     """One timed watermark embedding; returns (model, seconds)."""
     start = time.perf_counter()
-    model = watermark(
-        X_train,
-        y_train,
-        signature,
-        trigger_size=8,
-        base_params=BASE_PARAMS,
-        tree_feature_fraction=0.5,
-        random_state=8,  # paper's additive schedule: escalation_factor=1
-        **extra,
-    )
+    with loop():
+        model = Watermarker(  # default schedule: the paper's additive +1
+            signature=signature,
+            trigger=TriggerPolicy(size=8),
+            trainer=TrainerConfig(
+                base_params=BASE_PARAMS, tree_feature_fraction=0.5, n_jobs=n_jobs
+            ),
+            random_state=8,
+        ).fit(X_train, y_train)
     return model, time.perf_counter() - start
 
 
@@ -93,8 +100,8 @@ def test_embedding_benchmark(request):
         signature = random_signature(bits, ones_fraction=0.5, random_state=7)
         baseline = None
         model = None
-        for label, extra in MODES:
-            model, seconds = _embed(X_train, y_train, signature, **extra)
+        for label, loop, n_jobs in MODES:
+            model, seconds = _embed(X_train, y_train, signature, loop, n_jobs)
             report = verify_ownership(
                 model.ensemble,
                 model.signature,
@@ -122,7 +129,7 @@ def test_embedding_benchmark(request):
         # Determinism contract: the incremental+parallel engine is
         # bitwise-reproducible under a fixed random_state.  ``model``
         # is the incr+parallel embed from the loop above.
-        again, _ = _embed(X_train, y_train, signature, **MODES[-1][1])
+        again, _ = _embed(X_train, y_train, signature, *MODES[-1][1:])
         assert forest_to_dict(model.ensemble) == forest_to_dict(again.ensemble), (
             "embedding must be bitwise-reproducible for a fixed random_state"
         )
@@ -139,6 +146,6 @@ def test_embedding_benchmark(request):
         assert headline_speedup is not None
         assert headline_speedup >= MIN_SPEEDUP, (
             f"incremental+parallel embedding must be >= {MIN_SPEEDUP}x faster "
-            f"than the full-retrain loop at {HEADLINE_BITS} trees, got "
+            f"than the paper's literal loop at {HEADLINE_BITS} trees, got "
             f"{headline_speedup:.1f}x"
         )

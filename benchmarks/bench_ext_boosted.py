@@ -9,6 +9,7 @@ accepts the true signature while rejecting a fake one.
 
 from conftest import BENCH, emit
 
+from repro.api import TriggerPolicy
 from repro.core import random_signature, verify_boosted_ownership, watermark_boosted
 from repro.ensemble import GradientBoostingClassifier
 from repro.experiments import format_table, prepare_split
@@ -19,11 +20,12 @@ def _run():
     for dataset in ("breast-cancer", "ijcnn1"):
         X_train, X_test, y_train, y_test = prepare_split(BENCH, dataset)
         signature = random_signature(12, ones_fraction=0.5, random_state=BENCH.seed)
+        k = TriggerPolicy(fraction=BENCH.trigger_fraction).resolve(X_train.shape[0])
         model = watermark_boosted(
             X_train,
             y_train,
             signature,
-            trigger_size=max(2, BENCH.trigger_size(X_train.shape[0]) // 2),
+            trigger_size=max(2, k // 2),
             max_depth=5,
             random_state=BENCH.seed + 1,
         )

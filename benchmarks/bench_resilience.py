@@ -20,7 +20,8 @@ import numpy as np
 from conftest import emit, is_quick
 
 from repro.attacks.detection import behavioural_rates, detect_bits
-from repro.core import random_signature, watermark
+from repro.api import EmbeddingSchedule, TrainerConfig, TriggerPolicy, Watermarker
+from repro.core import random_signature
 from repro.datasets import breast_cancer_like
 from repro.experiments import format_table
 from repro.faults import FaultPlan
@@ -39,16 +40,15 @@ SEED = 20260808
 def _build_model(m_bits: int):
     ds = breast_cancer_like(300, random_state=23)
     signature = random_signature(m_bits, ones_fraction=0.5, random_state=24)
-    model = watermark(
-        ds.X,
-        ds.y,
-        signature,
-        trigger_size=6,
-        base_params={"max_depth": 8, "min_samples_leaf": 1},
-        tree_feature_fraction=0.5,
-        escalation_factor=2.0,
+    model = Watermarker(
+        signature=signature,
+        trigger=TriggerPolicy(size=6),
+        schedule=EmbeddingSchedule(escalation_factor=2.0),
+        trainer=TrainerConfig(
+            base_params={"max_depth": 8, "min_samples_leaf": 1}, tree_feature_fraction=0.5
+        ),
         random_state=25,
-    )
+    ).fit(ds.X, ds.y)
     return model, ds.X
 
 

@@ -17,7 +17,8 @@ as the oracle.
 
 import numpy as np
 
-from repro.core import random_signature, watermark
+from repro.api import TrainerConfig, TriggerPolicy, Watermarker
+from repro.core import random_signature
 from repro.core.multiclass import verify_multiclass_ownership, watermark_multiclass
 from repro.datasets import breast_cancer_like
 from repro.experiments import format_table
@@ -52,14 +53,12 @@ def min_distortion_part() -> None:
     X_train, X_test, y_train, y_test = train_test_split(
         dataset.X, dataset.y, test_size=0.3, random_state=63
     )
-    victim = watermark(
-        X_train,
-        y_train,
-        random_signature(m=12, ones_fraction=0.5, random_state=64),
-        trigger_size=6,
-        base_params={"max_depth": 8},
+    victim = Watermarker(
+        signature=random_signature(m=12, ones_fraction=0.5, random_state=64),
+        trigger=TriggerPolicy(size=6),
+        trainer=TrainerConfig(base_params={"max_depth": 8}),
         random_state=65,
-    )
+    ).fit(X_train, y_train)
     rows = []
     # Two fake signatures: many patterns are jointly unsatisfiable no
     # matter the distortion; satisfiable ones still need large eps.

@@ -18,9 +18,9 @@ Quick start (the composable pipeline API)::
                      random_state=7).fit(X_train, y_train)
     wm.ensemble.predict(X_test)
 
-The legacy ``watermark(...)`` keyword-pile entry point remains as a
-thin shim over :class:`~repro.api.Watermarker` (bitwise-identical
-results).  Attacks share one protocol and registry (:mod:`repro.api`),
+:class:`~repro.api.Watermarker` is the one way to embed a watermark
+(the keyword-pile ``watermark(...)`` function is gone; see the
+migration note in ``docs/api.md``).  Attacks share one protocol and registry (:mod:`repro.api`),
 and :func:`~repro.experiments.run_scenario_matrix` sweeps them across
 strengths and datasets.  See ``examples/`` for complete scenarios and
 ``docs/api.md`` for the API reference.
@@ -60,7 +60,6 @@ from .core import (
     random_signature,
     signature_from_identity,
     verify_ownership,
-    watermark,
 )
 from .ensemble import GradientBoostingClassifier, RandomForestClassifier
 from .exceptions import (
@@ -120,5 +119,4 @@ __all__ = [
     "traffic",
     "trees",
     "verify_ownership",
-    "watermark",
 ]

@@ -20,6 +20,7 @@ __all__ = [
     "check_sample_weight",
     "check_random_state",
     "check_binary_labels",
+    "check_count",
     "spawn_seed_sequences",
 ]
 
@@ -79,6 +80,14 @@ def check_sample_weight(sample_weight, n_samples: int) -> np.ndarray:
     if arr.sum() <= 0:
         raise ValidationError("sample_weight must have positive total mass")
     return arr
+
+
+def check_count(value, name: str) -> None:
+    """Validate a count ``>= 1``: an integer, and never a ``bool``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValidationError(f"{name} must be >= 1, got {value}")
 
 
 def check_random_state(seed) -> np.random.Generator:

@@ -29,9 +29,9 @@ Three layers, one import::
        cells = api.run_scenario_matrix(config, attacks=("truncate", "flip"),
                                        strengths={"flip": (0.05, 0.3)})
 
-The legacy ``repro.watermark`` entry point is a thin shim over the
-pipeline layer; the per-module attack functions remain the underlying
-implementations that the protocol classes here wrap.
+``Watermarker`` is the one way to embed a watermark; the per-module
+attack functions remain the underlying implementations that the
+protocol classes here wrap.
 """
 
 from .attacks import (

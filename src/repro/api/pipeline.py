@@ -1,15 +1,15 @@
 """The composable watermarking pipeline — the owner-side public API.
 
-The paper's Algorithm 1 takes a dozen knobs; the legacy
-:func:`repro.core.embedding.watermark` exposed all of them as one flat
-keyword pile.  This module splits them into three small frozen configs,
-each owning one concern, composed by a :class:`Watermarker` with an
+:class:`Watermarker` is the one way to embed a watermark.  The paper's
+Algorithm 1 takes a dozen knobs; they live in three small frozen
+configs, each owning one concern, composed by a ``Watermarker`` with an
 sklearn-style ``fit``:
 
 - :class:`TriggerPolicy` — how large the trigger set ``D_trigger`` is
   (absolute ``size`` or a ``fraction`` of the training set);
 - :class:`EmbeddingSchedule` — the ``TrainWithTrigger`` re-weighting
-  loop (increment, escalation, round cap, incremental refits);
+  loop (increment, escalation, round cap); defined beside that loop in
+  :mod:`repro.core.embedding` and re-exported here;
 - :class:`TrainerConfig` — everything about the underlying forests
   (hyper-parameters or the grid to search them from, the ``Adjust``
   anti-detection heuristic, feature subspaces, worker processes).
@@ -35,12 +35,6 @@ The returned model persists through the pluggable exporter family
 (:mod:`repro.persistence.exporters`): ``save(path, format=...)`` picks
 the format by name or extension, and ``load(..., mmap_mode="r")`` maps
 the binary format zero-copy for serving.
-
-The legacy ``watermark(...)`` entry point is now a thin shim over this
-class; for equal inputs both produce **bitwise-identical** models
-(serialised trees and ``predict_all`` outputs — regression-tested in
-``tests/api/test_pipeline.py``), because this module *is* the one
-implementation of Algorithm 1's orchestration.
 """
 
 from __future__ import annotations
@@ -49,9 +43,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .._validation import check_binary_labels, check_random_state, check_X_y
+from .._validation import check_binary_labels, check_count, check_random_state, check_X_y
 from ..core.adjustment import AdjustedHyperParameters, adjust_hyperparameters
-from ..core.embedding import EmbeddingReport, WatermarkedModel, train_with_trigger
+from ..core.embedding import (
+    EmbeddingReport,
+    EmbeddingSchedule,
+    WatermarkedModel,
+    train_with_trigger,
+)
 from ..core.signature import Signature
 from ..core.trigger import sample_trigger_set
 from ..ensemble.forest import RandomForestClassifier
@@ -85,8 +84,8 @@ class TriggerPolicy:
                 "exactly one of TriggerPolicy.size and TriggerPolicy.fraction "
                 "must be set"
             )
-        if self.size is not None and self.size < 1:
-            raise ValidationError(f"trigger size must be >= 1, got {self.size}")
+        if self.size is not None:
+            check_count(self.size, "trigger size")
         if self.fraction is not None and not 0.0 < self.fraction <= 0.5:
             raise ValidationError(
                 f"trigger fraction must be in (0, 0.5], got {self.fraction}"
@@ -104,34 +103,6 @@ class TriggerPolicy:
                 f"({n_train} samples); the scheme assumes k ≪ |D_train|"
             )
         return k
-
-
-@dataclass(frozen=True)
-class EmbeddingSchedule:
-    """The ``TrainWithTrigger`` re-weighting schedule.
-
-    Defaults are the paper's: ``+1`` additive weight increments, no
-    escalation, and the incremental engine (only still-misfitting trees
-    refit each round; ``incremental=False`` restores the literal
-    full-retrain loop).
-    """
-
-    weight_increment: float = 1.0
-    escalation_factor: float = 1.0
-    max_rounds: int = 60
-    incremental: bool = True
-
-    def __post_init__(self) -> None:
-        if self.weight_increment <= 0:
-            raise ValidationError(
-                f"weight_increment must be > 0, got {self.weight_increment}"
-            )
-        if self.escalation_factor < 1.0:
-            raise ValidationError(
-                f"escalation_factor must be >= 1, got {self.escalation_factor}"
-            )
-        if self.max_rounds < 1:
-            raise ValidationError(f"max_rounds must be >= 1, got {self.max_rounds}")
 
 
 @dataclass(frozen=True)
@@ -243,7 +214,6 @@ class Watermarker:
         rng = check_random_state(self.random_state)
         signature = self.signature
         trainer = self.trainer
-        schedule = self.schedule
 
         trigger_size = self.trigger.resolve(X.shape[0])
 
@@ -288,11 +258,8 @@ class Watermarker:
                 trigger.indices,
                 n_estimators=n_zero,
                 params=params,
+                schedule=self.schedule,
                 tree_feature_fraction=trainer.tree_feature_fraction,
-                weight_increment=schedule.weight_increment,
-                escalation_factor=schedule.escalation_factor,
-                max_rounds=schedule.max_rounds,
-                incremental=schedule.incremental,
                 n_jobs=trainer.n_jobs,
                 random_state=rng,
             )
@@ -309,11 +276,8 @@ class Watermarker:
                 trigger.indices,
                 n_estimators=n_one,
                 params=params,
+                schedule=self.schedule,
                 tree_feature_fraction=trainer.tree_feature_fraction,
-                weight_increment=schedule.weight_increment,
-                escalation_factor=schedule.escalation_factor,
-                max_rounds=schedule.max_rounds,
-                incremental=schedule.incremental,
                 n_jobs=trainer.n_jobs,
                 random_state=rng,
             )

@@ -57,14 +57,13 @@ import numpy as np
 
 from ._jsonsafe import dumps
 from .analysis.cli import add_lint_parser, run_lint
-from .api import available_attacks, make_attack
+from .api import TrainerConfig, TriggerPolicy, Watermarker, available_attacks, make_attack
 from .core import (
     WatermarkSecret,
     commit_secret,
     random_signature,
     verify_commitment,
     verify_ownership,
-    watermark,
 )
 from .datasets import DATASET_NAMES, load_dataset
 from .exceptions import ReproError, ValidationError
@@ -112,10 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
                                help="worker processes for tree fitting "
                                "(-1 = all cores; default serial); results "
                                "are identical across settings")
-    cmd_watermark.add_argument("--full-retrain", action="store_true",
-                               help="disable incremental embedding and refit "
-                               "every tree each re-weighting round (the "
-                               "paper's literal loop; slower, same guarantees)")
     cmd_watermark.add_argument("--seed", type=int, default=0)
     cmd_watermark.add_argument("--out-dir", type=Path, required=True)
     cmd_watermark.add_argument("--format", choices=("json", "binary"),
@@ -282,16 +277,14 @@ def _cmd_watermark(args) -> int:
     signature = random_signature(
         args.trees, ones_fraction=args.ones_fraction, random_state=args.seed + 2
     )
-    model = watermark(
-        X_train,
-        y_train,
-        signature,
-        trigger_size=args.trigger_size,
-        base_params={"max_depth": args.max_depth},
-        incremental=not args.full_retrain,
-        n_jobs=args.n_jobs,
+    model = Watermarker(
+        signature=signature,
+        trigger=TriggerPolicy(size=args.trigger_size),
+        trainer=TrainerConfig(
+            base_params={"max_depth": args.max_depth}, n_jobs=args.n_jobs
+        ),
         random_state=args.seed + 3,
-    )
+    ).fit(X_train, y_train)
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     model_name = "model.rfbin" if args.model_format == "binary" else "model.json"

@@ -2,10 +2,12 @@
 
 Typical owner-side flow::
 
-    from repro.core import random_signature, watermark
+    from repro.api import TriggerPolicy, Watermarker
+    from repro.core import random_signature
 
     sigma = random_signature(m=64, ones_fraction=0.5, random_state=7)
-    wm = watermark(X_train, y_train, sigma, trigger_size=32, random_state=7)
+    wm = Watermarker(signature=sigma, trigger=TriggerPolicy(size=32),
+                     random_state=7).fit(X_train, y_train)
     wm.ensemble.predict(X_test)          # deploy like any forest
     secret = (wm.signature, wm.trigger)  # keep private
 
@@ -37,7 +39,6 @@ from .embedding import (
     WatermarkedModel,
     train_standard_forest,
     train_with_trigger,
-    watermark,
 )
 from .protocol import Judge, OwnershipClaim, WatermarkSecret
 from .signature import Signature, random_signature, signature_from_identity
@@ -76,7 +77,6 @@ __all__ = [
     "verify_commitment",
     "verify_multiclass_ownership",
     "verify_ownership",
-    "watermark",
     "watermark_boosted",
     "watermark_multiclass",
 ]

@@ -1,13 +1,13 @@
 """Watermark creation — Algorithm 1 of the paper.
 
 ``train_with_trigger`` forces a set of trees to exhibit prescribed
-behaviour on the trigger set by iterative sample re-weighting.  The
-full pipeline — grid search, trigger sampling, the ``Adjust``
-heuristic, training the two ensembles ``T0`` (trigger classified
-correctly) and ``T1`` (trigger misclassified, via label flipping), and
-interleaving their trees according to the owner's signature — lives in
-:class:`repro.api.Watermarker`; the ``watermark`` function here is the
-legacy keyword-pile shim over it (bitwise-identical output).
+behaviour on the trigger set by iterative sample re-weighting, driven
+by one :class:`EmbeddingSchedule`.  The full pipeline — grid search,
+trigger sampling, the ``Adjust`` heuristic, training the two ensembles
+``T0`` (trigger classified correctly) and ``T1`` (trigger
+misclassified, via label flipping), and interleaving their trees
+according to the owner's signature — lives in
+:class:`repro.api.Watermarker`, the one way to embed a watermark.
 
 Embedding is the repo's training hot path, and three engine-level levers
 keep it fast without changing what Algorithm 1 computes:
@@ -15,7 +15,8 @@ keep it fast without changing what Algorithm 1 computes:
 - **incremental re-weighting rounds** — trees that already satisfy the
   trigger constraint are kept across rounds and only the stubborn ones
   refit (valid because the forest has no bootstrap and trees are
-  independent given their feature subspaces);
+  independent given their feature subspaces; the paper's literal loop,
+  which refits every tree each round, survives only as a test oracle);
 - **parallel tree fitting** — ``n_jobs`` fans tree fits out over a
   process pool, bitwise-deterministically thanks to per-tree seed
   streams;
@@ -28,11 +29,13 @@ keep it fast without changing what Algorithm 1 computes:
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .._validation import check_random_state
+from .._validation import check_count, check_random_state
 from ..ensemble.forest import RandomForestClassifier
 from ..exceptions import ConvergenceError, ValidationError
 from .adjustment import AdjustedHyperParameters
@@ -41,11 +44,44 @@ from .trigger import TriggerSet
 
 __all__ = [
     "EmbeddingReport",
+    "EmbeddingSchedule",
     "WatermarkedModel",
     "train_with_trigger",
-    "watermark",
     "train_standard_forest",
 ]
+
+
+def _finite(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+@dataclass(frozen=True)
+class EmbeddingSchedule:
+    """The ``TrainWithTrigger`` re-weighting schedule.
+
+    ``weight_increment`` is added to every trigger sample's weight after
+    a failed round (the paper uses ``+1``) and is itself multiplied by
+    ``escalation_factor`` after each failed round: ``1.0`` (default) is
+    the paper's additive schedule, while ``2.0`` converges in fewer
+    rounds on stubborn instances at the cost of larger final weights.
+    ``max_rounds`` bounds the loop; exceeding it raises
+    :class:`~repro.exceptions.ConvergenceError`.
+    """
+
+    weight_increment: float = 1.0
+    escalation_factor: float = 1.0
+    max_rounds: int = 60
+
+    def __post_init__(self) -> None:
+        if not (_finite(self.weight_increment) and self.weight_increment > 0):
+            raise ValidationError(
+                f"weight_increment must be finite and > 0, got {self.weight_increment!r}"
+            )
+        if not (_finite(self.escalation_factor) and self.escalation_factor >= 1.0):
+            raise ValidationError(
+                f"escalation_factor must be finite and >= 1, got {self.escalation_factor!r}"
+            )
+        check_count(self.max_rounds, "max_rounds")
 
 
 @dataclass
@@ -125,17 +161,28 @@ def _misfit_mask(
     return (forest.predict_all(trigger_X) != trigger_y[None, :]).any(axis=1)
 
 
+def _check_trigger_indices(trigger_indices, n_rows: int) -> np.ndarray:
+    """Trigger rows as int64, rejecting anything but distinct in-range ints."""
+    indices = np.asarray(trigger_indices)
+    if indices.ndim != 1 or indices.size == 0:
+        raise ValidationError(f"trigger_indices must be non-empty and 1-D, got {indices.shape}")
+    if not np.issubdtype(indices.dtype, np.integer):
+        raise ValidationError(f"trigger_indices must be integers, got {indices.dtype}")
+    if indices.min() < 0 or indices.max() >= n_rows:
+        raise ValidationError(f"trigger_indices must lie in [0, {n_rows})")
+    if np.unique(indices).size != indices.size:
+        raise ValidationError("trigger_indices must not repeat a row")
+    return indices.astype(np.int64)
+
+
 def train_with_trigger(
     X_train: np.ndarray,
     y_train: np.ndarray,
     trigger_indices: np.ndarray,
     n_estimators: int,
     params: dict,
+    schedule: EmbeddingSchedule = EmbeddingSchedule(),
     tree_feature_fraction: float = 0.7,
-    weight_increment: float = 1.0,
-    escalation_factor: float = 1.0,
-    max_rounds: int = 60,
-    incremental: bool = True,
     n_jobs: int | None = None,
     random_state=None,
 ) -> tuple[RandomForestClassifier, int, float]:
@@ -145,31 +192,20 @@ def train_with_trigger(
     reproduce on the trigger rows (for ``T1`` the caller flips them
     beforehand, mirroring lines 16–17 of Algorithm 1).
 
+    A failed round refits *only* the trees that still misfit the
+    trigger set (via
+    :meth:`~repro.ensemble.RandomForestClassifier.refit_trees`);
+    compliant trees are kept as-is.  The forest has no bootstrap and its
+    trees are independent given their feature subspaces, so a kept tree
+    is exactly as valid as one retrained from scratch — each round costs
+    ``O(#stubborn)`` tree fits instead of ``O(m)``.
+
     Parameters
     ----------
     trigger_indices:
-        Row indices of the trigger instances within ``X_train``.
-    weight_increment:
-        Weight added to every trigger sample after a failed round
-        (the paper uses ``+1``).
-    escalation_factor:
-        Multiplier applied to ``weight_increment`` after each failed
-        round.  ``1.0`` (default) is the paper's additive schedule; a
-        value like ``2.0`` converges in fewer retrainings on stubborn
-        instances at the cost of larger final weights.
-    max_rounds:
-        Bound on retraining rounds; exceeded ⇒ :class:`ConvergenceError`
-        (e.g. when the capped trees simply cannot isolate the triggers).
-    incremental:
-        When True (default), a failed round refits *only* the trees that
-        still misfit the trigger set (via
-        :meth:`~repro.ensemble.RandomForestClassifier.refit_trees`);
-        compliant trees are kept as-is.  The forest has no bootstrap and
-        its trees are independent given their feature subspaces, so a
-        kept tree is exactly as valid as one retrained from scratch —
-        each round costs ``O(#stubborn)`` tree fits instead of ``O(m)``.
-        ``False`` restores the paper's literal full-retrain loop (used
-        by the ablation benchmark).
+        Distinct row indices of the trigger instances within ``X_train``.
+    schedule:
+        The re-weighting schedule (see :class:`EmbeddingSchedule`).
     n_jobs:
         Parallel tree fitting within each round (see
         :class:`~repro.ensemble.RandomForestClassifier`).
@@ -178,24 +214,15 @@ def train_with_trigger(
     -------
     (forest, rounds, final_trigger_weight)
     """
-    if n_estimators < 1:
-        raise ValidationError(f"n_estimators must be >= 1, got {n_estimators}")
-    if weight_increment <= 0:
-        raise ValidationError(f"weight_increment must be > 0, got {weight_increment}")
-    if escalation_factor < 1.0:
-        raise ValidationError(
-            f"escalation_factor must be >= 1, got {escalation_factor}"
-        )
-    if max_rounds < 1:
-        raise ValidationError(f"max_rounds must be >= 1, got {max_rounds}")
+    check_count(n_estimators, "n_estimators")
+    trigger_indices = _check_trigger_indices(trigger_indices, X_train.shape[0])
     rng = check_random_state(random_state)
 
-    trigger_indices = np.asarray(trigger_indices, dtype=np.int64)
     trigger_X = X_train[trigger_indices]
     trigger_y = y_train[trigger_indices]
 
     weights = np.ones(X_train.shape[0], dtype=np.float64)
-    increment = float(weight_increment)
+    increment = float(schedule.weight_increment)
     rounds = 0
     forest = RandomForestClassifier(
         n_estimators=n_estimators,
@@ -210,7 +237,7 @@ def train_with_trigger(
         if not misfit.any():
             return forest, rounds, float(weights[trigger_indices].max())
         rounds += 1
-        if rounds >= max_rounds:
+        if rounds >= schedule.max_rounds:
             raise ConvergenceError(
                 f"TrainWithTrigger did not converge after {rounds} rounds: "
                 f"{int(misfit.sum())}/{n_estimators} trees still misfit the "
@@ -220,20 +247,10 @@ def train_with_trigger(
                 rounds=rounds,
             )
         weights[trigger_indices] += increment
-        increment *= escalation_factor
-        if incremental:
-            forest.refit_trees(
-                np.flatnonzero(misfit), X_train, y_train, sample_weight=weights
-            )
-        else:
-            forest = RandomForestClassifier(
-                n_estimators=n_estimators,
-                tree_feature_fraction=tree_feature_fraction,
-                random_state=int(rng.integers(2**31 - 1)),
-                n_jobs=n_jobs,
-                **params,
-            )
-            forest.fit(X_train, y_train, sample_weight=weights)
+        increment *= schedule.escalation_factor
+        forest.refit_trees(
+            np.flatnonzero(misfit), X_train, y_train, sample_weight=weights
+        )
 
 
 def train_standard_forest(
@@ -255,91 +272,3 @@ def train_standard_forest(
     )
     return forest.fit(X_train, y_train)
 
-
-def watermark(
-    X_train,
-    y_train,
-    signature: Signature,
-    trigger_size: int,
-    base_params: dict | None = None,
-    param_grid: dict | None = None,
-    adjust: bool = True,
-    tree_feature_fraction: float = 0.7,
-    weight_increment: float = 1.0,
-    escalation_factor: float = 1.0,
-    max_rounds: int = 60,
-    incremental: bool = True,
-    n_jobs: int | None = None,
-    random_state=None,
-) -> WatermarkedModel:
-    """The paper's ``Watermark(D_train, m, σ, k)`` (Algorithm 1).
-
-    Parameters
-    ----------
-    X_train, y_train:
-        Training set with binary ±1 labels.
-    signature:
-        The owner's ``m``-bit signature; ``m`` is also the ensemble size.
-    trigger_size:
-        ``k``, the number of trigger instances (``k ≪ |D_train|``).
-    base_params:
-        Hyper-parameters ``H``.  ``None`` runs
-        :func:`~repro.model_selection.grid_search_forest` first, exactly
-        as line 12 of the algorithm does; passing a dict skips the
-        search (useful when sweeping other variables).
-    param_grid:
-        Optional custom grid for the grid search.
-    adjust:
-        Apply the ``Adjust`` anti-detection heuristic (on by default;
-        the ablation benchmark switches it off).
-    weight_increment, escalation_factor, max_rounds, incremental:
-        Re-weighting schedule and retraining strategy, see
-        :func:`train_with_trigger`.
-    n_jobs:
-        Parallel tree fitting for the grid search and both trainings
-        (see :class:`~repro.ensemble.RandomForestClassifier`).
-    random_state:
-        Seed/generator; drives grid search, trigger sampling, adjustment
-        and both trainings.
-
-    Returns
-    -------
-    WatermarkedModel
-        The watermarked ensemble together with the secret
-        ``(signature, trigger set)`` and embedding diagnostics.
-
-    Notes
-    -----
-    This function is a thin compatibility shim: it bundles its keyword
-    pile into the composable pipeline configs and delegates to
-    :class:`repro.api.Watermarker`, which owns the one implementation
-    of Algorithm 1's orchestration.  Both entry points produce
-    bitwise-identical models for equal inputs (regression-tested).
-    New code should construct a ``Watermarker`` directly.
-    """
-    # Imported lazily: repro.api.pipeline imports from this module.
-    from ..api.pipeline import (
-        EmbeddingSchedule,
-        TrainerConfig,
-        TriggerPolicy,
-        Watermarker,
-    )
-
-    return Watermarker(
-        signature=signature,
-        trigger=TriggerPolicy(size=trigger_size),
-        schedule=EmbeddingSchedule(
-            weight_increment=weight_increment,
-            escalation_factor=escalation_factor,
-            max_rounds=max_rounds,
-            incremental=incremental,
-        ),
-        trainer=TrainerConfig(
-            base_params=base_params,
-            param_grid=param_grid,
-            adjust=adjust,
-            tree_feature_fraction=tree_feature_fraction,
-            n_jobs=n_jobs,
-        ),
-        random_state=random_state,
-    ).fit(X_train, y_train)

@@ -19,7 +19,7 @@ import numpy as np
 from .._validation import check_random_state, check_X_y
 from ..ensemble.multiclass import OneVsRestForest
 from ..exceptions import ValidationError
-from .embedding import WatermarkedModel, watermark
+from .embedding import EmbeddingSchedule, WatermarkedModel
 from .signature import Signature, random_signature
 from .verification import VerificationReport, verify_ownership
 
@@ -84,12 +84,20 @@ def watermark_multiclass(
     -------
     MulticlassWatermarkedModel
     """
+    # Imported lazily: repro.api imports this package.
+    from ..api.pipeline import TrainerConfig, TriggerPolicy, Watermarker
+
     X_train, y_train = check_X_y(X_train, y_train)
     classes = np.unique(np.asarray(y_train, dtype=np.int64))
     if classes.shape[0] < 2:
         raise ValidationError("y_train must contain at least two classes")
     rng = check_random_state(random_state)
     signatures = dict(signatures or {})
+    trigger = TriggerPolicy(size=trigger_size)
+    schedule = EmbeddingSchedule(escalation_factor=escalation_factor, max_rounds=max_rounds)
+    trainer = TrainerConfig(
+        base_params=base_params, tree_feature_fraction=tree_feature_fraction
+    )
 
     per_class: dict[int, WatermarkedModel] = {}
     forests: dict[int, object] = {}
@@ -104,17 +112,13 @@ def watermark_multiclass(
                 f"signature for class {label} has {len(signature)} bits, expected {m}"
             )
         binary_y = np.where(np.asarray(y_train) == label, 1, -1)
-        model = watermark(
-            X_train,
-            binary_y,
-            signature,
-            trigger_size=trigger_size,
-            base_params=base_params,
-            tree_feature_fraction=tree_feature_fraction,
-            escalation_factor=escalation_factor,
-            max_rounds=max_rounds,
+        model = Watermarker(
+            signature=signature,
+            trigger=trigger,
+            schedule=schedule,
+            trainer=trainer,
             random_state=int(rng.integers(2**31 - 1)),
-        )
+        ).fit(X_train, binary_y)
         per_class[int(label)] = model
         forests[int(label)] = model.ensemble
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.embedding import train_standard_forest, watermark
+from ..core.embedding import train_standard_forest
 from ..core.signature import random_signature
 from ..datasets.registry import DATASET_NAMES
 from ..model_selection.metrics import accuracy
@@ -52,19 +52,8 @@ def _one_point(
     signature = random_signature(
         config.n_estimators, ones_fraction=ones_fraction, random_state=seed
     )
-    k = max(1, int(round(trigger_fraction * X_train.shape[0])))
-    model = watermark(
-        X_train,
-        y_train,
-        signature,
-        trigger_size=k,
-        base_params=config.base_params,
-        tree_feature_fraction=config.tree_feature_fraction,
-        weight_increment=config.weight_increment,
-        escalation_factor=config.escalation_factor,
-        max_rounds=config.max_rounds,
-        n_jobs=config.n_jobs,
-        random_state=seed,
+    model = config.watermarker(signature, trigger_fraction, random_state=seed).fit(
+        X_train, y_train
     )
     standard = train_standard_forest(
         X_train,

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 
+from ..api.pipeline import EmbeddingSchedule, TrainerConfig, TriggerPolicy, Watermarker
+from ..core.signature import Signature
 from ..datasets.registry import load_dataset
 from ..exceptions import ValidationError
 from ..model_selection.splits import train_test_split
@@ -68,9 +70,25 @@ class ExperimentConfig:
             )
         return replace(self, **overrides)
 
-    def trigger_size(self, n_train: int) -> int:
-        """Trigger-set size ``k`` for a training set of ``n_train`` rows."""
-        return max(1, int(round(self.trigger_fraction * n_train)))
+    def watermarker(
+        self, signature: Signature, trigger_fraction: float, random_state, adjust: bool = True
+    ) -> Watermarker:
+        """The owner pipeline these knobs describe, embedding ``signature``
+        with a trigger set of ``trigger_fraction`` of the training rows."""
+        return Watermarker(
+            signature=signature,
+            trigger=TriggerPolicy(fraction=trigger_fraction),
+            schedule=EmbeddingSchedule(
+                self.weight_increment, self.escalation_factor, self.max_rounds
+            ),
+            trainer=TrainerConfig(
+                base_params=self.base_params,
+                adjust=adjust,
+                tree_feature_fraction=self.tree_feature_fraction,
+                n_jobs=self.n_jobs,
+            ),
+            random_state=random_state,
+        )
 
 
 SMALL = ExperimentConfig(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.embedding import WatermarkedModel, watermark
+from ..core.embedding import WatermarkedModel
 from ..core.signature import random_signature
 from ..datasets.registry import DATASET_NAMES
 from .config import ExperimentConfig, prepare_split
@@ -48,20 +48,12 @@ def build_watermarked_model(
         ones_fraction=config.ones_fraction,
         random_state=config.seed + seed_offset + 3,
     )
-    model = watermark(
-        X_train,
-        y_train,
+    model = config.watermarker(
         signature,
-        trigger_size=config.trigger_size(X_train.shape[0]),
-        base_params=config.base_params,
-        adjust=adjust,
-        tree_feature_fraction=config.tree_feature_fraction,
-        weight_increment=config.weight_increment,
-        escalation_factor=config.escalation_factor,
-        max_rounds=config.max_rounds,
-        n_jobs=config.n_jobs,
+        config.trigger_fraction,
         random_state=config.seed + seed_offset + 4,
-    )
+        adjust=adjust,
+    ).fit(X_train, y_train)
     return model, split
 
 

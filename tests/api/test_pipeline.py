@@ -1,17 +1,20 @@
 """Tests for the composable pipeline layer (`repro.api.pipeline`).
 
-The load-bearing contract: the legacy ``watermark(...)`` shim and a
-directly-constructed :class:`Watermarker` produce **bitwise-identical**
-models — serialised trees, trigger sets and per-tree predictions.
+:class:`Watermarker` is the one way to embed a watermark; the
+load-bearing contract is that a fit is a pure function of its configs,
+its data and an integer ``random_state`` — serialised trees, trigger
+sets and reports.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from repro.api import EmbeddingSchedule, TrainerConfig, TriggerPolicy, Watermarker
-from repro.core import random_signature, watermark
+from repro import api
+from repro.api import EmbeddingSchedule, TrainerConfig, TriggerPolicy, Watermarker, pipeline
+from repro.core import embedding, random_signature
 from repro.exceptions import ValidationError
 from repro.persistence import forest_to_dict
 
@@ -32,61 +35,29 @@ def _model_state(model) -> str:
     )
 
 
-class TestLegacyShimEquivalence:
-    @pytest.fixture(scope="class")
-    def paths(self, bc_data):
+def _fit(X_train, y_train):
+    return Watermarker(
+        signature=random_signature(8, ones_fraction=0.5, random_state=41),
+        trigger=TriggerPolicy(size=5),
+        schedule=EmbeddingSchedule(escalation_factor=2.0),
+        trainer=TrainerConfig(base_params=BASE_PARAMS, tree_feature_fraction=0.6),
+        random_state=42,
+    ).fit(X_train, y_train)
+
+
+class TestWatermarkerRefit:
+    def test_refit_is_deterministic(self, bc_data):
         X_train, X_test, y_train, _y_test = bc_data
-        signature = random_signature(8, ones_fraction=0.5, random_state=41)
-        legacy = watermark(
-            X_train,
-            y_train,
-            signature,
-            trigger_size=5,
-            base_params=BASE_PARAMS,
-            tree_feature_fraction=0.6,
-            escalation_factor=2.0,
-            random_state=42,
-        )
-        pipeline = Watermarker(
-            signature=signature,
-            trigger=TriggerPolicy(size=5),
-            schedule=EmbeddingSchedule(escalation_factor=2.0),
-            trainer=TrainerConfig(
-                base_params=BASE_PARAMS, tree_feature_fraction=0.6
-            ),
-            random_state=42,
-        ).fit(X_train, y_train)
-        return legacy, pipeline, X_test
-
-    def test_serialized_forests_identical(self, paths):
-        legacy, pipeline, _X_test = paths
-        assert _model_state(legacy) == _model_state(pipeline)
-
-    def test_predict_all_identical(self, paths):
-        legacy, pipeline, X_test = paths
+        first, again = _fit(X_train, y_train), _fit(X_train, y_train)
+        assert _model_state(again) == _model_state(first)
+        assert again.report == first.report
         assert np.array_equal(
-            legacy.ensemble.predict_all(X_test),
-            pipeline.ensemble.predict_all(X_test),
+            again.ensemble.predict_all(X_test), first.ensemble.predict_all(X_test)
         )
 
-    def test_reports_identical(self, paths):
-        legacy, pipeline, _X_test = paths
-        assert legacy.report == pipeline.report
-
-    def test_refit_is_deterministic(self, paths, bc_data):
-        _legacy, pipeline, _X_test = paths
-        X_train, _X_test, y_train, _y_test = bc_data
-        signature = random_signature(8, ones_fraction=0.5, random_state=41)
-        again = Watermarker(
-            signature=signature,
-            trigger=TriggerPolicy(size=5),
-            schedule=EmbeddingSchedule(escalation_factor=2.0),
-            trainer=TrainerConfig(
-                base_params=BASE_PARAMS, tree_feature_fraction=0.6
-            ),
-            random_state=42,
-        ).fit(X_train, y_train)
-        assert _model_state(again) == _model_state(pipeline)
+    def test_schedule_is_one_class(self):
+        assert api.EmbeddingSchedule is pipeline.EmbeddingSchedule
+        assert pipeline.EmbeddingSchedule is embedding.EmbeddingSchedule
 
 
 class TestTriggerPolicy:
@@ -101,8 +72,17 @@ class TestTriggerPolicy:
             TriggerPolicy(size=0)
         with pytest.raises(ValidationError):
             TriggerPolicy(fraction=0.0)
-        with pytest.raises(ValidationError):
-            TriggerPolicy(fraction=0.7)
+        for fraction in (0.7, math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                TriggerPolicy(fraction=fraction)
+
+    @pytest.mark.parametrize("size", [5.7, 5.0, True, "5"])
+    def test_rejects_non_integral_size(self, size):
+        with pytest.raises(ValidationError, match="integer"):
+            TriggerPolicy(size=size)
+
+    def test_numpy_integer_size_accepted(self):
+        assert TriggerPolicy(size=np.int64(5)).resolve(100) == 5
 
     def test_resolve_fraction(self):
         assert TriggerPolicy(fraction=0.02).resolve(500) == 10
@@ -142,6 +122,25 @@ class TestConfigValidation:
             EmbeddingSchedule(escalation_factor=0.5)
         with pytest.raises(ValidationError):
             EmbeddingSchedule(max_rounds=0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"weight_increment": math.nan},
+            {"weight_increment": math.inf},
+            {"escalation_factor": math.nan},
+            {"escalation_factor": math.inf},
+            {"weight_increment": True},
+        ],
+    )
+    def test_embedding_schedule_rejects_non_finite(self, kwargs):
+        with pytest.raises(ValidationError, match="finite"):
+            EmbeddingSchedule(**kwargs)
+
+    @pytest.mark.parametrize("max_rounds", [2.5, 3.0, True])
+    def test_embedding_schedule_requires_integral_rounds(self, max_rounds):
+        with pytest.raises(ValidationError, match="integer"):
+            EmbeddingSchedule(max_rounds=max_rounds)
 
     def test_trainer_config_rejects_bad_fraction(self):
         with pytest.raises(ValidationError):

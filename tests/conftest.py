@@ -17,8 +17,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.api import EmbeddingSchedule, TrainerConfig, TriggerPolicy, Watermarker
 from repro.attacks import forge_trigger_set
-from repro.core import random_signature, watermark
+from repro.core import random_signature
 from repro.datasets import breast_cancer_like, ijcnn1_like, mnist26_like
 from repro.ensemble import RandomForestClassifier
 from repro.model_selection import train_test_split
@@ -27,9 +28,12 @@ from repro.solver import PatternProblem, required_labels
 
 BASE_PARAMS = {"max_depth": 8, "min_samples_leaf": 1}
 
-# The box-DPLL reference solver (``tests/solver/box_dpll_oracle.py``)
-# is imported by module name from every test directory.
-sys.path.insert(0, str(Path(__file__).resolve().parent / "solver"))
+# The reference implementations kept with the tests — the box-DPLL
+# solver (``tests/solver/box_dpll_oracle.py``) and the paper's literal
+# embedding loop (``tests/core/full_retrain_oracle.py``) — are imported
+# by module name from every test directory.
+for _oracle_dir in ("solver", "core"):
+    sys.path.insert(0, str(Path(__file__).resolve().parent / _oracle_dir))
 
 
 @pytest.fixture(scope="session")
@@ -110,16 +114,13 @@ def wm_model(bc_data, fixture_guard):
     """A watermarked model on the bc split (m=10, 50% ones)."""
     X_train, _X_test, y_train, _y_test = bc_data
     signature = random_signature(10, ones_fraction=0.5, random_state=18)
-    model = watermark(
-        X_train,
-        y_train,
-        signature,
-        trigger_size=6,
-        base_params=BASE_PARAMS,
-        tree_feature_fraction=0.6,
-        escalation_factor=2.0,
+    model = Watermarker(
+        signature=signature,
+        trigger=TriggerPolicy(size=6),
+        schedule=EmbeddingSchedule(escalation_factor=2.0),
+        trainer=TrainerConfig(base_params=BASE_PARAMS, tree_feature_fraction=0.6),
         random_state=19,
-    )
+    ).fit(X_train, y_train)
 
     def state(m):
         return json.dumps(

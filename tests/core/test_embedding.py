@@ -1,19 +1,30 @@
 """Tests for watermark creation (Algorithm 1)."""
 
+import contextlib
+
 import numpy as np
 import pytest
+from full_retrain_oracle import literal_loop, train_with_trigger_full
 
-from repro.core import (
-    Signature,
-    random_signature,
-    train_with_trigger,
-    verify_ownership,
-    watermark,
-)
+from repro.api import EmbeddingSchedule, TrainerConfig, TriggerPolicy, Watermarker
+from repro.core import Signature, random_signature, train_with_trigger, verify_ownership
 from repro.exceptions import ConvergenceError, ValidationError
 from repro.persistence import node_to_dict
 
 BASE_PARAMS = {"max_depth": 8, "min_samples_leaf": 1}
+ESCALATING = EmbeddingSchedule(escalation_factor=2.0)
+
+
+def _watermark(X, y, signature, trigger_size, random_state, **trainer):
+    """Embed with the escalating schedule and ``BASE_PARAMS`` by default."""
+    trainer.setdefault("base_params", BASE_PARAMS)
+    return Watermarker(
+        signature=signature,
+        trigger=TriggerPolicy(size=trigger_size),
+        schedule=ESCALATING,
+        trainer=TrainerConfig(**trainer),
+        random_state=random_state,
+    ).fit(X, y)
 
 
 class TestTrainWithTrigger:
@@ -44,7 +55,7 @@ class TestTrainWithTrigger:
             trigger_indices,
             n_estimators=3,
             params=BASE_PARAMS,
-            escalation_factor=2.0,
+            schedule=ESCALATING,
             random_state=1,
         )
         predictions = forest.predict_all(X_train[trigger_indices])
@@ -53,20 +64,21 @@ class TestTrainWithTrigger:
     @pytest.mark.parametrize("incremental", [True, False])
     def test_convergence_error_when_impossible(self, rng, incremental):
         # Two identical instances with opposite required labels cannot
-        # both be fitted by any tree — on either retraining strategy.
+        # both be fitted by any tree — neither by the library's loop nor
+        # by the literal full-retrain oracle.
         X = rng.uniform(size=(40, 3))
         X[1] = X[0]
         y = rng.choice([-1, 1], size=40)
         y[0], y[1] = 1, -1
+        train = train_with_trigger if incremental else train_with_trigger_full
         with pytest.raises(ConvergenceError) as excinfo:
-            train_with_trigger(
+            train(
                 X,
                 y,
                 np.array([0, 1]),
                 n_estimators=2,
                 params=BASE_PARAMS,
-                max_rounds=3,
-                incremental=incremental,
+                schedule=EmbeddingSchedule(max_rounds=3),
                 random_state=2,
             )
         assert excinfo.value.rounds == 3
@@ -91,7 +103,7 @@ class TestTrainWithTrigger:
 
         _, rounds_esc, weight_esc = train_with_trigger(
             X_train, y_flipped, trigger_indices, n_estimators=3,
-            params=params, escalation_factor=2.0, random_state=1,
+            params=params, schedule=ESCALATING, random_state=1,
         )
         assert weight_esc == pytest.approx(2.0**rounds_esc)
         # The forced-misclassification task needs at least one
@@ -100,19 +112,19 @@ class TestTrainWithTrigger:
 
     def test_full_retrain_equivalent_to_incremental(self, bc_data):
         # Selective retraining must preserve Algorithm 1's postcondition:
-        # both strategies produce forests whose every tree fits the
-        # required trigger labels (the trees themselves may differ).
+        # the library's loop and the literal full-retrain oracle both
+        # produce forests whose every tree fits the required trigger
+        # labels (the trees themselves may differ).
         X_train, _, y_train, _ = bc_data
         trigger_indices = np.array([0, 5, 10])
-        for incremental in (True, False):
-            forest, _, _ = train_with_trigger(
+        for train in (train_with_trigger, train_with_trigger_full):
+            forest, _, _ = train(
                 X_train,
                 y_train,
                 trigger_indices,
                 n_estimators=4,
                 params=BASE_PARAMS,
-                escalation_factor=2.0,
-                incremental=incremental,
+                schedule=ESCALATING,
                 random_state=3,
             )
             predictions = forest.predict_all(X_train[trigger_indices])
@@ -129,7 +141,7 @@ class TestTrainWithTrigger:
                 trigger_indices,
                 n_estimators=4,
                 params=BASE_PARAMS,
-                escalation_factor=2.0,
+                schedule=ESCALATING,
                 n_jobs=n_jobs,
                 random_state=4,
             )
@@ -142,20 +154,30 @@ class TestTrainWithTrigger:
 
     def test_invalid_parameters(self, bc_data):
         X_train, _, y_train, _ = bc_data
-        with pytest.raises(ValidationError):
-            train_with_trigger(X_train, y_train, np.array([0]), 0, BASE_PARAMS)
-        with pytest.raises(ValidationError):
-            train_with_trigger(
-                X_train, y_train, np.array([0]), 2, BASE_PARAMS, weight_increment=0
-            )
-        with pytest.raises(ValidationError):
-            train_with_trigger(
-                X_train, y_train, np.array([0]), 2, BASE_PARAMS, escalation_factor=0.5
-            )
-        with pytest.raises(ValidationError):
-            train_with_trigger(
-                X_train, y_train, np.array([0]), 2, BASE_PARAMS, max_rounds=0
-            )
+        for n_estimators in (0, 2.5, True):
+            with pytest.raises(ValidationError, match="n_estimators"):
+                train_with_trigger(
+                    X_train, y_train, np.array([0]), n_estimators, BASE_PARAMS
+                )
+
+    @pytest.mark.parametrize(
+        "indices",
+        [[0, -1], [0.7, 1.2], [0, 10**6], [], [3, 3], [[0, 1]], [True, False]],
+        ids=["negative", "float", "out-of-range", "empty", "repeated", "2d", "bool"],
+    )
+    def test_invalid_trigger_indices(self, bc_data, indices):
+        X_train, _, y_train, _ = bc_data
+        with pytest.raises(ValidationError, match="trigger_indices"):
+            train_with_trigger(X_train, y_train, indices, 2, BASE_PARAMS)
+
+    def test_last_row_is_a_valid_trigger(self, bc_data):
+        X_train, _, y_train, _ = bc_data
+        last = X_train.shape[0] - 1
+        forest, _, _ = train_with_trigger(
+            X_train, y_train, [0, last], 2, BASE_PARAMS, random_state=5
+        )
+        predictions = forest.predict_all(X_train[[0, last]])
+        assert (predictions == y_train[[0, last]][None, :]).all()
 
 
 class TestWatermark:
@@ -179,42 +201,24 @@ class TestWatermark:
 
     def test_adjust_false_skips_probe(self, bc_data):
         X_train, _, y_train, _ = bc_data
-        model = watermark(
-            X_train,
-            y_train,
-            random_signature(6, random_state=0),
-            trigger_size=4,
-            base_params=BASE_PARAMS,
-            adjust=False,
-            escalation_factor=2.0,
-            random_state=1,
+        model = _watermark(
+            X_train, y_train, random_signature(6, random_state=0), 4,
+            random_state=1, adjust=False,
         )
         assert model.report.adjusted is None
 
     def test_all_zero_signature(self, bc_data):
         X_train, _, y_train, _ = bc_data
-        model = watermark(
-            X_train,
-            y_train,
-            Signature.from_string("000000"),
-            trigger_size=4,
-            base_params=BASE_PARAMS,
-            escalation_factor=2.0,
-            random_state=2,
+        model = _watermark(
+            X_train, y_train, Signature.from_string("000000"), 4, random_state=2
         )
         predictions = model.ensemble.predict_all(model.trigger.X)
         assert (predictions == model.trigger.y[None, :]).all()
 
     def test_all_one_signature(self, bc_data):
         X_train, _, y_train, _ = bc_data
-        model = watermark(
-            X_train,
-            y_train,
-            Signature.from_string("1111"),
-            trigger_size=3,
-            base_params=BASE_PARAMS,
-            escalation_factor=2.0,
-            random_state=3,
+        model = _watermark(
+            X_train, y_train, Signature.from_string("1111"), 3, random_state=3
         )
         predictions = model.ensemble.predict_all(model.trigger.X)
         assert (predictions == -model.trigger.y[None, :]).all()
@@ -222,12 +226,9 @@ class TestWatermark:
     def test_oversized_trigger_rejected(self, bc_data):
         X_train, _, y_train, _ = bc_data
         with pytest.raises(ValidationError, match="small"):
-            watermark(
-                X_train,
-                y_train,
-                random_signature(4, random_state=0),
-                trigger_size=X_train.shape[0],
-                base_params=BASE_PARAMS,
+            _watermark(
+                X_train, y_train, random_signature(4, random_state=0),
+                X_train.shape[0], random_state=0,
             )
 
     def test_accuracy_cost_is_bounded(self, wm_model, bc_data, bc_forest):
@@ -240,15 +241,9 @@ class TestWatermark:
 
     def test_determinism(self, bc_data):
         X_train, _, y_train, _ = bc_data
-        kwargs = dict(
-            trigger_size=4,
-            base_params=BASE_PARAMS,
-            escalation_factor=2.0,
-            random_state=21,
-        )
         sig = random_signature(6, random_state=20)
-        a = watermark(X_train, y_train, sig, **kwargs)
-        b = watermark(X_train, y_train, sig, **kwargs)
+        a = _watermark(X_train, y_train, sig, 4, random_state=21)
+        b = _watermark(X_train, y_train, sig, 4, random_state=21)
         assert np.array_equal(a.trigger.indices, b.trigger.indices)
         assert np.array_equal(
             a.ensemble.predict_all(X_train[:20]), b.ensemble.predict_all(X_train[:20])
@@ -256,21 +251,14 @@ class TestWatermark:
 
     def test_incremental_and_full_both_accepted(self, bc_data):
         # The engine-level equivalence contract at the watermark level:
-        # either retraining strategy yields a model the verification
-        # protocol accepts in strict mode on the synthetic dataset.
+        # the library's loop and the literal full-retrain oracle both
+        # yield a model the verification protocol accepts in strict mode
+        # on the synthetic dataset.
         X_train, _, y_train, _ = bc_data
         sig = random_signature(6, ones_fraction=0.5, random_state=30)
-        for incremental in (True, False):
-            model = watermark(
-                X_train,
-                y_train,
-                sig,
-                trigger_size=4,
-                base_params=BASE_PARAMS,
-                escalation_factor=2.0,
-                incremental=incremental,
-                random_state=31,
-            )
+        for loop in (contextlib.nullcontext, literal_loop):
+            with loop():
+                model = _watermark(X_train, y_train, sig, 4, random_state=31)
             report = verify_ownership(
                 model.ensemble, model.signature, model.trigger.X,
                 model.trigger.y, mode="strict",
@@ -280,14 +268,8 @@ class TestWatermark:
     def test_watermark_parallel_determinism(self, bc_data):
         X_train, _, y_train, _ = bc_data
         sig = random_signature(4, random_state=40)
-        kwargs = dict(
-            trigger_size=3,
-            base_params=BASE_PARAMS,
-            escalation_factor=2.0,
-            random_state=41,
-        )
-        serial = watermark(X_train, y_train, sig, **kwargs)
-        pooled = watermark(X_train, y_train, sig, n_jobs=2, **kwargs)
+        serial = _watermark(X_train, y_train, sig, 3, random_state=41)
+        pooled = _watermark(X_train, y_train, sig, 3, random_state=41, n_jobs=2)
         assert [node_to_dict(r) for r in serial.ensemble.roots()] == [
             node_to_dict(r) for r in pooled.ensemble.roots()
         ]
@@ -295,14 +277,8 @@ class TestWatermark:
     def test_grid_search_path(self, bc_data):
         # base_params=None exercises line 12 of Algorithm 1.
         X_train, _, y_train, _ = bc_data
-        model = watermark(
-            X_train,
-            y_train,
-            random_signature(4, random_state=1),
-            trigger_size=3,
-            base_params=None,
-            param_grid={"max_depth": [6, 10]},
-            escalation_factor=2.0,
-            random_state=4,
+        model = _watermark(
+            X_train, y_train, random_signature(4, random_state=1), 3,
+            random_state=4, base_params=None, param_grid={"max_depth": [6, 10]},
         )
         assert model.report.base_params["max_depth"] in (6, 10)

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.api import TriggerPolicy
+from repro.core import random_signature
 from repro.experiments import FULL, MEDIUM, SMALL, ExperimentConfig, prepare_split
 
 
@@ -37,9 +39,14 @@ class TestConfig:
             SMALL.with_overrides(bad_two=1, bad_one=2)
 
     def test_trigger_size(self):
+        # The experiment drivers size D_trigger with the pipeline's one rule.
         config = SMALL.with_overrides(trigger_fraction=0.02)
-        assert config.trigger_size(500) == 10
-        assert config.trigger_size(10) == 1  # floor of 1
+        owner = config.watermarker(
+            random_signature(4, random_state=0), config.trigger_fraction, random_state=1
+        )
+        assert owner.trigger == TriggerPolicy(fraction=0.02)
+        assert owner.trigger.resolve(500) == 10
+        assert owner.trigger.resolve(10) == 1  # floor of 1
 
     def test_prepare_split_shapes(self):
         config = SMALL.with_overrides(

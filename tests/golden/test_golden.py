@@ -38,7 +38,6 @@ import pytest
 from repro.api import EmbeddingSchedule, TrainerConfig, TriggerPolicy, Watermarker
 from repro.attacks import forge_trigger_set
 from repro.cli import main as cli_main
-from repro.core.embedding import train_with_trigger
 from repro.core.multiclass import watermark_multiclass
 from repro.core.signature import random_signature
 from repro.datasets import breast_cancer_like, ijcnn1_like, mnist26_like
@@ -53,6 +52,11 @@ from repro.trees import DecisionTreeClassifier
 
 HERE = Path(__file__).resolve().parent
 HASHES = HERE / "hashes.json"
+
+# The literal loop lives with the tests; the conftest puts it on the path
+# under pytest, this line does so for ``--write``.
+sys.path.insert(0, str(HERE.parent / "core"))
+from full_retrain_oracle import train_with_trigger_full  # noqa: E402
 
 
 def digest(*arrays) -> str:
@@ -218,8 +222,9 @@ def _cli_watermark():
 
 
 def _full_retrain_bc():
-    """The paper's literal TrainWithTrigger loop: every round refits all
-    trees.  Shallow trees and six flipped triggers force nine rounds."""
+    """The paper's literal TrainWithTrigger loop (a test oracle): every
+    round refits all trees.  Shallow trees and six flipped triggers force
+    nine rounds."""
     ds = breast_cancer_like(260, random_state=11)
     X_train, _X_test, y_train, _y_test = train_test_split(
         ds.X, ds.y, test_size=0.3, random_state=12
@@ -227,10 +232,9 @@ def _full_retrain_bc():
     indices = np.array([0, 5, 10, 15, 20, 25])
     y_train = y_train.copy()
     y_train[indices] = -y_train[indices]
-    forest, rounds, weight = train_with_trigger(
+    forest, rounds, weight = train_with_trigger_full(
         X_train, y_train, indices, n_estimators=4,
-        params={"max_depth": 3, "min_samples_leaf": 1},
-        incremental=False, random_state=7,
+        params={"max_depth": 3, "min_samples_leaf": 1}, random_state=7,
     )
     tables = forest.compile().to_tables()
     return table_digest({**tables, "~rounds": np.array([rounds]), "~weight": np.array([weight])})

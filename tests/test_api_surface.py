@@ -22,13 +22,32 @@ experiment drivers, ``CompiledPatternEncoding.solve`` and
 ``"engine"``.  Every caller used the compiled CDCL engine (``"smt"``):
 removed; outputs unchanged.  Box DPLL lives on as a test oracle
 (``tests/solver/box_dpll_oracle.py``).
+
+Migration note: ``repro.watermark`` and ``repro.core.watermark`` (the
+14-keyword ``watermark(...)`` function), ``EmbeddingSchedule.incremental``,
+``train_with_trigger(incremental=...)``, ``repro watermark
+--full-retrain`` and ``ExperimentConfig.trigger_size`` are removed;
+build a ``Watermarker`` — outputs unchanged.  ``train_with_trigger``
+takes one ``schedule=EmbeddingSchedule(...)`` in place of its
+``weight_increment``, ``escalation_factor`` and ``max_rounds``
+keywords.  The full-retrain loop lives on as a test oracle
+(``tests/core/full_retrain_oracle.py``).
 """
+
+import dataclasses
+import inspect
+
+import pytest
 
 import repro
 import repro.api
+import repro.core
 import repro.solver
 import repro.trees
 from repro.api import ForgeryAttack, attack_params
+from repro.cli import build_parser
+from repro.core import embedding
+from repro.experiments import ExperimentConfig
 
 REPRO_ALL = [
     "Attack",
@@ -72,7 +91,37 @@ REPRO_ALL = [
     "traffic",
     "trees",
     "verify_ownership",
-    "watermark",
+]
+
+CORE_ALL = [
+    "AdjustedHyperParameters",
+    "BoostedWatermarkedModel",
+    "EmbeddingReport",
+    "Judge",
+    "MulticlassWatermarkedModel",
+    "OwnershipClaim",
+    "SecretCommitment",
+    "Signature",
+    "TriggerSet",
+    "VerificationReport",
+    "WatermarkSecret",
+    "WatermarkedModel",
+    "adjust_hyperparameters",
+    "commit_secret",
+    "false_claim_log10_probability",
+    "match_signature",
+    "random_signature",
+    "required_directions",
+    "sample_trigger_set",
+    "signature_from_identity",
+    "train_standard_forest",
+    "train_with_trigger",
+    "verify_boosted_ownership",
+    "verify_commitment",
+    "verify_multiclass_ownership",
+    "verify_ownership",
+    "watermark_boosted",
+    "watermark_multiclass",
 ]
 
 API_ALL = [
@@ -231,3 +280,29 @@ class TestSolverSurface:
         for name in RETIRED_SOLVER_NAMES:
             assert not hasattr(repro.solver, name), name
         assert "engine" not in attack_params(ForgeryAttack())
+
+
+class TestEmbeddingSurface:
+    def test_core_all_is_pinned(self):
+        assert sorted(repro.core.__all__) == CORE_ALL
+
+    def test_shim_is_gone(self):
+        for module in (repro, repro.core, embedding):
+            assert not hasattr(module, "watermark"), module.__name__
+        assert not hasattr(ExperimentConfig, "trigger_size")
+
+    def test_schedule_fields_are_pinned(self):
+        fields = tuple(field.name for field in dataclasses.fields(repro.EmbeddingSchedule))
+        assert fields == ("weight_increment", "escalation_factor", "max_rounds")
+
+    def test_train_with_trigger_takes_one_schedule(self):
+        assert list(inspect.signature(embedding.train_with_trigger).parameters) == [
+            "X_train", "y_train", "trigger_indices", "n_estimators", "params",
+            "schedule", "tree_feature_fraction", "n_jobs", "random_state",
+        ]
+
+    def test_full_retrain_flag_is_rejected(self):
+        args = ["watermark", "--dataset", "breast-cancer", "--out-dir", "out"]
+        build_parser().parse_args(args)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(args + ["--full-retrain"])

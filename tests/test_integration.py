@@ -10,7 +10,16 @@ import numpy as np
 import pytest
 
 import repro
-from repro import Judge, OwnershipClaim, WatermarkSecret, random_signature, watermark
+from repro import (
+    EmbeddingSchedule,
+    Judge,
+    OwnershipClaim,
+    TrainerConfig,
+    TriggerPolicy,
+    Watermarker,
+    WatermarkSecret,
+    random_signature,
+)
 from repro.attacks import forge_trigger_set
 from repro.core import false_claim_log10_probability
 from repro.datasets import breast_cancer_like
@@ -31,15 +40,13 @@ def dispute():
         ds.X, ds.y, test_size=0.3, random_state=101
     )
     signature = random_signature(12, ones_fraction=0.5, random_state=102)
-    model = watermark(
-        X_train,
-        y_train,
-        signature,
-        trigger_size=7,
-        base_params={"max_depth": 8},
-        escalation_factor=2.0,
+    model = Watermarker(
+        signature=signature,
+        trigger=TriggerPolicy(size=7),
+        schedule=EmbeddingSchedule(escalation_factor=2.0),
+        trainer=TrainerConfig(base_params={"max_depth": 8}),
         random_state=103,
-    )
+    ).fit(X_train, y_train)
     return {
         "model": model,
         "X_train": X_train,

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Signature, random_signature, signature_from_identity
-from repro.core.embedding import watermark
+from repro.api import EmbeddingSchedule, TrainerConfig, TriggerPolicy, Watermarker
 from repro.core.verification import match_signature, verify_ownership
 from repro.ensemble import RandomForestClassifier, majority_vote
 from repro.solver import PatternProblem, required_labels, solve_pattern_smt
@@ -86,16 +86,15 @@ class TestIncrementalEmbeddingInvariant:
         signature = random_signature(
             4, ones_fraction=0.5, random_state=int(gen.integers(2**31 - 1))
         )
-        model = watermark(
-            X,
-            y,
-            signature,
-            trigger_size=3,
-            base_params={"max_depth": 8, "min_samples_leaf": 1},
-            adjust=False,
-            escalation_factor=2.0,
+        model = Watermarker(
+            signature=signature,
+            trigger=TriggerPolicy(size=3),
+            schedule=EmbeddingSchedule(escalation_factor=2.0),
+            trainer=TrainerConfig(
+                base_params={"max_depth": 8, "min_samples_leaf": 1}, adjust=False
+            ),
             random_state=int(gen.integers(2**31 - 1)),
-        )
+        ).fit(X, y)
         predictions = model.ensemble.predict_all(model.trigger.X)
         correct = predictions == model.trigger.y[None, :]
         for i, bit in enumerate(model.signature):

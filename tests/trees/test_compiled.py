@@ -296,20 +296,19 @@ class TestBackendAndCaching:
 class TestCompiledVerificationPath:
     def test_verification_identical_across_backends(self):
         """The watermark protocol sees the bits the object graph gives."""
-        from repro.core import random_signature, watermark
+        from repro.api import TrainerConfig, TriggerPolicy, Watermarker
+        from repro.core import random_signature
         from repro.core.verification import verify_ownership
 
         gen = np.random.default_rng(9)
         X, y = _random_data(gen, n_samples=260)
         signature = random_signature(m=6, ones_fraction=0.5, random_state=2)
-        model = watermark(
-            X,
-            y,
-            signature,
-            trigger_size=4,
-            base_params={"max_depth": 8},
+        model = Watermarker(
+            signature=signature,
+            trigger=TriggerPolicy(size=4),
+            trainer=TrainerConfig(base_params={"max_depth": 8}),
             random_state=3,
-        )
+        ).fit(X, y)
         model.ensemble.compile()
         report = verify_ownership(
             model.ensemble, signature, model.trigger.X, model.trigger.y
