@@ -61,7 +61,7 @@ def _chaos_run(model, X, *, rate: float, n_requests: int, rows_per: int):
     ledger = {"ok": 0, "typed_4xx": 0, "typed_5xx": 0, "transport": 0}
     latencies = []
     with BackgroundServer(
-        registry, flush_window=0.0, fault_injector=injector
+        registry, max_batch_rows=1, fault_injector=injector
     ) as server:
         with server.client(timeout=5.0, retry=retry, retry_seed=SEED) as client:
             for i in range(n_requests):

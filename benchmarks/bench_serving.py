@@ -3,10 +3,11 @@
 Drives the :class:`repro.serve.ServingDaemon` with many concurrent
 batch-1 clients — the paper's deployment picture, where per-tree
 ``predict.all`` queries arrive one instance at a time — and compares
-the micro-batched daemon (requests coalesce into fused
-``predict_all`` calls inside a small flush window) against the naive
-baseline (``flush_window=0``: one engine call per request) on the same
-forest under the same client load.  Emits req/s plus p50/p99 latency
+the micro-batched daemon (continuous batching: a request runs at once
+on an idle engine, and requests that arrive during a call fuse into
+the next fused ``predict_all`` call) against the naive baseline
+(``max_batch_rows=1``: one engine call per request) on the same forest
+under the same client load.  Emits req/s plus p50/p99 latency
 per variant to ``results/serving.{txt,json}``.
 """
 
@@ -105,14 +106,13 @@ def _serve_and_drive(
     registry: ModelRegistry,
     X: np.ndarray,
     *,
-    flush_window: float,
+    max_batch_rows: int,
     connections: int,
     per_connection: int,
 ) -> dict:
     with BackgroundServer(
         registry,
-        flush_window=flush_window,
-        max_batch_rows=max(connections, 64),
+        max_batch_rows=max_batch_rows,
         max_queue_rows=1 << 16,
     ) as server:
         # Warm the executor + socket path outside the timed region.
@@ -133,10 +133,8 @@ def test_serving_throughput(benchmark, quick_mode):
     per_connection = 50 if quick_mode else 700
 
     registry, X = _build_registry(n_trees)
-    variants = [
-        ("micro-batched (2ms window)", 0.002),
-        ("naive (flush_window=0)", 0.0),
-    ]
+    batched_label, naive_label = "micro-batched (continuous)", "naive (max_batch_rows=1)"
+    variants = [(batched_label, max(connections, 64)), (naive_label, 1)]
 
     def _run():
         # Client loop and daemon loop share the interpreter: a finer GIL
@@ -146,11 +144,11 @@ def test_serving_throughput(benchmark, quick_mode):
         sys.setswitchinterval(0.0005)
         try:
             rows = {}
-            for label, flush_window in variants:
+            for label, max_batch_rows in variants:
                 rows[label] = _serve_and_drive(
                     registry,
                     X,
-                    flush_window=flush_window,
+                    max_batch_rows=max_batch_rows,
                     connections=connections,
                     per_connection=per_connection,
                 )
@@ -174,8 +172,8 @@ def test_serving_throughput(benchmark, quick_mode):
         ]
         for label, r in rows.items()
     ]
-    batched = rows["micro-batched (2ms window)"]
-    naive = rows["naive (flush_window=0)"]
+    batched = rows[batched_label]
+    naive = rows[naive_label]
     text = format_table(headers, cells)
     text += (
         f"\n\n{n_trees}-tree forest, {connections} keep-alive connections, "

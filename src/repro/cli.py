@@ -56,6 +56,7 @@ from pathlib import Path
 import numpy as np
 
 from ._jsonsafe import dumps
+from ._validation import check_count
 from .analysis.cli import add_lint_parser, run_lint
 from .api import TrainerConfig, TriggerPolicy, Watermarker, available_attacks, make_attack
 from .core import (
@@ -237,11 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
     cmd_serve.add_argument("--port", type=int, default=8080,
                            help="TCP port (0 picks an ephemeral port, "
                            "printed on startup)")
-    cmd_serve.add_argument("--flush-window", type=float, default=0.002,
-                           help="seconds a request may wait for co-batched "
-                           "neighbours (default 2ms; 0 disables coalescing)")
     cmd_serve.add_argument("--max-batch-rows", type=int, default=512,
-                           help="rows that force an immediate flush")
+                           help="rows that force an immediate flush even "
+                           "while the engine is busy (1 disables "
+                           "coalescing)")
     cmd_serve.add_argument("--max-queue-rows", type=int, default=8192,
                            help="per-model backlog before requests are "
                            "rejected with 429 + Retry-After")
@@ -476,6 +476,9 @@ def _cmd_serve(args) -> int:
 
     from .serve import ModelRegistry, ServingDaemon
 
+    # Checked before any model loads, under the flags' own names.
+    for flag in ("max_batch_rows", "max_queue_rows", "max_concurrent_batches"):
+        check_count(getattr(args, flag), "--" + flag.replace("_", "-"))
     registry = ModelRegistry(
         max_failures=args.failure_budget,
         quarantine_seconds=args.quarantine,
@@ -490,7 +493,6 @@ def _cmd_serve(args) -> int:
         registry,
         host=args.host,
         port=args.port,
-        flush_window=args.flush_window,
         max_batch_rows=args.max_batch_rows,
         max_queue_rows=args.max_queue_rows,
         max_concurrent_batches=args.max_concurrent_batches,

@@ -2,11 +2,13 @@
 
 The compiled engine's descent cost is per *level*, not per row: one
 fused call over 256 coalesced rows costs barely more than one call over
-a single row.  The :class:`MicroBatcher` exploits that — concurrent
-requests enqueue their row blocks, and everything that arrives within
-``flush_window`` seconds (or until ``max_batch_rows`` accumulate) runs
-through the runner as one matrix, each request getting back its own
-column slice of the ``(n_trees, rows)`` result.
+a single row.  The :class:`MicroBatcher` batches continuously (as in
+Clipper and Orca): a request that finds the engine idle runs at once;
+requests that arrive during a call run together as the next call, each
+getting back its own column slice of the ``(n_trees, rows)`` result.
+The invariant is *pending ⇒ a call is in flight*: the call that leaves
+the engine idle flushes whatever is pending, so no request waits on a
+timer or can be stranded.  ``max_batch_rows`` pending rows flush at once.
 
 Backpressure is row-based: when the backlog (queued + executing rows)
 exceeds ``max_queue_rows``, :meth:`submit` raises :class:`Backpressure`
@@ -22,9 +24,10 @@ there); the blocking engine call is pushed to a thread executor.
 from __future__ import annotations
 
 import asyncio
-import math
 
 import numpy as np
+
+from .._validation import check_count
 
 __all__ = ["Backpressure", "MicroBatcher"]
 
@@ -32,17 +35,10 @@ __all__ = ["Backpressure", "MicroBatcher"]
 class Backpressure(Exception):
     """Raised by :meth:`MicroBatcher.submit` when the backlog is full."""
 
-    def __init__(self, retry_after: float, depth: int) -> None:
-        super().__init__(
-            f"backlog full ({depth} rows queued); retry in {retry_after:.3f}s"
-        )
-        self.retry_after = float(retry_after)
-        self.depth = int(depth)
-
-    @property
-    def retry_after_seconds(self) -> int:
-        """``Retry-After`` header value (whole seconds, at least 1)."""
-        return max(1, math.ceil(self.retry_after))
+    #: Seconds a rejected client should wait, and the ``Retry-After``
+    #: header value (whole seconds, at least 1).
+    retry_after = 0.05
+    retry_after_seconds = 1
 
 
 class MicroBatcher:
@@ -50,8 +46,8 @@ class MicroBatcher:
 
     ``runner`` maps an ``(n, n_features)`` matrix to an ``(n_trees, n)``
     per-tree prediction matrix; it executes on ``executor`` (the loop's
-    default thread pool when ``None``).  ``flush_window <= 0`` disables
-    coalescing: every request flushes immediately (the "naive" serving
+    default thread pool when ``None``).  ``max_batch_rows=1`` disables
+    coalescing: every request runs as its own call (the "naive" serving
     baseline the benchmark compares against).
     """
 
@@ -59,7 +55,6 @@ class MicroBatcher:
         self,
         runner,
         *,
-        flush_window: float = 0.002,
         max_batch_rows: int = 512,
         max_queue_rows: int = 8192,
         max_concurrent: int = 2,
@@ -73,16 +68,17 @@ class MicroBatcher:
         #: every request coalesced into the flush — the exact fan-out
         #: path a real engine crash takes.
         self._fault_injector = fault_injector
-        self._flush_window = float(flush_window)
-        self._max_batch_rows = max(1, int(max_batch_rows))
-        self._max_queue_rows = max(1, int(max_queue_rows))
+        check_count(max_batch_rows, "max_batch_rows")
+        check_count(max_queue_rows, "max_queue_rows")
+        check_count(max_concurrent, "max_concurrent")
+        self._max_batch_rows = int(max_batch_rows)
+        self._max_queue_rows = int(max_queue_rows)
         self._executor = executor
-        self._semaphore = asyncio.Semaphore(max(1, int(max_concurrent)))
+        self._semaphore = asyncio.Semaphore(int(max_concurrent))
 
         self._pending: list[tuple[np.ndarray, asyncio.Future]] = []
         self._pending_rows = 0
         self._inflight_rows = 0
-        self._flush_handle: asyncio.TimerHandle | None = None
         self._tasks: set[asyncio.Task] = set()
 
         # Telemetry for /v1/models and the benchmark table.
@@ -98,11 +94,6 @@ class MicroBatcher:
         """Rows queued or executing right now."""
         return self._pending_rows + self._inflight_rows
 
-    @property
-    def coalescing(self) -> float:
-        """Mean rows per fused engine call so far (1.0 = no batching)."""
-        return self.n_rows / self.n_calls if self.n_calls else 0.0
-
     def stats(self) -> dict:
         return {
             "n_requests": self.n_requests,
@@ -110,7 +101,7 @@ class MicroBatcher:
             "n_rows": self.n_rows,
             "n_rejected": self.n_rejected,
             "backlog_rows": self.backlog_rows,
-            "rows_per_call": self.coalescing,
+            "rows_per_call": self.n_rows / self.n_calls if self.n_calls else 0.0,
         }
 
     # -- the hot path ---------------------------------------------------
@@ -127,26 +118,20 @@ class MicroBatcher:
         if self.backlog_rows + n > self._max_queue_rows:
             self.n_rejected += 1
             raise Backpressure(
-                retry_after=max(2.0 * self._flush_window, 0.05),
-                depth=self.backlog_rows,
+                f"backlog full ({self.backlog_rows} rows queued); "
+                f"retry in {Backpressure.retry_after}s"
             )
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
+        future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._pending.append((X, future))
         self._pending_rows += n
         self.n_requests += 1
 
-        if self._pending_rows >= self._max_batch_rows or self._flush_window <= 0:
+        # An idle engine serves at once; else the next call takes it.
+        if self._inflight_rows == 0 or self._pending_rows >= self._max_batch_rows:
             self._flush_now()
-        # repro: allow[RPR006] MicroBatcher state is event-loop-confined by design (docs/serving.md): every touch happens on the daemon's loop thread, so check-then-set cannot race
-        elif self._flush_handle is None:
-            self._flush_handle = loop.call_later(self._flush_window, self._flush_now)
         return await future
 
     def _flush_now(self) -> None:
-        if self._flush_handle is not None:
-            self._flush_handle.cancel()
-            self._flush_handle = None
         if not self._pending:
             return
         pending = self._pending
@@ -187,6 +172,8 @@ class MicroBatcher:
                     offset = stop
         finally:
             self._inflight_rows -= rows
+            if self._inflight_rows == 0:
+                self._flush_now()
 
     async def drain(self) -> None:
         """Flush the queue and wait for every in-flight call to finish."""

@@ -22,7 +22,8 @@ Endpoints (all JSON; strict RFC 8259 — never ``Infinity``/``NaN``):
     [...]}``.  Trigger probes are served through the same micro-batched
     path as any other traffic (they *are* traffic); the response carries
     the trigger-set ownership report and the Table-2 detection verdict
-    over everything the model has served.
+    over everything the model has served.  A rejected request (``400``)
+    serves nothing, so it leaves the streamed verdict untouched.
 ``POST /v1/models/{name}/calibrate``
     ``{"rows": [[...]]}`` → calibrate the streaming observer's benign
     baseline so its sequential alarm becomes meaningful.
@@ -35,11 +36,14 @@ Endpoints (all JSON; strict RFC 8259 — never ``Infinity``/``NaN``):
 
 Framing is hand-rolled over ``asyncio`` streams: request line, headers,
 ``Content-Length`` body, persistent connections.  Engine calls run on a
-thread executor via the per-model :class:`~repro.serve.batching.MicroBatcher`,
-which also provides row-based backpressure (full backlog → ``429`` with
-``Retry-After``).  :meth:`ServingDaemon.drain` implements graceful
-shutdown: stop accepting, flush every batcher, let in-flight responses
-complete, then close lingering connections.
+thread executor via the per-model :class:`~repro.serve.batching.MicroBatcher`
+(continuous batching: an idle engine serves at once, requests arriving
+during a call fuse into the next), which also provides row-based
+backpressure (full backlog → ``429`` with ``Retry-After``).  A ``NaN``
+or ``Infinity`` row answers ``400`` before it can join a fused batch.
+:meth:`ServingDaemon.drain` implements graceful shutdown: stop
+accepting, flush every batcher, let in-flight responses complete, then
+close lingering connections.
 
 Failure modes are first-class (PR 9):
 
@@ -72,7 +76,7 @@ import math
 import numpy as np
 
 from .._jsonsafe import dumps, finite_or_none, json_safe
-from ..attacks.detection import DetectionResult
+from ..attacks.detection import STRATEGIES, DetectionResult
 from ..core.signature import Signature
 from ..core.verification import match_signature
 from ..exceptions import ReproError, ValidationError
@@ -199,6 +203,8 @@ def _parse_rows(data: dict, served: ServedModel, key: str = "rows") -> np.ndarra
         X = X.reshape(1, -1)
     if X.ndim != 2 or X.shape[0] == 0:
         raise HTTPError(400, f"{key!r} must be a non-empty 2-D matrix")
+    if not np.isfinite(X).all():  # in a fused batch it would fail every request
+        raise HTTPError(400, f"{key!r} must hold finite numbers only")
     if served.n_features is not None and X.shape[1] != served.n_features:
         raise HTTPError(
             400,
@@ -231,7 +237,6 @@ class ServingDaemon:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        flush_window: float = 0.002,
         max_batch_rows: int = 512,
         max_queue_rows: int = 8192,
         max_concurrent_batches: int = 2,
@@ -247,10 +252,16 @@ class ServingDaemon:
         self.registry = registry
         self._host = host
         self._port = int(port)
-        self._flush_window = float(flush_window)
-        self._max_batch_rows = int(max_batch_rows)
-        self._max_queue_rows = int(max_queue_rows)
-        self._max_concurrent = int(max_concurrent_batches)
+        self._batchers = {
+            served.name: MicroBatcher(
+                served.serve_batch,
+                max_batch_rows=max_batch_rows,
+                max_queue_rows=max_queue_rows,
+                max_concurrent=max_concurrent_batches,
+                fault_injector=fault_injector,
+            )
+            for served in registry
+        }
         self._max_body_bytes = int(max_body_bytes)
         self._drain_grace = float(drain_grace)
         self._request_timeout = (
@@ -263,7 +274,6 @@ class ServingDaemon:
         self._idempotency = IdempotencyCache(max_entries=idempotency_entries)
 
         self._server: asyncio.AbstractServer | None = None
-        self._batchers: dict[str, MicroBatcher] = {}
         self._connections: set[asyncio.StreamWriter] = set()
         self._busy: set[asyncio.StreamWriter] = set()
         self._handlers: set[asyncio.Task] = set()
@@ -272,15 +282,6 @@ class ServingDaemon:
     # -- lifecycle ------------------------------------------------------
 
     async def start(self) -> None:
-        for served in self.registry:
-            self._batchers[served.name] = MicroBatcher(
-                served.serve_batch,
-                flush_window=self._flush_window,
-                max_batch_rows=self._max_batch_rows,
-                max_queue_rows=self._max_queue_rows,
-                max_concurrent=self._max_concurrent,
-                fault_injector=self._fault_injector,
-            )
         self._server = await asyncio.start_server(
             self._handle_connection, self._host, self._port
         )
@@ -631,6 +632,13 @@ class ServingDaemon:
             raise HTTPError(400, f"bad signature: {exc}") from None
         strategy = str(data.get("strategy", "bands"))
         mode = str(data.get("mode", "strict"))
+        # Everything is checked before the trigger probe is served: a
+        # rejected request must not fold rows into the streamed verdict.
+        if len(signature) != served.engine.n_trees:
+            raise HTTPError(400, f"signature has {len(signature)} bits; the "
+                            f"model has {served.engine.n_trees} trees")
+        if strategy not in STRATEGIES or mode not in ("strict", "iff"):
+            raise HTTPError(400, f"unknown strategy {strategy!r} or mode {mode!r}")
 
         response: dict = {
             "model": served.name,
@@ -644,17 +652,25 @@ class ServingDaemon:
                 )
             X = _parse_rows(data, served, key="trigger_rows")
             try:
-                y = np.asarray(data["trigger_labels"], dtype=np.int64)
+                y = np.asarray(data["trigger_labels"], dtype=np.float64)
             except (TypeError, ValueError) as exc:
-                raise HTTPError(
-                    400, f"trigger_labels is not an integer vector: {exc}"
-                ) from None
+                raise HTTPError(400, f"trigger_labels is not numeric: {exc}") from None
+            if y.shape != (len(X),):
+                raise HTTPError(400, "trigger_labels needs one label per trigger "
+                                f"row ({len(X)}), got shape {y.shape}")
+            classes = served.engine.classes
+            # ``y % 1`` is NaN for NaN and infinities, so they fail too.
+            if not (y % 1 == 0).all() or (
+                classes is not None and not np.isin(y, classes).all()
+            ):
+                known = "" if classes is None else f" among {classes.tolist()}"
+                raise HTTPError(400, f"trigger_labels must be integers{known}")
             # The judge's probe is traffic like any other: it goes
             # through the micro-batched serving path (guarded like any
             # other engine call) and is folded into the streaming
             # observer before the verdict below is taken.
             y_all = await self._serve_rows(served, X)
-            report = match_signature(y_all, y, signature, mode=mode)
+            report = match_signature(y_all, y.astype(np.int64), signature, mode=mode)
             response["ownership"] = {
                 "accepted": bool(report.accepted),
                 "mode": report.mode,

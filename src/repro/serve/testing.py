@@ -95,9 +95,3 @@ class BackgroundServer:
         ``retry=``, ``retry_seed=``, ``breaker=`` for resilient runs)."""
         assert self.host is not None and self.port is not None
         return ServeClient(self.host, self.port, timeout=timeout, **kwargs)
-
-    def run_on_loop(self, coro_factory):
-        """Run ``coro_factory()`` on the daemon's loop, blocking for it."""
-        assert self._loop is not None
-        future = asyncio.run_coroutine_threadsafe(coro_factory(), self._loop)
-        return future.result()

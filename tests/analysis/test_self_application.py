@@ -52,7 +52,6 @@ class TestSelfApplication:
         assert waivers == [
             ("_jsonsafe.py", "RPR003"),      # the wrapper that injects the default
             ("_validation.py", "RPR001"),    # sanctioned seed=None entropy funnel
-            ("batching.py", "RPR006"),       # event-loop-confined state
             ("commitment.py", "RPR002"),     # hiding requires a fresh salt
             ("forest.py", "RPR006"),         # refit mutates wholesale, single-thread
         ]

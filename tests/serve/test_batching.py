@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import asyncio
 import threading
+import time
 
 import numpy as np
 import pytest
 
+from repro.exceptions import ValidationError
 from repro.serve.batching import Backpressure, MicroBatcher
 
 
@@ -25,6 +27,20 @@ def make_runner(calls):
     return runner
 
 
+def make_blocking_runner(calls, release):
+    """A fake engine whose first call blocks until ``release`` is set."""
+    plain = make_runner(calls)
+
+    def runner(X):
+        first = not calls
+        out = plain(X)
+        if first:
+            release.wait(timeout=10)
+        return out
+
+    return runner
+
+
 class TestCoalescing:
     def test_concurrent_submits_fuse_into_one_call(self):
         calls: list[int] = []
@@ -32,16 +48,16 @@ class TestCoalescing:
         blocks = [rng.standard_normal((n, 4)) for n in (1, 3, 2, 5, 1)]
 
         async def scenario():
-            batcher = MicroBatcher(
-                make_runner(calls), flush_window=0.02, max_batch_rows=64
-            )
+            batcher = MicroBatcher(make_runner(calls), max_batch_rows=64)
             return await asyncio.gather(
                 *(batcher.submit(block) for block in blocks)
             )
 
         results = run(scenario())
-        # All five requests arrived within one flush window -> one call.
-        assert calls == [sum(b.shape[0] for b in blocks)]
+        # The first request finds the engine idle and runs alone; the
+        # other four arrive while it is in flight and fuse into the
+        # next call.
+        assert calls == [1, 11]
         for block, result in zip(blocks, results):
             expected = np.stack(
                 [block.sum(axis=1), block.max(axis=1)], axis=0
@@ -56,7 +72,7 @@ class TestCoalescing:
         runner = make_runner(calls)
 
         async def scenario():
-            batcher = MicroBatcher(runner, flush_window=0.02, max_batch_rows=64)
+            batcher = MicroBatcher(runner, max_batch_rows=64)
             return await asyncio.gather(
                 *(batcher.submit(block) for block in blocks)
             )
@@ -67,27 +83,101 @@ class TestCoalescing:
 
     def test_max_batch_rows_forces_immediate_flush(self):
         calls: list[int] = []
+        release = threading.Event()
 
         async def scenario():
             batcher = MicroBatcher(
-                make_runner(calls), flush_window=10.0, max_batch_rows=4
+                make_blocking_runner(calls, release), max_batch_rows=4
             )
+            held = asyncio.ensure_future(batcher.submit(np.ones((1, 3))))
+            await asyncio.sleep(0.05)  # call 1 now holds the engine
+            # The engine is busy, but 4 rows reach the cap: they run as
+            # a second call at once instead of waiting for call 1.
             X = np.ones((4, 3))
-            return await asyncio.wait_for(batcher.submit(X), timeout=1.0)
+            out = await asyncio.wait_for(batcher.submit(X), timeout=5.0)
+            assert calls == [1, 4] and out.shape == (2, 4)
+            release.set()
+            await held
 
-        run(scenario())  # would hang for 10s without the row-cap flush
-        assert calls == [4]
+        try:
+            run(scenario())
+        finally:
+            release.set()
 
-    def test_zero_flush_window_disables_coalescing(self):
+    def test_max_batch_rows_one_disables_coalescing(self):
         calls: list[int] = []
 
         async def scenario():
-            batcher = MicroBatcher(make_runner(calls), flush_window=0.0)
-            for _ in range(3):
-                await batcher.submit(np.ones((2, 3)))
+            batcher = MicroBatcher(make_runner(calls), max_batch_rows=1)
+            await asyncio.gather(
+                *(batcher.submit(np.ones((2, 3))) for _ in range(3))
+            )
 
         run(scenario())
         assert calls == [2, 2, 2]
+
+    def test_lone_submit_reaches_the_runner_without_a_timer(self):
+        calls: list[int] = []
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+
+            def no_timer(*args, **kwargs):
+                raise AssertionError("a lone submit waited on a timer")
+
+            loop.call_later = no_timer
+            loop.call_at = no_timer
+            batcher = MicroBatcher(make_runner(calls))
+            return await batcher.submit(np.ones((3, 2)))
+
+        result = run(scenario())
+        assert calls == [3]
+        assert result.shape == (2, 3)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_interleavings_resolve_and_match_direct_calls(self, seed):
+        """Random arrivals against a runner of random speed.
+
+        Every future resolves, every slice equals a direct call on its
+        own block, and a request is only ever parked behind a call in
+        flight (pending implies in flight).
+        """
+        rng = np.random.default_rng(seed)
+        calls: list[int] = []
+        plain = make_runner(calls)
+
+        def runner(X):
+            time.sleep(float(abs(X[0, 0]) % 1.0) * 0.002)
+            return plain(X)
+
+        blocks = [
+            rng.standard_normal((int(rng.integers(1, 6)), 3))
+            for _ in range(60)
+        ]
+        gaps = rng.choice([0.0, 0.0, 0.0002, 0.001], size=len(blocks))
+
+        async def scenario():
+            batcher = MicroBatcher(
+                runner,
+                max_batch_rows=int(rng.integers(1, 16)),
+                max_concurrent=int(rng.integers(1, 4)),
+            )
+            futures = []
+            for block, gap in zip(blocks, gaps):
+                futures.append(asyncio.ensure_future(batcher.submit(block)))
+                await asyncio.sleep(float(gap))
+                assert not batcher._pending or batcher._inflight_rows > 0
+            results = await asyncio.wait_for(asyncio.gather(*futures), 10.0)
+            assert batcher.backlog_rows == 0
+            return results, batcher.stats()
+
+        results, stats = run(scenario())
+        n_rows = sum(block.shape[0] for block in blocks)
+        assert stats["n_requests"] == len(blocks)
+        assert stats["n_rows"] == sum(calls) == n_rows
+        assert stats["n_calls"] == len(calls)
+        for block, result in zip(blocks, results):
+            assert np.array_equal(result, plain(block))
 
 
 class TestFailureAndBackpressure:
@@ -96,7 +186,7 @@ class TestFailureAndBackpressure:
             def boom(X):
                 raise RuntimeError("engine exploded")
 
-            batcher = MicroBatcher(boom, flush_window=0.005)
+            batcher = MicroBatcher(boom)
             futures = [batcher.submit(np.ones((1, 2))) for _ in range(3)]
             return await asyncio.gather(*futures, return_exceptions=True)
 
@@ -114,7 +204,6 @@ class TestFailureAndBackpressure:
         async def scenario():
             batcher = MicroBatcher(
                 slow_runner,
-                flush_window=0.0,
                 max_batch_rows=4,
                 max_queue_rows=6,
                 max_concurrent=1,
@@ -123,7 +212,7 @@ class TestFailureAndBackpressure:
             await asyncio.sleep(0.05)  # first batch now occupies the engine
             with pytest.raises(Backpressure) as excinfo:
                 await batcher.submit(np.ones((4, 2)))
-            assert excinfo.value.retry_after > 0
+            assert excinfo.value.retry_after == 0.05
             assert excinfo.value.retry_after_seconds >= 1
             assert batcher.n_rejected == 1
             release.set()
@@ -140,32 +229,70 @@ class TestFailureAndBackpressure:
 
         run(scenario())
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_batch_rows": 0},
+            {"max_queue_rows": -5},
+            {"max_concurrent": 0},
+            {"max_batch_rows": 2.5},
+            {"max_queue_rows": True},
+            {"max_concurrent": "2"},
+        ],
+    )
+    def test_invalid_sizes_rejected(self, kwargs):
+        with pytest.raises(ValidationError, match=next(iter(kwargs))):
+            MicroBatcher(make_runner([]), **kwargs)
 
-class TestDrain:
-    def test_drain_flushes_pending_and_waits(self):
+    def test_numpy_integer_sizes_accepted(self):
         calls: list[int] = []
 
         async def scenario():
             batcher = MicroBatcher(
-                make_runner(calls), flush_window=30.0, max_batch_rows=64
+                make_runner(calls),
+                max_batch_rows=np.int64(4),
+                max_queue_rows=np.int32(16),
+                max_concurrent=np.int64(1),
             )
-            pending = asyncio.ensure_future(batcher.submit(np.ones((2, 3))))
-            await asyncio.sleep(0.01)
-            assert calls == []  # still parked in the flush window
-            await batcher.drain()
-            result = await asyncio.wait_for(pending, timeout=1.0)
-            assert result.shape == (2, 2)
+            return await batcher.submit(np.ones((2, 3)))
 
-        run(scenario())
+        assert run(scenario()).shape == (2, 2)
         assert calls == [2]
+
+
+class TestDrain:
+    def test_drain_flushes_pending_and_waits(self):
+        calls: list[int] = []
+        release = threading.Event()
+
+        async def scenario():
+            batcher = MicroBatcher(
+                make_blocking_runner(calls, release), max_batch_rows=64
+            )
+            held = asyncio.ensure_future(batcher.submit(np.ones((1, 3))))
+            await asyncio.sleep(0.05)
+            parked = asyncio.ensure_future(batcher.submit(np.ones((2, 3))))
+            await asyncio.sleep(0.05)
+            assert calls == [1]  # parked behind the blocked call 1
+            draining = asyncio.ensure_future(batcher.drain())
+            result = await asyncio.wait_for(parked, timeout=5.0)
+            assert result.shape == (2, 2)
+            assert calls == [1, 2]  # drain flushed it without waiting
+            assert not draining.done()  # ... but waits for call 1
+            release.set()
+            await asyncio.wait_for(draining, timeout=5.0)
+            assert held.done() and batcher.backlog_rows == 0
+
+        try:
+            run(scenario())
+        finally:
+            release.set()
 
     def test_stats_track_coalescing(self):
         calls: list[int] = []
 
         async def scenario():
-            batcher = MicroBatcher(
-                make_runner(calls), flush_window=0.02, max_batch_rows=64
-            )
+            batcher = MicroBatcher(make_runner(calls), max_batch_rows=64)
             await asyncio.gather(
                 *(batcher.submit(np.ones((2, 3))) for _ in range(4))
             )
@@ -186,12 +313,11 @@ class TestShutdownAndFaults:
             def boom(X):
                 raise RuntimeError("engine died during shutdown")
 
-            batcher = MicroBatcher(boom, flush_window=30.0, max_batch_rows=64)
+            batcher = MicroBatcher(boom, max_batch_rows=64)
             pending = [
                 asyncio.ensure_future(batcher.submit(np.ones((2, 3))))
                 for _ in range(3)
             ]
-            await asyncio.sleep(0.01)  # parked in the flush window
             await asyncio.wait_for(batcher.drain(), timeout=5.0)
             results = await asyncio.gather(*pending, return_exceptions=True)
             assert all(isinstance(r, RuntimeError) for r in results)
@@ -207,7 +333,6 @@ class TestShutdownAndFaults:
         async def scenario():
             batcher = MicroBatcher(
                 make_runner([]),
-                flush_window=0.02,
                 fault_injector=plan.compile(),
             )
             return await asyncio.gather(
@@ -222,7 +347,7 @@ class TestShutdownAndFaults:
         calls: list[int] = []
 
         async def scenario():
-            batcher = MicroBatcher(make_runner(calls), flush_window=0.0)
+            batcher = MicroBatcher(make_runner(calls))
             return await batcher.submit(np.ones((2, 3)))
 
         result = run(scenario())

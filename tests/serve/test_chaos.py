@@ -82,7 +82,7 @@ class TestLedgerInvariant:
         n_requests, rows_per = 40, 4
 
         with BackgroundServer(
-            registry, flush_window=0.0, fault_injector=injector
+            registry, max_batch_rows=1, fault_injector=injector
         ) as server:
             outcomes = []
             with server.client(
@@ -125,7 +125,7 @@ class TestLedgerInvariant:
             injector = FaultPlan.chaos(CHAOS_SEED, rate=0.25).compile()
             registry = _chaos_registry(wm_model, injector)
             with BackgroundServer(
-                registry, flush_window=0.0, fault_injector=injector
+                registry, max_batch_rows=1, fault_injector=injector
             ) as server:
                 outcomes, retries = _drive(
                     server, X, 30, 4, seed=CHAOS_SEED
@@ -147,7 +147,7 @@ class TestVerdictUnderChaos:
         registry = _chaos_registry(wm_model, injector)
 
         with BackgroundServer(
-            registry, flush_window=0.0, fault_injector=injector
+            registry, max_batch_rows=1, fault_injector=injector
         ) as server:
             with server.client(
                 timeout=5.0, retry=RETRY, retry_seed=CHAOS_SEED
@@ -186,7 +186,7 @@ class TestIdempotencyDedup:
         X = bc_data[0][:4]
         registry = ModelRegistry()
         registry.add("wm", wm_model)
-        with BackgroundServer(registry, flush_window=0.0) as server:
+        with BackgroundServer(registry, max_batch_rows=1) as server:
             with server.client() as client:
                 payload = {"rows": X.tolist()}
                 headers = {"Idempotency-Key": "dedup-me"}
@@ -212,7 +212,7 @@ class TestIdempotencyDedup:
         X = bc_data[0][:2]
         registry = ModelRegistry()
         registry.add("wm", wm_model)
-        with BackgroundServer(registry, flush_window=0.0) as server:
+        with BackgroundServer(registry, max_batch_rows=1) as server:
             with server.client() as client:
                 headers = {"Idempotency-Key": "shared"}
                 s1, d1, _ = client.request(
@@ -243,7 +243,7 @@ class TestQuarantine:
             quarantine_seconds=0.5,
         )
         served = registry.add("wm", wm_model)
-        with BackgroundServer(registry, flush_window=0.0) as server:
+        with BackgroundServer(registry, max_batch_rows=1) as server:
             with server.client() as client:
                 # First failure: degraded, honest 503.
                 with pytest.raises(ServeClientError) as excinfo:
@@ -290,7 +290,7 @@ class TestHotReload:
         save(bc_forest, artefact)
         registry = ModelRegistry()
         registry.add("wm", wm_model)
-        with BackgroundServer(registry, flush_window=0.0) as server:
+        with BackgroundServer(registry, max_batch_rows=1) as server:
             with server.client() as client:
                 client.predict_all("wm", X)  # some pre-reload traffic
                 out = client.reload("wm", artefact)
@@ -313,7 +313,7 @@ class TestHotReload:
         artefact.write_bytes(blob[: len(blob) // 2])
         registry = ModelRegistry()
         registry.add("wm", wm_model)
-        with BackgroundServer(registry, flush_window=0.0) as server:
+        with BackgroundServer(registry, max_batch_rows=1) as server:
             with server.client() as client:
                 with pytest.raises(ServeClientError) as excinfo:
                     client.reload("wm", artefact)
@@ -333,7 +333,7 @@ class TestHotReload:
         )
         registry = ModelRegistry(fault_injector=plan.compile())
         registry.add("wm", wm_model)
-        with BackgroundServer(registry, flush_window=0.0) as server:
+        with BackgroundServer(registry, max_batch_rows=1) as server:
             with server.client() as client:
                 with pytest.raises(ServeClientError) as excinfo:
                     client.reload("wm", artefact)
@@ -394,7 +394,7 @@ class TestCalibrateRace:
         registry = ModelRegistry()
         registry.add("wm", wm_model)
         errors: list = []
-        with BackgroundServer(registry, flush_window=0.002) as server:
+        with BackgroundServer(registry) as server:
 
             def traffic(slot: int) -> None:
                 try:

@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 from repro.attacks.detection import behavioural_rates, detect_bits
+from repro.exceptions import ValidationError
 from repro.serve import (
     BackgroundServer,
     ModelRegistry,
     ServeClientError,
+    ServingDaemon,
     ServingUnavailable,
 )
 
@@ -26,7 +28,7 @@ def registry(wm_model):
 
 @pytest.fixture()
 def server(registry):
-    with BackgroundServer(registry, flush_window=0.002) as server:
+    with BackgroundServer(registry) as server:
         yield server
 
 
@@ -190,6 +192,144 @@ class TestVerifyEndpoint:
             )
         assert status == 400 and "signature" in data["error"]
 
+    @pytest.mark.parametrize(
+        "change, needle",
+        [
+            ({"signature": "0101"}, "signature has 4 bits"),
+            ({"trigger_labels": "short"}, "one label per trigger row"),
+            ({"trigger_labels": "fractional"}, "integers"),
+            ({"trigger_labels": "zero-one"}, "among"),
+            ({"trigger_labels": "nested"}, "one label per trigger row"),
+            ({"mode": "loose"}, "mode"),
+            ({"strategy": "median"}, "strategy"),
+            ({"trigger_rows": "nan"}, "finite"),
+        ],
+    )
+    def test_rejected_verify_leaves_the_verdict_untouched(
+        self, server, wm_model, change, needle
+    ):
+        """A 400 from /verify serves nothing: n_queries does not move."""
+        trigger_X, trigger_y = wm_model.trigger.X, wm_model.trigger.y
+        labels = {
+            "short": trigger_y[:-1].tolist(),
+            "fractional": [1.7] + trigger_y[1:].tolist(),
+            "zero-one": ((trigger_y + 1) // 2).tolist(),
+            "nested": trigger_y.reshape(-1, 1).tolist(),
+        }
+        payload = {
+            "signature": wm_model.signature.to_string(),
+            "trigger_rows": trigger_X.tolist(),
+            "trigger_labels": trigger_y.tolist(),
+            **change,
+        }
+        if change.get("trigger_labels") in labels:
+            payload["trigger_labels"] = labels[change["trigger_labels"]]
+        with server.client() as client:
+            client.predict_all("wm", trigger_X[:3])
+            if change.get("trigger_rows") == "nan":
+                payload["trigger_rows"] = trigger_X.tolist()
+                body = _with_constant(payload, "trigger_rows", "NaN")
+                status, data = _post_raw(client, "/v1/models/wm/verify", body)
+            else:
+                status, data, _ = client.request(
+                    "POST", "/v1/models/wm/verify", payload
+                )
+            assert status == 400 and needle in data["error"], data
+            out = client.verify("wm", wm_model.signature.to_string())
+        assert out["observer"]["n_queries"] == 3
+
+
+class TestNonFiniteRows:
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_row_is_400(self, server, wm_model, constant):
+        width = wm_model.ensemble.n_features_in_
+        body = _with_constant({"rows": [[0.0] * width]}, "rows", constant)
+        with server.client() as client:
+            status, data = _post_raw(client, "/v1/models/wm/predict_all", body)
+            assert status == 400 and "finite" in data["error"]
+            assert client.models()[0]["batching"]["n_requests"] == 0
+
+    def test_non_finite_rows_spare_co_batched_requests_and_the_budget(
+        self, wm_model, bc_data
+    ):
+        """NaN probes racing honest traffic on a slow engine.
+
+        Requests that arrive during a call fuse into the next one, so
+        the NaN probes would share batches with honest rows if they got
+        that far.  They must answer 400 alone: every honest request
+        succeeds, and the failure budget is never charged.
+        """
+        registry = ModelRegistry(max_failures=2)
+        served = registry.add("wm", wm_model)
+        real = served.serve_batch
+
+        def slow_serve(X):
+            time.sleep(0.01)
+            return real(X)
+
+        served.serve_batch = slow_serve
+        X = bc_data[0][:32]
+        direct = wm_model.ensemble.predict_all(X)
+        nan_body = _with_constant({"rows": X[:1].tolist()}, "rows", "NaN")
+        errors: list = []
+        statuses: list = []
+
+        def honest(slot: int) -> None:
+            try:
+                with server.client() as client:
+                    for i in range(slot, 32, 4):
+                        out = client.predict_all("wm", X[i].reshape(1, -1))
+                        assert np.array_equal(
+                            np.asarray(out["per_tree"])[:, 0], direct[:, i]
+                        )
+            except BaseException as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        def poisoner() -> None:
+            try:
+                with server.client() as client:
+                    for _ in range(8):
+                        statuses.append(
+                            _post_raw(client, "/v1/models/wm/predict_all",
+                                      nan_body)[0]
+                        )
+            except BaseException as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        with BackgroundServer(registry) as server:
+            threads = [threading.Thread(target=honest, args=(s,)) for s in range(4)]
+            threads += [threading.Thread(target=poisoner) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            with server.client() as client:
+                health = client.health()
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, f"request failed: {errors[0]!r}"
+        assert statuses == [400] * 16
+        assert served.budget.n_failures == 0
+        assert health["model_health"] == {"wm": "healthy"}
+        assert served.n_queries == 32
+
+
+class TestDaemonConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_batch_rows": 0},
+            {"max_queue_rows": -5},
+            {"max_concurrent_batches": 0},
+            {"max_batch_rows": 2.5},
+            {"max_concurrent_batches": True},
+        ],
+    )
+    def test_invalid_batcher_sizes_rejected(self, registry, kwargs):
+        # The daemon builds its batchers at construction, so a bad size
+        # fails here, before anything listens.
+        with pytest.raises(ValidationError, match="must be"):
+            ServingDaemon(registry, **kwargs)
+
 
 class TestBackpressure:
     def test_backlog_full_gives_429_with_retry_after(self, wm_model):
@@ -204,7 +344,6 @@ class TestBackpressure:
         served.serve_batch = slow_serve
         with BackgroundServer(
             registry,
-            flush_window=0.0,
             max_batch_rows=8,
             max_queue_rows=10,
             max_concurrent_batches=1,
@@ -253,6 +392,26 @@ class TestStrictJSON:
         with server.client() as client:
             for status, raw in _raw_responses(client, wm_model):
                 json.loads(raw.decode("utf-8"), parse_constant=reject_constants)
+
+
+def _with_constant(payload: dict, key: str, constant: str) -> str:
+    """``payload`` as JSON with ``payload[key][0][0]`` set to ``constant``
+    (``NaN``/``Infinity``: Python's parser accepts them, strict JSON not)."""
+    sentinel = 918273.6455
+    rows = [list(row) for row in payload[key]]
+    rows[0][0] = sentinel
+    body = json.dumps({**payload, key: rows})
+    return body.replace(repr(sentinel), constant, 1)
+
+
+def _post_raw(client, path, body: str):
+    """POST a hand-written body (which may carry ``NaN``) → (status, json)."""
+    conn = client._conn
+    conn.request(
+        "POST", path, body=body, headers={"Content-Type": "application/json"}
+    )
+    response = conn.getresponse()
+    return response.status, json.loads(response.read().decode("utf-8"))
 
 
 def _raw_responses(client, wm_model):

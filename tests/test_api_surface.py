@@ -32,6 +32,12 @@ takes one ``schedule=EmbeddingSchedule(...)`` in place of its
 ``weight_increment``, ``escalation_factor`` and ``max_rounds``
 keywords.  The full-retrain loop lives on as a test oracle
 (``tests/core/full_retrain_oracle.py``).
+
+Migration note: ``MicroBatcher(flush_window=...)``,
+``ServingDaemon(flush_window=...)`` and ``repro serve --flush-window``
+are removed; an idle engine serves at once, and ``max_batch_rows=1`` is
+the old ``0``.  Requests that arrive while an engine call is in flight
+fuse into the next call, so no timer is needed.
 """
 
 import dataclasses
@@ -48,6 +54,7 @@ from repro.api import ForgeryAttack, attack_params
 from repro.cli import build_parser
 from repro.core import embedding
 from repro.experiments import ExperimentConfig
+from repro.serve import MicroBatcher, ServingDaemon
 
 REPRO_ALL = [
     "Attack",
@@ -306,3 +313,25 @@ class TestEmbeddingSurface:
         build_parser().parse_args(args)
         with pytest.raises(SystemExit):
             build_parser().parse_args(args + ["--full-retrain"])
+
+
+class TestServingSurface:
+    def test_micro_batcher_parameters_are_pinned(self):
+        assert list(inspect.signature(MicroBatcher).parameters) == [
+            "runner", "max_batch_rows", "max_queue_rows", "max_concurrent",
+            "executor", "fault_injector",
+        ]
+
+    def test_serving_daemon_parameters_are_pinned(self):
+        assert list(inspect.signature(ServingDaemon).parameters) == [
+            "registry", "host", "port", "max_batch_rows", "max_queue_rows",
+            "max_concurrent_batches", "max_body_bytes", "drain_grace",
+            "request_timeout", "read_timeout", "fault_injector",
+            "idempotency_entries",
+        ]
+
+    def test_flush_window_flag_is_rejected(self):
+        args = ["serve", "--model", "m=model.rfbin"]
+        build_parser().parse_args(args)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(args + ["--flush-window", "0.002"])

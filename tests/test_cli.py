@@ -296,7 +296,6 @@ class TestServeParser:
         assert args.models == ["a=/tmp/a.rfbin", "b=/tmp/b.rfbin"]
         assert args.host == "127.0.0.1"
         assert args.port == 8080
-        assert args.flush_window == pytest.approx(0.002)
         assert args.max_batch_rows == 512
         assert args.max_queue_rows == 8192
         assert args.max_concurrent_batches == 2
@@ -308,6 +307,27 @@ class TestServeParser:
     def test_bad_model_spec_is_a_repro_error(self, capsys):
         assert main(["serve", "--model", "no-equals-sign"]) == 2
         assert "NAME=PATH" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--max-batch-rows", "0"),
+            ("--max-queue-rows", "-5"),
+            ("--max-concurrent-batches", "0"),
+        ],
+    )
+    def test_batcher_sizes_below_one_rejected(self, capsys, tmp_path, flag, value):
+        # Rejected before any model loads: the artefact need not exist.
+        model = f"m={tmp_path / 'missing.rfbin'}"
+        assert main(["serve", "--model", model, flag, value]) == 2
+        assert f"{flag} must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag", ["--max-batch-rows", "--max-queue-rows", "--max-concurrent-batches"]
+    )
+    def test_non_integral_batcher_sizes_rejected(self, flag):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--model", "m=x", flag, "2.5"])
 
 
 class TestExitCodes:
