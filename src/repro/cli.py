@@ -56,7 +56,6 @@ from pathlib import Path
 import numpy as np
 
 from ._jsonsafe import dumps
-from ._validation import check_count
 from .analysis.cli import add_lint_parser, run_lint
 from .api import TrainerConfig, TriggerPolicy, Watermarker, available_attacks, make_attack
 from .core import (
@@ -87,6 +86,14 @@ from .persistence import load as load_model
 from .persistence import save as save_model
 
 __all__ = ["main", "build_parser"]
+
+
+def positive_int(text: str) -> int:
+    """argparse ``type=`` for a size flag: an integer ``>= 1``."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -238,14 +245,14 @@ def build_parser() -> argparse.ArgumentParser:
     cmd_serve.add_argument("--port", type=int, default=8080,
                            help="TCP port (0 picks an ephemeral port, "
                            "printed on startup)")
-    cmd_serve.add_argument("--max-batch-rows", type=int, default=512,
+    cmd_serve.add_argument("--max-batch-rows", type=positive_int, default=512,
                            help="rows that force an immediate flush even "
                            "while the engine is busy (1 disables "
                            "coalescing)")
-    cmd_serve.add_argument("--max-queue-rows", type=int, default=8192,
+    cmd_serve.add_argument("--max-queue-rows", type=positive_int, default=8192,
                            help="per-model backlog before requests are "
                            "rejected with 429 + Retry-After")
-    cmd_serve.add_argument("--max-concurrent-batches", type=int, default=2,
+    cmd_serve.add_argument("--max-concurrent-batches", type=positive_int, default=2,
                            help="fused predict_all calls in flight per model")
     cmd_serve.add_argument("--alpha", type=float, default=0.05,
                            help="false-alarm budget of the per-model "
@@ -476,9 +483,6 @@ def _cmd_serve(args) -> int:
 
     from .serve import ModelRegistry, ServingDaemon
 
-    # Checked before any model loads, under the flags' own names.
-    for flag in ("max_batch_rows", "max_queue_rows", "max_concurrent_batches"):
-        check_count(getattr(args, flag), "--" + flag.replace("_", "-"))
     registry = ModelRegistry(
         max_failures=args.failure_budget,
         quarantine_seconds=args.quarantine,

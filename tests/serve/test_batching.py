@@ -328,20 +328,42 @@ class TestShutdownAndFaults:
     def test_injected_flush_fault_fans_to_all_coalesced_requests(self):
         from repro.faults import FaultPlan, FaultSpec, InjectedFault
 
-        plan = FaultPlan([FaultSpec(site="batcher.flush", rate=1.0)], seed=1)
+        # Seed 0 leaves flush 1 clean and fails flush 2: call 1 holds the
+        # engine while three requests park, then all three share flush 2.
+        plan = FaultPlan([FaultSpec(site="batcher.flush", rate=0.5)], seed=0)
+        fired = [d is not None for d in plan.preview("batcher.flush", 2)]
+        assert fired == [False, True]
+        injector = plan.compile()
+        calls: list[int] = []
+        release = threading.Event()
 
         async def scenario():
             batcher = MicroBatcher(
-                make_runner([]),
-                fault_injector=plan.compile(),
+                make_blocking_runner(calls, release),
+                fault_injector=injector,
             )
-            return await asyncio.gather(
-                *(batcher.submit(np.ones((1, 2))) for _ in range(3)),
-                return_exceptions=True,
+            held = asyncio.ensure_future(batcher.submit(np.ones((1, 2))))
+            await asyncio.sleep(0.05)  # call 1 now holds the engine
+            parked = [
+                asyncio.ensure_future(batcher.submit(np.ones((1, 2))))
+                for _ in range(3)
+            ]
+            await asyncio.sleep(0)
+            assert batcher.backlog_rows == 4
+            release.set()
+            results = await asyncio.wait_for(
+                asyncio.gather(*parked, return_exceptions=True), timeout=5.0
             )
+            return await held, results
 
-        results = run(scenario())
+        try:
+            held, results = run(scenario())
+        finally:
+            release.set()
+        assert held.shape == (2, 1)
         assert all(isinstance(r, InjectedFault) for r in results)
+        assert calls == [1]  # the failed flush never reached the engine
+        assert injector.counts()["batcher.flush"] == {"events": 2, "fired": 1}
 
     def test_no_injector_means_no_faults(self):
         calls: list[int] = []

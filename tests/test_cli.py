@@ -317,10 +317,13 @@ class TestServeParser:
         ],
     )
     def test_batcher_sizes_below_one_rejected(self, capsys, tmp_path, flag, value):
-        # Rejected before any model loads: the artefact need not exist.
+        # Rejected at parse time, before any model loads: the artefact
+        # need not exist.
         model = f"m={tmp_path / 'missing.rfbin'}"
-        assert main(["serve", "--model", model, flag, value]) == 2
-        assert f"{flag} must be >= 1" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--model", model, flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag", ["--max-batch-rows", "--max-queue-rows", "--max-concurrent-batches"]
