@@ -246,9 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="TCP port (0 picks an ephemeral port, "
                            "printed on startup)")
     cmd_serve.add_argument("--max-batch-rows", type=positive_int, default=512,
-                           help="rows that force an immediate flush even "
-                           "while the engine is busy (1 disables "
-                           "coalescing)")
+                           help="rows that flush at once even on a busy "
+                           "engine (1 disables coalescing)")
     cmd_serve.add_argument("--max-queue-rows", type=positive_int, default=8192,
                            help="per-model backlog before requests are "
                            "rejected with 429 + Retry-After")

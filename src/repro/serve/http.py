@@ -37,13 +37,12 @@ Endpoints (all JSON; strict RFC 8259 — never ``Infinity``/``NaN``):
 Framing is hand-rolled over ``asyncio`` streams: request line, headers,
 ``Content-Length`` body, persistent connections.  Engine calls run on a
 thread executor via the per-model :class:`~repro.serve.batching.MicroBatcher`
-(continuous batching: an idle engine serves at once, requests arriving
-during a call fuse into the next), which also provides row-based
-backpressure (full backlog → ``429`` with ``Retry-After``).  A ``NaN``
-or ``Infinity`` row answers ``400`` before it can join a fused batch.
-:meth:`ServingDaemon.drain` implements graceful shutdown: stop
-accepting, flush every batcher, let in-flight responses complete, then
-close lingering connections.
+(an idle engine serves at once; requests arriving during a call fuse
+into the next), which also provides row-based backpressure (full
+backlog → ``429`` with ``Retry-After``); a ``NaN``/``Infinity`` row
+answers ``400`` before it can join a fused batch.  :meth:`ServingDaemon.drain`
+shuts down gracefully: stop accepting, flush every batcher, let
+in-flight responses complete, then close lingering connections.
 
 Failure modes are first-class (PR 9):
 
@@ -659,10 +658,8 @@ class ServingDaemon:
                 raise HTTPError(400, "trigger_labels needs one label per trigger "
                                 f"row ({len(X)}), got shape {y.shape}")
             classes = served.engine.classes
-            # ``y % 1`` is NaN for NaN and infinities, so they fail too.
-            if not (y % 1 == 0).all() or (
-                classes is not None and not np.isin(y, classes).all()
-            ):
+            integral = (y % 1 == 0).all()  # False for NaN and infinities too
+            if not integral or (classes is not None and not np.isin(y, classes).all()):
                 known = "" if classes is None else f" among {classes.tolist()}"
                 raise HTTPError(400, f"trigger_labels must be integers{known}")
             # The judge's probe is traffic like any other: it goes
