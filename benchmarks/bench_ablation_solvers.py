@@ -1,6 +1,7 @@
 """Ablation A3 — the forgery solver against the box-DPLL oracle.
 
-Benchmarks the library's eager-SMT solver (CDCL over threshold atoms)
+Benchmarks the library's forgery solver — ``solve_pattern_smt``, the
+one-shot form of the compiled encoding (CDCL over threshold atoms) —
 and the box-DPLL reference solver kept with the tests
 (``tests/solver/box_dpll_oracle.py``) on identical forgery instances of
 growing ensemble size, asserting they agree on every status — the

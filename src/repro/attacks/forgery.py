@@ -62,6 +62,9 @@ __all__ = ["ForgeryAttackResult", "forge_trigger_set", "forgery_distortion"]
 #: waste less speculative work once the target is reached.
 _WAVE_CHUNK = 8
 
+#: Per-instance conflict budget that ``solver_budget=None`` stands for.
+_DEFAULT_CONFLICTS = 200_000
+
 #: Encoding caches kept between calls, keyed weakly by the forest.  A
 #: call checks its forest's cache out (see :func:`_forest_encodings`).
 _CACHES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
@@ -213,8 +216,8 @@ def forge_trigger_set(
         Cap on test instances attempted (``None`` = all of them).
     solver_budget:
         Per-instance conflict budget, ``>= 0``; exhausted attempts count
-        as ``"unknown"``.  ``None`` means the solver's default of
-        200,000 conflicts, not an unlimited search.
+        as ``"unknown"``.  ``None`` means 200,000 conflicts, not an
+        unlimited search.
     n_jobs:
         Worker processes for the instance sweep (``None``/``1`` serial,
         ``-1`` all cores).  Results are identical across settings.
@@ -241,6 +244,8 @@ def forge_trigger_set(
         )
     if not 0.0 < epsilon < 1.0:
         raise ValidationError(f"epsilon must be in (0, 1), got {epsilon}")
+    if solver_budget is None:
+        solver_budget = _DEFAULT_CONFLICTS
 
     rng = check_random_state(random_state)
     order = rng.permutation(X_test.shape[0])

@@ -5,16 +5,15 @@ Layers:
 - :class:`CNF` + :class:`SATSolver` — a general CDCL SAT solver;
 - :class:`PatternProblem` — the watermark forgery problem
   (Definition 1) with optional ``L∞``-ball and domain constraints;
-- :func:`solve_pattern_smt` — eager SMT encoding over threshold atoms,
-  decided by the CDCL core (sound and complete on this fragment); the
-  one-shot entry point for a :class:`PatternProblem`;
-- :class:`CompiledPatternEncoding` — the forgery engine: the
-  instance-independent skeleton of a forgery query (per-tree leaf
-  boxes, threshold atoms, clause skeleton), built once per signature
-  pattern and re-solved per test instance with assumption-style
-  incremental SAT;
+- :class:`CompiledPatternEncoding` — the one forgery encoding: an
+  eager SMT encoding over threshold atoms (sound and complete on this
+  fragment), built once per forest and signature pattern and decided
+  by the CDCL core per test instance with assumption-style incremental
+  SAT;
+- :func:`solve_pattern_smt` — the one-shot form: compile a
+  :class:`PatternProblem` and solve it once;
 - :func:`minimal_forgery_distortion` — binary search for the smallest
-  forgeable ``L∞`` budget.
+  forgeable ``L∞`` budget, one compiled encoding per search.
 
 An independent box-DPLL solver cross-checks these in the test suite
 (``tests/solver/box_dpll_oracle.py``); the library ships one engine.
@@ -25,11 +24,7 @@ from .compiled_encoding import (
     CompiledPatternEncoding,
     EncodingCache,
     compile_pattern_encoding,
-)
-from .encoding import (
     decode_atom_intervals,
-    decode_model,
-    encode_pattern_problem,
     solve_pattern_smt,
 )
 from .problem import (
@@ -39,7 +34,7 @@ from .problem import (
     compute_feature_bounds,
     required_labels,
 )
-from .sat import SATResult, SATSolver, solve_cnf
+from .sat import SATResult, SATSolver
 from .optimize import MinimalDistortion, minimal_forgery_distortion
 
 __all__ = [
@@ -54,10 +49,7 @@ __all__ = [
     "compile_pattern_encoding",
     "compute_feature_bounds",
     "decode_atom_intervals",
-    "decode_model",
-    "encode_pattern_problem",
     "required_labels",
-    "solve_cnf",
     "solve_pattern_smt",
     "MinimalDistortion",
     "minimal_forgery_distortion",

@@ -1,34 +1,43 @@
-"""Compiled, instance-independent forgery encodings — the forgery engine.
+"""The forgery CNF: one encoding, compiled once, re-solved per instance.
 
-The forgery attack (§4.2.2) solves one :class:`PatternProblem` per test
-instance, but across a sweep only the ``L∞`` box around the test point
+The forgery formulas of the paper are Boolean combinations of threshold
+predicates ``x_f <= v`` plus per-feature interval bounds.  Over this
+fragment the classic *eager* reduction to SAT is sound and complete, so
+CDCL over this CNF decides the paper's forgery queries as Z3 does:
+
+1. one Boolean **atom** per distinct predicate ``x_f <= v``;
+2. **ordering axioms**: for consecutive thresholds ``v1 < v2`` of the
+   same feature, ``(x <= v1) -> (x <= v2)``;
+3. **bound assumptions**: atoms entailed (or refuted) by the ``L∞``
+   ball and domain bounds, held true for one solve;
+4. each tree's requirement "output label l" becomes a disjunction over
+   its l-leaves, each leaf a conjunction of its box's atom literals
+   (one-directional Tseitin, which preserves satisfiability).
+
+Any propositional model then induces, per feature, a non-empty interval
+of real values; :func:`decode_atom_intervals` picks the point closest
+to the ball centre.
+
+Across a forgery sweep only the ``L∞`` box around the test point
 changes — the forest, the fake signature and hence the required
-per-tree labels stay fixed.  The per-instance encoder
-(:mod:`repro.solver.encoding`) nevertheless re-enumerates every leaf
-box, re-discretises every threshold and rebuilds the clause skeleton
-from scratch on every call.
+per-tree labels stay fixed.  :class:`CompiledPatternEncoding` is built
+once per ``(forest, required-label pattern)`` and precomputes:
 
-:class:`CompiledPatternEncoding` hoists all of that out of the loop.
-Built once per ``(forest, required-label pattern)`` from the per-tree
-candidate leaf boxes (leaves carrying the required label, in the
-enumeration order of the one-shot encoder) it precomputes:
-
-- the threshold **atom table** — one propositional variable per
-  distinct ``x_f <= v`` predicate — as flat feature/threshold/variable
+- the threshold **atom table** as flat feature/threshold/variable
   arrays, so the atoms decided by an instance's bounds fall out of two
   vectorised comparisons;
-- the **clause skeleton**: selector-variable clauses for every
-  candidate leaf and the per-feature ordering axioms — everything
-  except the bound units, which are exactly the instance-specific part;
+- the **clause skeleton**: items 1, 2 and 4 above — everything except
+  the bound assumptions, which are exactly the instance-specific part;
 - the box constraints of all trees flattened into one table, for a
   vectorised **prescreen** that detects trivially unsatisfiable
   instances (some tree keeps no box compatible with the bounds) in one
   pass over the ensemble, without touching the solver.
 
-Per instance the engine then computes the feature bounds, turns them
-into *assumptions* (see :meth:`repro.solver.sat.SATSolver.solve`), and
+Per instance the engine computes the feature bounds, turns them into
+*assumptions* (see :meth:`repro.solver.sat.SATSolver.solve`), and
 re-solves the persistent solver after a :meth:`~repro.solver.sat.SATSolver.reset`
-— no clause re-encoding, no re-allocation.
+— no clause re-encoding, no re-allocation.  :func:`solve_pattern_smt`
+is the one-shot form for a single :class:`PatternProblem`.
 
 **Determinism contract.**  A reset solver is bit-for-bit equivalent to
 a freshly constructed one (learned clauses and heuristic state are
@@ -48,13 +57,22 @@ from ..exceptions import SolverError, ValidationError
 from ..trees.node import TreeNode
 from ..trees.paths import Box, leaf_boxes
 from .cnf import CNF
-from .encoding import decode_atom_intervals
-from .problem import PatternOutcome, check_pattern, compute_feature_bounds
+from .problem import (
+    PatternOutcome,
+    PatternProblem,
+    check_pattern,
+    check_pattern_inputs,
+    compute_feature_bounds,
+)
 from .sat import SATSolver
 
-__all__ = ["CompiledPatternEncoding", "compile_pattern_encoding", "EncodingCache"]
-
-_DEFAULT_CONFLICTS = 200_000
+__all__ = [
+    "CompiledPatternEncoding",
+    "compile_pattern_encoding",
+    "EncodingCache",
+    "decode_atom_intervals",
+    "solve_pattern_smt",
+]
 
 #: Patterns one :class:`EncodingCache` keeps.  The forgery experiment
 #: sweeps ε outside three fake signatures, six patterns per forest.  A
@@ -118,6 +136,58 @@ def _flat_screen(candidates: list[list[Box]]) -> _FlatScreen:
     )
 
 
+def decode_atom_intervals(
+    atom_features: np.ndarray,
+    atom_thresholds: np.ndarray,
+    atom_truth: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    n_features: int,
+    center: np.ndarray | None,
+) -> np.ndarray:
+    """Decode a propositional model into the instance nearest ``center``.
+
+    ``atom_features``/``atom_thresholds`` describe every threshold atom
+    ``x_f <= v`` and ``atom_truth`` its value in the propositional
+    model.  True atoms give per-feature upper bounds (their minimum
+    threshold), false atoms strict lower bounds (their maximum); the
+    result is the point of the induced interval ∩ ``[lo, hi]`` closest
+    to ``center`` (or to the bound midpoint when no ball is involved).
+    """
+    if center is not None:
+        x = center.astype(np.float64).copy()
+    else:
+        # Bound midpoint where finite; an infinite side falls back to
+        # the finite one (or 0) so unbounded features stay NaN-free.
+        x = np.zeros(n_features, dtype=np.float64)
+        finite_lo = np.isfinite(lo)
+        finite_hi = np.isfinite(hi)
+        both = finite_lo & finite_hi
+        x[both] = 0.5 * (lo[both] + hi[both])
+        x[finite_lo & ~finite_hi] = lo[finite_lo & ~finite_hi]
+        x[~finite_lo & finite_hi] = hi[~finite_lo & finite_hi]
+    # Features without atoms keep their default; clamp into bounds.
+    x = np.clip(x, lo, hi)
+
+    upper_bound = hi.astype(np.float64).copy()
+    np.minimum.at(upper_bound, atom_features[atom_truth], atom_thresholds[atom_truth])
+    strict_lower = np.full(n_features, -np.inf)
+    falsity = ~atom_truth
+    np.maximum.at(strict_lower, atom_features[falsity], atom_thresholds[falsity])
+
+    low = lo.astype(np.float64).copy()
+    bounded = strict_lower > -np.inf
+    low[bounded] = np.maximum(low[bounded], np.nextafter(strict_lower[bounded], np.inf))
+    broken = low > upper_bound
+    if broken.any():
+        feature = int(np.argmax(broken))
+        raise SolverError(
+            f"inconsistent decoded interval for feature {feature}: "
+            f"[{low[feature]}, {upper_bound[feature]}] — encoding invariant violated"
+        )
+    return np.minimum(np.maximum(x, low), upper_bound)
+
+
 @dataclass
 class CompiledPatternEncoding:
     """The instance-independent part of a forgery query, precompiled.
@@ -151,9 +221,9 @@ class CompiledPatternEncoding:
     def bound_assumptions(self, lo: np.ndarray, hi: np.ndarray) -> list[int]:
         """Atoms decided by the bounds, as assumption literals.
 
-        Exactly the bound units of the one-shot encoder: an atom
-        ``x_f <= v`` is forced true when ``v >= hi_f`` and false when
-        ``v < lo_f``; atoms with ``v`` inside ``[lo_f, hi_f)`` stay free.
+        An atom ``x_f <= v`` is forced true when ``v >= hi_f`` and false
+        when ``v < lo_f``; atoms with ``v`` inside ``[lo_f, hi_f)`` stay
+        free.
         """
         forced_false = self.atom_thresholds < lo[self.atom_features]
         forced_true = self.atom_thresholds >= hi[self.atom_features]
@@ -181,10 +251,16 @@ class CompiledPatternEncoding:
     ) -> PatternOutcome:
         """Decide one instance via assumption-style CDCL re-solving.
 
-        ``budget`` caps the solver's conflicts; ``None`` means the
-        200,000-conflict default, not an unlimited search.  An exhausted
-        budget returns ``status="unknown"``.
+        ``center`` and ``epsilon`` give the ``L∞`` ball (both or
+        neither).  ``budget`` caps the solver's conflicts, ``>= 0``;
+        ``None`` means unlimited.  An exhausted budget returns
+        ``status="unknown"``.
         """
+        center = check_pattern_inputs(
+            self.roots, self.required, self.n_features, center, epsilon, self.domain
+        )
+        if budget is not None and budget < 0:
+            raise ValidationError(f"budget must be >= 0 or None, got {budget}")
         lo, hi = self.feature_bounds(center, epsilon)
         if self.always_unsat or (lo > hi).any():
             return PatternOutcome(status="unsat", stats={"trivial": True})
@@ -196,7 +272,7 @@ class CompiledPatternEncoding:
         if self._solver_dirty:
             solver.reset()
         self._solver_dirty = True
-        solver.max_conflicts = _DEFAULT_CONFLICTS if budget is None else budget
+        solver.max_conflicts = budget
 
         result = solver.solve(self.bound_assumptions(lo, hi))
         stats = {
@@ -238,15 +314,12 @@ def compile_pattern_encoding(
 ) -> CompiledPatternEncoding:
     """Build the instance-independent encoding of a signature pattern.
 
-    Enumeration order matches the one-shot encoders exactly (leaf boxes
-    in :func:`repro.trees.paths.leaf_boxes` order, trees in ensemble
+    Variables are numbered in a fixed order (leaf boxes in
+    :func:`repro.trees.paths.leaf_boxes` order, trees in ensemble
     order), which is what keeps compiled and fresh solves bit-for-bit
     interchangeable.
     """
-    if len(roots) != len(required):
-        raise ValidationError(
-            f"{len(roots)} trees but {len(required)} required labels"
-        )
+    check_pattern_inputs(roots, required, n_features, None, None, domain)
 
     candidates: list[list[Box]] = []
     always_unsat = False
@@ -266,9 +339,8 @@ def compile_pattern_encoding(
         return atom_vars[key]
 
     # Tree constraints: one selector variable per candidate leaf box.
-    # Unlike the one-shot encoder no clause is pruned against the
-    # bounds — the bounds arrive per instance as assumptions, and unit
-    # propagation performs the same pruning inside the solver.
+    # No clause is pruned against the bounds — they arrive per instance
+    # as assumptions, and unit propagation does the pruning.
     for boxes in candidates:
         selectors = []
         for box in boxes:
@@ -343,3 +415,17 @@ class EncodingCache:
         if len(self._by_pattern) > _MAX_PATTERNS:
             del self._by_pattern[next(iter(self._by_pattern))]
         return encoding
+
+
+def solve_pattern_smt(
+    problem: PatternProblem, max_conflicts: int | None = 200_000
+) -> PatternOutcome:
+    """Decide one pattern problem: compile its encoding and solve once.
+
+    Returns a satisfying instance (verified against the actual trees),
+    ``unsat``, or ``unknown`` when the conflict budget runs out
+    (``None`` = unlimited).
+    """
+    return compile_pattern_encoding(
+        problem.roots, problem.required, problem.n_features, problem.domain
+    ).solve(problem.center, problem.epsilon, budget=max_conflicts)

@@ -27,6 +27,7 @@ __all__ = [
     "required_labels",
     "compute_feature_bounds",
     "check_pattern",
+    "check_pattern_inputs",
 ]
 
 
@@ -59,6 +60,45 @@ def compute_feature_bounds(
         lo = np.maximum(lo, center - epsilon)
         hi = np.minimum(hi, center + epsilon)
     return lo, hi
+
+
+def check_pattern_inputs(
+    roots: list[TreeNode],
+    required: list[int],
+    n_features: int,
+    center,
+    epsilon: float | None,
+    domain: tuple[float, float] | None,
+) -> np.ndarray | None:
+    """Validate a forgery query; return ``center`` as a float array.
+
+    The one check behind :class:`PatternProblem` and the compiled
+    encoding: a non-empty ensemble with one required label per tree, an
+    ``L∞`` ball given whole (a finite center of shape
+    ``(n_features,)`` and a positive radius) or not at all, and a
+    non-empty domain.
+    """
+    if len(roots) != len(required):
+        raise ValidationError(
+            f"{len(roots)} trees but {len(required)} required labels"
+        )
+    if not roots:
+        raise ValidationError("the ensemble must contain at least one tree")
+    if (center is None) != (epsilon is None):
+        raise ValidationError("center and epsilon must be given together")
+    if epsilon is not None and not epsilon > 0:
+        raise ValidationError(f"epsilon must be > 0, got {epsilon}")
+    if center is not None:
+        center = np.asarray(center, dtype=np.float64)
+        if center.shape != (n_features,):
+            raise ValidationError(
+                f"center must have shape ({n_features},), got {center.shape}"
+            )
+        if not np.isfinite(center).all():
+            raise ValidationError("center must be finite")
+    if domain is not None and not domain[0] < domain[1]:
+        raise ValidationError(f"empty domain {domain}")
+    return center
 
 
 def check_pattern(
@@ -117,27 +157,10 @@ class PatternProblem:
     domain: tuple[float, float] | None = (0.0, 1.0)
 
     def __post_init__(self) -> None:
-        if len(self.roots) != len(self.required):
-            raise ValidationError(
-                f"{len(self.roots)} trees but {len(self.required)} required labels"
-            )
-        if not self.roots:
-            raise ValidationError("the ensemble must contain at least one tree")
-        if (self.center is None) != (self.epsilon is None):
-            raise ValidationError("center and epsilon must be given together")
-        if self.epsilon is not None and not self.epsilon > 0:
-            raise ValidationError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.center is not None:
-            self.center = np.asarray(self.center, dtype=np.float64)
-            if self.center.shape != (self.n_features,):
-                raise ValidationError(
-                    f"center must have shape ({self.n_features},), got "
-                    f"{self.center.shape}"
-                )
-            if not np.isfinite(self.center).all():
-                raise ValidationError("center must be finite")
-        if self.domain is not None and self.domain[0] >= self.domain[1]:
-            raise ValidationError(f"empty domain {self.domain}")
+        self.center = check_pattern_inputs(
+            self.roots, self.required, self.n_features,
+            self.center, self.epsilon, self.domain,
+        )
 
     # ------------------------------------------------------------------
 

@@ -29,8 +29,7 @@ engine's determinism contract (serial == parallel == fresh-encoding)
 rests on.
 
 The implementation favours clarity over raw speed, but handles the
-tens-of-thousands-of-clauses encodings produced by
-:mod:`repro.solver.encoding` comfortably.
+tens-of-thousands-of-clauses forgery encodings comfortably.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from dataclasses import dataclass
 
 from .cnf import CNF
 
-__all__ = ["SATResult", "SATSolver", "solve_cnf"]
+__all__ = ["SATResult", "SATSolver"]
 
 _UNASSIGNED = -1
 
@@ -435,10 +434,3 @@ class SATSolver:
             propagations=self.propagations,
             restarts=self.restarts,
         )
-
-
-def solve_cnf(cnf: CNF, max_conflicts: int | None = None) -> SATResult:
-    """Convenience wrapper: build a solver and run it."""
-    if any(len(c) == 0 for c in cnf.clauses):
-        return SATResult(status="unsat")
-    return SATSolver(cnf, max_conflicts=max_conflicts).solve()

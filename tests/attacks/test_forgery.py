@@ -7,7 +7,7 @@ from box_dpll_oracle import solve_pattern_boxes
 from repro.attacks import forge_trigger_set, forgery_distortion
 from repro.core import random_signature
 from repro.exceptions import ValidationError
-from repro.solver import PatternProblem, required_labels
+from repro.solver import CompiledPatternEncoding, PatternProblem, required_labels
 
 
 class TestForgeTriggerSet:
@@ -118,6 +118,27 @@ class TestForgeTriggerSet:
             forge_trigger_set(
                 wm_model.ensemble, fake, X_test, y_test, epsilon=0.5, **kwargs
             )
+
+    def test_none_budget_is_two_hundred_thousand_conflicts(
+        self, wm_model, bc_data, monkeypatch
+    ):
+        """``solver_budget=None`` keeps its documented meaning here, while
+        ``CompiledPatternEncoding.solve(budget=None)`` is unlimited."""
+        _, X_test, _, y_test = bc_data
+        budgets = []
+        original = CompiledPatternEncoding.solve
+
+        def recording(self, center=None, epsilon=None, budget=None):
+            budgets.append(budget)
+            return original(self, center, epsilon, budget)
+
+        monkeypatch.setattr(CompiledPatternEncoding, "solve", recording)
+        fake = random_signature(len(wm_model.signature), random_state=63)
+        forge_trigger_set(
+            wm_model.ensemble, fake, X_test, y_test, epsilon=0.3,
+            max_instances=3, solver_budget=None,
+        )
+        assert budgets == [200_000] * 3
 
     @pytest.mark.parametrize("width", [5, 60])
     def test_wrong_width_rejected(self, wm_model, bc_data, width):

@@ -137,7 +137,7 @@ def _minimal_distortion(row: int, fake_seed: int):
 
 
 def _hardness_paper_example():
-    """Eager-SMT witness of the 3SAT reduction of the paper's Figure 2
+    """One-shot solver witness of the 3SAT reduction of the paper's Figure 2
     formula, (x0 ∨ x1) ∧ (x1 ∨ x2 ∨ ¬x3)."""
     formula = Formula3CNF(
         n_vars=4,

@@ -8,10 +8,10 @@ intersection (further clipped to the ε-ball and domain) is non-empty*.
 This solver searches that space directly: depth-first over trees
 (smallest candidate list first), maintaining the running intersection
 box, with forward-checking against the remaining trees' candidates.
-It shares nothing with the library's CNF machinery (the eager encoding
-and the compiled forgery engine), so the differential tests, the solver
-ablation benchmark and the hardness tests compare the library's
-verdicts against it.  It is slower than CDCL once ensembles reach a
+It shares nothing with the library's CNF machinery (the compiled
+forgery encoding), so the differential tests, the solver ablation
+benchmark and the hardness tests compare the library's verdicts
+against it.  It is slower than CDCL once ensembles reach a
 dozen trees, which is why the library does not ship it.
 
 - :func:`solve_pattern_boxes` decides a :class:`repro.solver.PatternProblem`;

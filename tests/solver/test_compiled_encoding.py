@@ -1,4 +1,9 @@
-"""Tests for the compiled (instance-independent) pattern encoding."""
+"""Tests for the compiled pattern encoding, the library's one forgery CNF.
+
+Statuses are cross-checked against the independent box-DPLL oracle
+(``box_dpll_oracle.py``); structure and model decoding are pinned on
+hand-built stumps.
+"""
 
 import numpy as np
 import pytest
@@ -13,7 +18,6 @@ from repro.solver import (
     required_labels,
     solve_pattern_smt,
 )
-from repro.solver.compiled_encoding import _DEFAULT_CONFLICTS
 from repro.trees.node import InternalNode, Leaf
 from repro.trees.paths import leaf_boxes
 
@@ -40,10 +44,13 @@ class TestCompiledStatuses:
                 epsilon=epsilon,
             )
             outcome = compiled.solve(center=center, epsilon=epsilon)
-            assert outcome.status == solve_pattern_smt(problem).status
             assert outcome.status == solve_pattern_boxes(problem).status
+            # The one-shot form compiles afresh: the same answer, bit for bit.
+            one_shot = solve_pattern_smt(problem)
+            assert one_shot.status == outcome.status
             if outcome.is_sat:
                 assert problem.check_solution(outcome.instance)
+                assert np.array_equal(one_shot.instance, outcome.instance)
 
     def test_reuse_and_rebuild_identical_across_a_sweep(self, bc_forest, bc_data):
         _, X_test, _, _ = bc_data
@@ -63,13 +70,62 @@ class TestCompiledStatuses:
             if reused.is_sat:
                 assert np.array_equal(reused.instance, rebuilt.instance)
 
-    def test_budget_caps_conflicts_and_none_is_the_default(self):
+    def test_budget_caps_conflicts_and_none_is_the_default(self, bc_forest):
+        """``budget=None``, the default, is an unlimited search — as in
+        :class:`SATSolver` — and ``budget=0`` stops at the first conflict."""
         encoding = compile_pattern_encoding([_stump()], [+1], 1)
         center = np.array([0.8])
         assert encoding.solve(center=center, epsilon=0.3, budget=7).is_sat
         assert encoding._solver.max_conflicts == 7
         assert encoding.solve(center=center, epsilon=0.3).is_sat
-        assert encoding._solver.max_conflicts == _DEFAULT_CONFLICTS == 200_000
+        assert encoding._solver.max_conflicts is None
+        # A pattern whose proof needs conflicts (3 on this forest).
+        signature = random_signature(bc_forest.n_trees_, random_state=2)
+        hard = compile_pattern_encoding(
+            bc_forest.roots(), required_labels(signature, -1), bc_forest.n_features_in_
+        )
+        unlimited = hard.solve()
+        assert unlimited.is_sat and unlimited.stats["conflicts"] > 0
+        assert hard.solve(budget=0).status == "unknown"
+        assert np.array_equal(hard.solve(budget=None).instance, unlimited.instance)
+
+    @pytest.mark.parametrize("budget", [-1, -200_000])
+    def test_negative_budget_rejected(self, budget):
+        encoding = compile_pattern_encoding([_stump()], [+1], 1)
+        with pytest.raises(ValidationError, match="budget"):
+            encoding.solve(center=np.array([0.8]), epsilon=0.3, budget=budget)
+        problem = PatternProblem(roots=[_stump()], required=[+1], n_features=1)
+        with pytest.raises(ValidationError, match="budget"):
+            solve_pattern_smt(problem, max_conflicts=budget)
+
+
+#: Queries ``PatternProblem`` rejects: (build kwargs, solve kwargs, message).
+_INVALID_QUERIES = {
+    "nan-center": ({}, {"center": [np.nan], "epsilon": 0.3}, "center must be finite"),
+    "nan-epsilon": ({}, {"center": [0.8], "epsilon": np.nan}, "epsilon must be > 0"),
+    "center-shape": ({}, {"center": [0.8, 0.1], "epsilon": 0.3}, r"shape \(1,\)"),
+    "negative-epsilon": ({}, {"center": [0.8], "epsilon": -0.1}, "epsilon must be > 0"),
+    "center-only": ({}, {"center": [0.8]}, "given together"),
+    "epsilon-only": ({}, {"epsilon": 0.3}, "given together"),
+    "empty-domain": ({"domain": (1.0, 0.0)}, {}, "empty domain"),
+    "no-trees": ({"roots": [], "required": []}, {}, "at least one tree"),
+}
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize(
+        "build, query, match", _INVALID_QUERIES.values(), ids=_INVALID_QUERIES.keys()
+    )
+    def test_rejected_like_pattern_problem(self, build, query, match):
+        """The compiled encoding and ``PatternProblem`` share one check:
+        before it, a NaN ball raised an "encoding bug" SolverError, a
+        negative ε or an empty domain answered ``unsat``, and a center
+        without ε or an empty ensemble answered ``sat``."""
+        build = {"roots": [_stump()], "required": [+1], "n_features": 1, **build}
+        with pytest.raises(ValidationError, match=match):
+            PatternProblem(**build, **query)
+        with pytest.raises(ValidationError, match=match):
+            compile_pattern_encoding(**build).solve(**query)
 
 
 class TestCompiledStructure:
@@ -105,6 +161,23 @@ class TestCompiledStructure:
         var_07 = encoding.atom_vars[(0, 0.7)]
         assert set(literals) == {-var_03, var_07}
 
+    def test_ordering_axioms_present(self):
+        # Two thresholds on one feature: the skeleton holds the chain
+        # clause (x <= 0.3) -> (x <= 0.7).
+        encoding = compile_pattern_encoding(
+            [_stump(0, 0.3), _stump(0, 0.7)], [+1, +1], 1
+        )
+        small = encoding.atom_vars[(0, 0.3)]
+        large = encoding.atom_vars[(0, 0.7)]
+        assert [-small, large] in encoding.cnf.clauses
+
+    def test_encoding_size_scales_with_leaves(self, bc_forest, forge_problem):
+        encoding = compile_pattern_encoding(
+            forge_problem.roots, forge_problem.required, forge_problem.n_features
+        )
+        assert encoding.cnf.n_vars > bc_forest.n_trees_
+        assert len(encoding.cnf) > 0
+
     def test_mismatched_required_length_rejected(self):
         with pytest.raises(ValidationError, match="required"):
             compile_pattern_encoding([_stump()], [+1, -1], 1)
@@ -114,6 +187,42 @@ class TestCompiledStructure:
         outcome = encoding.solve()
         assert outcome.is_sat
         assert outcome.instance[0] <= 0.5
+
+
+class TestDecoding:
+    """A model decodes to the point of its atom intervals nearest the
+    center, inside the ball and strictly above each false atom."""
+
+    def test_decode_produces_consistent_instance(self):
+        problem = PatternProblem(
+            roots=[_stump(0, 0.5), _stump(1, 0.2)], required=[+1, -1], n_features=2
+        )
+        outcome = solve_pattern_smt(problem)
+        assert outcome.is_sat
+        assert problem.check_solution(outcome.instance)
+
+    def test_decode_prefers_center(self):
+        encoding = compile_pattern_encoding([_stump(0, 0.5)], [+1], 2)
+        outcome = encoding.solve(center=np.array([0.8, 0.33]), epsilon=0.3)
+        # Feature 0 already exceeds 0.5 at the center; feature 1 is
+        # unconstrained by the trees: the witness is the center itself.
+        assert outcome.instance.tolist() == [0.8, 0.33]
+
+    def test_strict_lower_bound_is_the_next_float(self):
+        # +1 needs x0 > 0.5; from the center 0.3 the nearest such point
+        # is the float just above 0.5, not 0.5 itself.
+        encoding = compile_pattern_encoding([_stump(0, 0.5)], [+1], 1)
+        outcome = encoding.solve(center=np.array([0.3]), epsilon=0.3)
+        assert outcome.instance[0] == np.nextafter(0.5, np.inf)
+
+    def test_ball_decides_atoms_and_witness_stays_inside(self):
+        # The ball [0.8, 1.0] forces the 0.5 atom false: x0 > 0.5 holds
+        # by assumption, and the witness is the center.
+        encoding = compile_pattern_encoding([_stump(0, 0.5)], [+1], 1)
+        lo, hi = encoding.feature_bounds(np.array([0.9]), 0.1)
+        assert encoding.bound_assumptions(lo, hi) == [-encoding.atom_vars[(0, 0.5)]]
+        outcome = encoding.solve(center=np.array([0.9]), epsilon=0.1)
+        assert outcome.is_sat and outcome.instance.tolist() == [0.9]
 
 
 def _candidates(encoding):

@@ -1,6 +1,7 @@
 """Differential fuzzing of the pattern solvers.
 
-The one-shot eager SMT encoding and the box-DPLL oracle
+The compiled encoding (:mod:`repro.solver.compiled_encoding`), the
+library's one forgery engine, and the box-DPLL oracle
 (``box_dpll_oracle.py``) are independent implementations of the same
 decision procedure.  They are cross-checked on hundreds of seeded
 random :class:`PatternProblem` instances with varying tree counts, depths,
@@ -11,12 +12,10 @@ Every ``sat`` witness is additionally replayed through the ensemble's
 real prediction path (``predict_all``, i.e. the compiled inference
 engine) and must realise the required per-tree pattern exactly.
 
-The compiled encoding (:mod:`repro.solver.compiled_encoding`), the
-library's forgery engine, joins the differential as a third
-implementation: its status must match the other two, and its
-persistent (reset) solver must be bit-identical to a freshly compiled
-encoding of the same instance.  Random forgeries against a real
-watermarked forest complete the set.
+The compiled encoding's persistent (reset) solver must also be
+bit-identical to the one-shot form, which compiles the same instance
+afresh.  Random forgeries against a real watermarked forest complete
+the set.
 """
 
 from __future__ import annotations
@@ -107,39 +106,32 @@ class TestEngineDifferential:
             case_rng = np.random.default_rng(int(seed))
             problem = _random_problem(case_rng)
 
-            smt = solve_pattern_smt(problem, max_conflicts=None)
             boxes = solve_pattern_boxes(problem, max_nodes=None)
             compiled = compile_pattern_encoding(
                 problem.roots, problem.required, problem.n_features, problem.domain
             )
             compiled.solve(center=problem.center, epsilon=problem.epsilon)
-            # The second solve runs on the reset persistent solver; a
-            # freshly compiled encoding must give the same answer.
+            # The second solve runs on the reset persistent solver; the
+            # one-shot form compiles afresh and must give the same answer.
             reused = compiled.solve(center=problem.center, epsilon=problem.epsilon)
-            rebuilt = compile_pattern_encoding(
-                problem.roots, problem.required, problem.n_features, problem.domain
-            ).solve(center=problem.center, epsilon=problem.epsilon)
+            fresh = solve_pattern_smt(problem, max_conflicts=None)
 
-            statuses = {
-                "smt": smt.status,
-                "boxes": boxes.status,
-                "compiled": reused.status,
-            }
-            assert len(set(statuses.values())) == 1, (
-                f"engine disagreement on seed {int(seed)}: {statuses}"
+            assert reused.status == boxes.status, (
+                f"engine disagreement on seed {int(seed)}: "
+                f"compiled {reused.status}, boxes {boxes.status}"
             )
             decided += 1
             # Solver reuse must not even change the witness bit for bit.
-            assert rebuilt.status == reused.status
+            assert fresh.status == reused.status
             if reused.is_sat:
-                assert np.array_equal(reused.instance, rebuilt.instance), (
+                assert np.array_equal(reused.instance, fresh.instance), (
                     f"solver reuse changed the witness on seed {int(seed)}"
                 )
 
-            if smt.is_sat:
+            if reused.is_sat:
                 sat_cases += 1
                 forest = replay_forests[len(problem.roots)].with_roots(problem.roots)
-                for outcome in (smt, boxes, reused):
+                for outcome in (boxes, reused):
                     witness = outcome.instance
                     assert problem.check_solution(witness), (
                         f"non-verifying witness on seed {int(seed)}"
@@ -175,13 +167,15 @@ class TestEngineDifferential:
                 center=X_test[row],
                 epsilon=float(rng.uniform(0.1, 0.9)),
             )
-            smt = solve_pattern_smt(problem)
             boxes = solve_pattern_boxes(problem)
             compiled = compile_pattern_encoding(
                 roots, problem.required, problem.n_features
             ).solve(center=problem.center, epsilon=problem.epsilon)
-            assert smt.status == boxes.status == compiled.status
-            assert smt.status in ("sat", "unsat")
-            for outcome in (smt, boxes, compiled):
+            one_shot = solve_pattern_smt(problem)
+            assert compiled.status == boxes.status == one_shot.status
+            assert compiled.status in ("sat", "unsat")
+            for outcome in (boxes, compiled):
                 if outcome.is_sat:
                     assert problem.check_solution(outcome.instance)
+            if compiled.is_sat:
+                assert np.array_equal(compiled.instance, one_shot.instance)

@@ -1,8 +1,10 @@
-"""Tests for the eager-SMT pattern solver against the box-DPLL oracle.
+"""Tests for the pattern solver against the box-DPLL oracle.
 
-The box-DPLL solver (``box_dpll_oracle.py``) is an independent
-implementation of the same decision problem as the eager SMT encoding;
-random cross-checking is the library's substitute for "trust Z3".
+``solve_pattern_smt`` is the one-shot form of the compiled encoding,
+the library's one forgery CNF.  The box-DPLL solver
+(``box_dpll_oracle.py``) is an independent implementation of the same
+decision problem; random cross-checking is the library's substitute
+for "trust Z3".
 """
 
 import numpy as np

@@ -5,7 +5,7 @@ import pytest
 from box_dpll_oracle import solve_pattern_boxes
 
 from repro.exceptions import ValidationError
-from repro.solver import PatternProblem
+from repro.solver import PatternProblem, compiled_encoding
 from repro.solver.optimize import minimal_forgery_distortion
 from repro.trees.node import InternalNode, Leaf
 
@@ -107,6 +107,36 @@ class TestMinimalDistortion:
 
         assert oracle(result.epsilon).is_sat
         assert oracle(result.epsilon - 0.002).is_unsat
+
+    def test_one_compile_per_search(self, monkeypatch):
+        """Every ε probe re-solves one compiled encoding under new bound
+        assumptions instead of rebuilding the CNF."""
+        compiles = []
+        original = compiled_encoding.compile_pattern_encoding
+
+        def counting(*args, **kwargs):
+            compiles.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(compiled_encoding, "compile_pattern_encoding", counting)
+        result = minimal_forgery_distortion(
+            roots=[_stump(0, 0.5), _stump(1, 0.2)],
+            required=[+1, -1],
+            center=np.array([0.3, 0.5]),
+            n_features=2,
+            tolerance=0.002,
+        )
+        assert result.feasible and result.solver_calls > 5
+        assert len(compiles) == 1
+
+    @pytest.mark.parametrize("budget", [-1, -100_000])
+    def test_negative_budget_rejected(self, budget):
+        """A negative budget used to report ``feasible=False`` after one
+        call, as if no forgery existed."""
+        with pytest.raises(ValidationError, match="budget"):
+            minimal_forgery_distortion(
+                [_stump()], [+1], np.array([0.3]), 1, solver_budget=budget
+            )
 
     def test_validation(self):
         with pytest.raises(ValidationError):

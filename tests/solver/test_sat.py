@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.solver import CNF, SATSolver, solve_cnf
+from repro.solver import CNF, SATSolver
 
 
 def _brute_force(cnf: CNF) -> bool:
@@ -36,13 +36,13 @@ def _pigeonhole(holes: int) -> CNF:
 
 class TestBasicCases:
     def test_empty_formula_is_sat(self):
-        assert solve_cnf(CNF()).is_sat
+        assert SATSolver(CNF()).solve().is_sat
 
     def test_single_unit(self):
         cnf = CNF()
         cnf.new_var()
         cnf.add_clause([1])
-        result = solve_cnf(cnf)
+        result = SATSolver(cnf).solve()
         assert result.is_sat
         assert result.model[1] is True
 
@@ -51,13 +51,13 @@ class TestBasicCases:
         cnf.new_var()
         cnf.add_clause([1])
         cnf.add_clause([-1])
-        assert solve_cnf(cnf).is_unsat
+        assert SATSolver(cnf).solve().is_unsat
 
     def test_empty_clause_unsat(self):
         cnf = CNF()
         cnf.new_var()
         cnf.add_clause([])
-        assert solve_cnf(cnf).is_unsat
+        assert SATSolver(cnf).solve().is_unsat
 
     def test_implication_chain(self):
         n = 30
@@ -66,7 +66,7 @@ class TestBasicCases:
         cnf.add_clause([1])
         for i in range(1, n):
             cnf.add_clause([-i, i + 1])
-        result = solve_cnf(cnf)
+        result = SATSolver(cnf).solve()
         assert result.is_sat
         assert all(result.model[v] for v in range(1, n + 1))
 
@@ -76,7 +76,7 @@ class TestBasicCases:
         cnf.new_vars(2)
         cnf.add_clause([1, 2])
         cnf.add_clause([-1, -2])
-        result = solve_cnf(cnf)
+        result = SATSolver(cnf).solve()
         assert result.is_sat
         assert result.model[1] != result.model[2]
 
@@ -84,10 +84,10 @@ class TestBasicCases:
 class TestUnsatFamilies:
     @pytest.mark.parametrize("holes", [2, 3, 4])
     def test_pigeonhole(self, holes):
-        assert solve_cnf(_pigeonhole(holes)).is_unsat
+        assert SATSolver(_pigeonhole(holes)).solve().is_unsat
 
     def test_conflict_budget_returns_unknown(self):
-        result = solve_cnf(_pigeonhole(7), max_conflicts=5)
+        result = SATSolver(_pigeonhole(7), max_conflicts=5).solve()
         assert result.status in ("unknown", "unsat")
         # With 5 conflicts PHP(8,7) cannot be refuted by this solver.
         assert result.status == "unknown"
@@ -181,12 +181,12 @@ class TestRandomisedAgainstBruteForce:
                 for _ in range(width)
             ]
             cnf.add_clause(clause)
-        result = solve_cnf(cnf)
+        result = SATSolver(cnf).solve()
         assert result.is_sat == _brute_force(cnf)
         if result.is_sat:
             assert cnf.evaluate(result.model)
 
     def test_statistics_populated(self):
-        result = solve_cnf(_pigeonhole(4))
+        result = SATSolver(_pigeonhole(4)).solve()
         assert result.conflicts > 0
         assert result.propagations > 0

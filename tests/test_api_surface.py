@@ -33,6 +33,18 @@ takes one ``schedule=EmbeddingSchedule(...)`` in place of its
 keywords.  The full-retrain loop lives on as a test oracle
 (``tests/core/full_retrain_oracle.py``).
 
+Migration note: ``repro.solver.encoding`` is removed, and with it
+``encode_pattern_problem``, ``decode_model`` and ``solve_cnf``; the
+compiled encoding is the one forgery CNF.  ``solve_pattern_smt`` keeps
+its signature (now a one-shot ``compile_pattern_encoding(...).solve``)
+and ``decode_atom_intervals`` moved to ``repro.solver.compiled_encoding``;
+for ``solve_cnf(cnf, max_conflicts)`` write
+``SATSolver(cnf, max_conflicts).solve()``.  SAT statuses are unchanged;
+a SAT witness may be another point of the same forgeable region.
+``CompiledPatternEncoding.solve(budget=None)`` now means unlimited, as
+in ``SATSolver`` (``forge_trigger_set(solver_budget=None)`` still means
+200,000 conflicts).
+
 Migration note: ``MicroBatcher(flush_window=...)``,
 ``ServingDaemon(flush_window=...)`` and ``repro serve --flush-window``
 are removed; an idle engine serves at once, and ``max_batch_rows=1`` is
@@ -41,6 +53,7 @@ fuse into the next call, so no timer is needed.
 """
 
 import dataclasses
+import importlib
 import inspect
 
 import pytest
@@ -208,20 +221,20 @@ SOLVER_ALL = [
     "compile_pattern_encoding",
     "compute_feature_bounds",
     "decode_atom_intervals",
-    "decode_model",
-    "encode_pattern_problem",
     "minimal_forgery_distortion",
     "required_labels",
-    "solve_cnf",
     "solve_pattern_smt",
 ]
 
 RETIRED_SOLVER_NAMES = (
     "SimplifiedCNF",
+    "decode_model",
+    "encode_pattern_problem",
     "merge_portfolio_outcomes",
     "parse_dimacs",
     "simplify_cnf",
     "solve_clipped_boxes",
+    "solve_cnf",
     "solve_pattern",
     "solve_pattern_boxes",
     "solve_pattern_portfolio",
@@ -287,6 +300,16 @@ class TestSolverSurface:
         for name in RETIRED_SOLVER_NAMES:
             assert not hasattr(repro.solver, name), name
         assert "engine" not in attack_params(ForgeryAttack())
+
+    def test_eager_encoder_module_is_gone(self):
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.solver.encoding")
+        assert not hasattr(repro.solver.sat, "solve_cnf")
+
+    def test_one_shot_solver_keeps_its_signature(self):
+        parameters = inspect.signature(repro.solver.solve_pattern_smt).parameters
+        assert list(parameters) == ["problem", "max_conflicts"]
+        assert parameters["max_conflicts"].default == 200_000
 
 
 class TestEmbeddingSurface:

@@ -7,6 +7,7 @@ in prose.
 
 import numpy as np
 import pytest
+from box_dpll_oracle import solve_pattern_boxes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -145,6 +146,7 @@ class TestForgerySolverSoundness:
             epsilon=float(gen.uniform(0.05, 0.95)),
         )
         outcome = solve_pattern_smt(problem)
+        assert outcome.status == solve_pattern_boxes(problem).status
         if outcome.is_sat:
             assert problem.check_solution(outcome.instance)
 
