@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import ValidationError
-from . import compiled_encoding
+from . import compiled_encoding  # by module: name-wrapped compiles count
 
 __all__ = ["MinimalDistortion", "minimal_forgery_distortion"]
 

@@ -45,12 +45,8 @@ class TestCompiledStatuses:
             )
             outcome = compiled.solve(center=center, epsilon=epsilon)
             assert outcome.status == solve_pattern_boxes(problem).status
-            # The one-shot form compiles afresh: the same answer, bit for bit.
-            one_shot = solve_pattern_smt(problem)
-            assert one_shot.status == outcome.status
             if outcome.is_sat:
                 assert problem.check_solution(outcome.instance)
-                assert np.array_equal(one_shot.instance, outcome.instance)
 
     def test_reuse_and_rebuild_identical_across_a_sweep(self, bc_forest, bc_data):
         _, X_test, _, _ = bc_data
