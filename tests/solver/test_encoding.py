@@ -1,10 +1,18 @@
-"""Tests for the eager SMT encoding internals."""
+"""Encoding-level checks on the compiled pattern encoding's CNF.
+
+These pin what the encoding itself carries — shared atoms, the
+always-unsat flag, atoms decided by the ball — by solving its CNF
+directly with :class:`SATSolver` as well as through ``solve``.
+"""
 
 import numpy as np
-import pytest
 
-from repro.solver import PatternProblem, encode_pattern_problem, solve_cnf
-from repro.solver.encoding import decode_model
+from repro.solver import (
+    PatternProblem,
+    SATSolver,
+    compile_pattern_encoding,
+    solve_pattern_smt,
+)
 from repro.trees.node import InternalNode, Leaf
 
 
@@ -14,93 +22,39 @@ def _stump(feature=0, threshold=0.5):
 
 class TestEncoding:
     def test_trivially_unsat_flag(self):
+        # No leaf of the tree predicts +1: the flag is set at compile
+        # time and both entry points answer unsat without a search.
         all_negative = InternalNode(0, 0.5, Leaf(-1), Leaf(-1))
+        encoding = compile_pattern_encoding([all_negative], [+1], 1)
+        assert encoding.always_unsat
         problem = PatternProblem(roots=[all_negative], required=[+1], n_features=1)
-        encoding = encode_pattern_problem(problem)
-        assert encoding.trivially_unsat
+        outcome = solve_pattern_smt(problem)
+        assert outcome.is_unsat
+        assert outcome.stats["trivial"] is True
 
     def test_atoms_deduplicated_across_trees(self):
-        # Two stumps on the same (feature, threshold) share one atom.
-        problem = PatternProblem(
-            roots=[_stump(), _stump()], required=[+1, +1], n_features=1
+        # Two stumps on the same (feature, threshold) share one atom, so
+        # the CNF has one atom variable and its model decodes for both.
+        encoding = compile_pattern_encoding(
+            [_stump(), _stump(), _stump(0, 0.7)], [+1, +1, -1], 1
         )
-        encoding = encode_pattern_problem(problem)
-        assert len(encoding.atom_vars) == 1
-
-    def test_ordering_axioms_present(self):
-        # Two thresholds on the same feature: the encoding must contain
-        # the chain clause (x<=0.3) -> (x<=0.7).
-        roots = [_stump(0, 0.3), _stump(0, 0.7)]
-        problem = PatternProblem(roots=roots, required=[+1, +1], n_features=1)
-        encoding = encode_pattern_problem(problem)
-        small = encoding.atom_vars[(0, 0.3)]
-        large = encoding.atom_vars[(0, 0.7)]
-        assert [-small, large] in encoding.cnf.clauses
-
-    def test_ball_implied_constraints_create_no_atoms(self):
-        # Ball [0.8, 1.0] already implies x > 0.5, so the leaf's lower
-        # bound needs no atom at all — the encoding elides it.
-        problem = PatternProblem(
-            roots=[_stump(0, 0.5)],
-            required=[+1],
-            n_features=1,
-            center=np.array([0.9]),
-            epsilon=0.1,
-        )
-        encoding = encode_pattern_problem(problem)
-        assert (0, 0.5) not in encoding.atom_vars
-        result = solve_cnf(encoding.cnf)
-        assert result.is_sat
-        x = decode_model(encoding, result.model, 1, problem.center)
-        assert problem.check_solution(x)
+        assert set(encoding.atom_vars) == {(0, 0.5), (0, 0.7)}
+        assert len(set(encoding.atom_vars.values())) == 2
+        outcome = encoding.solve()
+        assert outcome.is_sat
+        assert 0.5 < outcome.instance[0] <= 0.7
 
     def test_bound_units_forced_when_atom_partially_useful(self):
-        # Two trees: one needs x <= 0.3 (left leaf), impossible inside
-        # the ball [0.8, 1.0] -> the 0.3 atom is forced false and the
-        # whole instance is UNSAT.
-        problem = PatternProblem(
-            roots=[_stump(0, 0.3)],
-            required=[-1],
-            n_features=1,
-            center=np.array([0.9]),
-            epsilon=0.1,
-        )
-        encoding = encode_pattern_problem(problem)
-        if encoding.trivially_unsat:
-            return  # pruned before encoding — equally correct
+        # One tree needs x <= 0.3 (left leaf), impossible inside the
+        # ball [0.8, 1.0]: the 0.3 atom is forced false by the bounds
+        # and, under that assumption, the CNF itself is UNSAT.
+        encoding = compile_pattern_encoding([_stump(0, 0.3)], [-1], 1)
+        center, epsilon = np.array([0.9]), 0.1
+        lo, hi = encoding.feature_bounds(center, epsilon)
         atom = encoding.atom_vars[(0, 0.3)]
-        assert [-atom] in encoding.cnf.clauses
-        assert solve_cnf(encoding.cnf).is_unsat
-
-    def test_decode_produces_consistent_instance(self):
-        problem = PatternProblem(
-            roots=[_stump(0, 0.5), _stump(1, 0.2)],
-            required=[+1, -1],
-            n_features=2,
-        )
-        encoding = encode_pattern_problem(problem)
-        result = solve_cnf(encoding.cnf)
-        assert result.is_sat
-        x = decode_model(encoding, result.model, 2, None)
-        assert problem.check_solution(x)
-
-    def test_decode_prefers_center(self):
-        problem = PatternProblem(
-            roots=[_stump(0, 0.5)],
-            required=[+1],
-            n_features=2,
-            center=np.array([0.8, 0.33]),
-            epsilon=0.3,
-        )
-        encoding = encode_pattern_problem(problem)
-        result = solve_cnf(encoding.cnf)
-        x = decode_model(encoding, result.model, 2, problem.center)
-        # Feature 0 must exceed 0.5 but stay as close to 0.8 as possible;
-        # feature 1 is unconstrained by the trees -> exactly the center.
-        assert x[0] == pytest.approx(0.8)
-        assert x[1] == pytest.approx(0.33)
-
-    def test_encoding_size_scales_with_leaves(self, bc_forest, forge_problem):
-        encoding = encode_pattern_problem(forge_problem)
-        assert encoding.cnf.n_vars > bc_forest.n_trees_
-        assert len(encoding.cnf) > 0
+        assumptions = encoding.bound_assumptions(lo, hi)
+        assert assumptions == [-atom]
+        assert SATSolver(encoding.cnf).solve(assumptions).status == "unsat"
+        # Without the ball the same CNF is satisfiable.
+        assert SATSolver(encoding.cnf).solve().status == "sat"
+        assert encoding.solve(center=center, epsilon=epsilon).is_unsat
