@@ -106,8 +106,7 @@ class AttackTarget:
 
     @cached_property
     def baseline_accuracy(self) -> float:
-        """Test accuracy of the unattacked model (compiled once, cached)."""
-        self.model.ensemble.compile()
+        """Test accuracy of the unattacked model (computed once, cached)."""
         return float(self.model.ensemble.score(self.X_test, self.y_test))
 
     def verify(self, suspect_model, mode: str = "strict") -> VerificationReport:
@@ -256,11 +255,6 @@ class ModelEditAttack:
     def run(self, target: AttackTarget, rng: np.random.Generator) -> AttackReport:
         started = time.perf_counter()
         attacked = self.edit(target.model.ensemble, rng)
-        # One compiled table serves both the trigger verification and
-        # the test-set scoring; the attacked forest is fresh, so the
-        # lazy path would otherwise skip compiling for the small
-        # trigger batch.
-        attacked.compile()
         verification = target.verify(attacked)
         attacked_accuracy = float(attacked.score(target.X_test, target.y_test))
         return AttackReport(

@@ -104,9 +104,6 @@ def extraction_study(
     root = np.random.SeedSequence(int(rng.integers(2**63)))
 
     victim = model.ensemble
-    # The victim answers every query batch of the sweep; pack it into
-    # its compiled node table once instead of lazily mid-sweep.
-    victim.compile()
     victim_accuracy = victim.score(X_test, y_test)
     outcomes: list[ExtractionOutcome] = []
     for budget in query_budgets:

@@ -164,10 +164,6 @@ def modification_robustness(
     else:
         raise ValidationError(f"attack must be 'truncate' or 'flip', got {attack!r}")
 
-    # One compiled table serves both the trigger verification below and
-    # the test-set scoring; the attacked forest is fresh, so the lazy
-    # path would otherwise skip compiling for the small trigger batch.
-    attacked.compile()
     report = verify_ownership(
         attacked, model.signature, model.trigger.X, model.trigger.y, mode=mode
     )

@@ -138,10 +138,8 @@ def verify_ownership(model, signature: Signature, trigger_X, trigger_y, mode: st
     model, not on an artefact supplied by the claimant.
 
     When the model is one of this library's ensembles, the query runs
-    through its compiled flat-array engine whenever one is cached (see
-    :mod:`repro.ensemble.compiled`); trigger sets alone are too small to
-    trigger lazy compilation, so callers that verify repeatedly should
-    ``model.compile()`` once up front.
+    through its cached compiled flat-array engine (see
+    :mod:`repro.ensemble.compiled`), compiled on first use.
     """
     predictions = model.predict_all(np.asarray(trigger_X, dtype=np.float64))
     return match_signature(predictions, trigger_y, signature, mode=mode)

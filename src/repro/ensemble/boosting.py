@@ -19,7 +19,7 @@ from .._validation import (
     check_X_y,
 )
 from ..exceptions import NotFittedError, ValidationError
-from ..trees.compiled import ensure_compiled, lazy_compiled, model_lock
+from ..trees.compiled import ensure_compiled, model_lock
 from ..trees.regression import RegressionTree
 from .compiled import CompiledEnsemble, compile_boosted
 
@@ -242,12 +242,6 @@ class GradientBoostingClassifier:
         """
         return ensure_compiled(self, self._roots_key(), lambda: compile_boosted(self))
 
-    def _compiled_engine(self, n_rows: int) -> CompiledEnsemble | None:
-        """Compiled engine to predict with, or ``None`` for object mode."""
-        return lazy_compiled(
-            self, self._roots_key(), n_rows, lambda: compile_boosted(self)
-        )
-
     def stage_contributions(self, X) -> np.ndarray:
         """Per-stage raw contributions, shape ``(n_stages, n_samples)``.
 
@@ -262,13 +256,7 @@ class GradientBoostingClassifier:
                 f"X has {X.shape[1]} features but the ensemble was fitted with "
                 f"{self.n_features_in_}"
             )
-        engine = self._compiled_engine(X.shape[0])
-        if engine is not None:
-            return self.learning_rate * engine.predict_all(X)
-        return np.stack(
-            [self.learning_rate * tree.predict(X) for tree in self._check_fitted()],
-            axis=0,
-        )
+        return self.learning_rate * self.compile().predict_all(X)
 
     def decision_function(self, X) -> np.ndarray:
         """Additive margin ``init + sum_i lr * tree_i(x)``."""

@@ -1,15 +1,16 @@
-"""Compiled flat-array inference for whole ensembles.
+"""Compiled flat-array inference: the one engine behind every estimator.
 
-Packs every tree of a forest or boosted ensemble into **one contiguous
-node table** (the layout of :mod:`repro.trees.compiled`, with a
-``roots[]`` array locating each tree) so that batch prediction across
-the whole ensemble is a single vectorised descent over a
-``(n_trees, n_samples)`` state matrix: one gather-compare-select step
-per tree level, regardless of how many thousands of nodes the ensemble
-holds.  This is the hot path behind ``predict_all`` — the per-tree
-query interface the watermark verification protocol and the attack
-suite hammer — as well as ensemble ``predict`` / ``predict_proba`` and
-the boosted ``stage_contributions``.
+Packs every tree of a forest or boosted ensemble — or the single tree
+of a ``DecisionTreeClassifier`` — into **one contiguous node table**
+(the layout of :mod:`repro.trees.compiled`, with a ``roots[]`` array
+locating each tree) so that batch prediction is a single vectorised
+descent over a ``(n_trees, n_samples)`` state matrix: one
+gather-compare-select step per tree level, regardless of how many
+thousands of nodes the ensemble holds.  This is the only route behind
+``predict_all`` — the per-tree query interface the watermark
+verification protocol and the attack suite hammer — as well as tree
+and ensemble ``predict`` / ``predict_proba`` and the boosted
+``stage_contributions``.
 """
 
 from __future__ import annotations
@@ -80,10 +81,18 @@ class CompiledEnsemble:
     leaf_weight: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        # Leaves keep feature = -1 in the public array; the descent
+        # gathers column 0 for them (the +inf threshold routes the row
+        # back onto the leaf regardless of the value read).
         self._gather_feature = np.where(self.feature >= 0, self.feature, 0)
+        # Sibling adjacency enables the one-gather child step; tables
+        # built by flatten_tree always satisfy it, hand-made ones may not.
         self._adjacent = bool(
             np.all((self.feature < 0) | (self.right == self.left + 1))
         )
+        # The flat gather reads ``row * width + feature``: a narrower X
+        # would silently read the next row, so apply_all refuses it.
+        self._min_width = int(self.feature.max(initial=-1)) + 1
 
     @property
     def n_trees(self) -> int:
@@ -107,10 +116,17 @@ class CompiledEnsemble:
         entries that reached a leaf self-loop (leaf ``left``/``right``
         point at the leaf itself), so no masking is required.  Samples
         are processed in column chunks to keep the per-level temporaries
-        cache-resident (see :mod:`repro.trees.compiled`).
+        cache-resident (see :mod:`repro.trees.compiled`).  Raises
+        :class:`~repro.exceptions.ValidationError` when ``X`` is
+        narrower than the highest feature index the table splits on.
         """
         X = np.ascontiguousarray(X, dtype=np.float64)
         n = X.shape[0]
+        if X.shape[1] < self._min_width:
+            raise ValidationError(
+                f"X has {X.shape[1]} features but the node table splits on "
+                f"feature {self._min_width - 1}"
+            )
         if self.depth == 0 or n == 0:
             return np.repeat(self.roots[:, None], n, axis=1)
         out = np.empty((self.n_trees, n), dtype=np.int64)
@@ -285,11 +301,22 @@ def compile_trees(
 ) -> CompiledEnsemble:
     """Pack a list of tree roots into one :class:`CompiledEnsemble`.
 
-    Parameters mirror :func:`repro.trees.compiled.compile_tree`, applied
-    to every root with all nodes appended to the same table.
-    ``collect_leaf_weight=True`` additionally records the raw per-leaf
-    class masses (exporter support; the prediction hot path never pays
-    for it).
+    Parameters
+    ----------
+    tree_roots:
+        The trees to compile (classification or regression node
+        family); all nodes are appended to the same table.  A single
+        tree is ``[root]`` and lands at ``roots == [0]``.
+    classes:
+        Optional sorted label array; when given, per-leaf probability
+        rows aligned to it are built so ``predict_proba`` works.
+    value_dtype:
+        dtype of ``leaf_value`` — ``int64`` for classification labels
+        (the default, matching the object-graph ``predict_batch``),
+        ``float64`` for regression leaf values.
+    collect_leaf_weight:
+        Also record the raw per-leaf class masses (exporter support;
+        the prediction hot path never pays for it).
     """
     tree_roots = list(tree_roots)
     if not tree_roots:

@@ -24,7 +24,7 @@ from .._validation import (
 )
 from ..exceptions import NotFittedError, ValidationError
 from ..parallel import partition, resolve_n_jobs, run_batches, shared_payload
-from ..trees.compiled import adopt_compiled, ensure_compiled, lazy_compiled, model_lock
+from ..trees.compiled import adopt_compiled, ensure_compiled, model_lock
 from ..trees.presort import adopt_presort, presorted_dataset
 from ..trees.export import ensemble_structure
 from ..trees.tree import DecisionTreeClassifier
@@ -421,22 +421,16 @@ class RandomForestClassifier:
     def compile(self) -> CompiledEnsemble:
         """Pack all trees into one compiled node table (cached).
 
-        Lazily invoked by the prediction methods on the first
-        large-enough batch; call explicitly to pay the flattening cost
-        up front (e.g. before serving).  The cache refreshes itself when
-        tree roots are replaced.
+        Every prediction method answers through this table, compiling it
+        on first use whatever the batch size; call explicitly to pay the
+        flattening cost up front (e.g. before serving).  The cache
+        refreshes itself when tree roots are replaced.
         """
         return ensure_compiled(self, self._roots_key(), lambda: compile_forest(self))
 
     def _adopt_compiled(self, engine: CompiledEnsemble) -> None:
         """Install a pre-built compiled table (persistence restore path)."""
         adopt_compiled(self, self._roots_key(), engine)
-
-    def _compiled_engine(self, n_rows: int) -> CompiledEnsemble | None:
-        """Compiled engine to predict with, or ``None`` for object mode."""
-        return lazy_compiled(
-            self, self._roots_key(), n_rows, lambda: compile_forest(self)
-        )
 
     def _check_n_features(self, X: np.ndarray) -> np.ndarray:
         if X.shape[1] != self.n_features_in_:
@@ -455,10 +449,7 @@ class RandomForestClassifier:
         """
         self._ensure_fitted()
         X = self._check_n_features(check_X(X))
-        engine = self._compiled_engine(X.shape[0])
-        if engine is not None:
-            return engine.predict_all(X)
-        return np.stack([tree.predict(X) for tree in self._check_fitted()], axis=0)
+        return self.compile().predict_all(X)
 
     def predict(self, X) -> np.ndarray:
         """Majority-vote ensemble prediction."""
@@ -467,12 +458,16 @@ class RandomForestClassifier:
         return majority_vote(all_predictions, self.classes_)
 
     def predict_proba(self, X) -> np.ndarray:
-        """Average of the trees' leaf-frequency probabilities."""
+        """Average of the trees' leaf-frequency probabilities.
+
+        A table adopted from an artefact without the optional
+        ``leaf_proba`` section answers through each tree's own engine.
+        """
         self._ensure_fitted()
         X = self._check_n_features(check_X(X))
         assert self.classes_ is not None
-        engine = self._compiled_engine(X.shape[0])
-        if engine is not None and engine.leaf_proba is not None:
+        engine = self.compile()
+        if engine.leaf_proba is not None:
             return engine.predict_proba(X)
         trees = self._check_fitted()
         class_position = {int(c): i for i, c in enumerate(self.classes_)}

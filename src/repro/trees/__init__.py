@@ -11,14 +11,15 @@ Public surface:
   solvers.
 - :func:`tree_stats`, :func:`ensemble_structure`, :func:`tree_to_text` —
   structural statistics (used by the detection attack) and export.
-- :class:`CompiledTree`, :func:`compile_tree` — flat-array inference
-  engine behind ``predict`` (see :mod:`repro.trees.compiled`).
+- :mod:`repro.trees.compiled` — the flat node-table layout, flattener
+  and descent kernel behind every ``predict`` (the engine class is
+  :class:`repro.ensemble.CompiledEnsemble`; ``compile()`` on a tree
+  returns a one-tree table).
 - :class:`SortedDataset`, :func:`presorted_dataset` — the training-side
   per-dataset sort cache behind split search (see
   :mod:`repro.trees.presort`).
 """
 
-from .compiled import CompiledTree, compile_tree
 from .criteria import entropy_impurity, gini_impurity
 from .export import TreeStats, ensemble_structure, tree_stats, tree_to_text
 from .node import InternalNode, Leaf, TreeNode, iter_leaves, iter_nodes, predict_batch, predict_one
@@ -35,8 +36,6 @@ from .tree import DecisionTreeClassifier, resolve_max_features
 
 __all__ = [
     "Box",
-    "CompiledTree",
-    "compile_tree",
     "DecisionTreeClassifier",
     "InternalNode",
     "Leaf",

@@ -1,23 +1,24 @@
-"""Compiled flat-array inference for decision trees.
+"""Flat-array node tables: the layout, flattener and descent kernel.
 
 The object-graph traversal in :mod:`repro.trees.node` spends one numpy
 operation per *visited node*: prediction cost grows with tree size and
 Python overhead, which dominates wall-clock in every benchmark and
-attack sweep.  This module flattens a fitted :data:`TreeNode` graph into
+attack sweep.  This module flattens fitted :data:`TreeNode` graphs into
 a struct-of-arrays table — ``feature[]``, ``threshold[]``, ``left[]``,
 ``right[]``, ``leaf_value[]`` — over which prediction is a fully
 vectorised, iterative descent: one gather-compare-select step per tree
-*level*, independent of node count.
+*level*, independent of node count.  The engine that owns such a table
+is :class:`repro.ensemble.compiled.CompiledEnsemble`; a single tree is
+a one-tree table with ``roots == [0]``.
 
-Layout conventions (shared with :mod:`repro.ensemble.compiled`, which
-packs many trees into one table):
+Layout conventions:
 
 - nodes are stored in **breadth-first order with sibling pairs
   adjacent**: an internal node's right child always sits at
-  ``left + 1``.  A single tree's root is index 0.  The adjacency lets
-  the descent kernel compute the next node as ``left + (x[f] > v)`` —
-  one gather and a boolean add instead of two gathers and a select,
-  which is a large fraction of the kernel's memory traffic;
+  ``left + 1``.  The adjacency lets the descent kernel compute the next
+  node as ``left + (x[f] > v)`` — one gather and a boolean add instead
+  of two gathers and a select, which is a large fraction of the
+  kernel's memory traffic;
 - a leaf stores ``feature = -1``, ``threshold = +inf`` and points
   ``left = right = <its own index>``; during descent a row that has
   reached a leaf compares its value against ``+inf``, goes "left" and
@@ -31,15 +32,13 @@ packs many trees into one table):
   ``predict_proba`` semantics (leaves without recorded class weights
   are one-hot on their label).
 
-The engines accept any consistent ``left``/``right`` table (e.g. a
+The kernel accepts any consistent ``left``/``right`` table (e.g. a
 hand-written serialized artefact): when the sibling-adjacency invariant
-does not hold they transparently fall back to a two-gather select
-kernel.
+does not hold it transparently falls back to a two-gather select.
 
-The engine is wired behind the sklearn-style estimators with a
-lazy-compile-on-first-predict path: batches of at least
-:data:`MIN_COMPILE_ROWS` rows compile the model once and descend the
-table, smaller batches on a never-compiled model walk the object graph.
+Every estimator predicts through its one cached table: the first call
+compiles it (:func:`ensure_compiled`), later calls reuse it until a
+root is replaced.
 """
 
 from __future__ import annotations
@@ -47,16 +46,13 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..exceptions import SerializationError, ValidationError
-from .node import InternalNode, Leaf, TreeNode
+from .node import InternalNode, Leaf
 
 __all__ = [
-    "CompiledTree",
-    "compile_tree",
     "flatten_tree",
     "leaf_payload",
     "leaf_proba_row",
@@ -66,20 +62,10 @@ __all__ = [
     "table_to_node",
     "classification_leaf_builder",
     "cached_engine",
-    "lazy_compiled",
     "ensure_compiled",
     "adopt_compiled",
     "model_lock",
-    "MIN_COMPILE_ROWS",
 ]
-
-#: Batches smaller than this do not trigger lazy compilation: the
-#: object-graph path is already cheap there (e.g. the k-instance trigger
-#: sets queried inside the embedding re-weighting loop), and compiling a
-#: freshly retrained forest per round would cost more than it saves.  An
-#: already-compiled model is used whatever the batch size.
-MIN_COMPILE_ROWS = 32
-
 
 # ----------------------------------------------------------------------
 # Engine caching shared by the estimators
@@ -156,26 +142,6 @@ def ensure_compiled(model, sources: tuple, builder):
             engine = cached_engine(model, sources)
             if engine is None:
                 engine = adopt_compiled(model, sources, builder())
-    return engine
-
-
-def lazy_compiled(model, sources: tuple, n_rows: int, builder):
-    """The engine a prediction call should use, or ``None`` for object mode.
-
-    Lazily compiles on the first batch of at least
-    :data:`MIN_COMPILE_ROWS` rows; smaller batches fall back to the
-    object-graph traversal unless an engine is already cached.
-    Compilation is serialized per model, like :func:`ensure_compiled`.
-    """
-    engine = cached_engine(model, sources)
-    if engine is not None:
-        return engine
-    if n_rows < MIN_COMPILE_ROWS:
-        return None
-    with model_lock(model):
-        engine = cached_engine(model, sources)
-        if engine is None:
-            engine = adopt_compiled(model, sources, builder())
     return engine
 
 
@@ -364,9 +330,10 @@ def validate_node_tables(
 ) -> None:
     """Structural validation of a node table from an untrusted source.
 
-    Checks array-length agreement, index bounds, leaf-value dtype, the
-    recorded depth against an actual frontier walk (which also rejects
-    cyclic tables) and the probability/weight row shapes.  Raises
+    Checks array-length agreement, a non-empty 1-D ``roots``, NaN-free
+    thresholds, index bounds, leaf-value dtype, the recorded depth
+    against an actual frontier walk (which also rejects cyclic tables),
+    a 1-D ``classes`` and the probability/weight row shapes.  Raises
     :class:`~repro.exceptions.SerializationError` on the first problem;
     messages are stable — the persistence tests pin them.
     """
@@ -379,6 +346,14 @@ def validate_node_tables(
     )
     if not arrays_consistent:
         raise SerializationError("compiled node arrays disagree on length")
+    if roots.ndim != 1 or roots.shape[0] == 0:
+        raise SerializationError(
+            f"compiled roots must be a non-empty 1-D array, got shape {roots.shape}"
+        )
+    # A NaN threshold routes differently in the two descent kernels
+    # (``x > nan`` and ``x <= nan`` are both false).
+    if np.isnan(threshold).any():
+        raise SerializationError("compiled threshold contains NaN")
     for name, indices in (("roots", roots), ("left", left), ("right", right)):
         if n_nodes == 0 or indices.min() < 0 or indices.max() >= n_nodes:
             raise SerializationError(
@@ -397,6 +372,10 @@ def validate_node_tables(
         )
     if classes is not None:
         classes = np.asarray(classes)
+        if classes.ndim != 1:
+            raise SerializationError(
+                f"compiled classes must be a 1-D array, got shape {classes.shape}"
+            )
     for name, rows in (("leaf_proba", leaf_proba), ("leaf_weight", leaf_weight)):
         if rows is None:
             continue
@@ -504,12 +483,11 @@ _COLUMN_CHUNK = 4096
 def _descend(table, X: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Advance every state in ``idx`` to its leaf (in place per level).
 
-    ``table`` is a :class:`CompiledTree` or a compiled ensemble (any
-    object with ``depth`` / ``threshold`` / ``left`` / ``right`` plus
-    the derived ``_gather_feature`` / ``_adjacent`` attributes); ``X``
+    ``table`` is a :class:`~repro.ensemble.compiled.CompiledEnsemble`
+    (any object with ``depth`` / ``threshold`` / ``left`` / ``right``
+    plus the derived ``_gather_feature`` / ``_adjacent`` attributes); ``X``
     must be a C-contiguous float64 chunk and ``idx`` an int64 state
-    array of shape ``(n,)`` or ``(n_trees, n)`` holding current node
-    indices.
+    matrix of shape ``(n_trees, n)`` holding current node indices.
 
     The kernel is written for numpy's fast paths: flat ``take`` gathers
     with int64 indices, buffers reused via ``out=``, and — on
@@ -518,9 +496,7 @@ def _descend(table, X: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """
     n, d = X.shape
     X_flat = X.ravel()
-    row_offset = np.arange(n, dtype=np.int64) * d
-    if idx.ndim == 2:
-        row_offset = row_offset[None, :]
+    row_offset = (np.arange(n, dtype=np.int64) * d)[None, :]
     gather_feature = table._gather_feature
     threshold = table.threshold
     left = table.left
@@ -542,183 +518,3 @@ def _descend(table, X: np.ndarray, idx: np.ndarray) -> np.ndarray:
             go_left = np.less_equal(chosen, threshold.take(idx))
             idx = np.where(go_left, left.take(idx), right.take(idx))
     return idx
-
-
-# ----------------------------------------------------------------------
-# The compiled single-tree engine
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class CompiledTree:
-    """Struct-of-arrays representation of one decision tree.
-
-    Produced by :func:`compile_tree`; see the module docstring for the
-    layout conventions.  ``classes`` / ``leaf_proba`` are present only
-    when the tree was compiled with a classes array.
-    """
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    leaf_value: np.ndarray
-    depth: int
-    classes: np.ndarray | None = None
-    leaf_proba: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        # Leaves keep feature = -1 in the public array; the descent
-        # gathers column 0 for them (the +inf threshold routes the row
-        # back onto the leaf regardless of the value read).
-        self._gather_feature = np.where(self.feature >= 0, self.feature, 0)
-        # Sibling adjacency enables the one-gather child step; tables
-        # built by flatten_tree always satisfy it, hand-made ones may not.
-        self._adjacent = bool(
-            np.all((self.feature < 0) | (self.right == self.left + 1))
-        )
-
-    @property
-    def n_nodes(self) -> int:
-        return int(self.feature.shape[0])
-
-    @property
-    def n_leaves(self) -> int:
-        return int((self.feature < 0).sum())
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        """Leaf index reached by every row of ``X`` (vectorised descent)."""
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        n = X.shape[0]
-        if self.depth == 0 or n == 0:
-            return np.zeros(n, dtype=np.int64)
-        out = np.empty(n, dtype=np.int64)
-        for start in range(0, n, _COLUMN_CHUNK):
-            stop = min(start + _COLUMN_CHUNK, n)
-            out[start:stop] = _descend(
-                self, X[start:stop], np.zeros(stop - start, dtype=np.int64)
-            )
-        return out
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Leaf payloads for ``X`` — labels (int64) or values (float64)."""
-        return self.leaf_value[self.apply(X)]
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Per-row class distributions, columns ordered as ``classes``."""
-        if self.leaf_proba is None:
-            raise ValidationError(
-                "this CompiledTree was compiled without a classes array; "
-                "recompile with classes to enable predict_proba"
-            )
-        return self.leaf_proba[self.apply(X)]
-
-    # -- the canonical tables contract ---------------------------------
-
-    def to_tables(self) -> dict:
-        """The node table as a plain dict of arrays (plus scalars).
-
-        The keys mirror the dataclass fields with an implicit
-        single-tree ``roots = [0]``; the dict round-trips through
-        :meth:`from_tables`.
-        """
-        return {
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "left": self.left,
-            "right": self.right,
-            "leaf_value": self.leaf_value,
-            "depth": int(self.depth),
-            "classes": self.classes,
-            "leaf_proba": self.leaf_proba,
-        }
-
-    @classmethod
-    def from_tables(cls, tables: dict) -> "CompiledTree":
-        """Build (and validate) a tree engine from a tables dict."""
-        feature = np.asarray(tables["feature"], dtype=np.int64)
-        validate_node_tables(
-            feature=feature,
-            threshold=np.asarray(tables["threshold"], dtype=np.float64),
-            left=np.asarray(tables["left"], dtype=np.int64),
-            right=np.asarray(tables["right"], dtype=np.int64),
-            leaf_value=np.asarray(tables["leaf_value"]),
-            roots=np.zeros(1, dtype=np.int64),
-            depth=int(tables["depth"]),
-            classes=tables.get("classes"),
-            leaf_proba=tables.get("leaf_proba"),
-        )
-        return cls(
-            feature=feature,
-            threshold=np.asarray(tables["threshold"], dtype=np.float64),
-            left=np.asarray(tables["left"], dtype=np.int64),
-            right=np.asarray(tables["right"], dtype=np.int64),
-            leaf_value=np.asarray(tables["leaf_value"]),
-            depth=int(tables["depth"]),
-            classes=tables.get("classes"),
-            leaf_proba=tables.get("leaf_proba"),
-        )
-
-    def to_node(self, leaf_weight=None) -> TreeNode:
-        """Rebuild the classification object tree this table encodes."""
-        return table_to_node(
-            self.feature,
-            self.threshold,
-            self.left,
-            self.right,
-            0,
-            classification_leaf_builder(self.leaf_value, self.classes, leaf_weight),
-        )
-
-
-def compile_tree(
-    root: TreeNode, classes=None, value_dtype=np.int64
-) -> CompiledTree:
-    """Flatten a ``TreeNode`` graph into a :class:`CompiledTree`.
-
-    Parameters
-    ----------
-    root:
-        The tree to compile (classification or regression node family).
-    classes:
-        Optional sorted label array; when given, per-leaf probability
-        rows aligned to it are built so ``predict_proba`` works.
-    value_dtype:
-        dtype of ``leaf_value`` — ``int64`` for classification labels
-        (the default, matching the object-graph ``predict_batch``),
-        ``float64`` for regression leaf values.
-    """
-    feature: list = []
-    threshold: list = []
-    left: list = []
-    right: list = []
-    leaf_value: list = []
-    class_position = None
-    proba_rows: list | None = None
-    if classes is not None:
-        classes = np.asarray(classes)
-        class_position = {int(c): i for i, c in enumerate(classes)}
-        proba_rows = []
-
-    _, depth = flatten_tree(
-        root,
-        feature=feature,
-        threshold=threshold,
-        left=left,
-        right=right,
-        leaf_value=leaf_value,
-        leaf_proba=proba_rows,
-        class_position=class_position,
-    )
-    return CompiledTree(
-        feature=np.asarray(feature, dtype=np.int64),
-        threshold=np.asarray(threshold, dtype=np.float64),
-        left=np.asarray(left, dtype=np.int64),
-        right=np.asarray(right, dtype=np.int64),
-        leaf_value=np.asarray(leaf_value, dtype=value_dtype),
-        depth=depth,
-        classes=classes,
-        leaf_proba=np.asarray(proba_rows, dtype=np.float64)
-        if proba_rows is not None
-        else None,
-    )

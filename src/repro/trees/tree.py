@@ -20,15 +20,10 @@ from .._validation import (
     check_X_y,
 )
 from ..exceptions import NotFittedError, ValidationError
-from .compiled import (
-    CompiledTree,
-    compile_tree,
-    ensure_compiled,
-    lazy_compiled,
-)
+from .compiled import ensure_compiled
 from .criteria import get_criterion
 from .growth import GrowthParams, grow_tree
-from .node import TreeNode, iter_leaves, predict_batch
+from .node import TreeNode, iter_leaves
 from .presort import presorted_dataset
 
 __all__ = ["DecisionTreeClassifier", "resolve_max_features"]
@@ -123,7 +118,7 @@ class DecisionTreeClassifier:
         self.root_: TreeNode | None = None
         self.classes_: np.ndarray | None = None
         self.n_features_in_: int | None = None
-        self._compiled_: CompiledTree | None = None
+        self._compiled_ = None
         self._compiled_sources_: tuple | None = None
 
     # ------------------------------------------------------------------
@@ -211,42 +206,27 @@ class DecisionTreeClassifier:
             )
         return X
 
-    def compile(self) -> CompiledTree:
-        """Flatten the fitted tree into its compiled array form.
+    def compile(self):
+        """Flatten the fitted tree into a one-tree ``CompiledEnsemble``.
 
-        The result is cached and reused by ``predict`` /
-        ``predict_proba`` until ``root_`` is replaced (refit, pruning,
-        modification attacks); call again after such surgery to refresh
-        eagerly.  See :mod:`repro.trees.compiled` for the engine.
+        The result is cached and answers every ``predict`` /
+        ``predict_proba`` call, whatever the batch size, until ``root_``
+        is replaced (refit, pruning, modification attacks).  See
+        :mod:`repro.ensemble.compiled` for the engine.
         """
+        # Function-level import: repro.ensemble imports this module.
+        from ..ensemble.compiled import compile_trees
+
         root = self._check_fitted()
         return ensure_compiled(
-            self, (root,), lambda: compile_tree(root, classes=self.classes_)
-        )
-
-    def _compiled_engine(self, n_rows: int) -> CompiledTree | None:
-        """The compiled engine to predict with, or ``None`` for object mode.
-
-        Lazily compiles on first predict, except for tiny batches where
-        flattening would cost more than it saves (a cached engine is
-        used whatever the batch size).
-        """
-        root = self._check_fitted()
-        return lazy_compiled(
-            self,
-            (root,),
-            n_rows,
-            lambda: compile_tree(root, classes=self.classes_),
+            self, (root,), lambda: compile_trees([root], classes=self.classes_)
         )
 
     def predict(self, X) -> np.ndarray:
         """Predict class labels for ``X``."""
-        root = self._check_fitted()
+        self._check_fitted()
         X = self._check_predict_input(X)
-        engine = self._compiled_engine(X.shape[0])
-        if engine is not None:
-            return engine.predict(X)
-        return predict_batch(root, X)
+        return self.compile().predict_all(X)[0]
 
     def predict_proba(self, X) -> np.ndarray:
         """Predict class-membership probabilities from leaf class masses.
@@ -255,34 +235,9 @@ class DecisionTreeClassifier:
         without recorded class weights predict probability 1 for their
         label.
         """
-        root = self._check_fitted()
+        self._check_fitted()
         X = self._check_predict_input(X)
-        assert self.classes_ is not None
-        engine = self._compiled_engine(X.shape[0])
-        if engine is not None and engine.leaf_proba is not None:
-            return engine.predict_proba(X)
-        class_position = {int(c): i for i, c in enumerate(self.classes_)}
-        out = np.zeros((X.shape[0], self.classes_.shape[0]), dtype=np.float64)
-
-        stack: list[tuple[TreeNode, np.ndarray]] = [(root, np.arange(X.shape[0]))]
-        while stack:
-            node, idx = stack.pop()
-            if idx.size == 0:
-                continue
-            if node.is_leaf:
-                total = node.total_weight()  # type: ignore[union-attr]
-                row = np.zeros(self.classes_.shape[0])
-                if total > 0:
-                    for label, mass in node.class_weights.items():  # type: ignore[union-attr]
-                        row[class_position[label]] = mass / total
-                else:
-                    row[class_position[int(node.prediction)]] = 1.0  # type: ignore[union-attr]
-                out[idx] = row
-                continue
-            go_left = X[idx, node.feature] <= node.threshold
-            stack.append((node.left, idx[go_left]))
-            stack.append((node.right, idx[~go_left]))
-        return out
+        return self.compile().predict_proba(X)
 
     @property
     def depth_(self) -> int:

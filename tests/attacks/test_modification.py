@@ -87,9 +87,10 @@ class TestFlipLeaves:
     def test_flip_keeps_predict_and_proba_consistent(self, bc_data, rng):
         # Regression: on attacked models, `predict` (leaf labels) and
         # `predict_proba` (leaf distributions) must name the same
-        # majority class — on the object path and the compiled path.
+        # majority class — in the engine and in the object graph.
+        from object_graph_oracle import predict_proba_walk
+
         from repro.ensemble import RandomForestClassifier
-        from repro.trees.compiled import MIN_COMPILE_ROWS
         from repro.trees.node import predict_batch
 
         X_train, X_test, y_train, _ = bc_data
@@ -98,21 +99,15 @@ class TestFlipLeaves:
             n_estimators=3, tree_feature_fraction=1.0, random_state=23
         ).fit(X_train, y_train)
         attacked = flip_forest_leaves(forest, 1.0, random_state=24)
-        step = MIN_COMPILE_ROWS - 1
         for tree in attacked.trees_:
-            # Batches below MIN_COMPILE_ROWS on a never-compiled tree take
-            # the object path; after compile() every batch takes the engine.
-            assert tree._compiled_ is None
-            chunks = [X_test[i : i + step] for i in range(0, len(X_test), step)]
             routes = {
                 "object": (
-                    np.concatenate([tree.predict(c) for c in chunks]),
-                    np.concatenate([tree.predict_proba(c) for c in chunks]),
-                )
+                    predict_batch(tree.root_, X_test),
+                    predict_proba_walk(tree.root_, tree.classes_, X_test),
+                ),
+                "compiled": (tree.predict(X_test), tree.predict_proba(X_test)),
             }
-            assert tree._compiled_ is None
-            tree.compile()
-            routes["compiled"] = (tree.predict(X_test), tree.predict_proba(X_test))
+            assert np.array_equal(routes["compiled"][1], routes["object"][1])
             for route, (labels, proba) in routes.items():
                 assert np.array_equal(labels, predict_batch(tree.root_, X_test)), route
                 by_proba = tree.classes_[np.argmax(proba, axis=1)]

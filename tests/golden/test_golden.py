@@ -151,8 +151,9 @@ def _hardness_paper_example():
 
 
 def _small_batch():
-    """Fewer than MIN_COMPILE_ROWS rows on a never-compiled forest: the
-    object-graph route answers ``predict`` and ``predict_proba``."""
+    """A 20-row first query on a never-compiled forest: ``predict_all``,
+    ``predict`` and ``predict_proba`` answered by the table that query
+    compiles."""
     ds = breast_cancer_like(200, random_state=401)
     forest = RandomForestClassifier(
         n_estimators=8, max_depth=6, random_state=402
@@ -175,7 +176,12 @@ def _three_class_tree():
     X = rng.random((240, 6))
     y = np.digitize(X[:, 0] + 0.5 * X[:, 3] + 0.2 * rng.random(240), [0.6, 1.1])
     tree = DecisionTreeClassifier(max_depth=7, random_state=602).fit(X, y)
-    return table_digest(tree.compile().to_tables())
+    tables = tree.compile().to_tables()
+    # A tree compiles to a one-tree ensemble table; the pin digests the
+    # eight keys the single-tree table had.
+    roots, leaf_weight = tables.pop("roots"), tables.pop("leaf_weight")
+    assert roots.tolist() == [0] and leaf_weight is None
+    return table_digest(tables)
 
 
 def _gbdt():

@@ -126,6 +126,54 @@ class TestCompiledRoundtrip:
         with pytest.raises(SerializationError, match="leaf_proba"):
             compiled_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "tamper,message",
+        [
+            pytest.param(
+                lambda d: d["threshold"].__setitem__(0, float("nan")),
+                "compiled threshold contains NaN",
+                id="nan-threshold",
+            ),
+            pytest.param(
+                lambda d: d.__setitem__("roots", []),
+                r"compiled roots must be a non-empty 1-D array, got shape \(0,\)",
+                id="empty-roots",
+            ),
+            pytest.param(
+                lambda d: d.__setitem__("roots", [[0]]),
+                r"compiled roots must be a non-empty 1-D array, got shape \(1, 1\)",
+                id="2d-roots",
+            ),
+            pytest.param(
+                lambda d: d.__setitem__("classes", [d["classes"]]),
+                r"compiled classes must be a 1-D array, got shape \(1, 2\)",
+                id="2d-classes",
+            ),
+        ],
+    )
+    def test_malformed_table_rejected_with_stable_message(self, bc_forest, tamper, message):
+        from repro.persistence import compiled_from_dict, compiled_to_dict
+
+        data = compiled_to_dict(bc_forest.compile())
+        tamper(data)
+        with pytest.raises(SerializationError, match=message):
+            compiled_from_dict(data)
+
+    def test_adopted_table_without_leaf_proba_answers_per_tree(self, bc_forest, bc_data):
+        """``leaf_proba`` is an optional section: a forest whose adopted
+        table lacks it still answers ``predict_proba``, tree by tree."""
+        _, X_test, _, _ = bc_data
+        data = forest_to_dict(bc_forest, include_compiled=True)
+        data["compiled"]["leaf_proba"] = None
+        restored = forest_from_dict(data)
+        assert restored._compiled_.leaf_proba is None
+        np.testing.assert_array_equal(
+            restored.predict_proba(X_test), bc_forest.predict_proba(X_test)
+        )
+        np.testing.assert_array_equal(
+            restored.predict_proba(X_test[:1]), bc_forest.predict_proba(X_test[:1])
+        )
+
     def test_tampered_compiled_table_not_adopted(self, bc_forest):
         """A compiled table disagreeing with the trees must be refused:
         verification would otherwise serve the tampered predictions."""

@@ -50,6 +50,13 @@ Migration note: ``MicroBatcher(flush_window=...)``,
 are removed; an idle engine serves at once, and ``max_batch_rows=1`` is
 the old ``0``.  Requests that arrive while an engine call is in flight
 fuse into the next call, so no timer is needed.
+
+Migration note: ``repro.trees`` no longer exports ``CompiledTree`` or
+``compile_tree``, and ``repro.trees.compiled`` drops them together with
+``MIN_COMPILE_ROWS`` and ``lazy_compiled``.  ``tree.compile()`` returns
+a one-tree ``CompiledEnsemble``, and every batch is compiled; for
+``compile_tree(root, classes)`` write ``compile_trees([root], classes)``
+and read ``predict_all(X)[0]``.  Outputs are unchanged.
 """
 
 import dataclasses
@@ -61,6 +68,7 @@ import pytest
 import repro
 import repro.api
 import repro.core
+import repro.ensemble
 import repro.solver
 import repro.trees
 from repro.api import ForgeryAttack, attack_params
@@ -172,7 +180,6 @@ API_ALL = [
 
 TREES_ALL = [
     "Box",
-    "CompiledTree",
     "DecisionTreeClassifier",
     "InternalNode",
     "Leaf",
@@ -182,7 +189,6 @@ TREES_ALL = [
     "TreeStats",
     "boxes_for_label",
     "clear_presort_cache",
-    "compile_tree",
     "ensemble_structure",
     "entropy_impurity",
     "gini_impurity",
@@ -202,10 +208,19 @@ TREES_ALL = [
 ]
 
 RETIRED_TREES_NAMES = (
+    "CompiledTree",
     "SPLITTERS",
+    "compile_tree",
     "get_inference_backend",
     "inference_backend",
     "set_inference_backend",
+)
+
+RETIRED_COMPILED_NAMES = (
+    "CompiledTree",
+    "MIN_COMPILE_ROWS",
+    "compile_tree",
+    "lazy_compiled",
 )
 
 SOLVER_ALL = [
@@ -286,6 +301,13 @@ class TestTreesSurface:
     def test_retired_switches_are_gone(self):
         for name in RETIRED_TREES_NAMES:
             assert not hasattr(repro.trees, name), name
+
+    def test_size_selected_route_is_gone(self):
+        compiled = importlib.import_module("repro.trees.compiled")
+        for name in RETIRED_COMPILED_NAMES:
+            assert not hasattr(compiled, name), name
+        tree = repro.trees.DecisionTreeClassifier().fit([[0.0], [1.0]], [0, 1])
+        assert type(tree.compile()) is repro.ensemble.CompiledEnsemble
 
 
 class TestSolverSurface:

@@ -2,7 +2,9 @@
 
 The compiled engine must be *bitwise identical* to the ``TreeNode``
 traversal — the watermark lives in exact per-tree predictions, so even
-one flipped borderline comparison would corrupt verification.
+one flipped borderline comparison would corrupt verification.  The
+references are :func:`repro.trees.node.predict_batch` for labels and
+the stack walk in ``object_graph_oracle.py`` for probabilities.
 """
 
 import numpy as np
@@ -13,14 +15,15 @@ from hypothesis import strategies as st
 from repro.ensemble import (
     GradientBoostingClassifier,
     RandomForestClassifier,
-    compile_forest,
     compile_trees,
 )
 from repro.ensemble.voting import majority_vote
 from repro.exceptions import ValidationError
-from repro.trees import DecisionTreeClassifier, compile_tree
-from repro.trees.compiled import MIN_COMPILE_ROWS
+from repro.persistence import load, save
+from repro.trees import DecisionTreeClassifier
 from repro.trees.node import InternalNode, Leaf, predict_batch
+
+from object_graph_oracle import forest_proba_walk, predict_proba_walk
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -28,21 +31,6 @@ seeds = st.integers(min_value=0, max_value=2**31 - 1)
 def _object_all(forest, X):
     """Per-tree answers walked through the object graph (the reference)."""
     return np.stack([predict_batch(tree.root_, X) for tree in forest.trees_], axis=0)
-
-
-def _small_batches(model, method, X):
-    """``model.method`` over batches below :data:`MIN_COMPILE_ROWS`.
-
-    On a model that was never compiled these take the object-graph
-    route, which is what makes them a reference for the engine.
-    """
-    assert model._compiled_ is None
-    step = MIN_COMPILE_ROWS - 1
-    out = np.concatenate(
-        [getattr(model, method)(X[i : i + step]) for i in range(0, X.shape[0], step)]
-    )
-    assert model._compiled_ is None
-    return out
 
 
 def _random_data(gen, n_samples=200, n_features=6):
@@ -80,13 +68,15 @@ class TestCompiledTreeEquivalence:
 
         reference = predict_batch(tree.root_, X_query)
         engine = tree.compile()
-        compiled = engine.predict(X_query)
+        assert engine.n_trees == 1 and engine.roots.tolist() == [0]
+        compiled = engine.predict_all(X_query)[0]
         assert compiled.dtype == reference.dtype
         assert np.array_equal(compiled, reference)
+        assert np.array_equal(tree.predict(X_query), reference)
 
         # On-threshold queries: route exactly like the object graph.
         X_edges = X[gen.choice(X.shape[0], size=64), :].copy()
-        assert np.array_equal(engine.predict(X_edges), predict_batch(tree.root_, X_edges))
+        assert np.array_equal(tree.predict(X_edges), predict_batch(tree.root_, X_edges))
 
     @given(seeds)
     @settings(max_examples=20, deadline=None)
@@ -95,26 +85,26 @@ class TestCompiledTreeEquivalence:
         n_features = int(gen.integers(1, 6))
         root = _random_hand_built_tree(gen, n_features, depth=int(gen.integers(0, 7)))
         X_query = gen.normal(size=(100, n_features))
-        engine = compile_tree(root)
-        assert np.array_equal(engine.predict(X_query), predict_batch(root, X_query))
+        engine = compile_trees([root])
+        assert np.array_equal(engine.predict_all(X_query)[0], predict_batch(root, X_query))
 
     def test_single_node_tree(self):
-        engine = compile_tree(Leaf(prediction=7), classes=np.array([7]))
+        engine = compile_trees([Leaf(prediction=7)], classes=np.array([7]))
         X = np.random.default_rng(0).normal(size=(13, 3))
         assert engine.depth == 0
         assert engine.n_nodes == 1 and engine.n_leaves == 1
-        assert np.array_equal(engine.predict(X), np.full(13, 7, dtype=np.int64))
+        assert np.array_equal(engine.predict_all(X), np.full((1, 13), 7, dtype=np.int64))
         assert np.array_equal(engine.predict_proba(X), np.ones((13, 1)))
 
     def test_empty_batch(self):
         gen = np.random.default_rng(3)
         root = _random_hand_built_tree(gen, n_features=4, depth=5)
-        engine = compile_tree(root)
+        engine = compile_trees([root])
         empty = np.empty((0, 4))
-        assert engine.apply(empty).shape == (0,)
-        assert engine.predict(empty).shape == (0,)
-        assert engine.predict(empty).dtype == np.int64
-        # ... and the same for a whole compiled ensemble.
+        assert engine.apply_all(empty).shape == (1, 0)
+        assert engine.predict_all(empty).shape == (1, 0)
+        assert engine.predict_all(empty).dtype == np.int64
+        # ... and the same for a two-tree table.
         packed = compile_trees([root, root], classes=np.array([-1, 1]))
         assert packed.predict_all(empty).shape == (2, 0)
         assert packed.predict_proba(empty).shape == (0, 2)
@@ -124,13 +114,44 @@ class TestCompiledTreeEquivalence:
         X, y = _random_data(gen, n_samples=300)
         tree = DecisionTreeClassifier(max_depth=5).fit(X, y)
         X_query = gen.normal(size=(128, X.shape[1]))
-        reference = _small_batches(tree, "predict_proba", X_query)
+        reference = predict_proba_walk(tree.root_, tree.classes_, X_query)
+        assert np.array_equal(tree.predict_proba(X_query), reference)
         assert np.array_equal(tree.compile().predict_proba(X_query), reference)
 
+    @pytest.mark.parametrize("n_rows", [1, 5, 40])
+    def test_every_batch_size_matches_the_object_graph(self, n_rows):
+        """A first query of any size on a fresh tree answers like the
+        object graph, labels and probabilities alike."""
+        gen = np.random.default_rng(13)
+        X, y = _random_data(gen)
+        tree = DecisionTreeClassifier(max_depth=6).fit(X, y)
+        X_query = gen.normal(size=(n_rows, X.shape[1]))
+        labels = tree.predict(X_query)
+        assert labels.dtype == np.int64
+        assert np.array_equal(labels, predict_batch(tree.root_, X_query))
+        assert np.array_equal(
+            tree.predict_proba(X_query),
+            predict_proba_walk(tree.root_, tree.classes_, X_query),
+        )
+
     def test_proba_requires_classes(self):
-        engine = compile_tree(Leaf(prediction=1))
+        engine = compile_trees([Leaf(prediction=1)])
         with pytest.raises(ValidationError):
             engine.predict_proba(np.zeros((1, 1)))
+
+    @pytest.mark.parametrize("n_rows", [1, 5, 40])
+    def test_leaf_label_outside_classes_rejected(self, n_rows):
+        """A hand-built leaf whose label is not in ``classes_`` fails the
+        same way in ``predict`` and ``predict_proba`` at every size."""
+        for method in ("predict", "predict_proba"):
+            tree = DecisionTreeClassifier()
+            tree.root_ = InternalNode(
+                feature=0, threshold=0.0, left=Leaf(prediction=-1), right=Leaf(prediction=7)
+            )
+            tree.classes_ = np.array([-1, 1])
+            tree.n_features_in_ = 2
+            with pytest.raises(ValidationError, match="leaf label 7 is not in the classes"):
+                getattr(tree, method)(np.zeros((n_rows, 2)))
 
 
 class TestCompiledForestEquivalence:
@@ -149,7 +170,7 @@ class TestCompiledForestEquivalence:
 
         reference_all = _object_all(forest, X_query)
         reference_pred = majority_vote(reference_all, forest.classes_)
-        reference_proba = _small_batches(forest, "predict_proba", X_query)
+        reference_proba = forest_proba_walk(forest, X_query)
 
         engine = forest.compile()
         assert np.array_equal(engine.predict_all(X_query), reference_all)
@@ -207,46 +228,61 @@ class TestCompiledForestEquivalence:
 
 
 class TestBackendAndCaching:
-    """The batch size alone picks the route: the object graph below
-    :data:`MIN_COMPILE_ROWS` on a never-compiled model, the compiled
-    engine otherwise."""
+    """One route: every call compiles the model's table on first use
+    and reuses it until a root is replaced."""
 
-    def test_backend_switch_and_restore(self):
+    @staticmethod
+    def _count_compiles(monkeypatch):
+        from repro.ensemble import compiled
+
+        calls = []
+        original = compiled.compile_trees
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(compiled, "compile_trees", counting)
+        return calls
+
+    def test_one_row_predict_compiles_once(self, monkeypatch):
         gen = np.random.default_rng(4)
         X, y = _random_data(gen)
         tree = DecisionTreeClassifier(max_depth=4).fit(X, y)
-        other = DecisionTreeClassifier(max_depth=4).fit(X, y)
-        X_query = gen.normal(size=(MIN_COMPILE_ROWS, X.shape[1]))
-        reference = predict_batch(tree.root_, X_query)
-        assert np.array_equal(tree.predict(X_query[:-1]), reference[:-1])
-        assert tree._compiled_ is None  # one row short: object route
-        assert np.array_equal(tree.predict(X_query), reference)
-        assert tree._compiled_ is not None  # at the threshold: compiled
-        # The switch is per model: nothing global changed for another one.
-        other.predict(X_query[:-1])
-        assert other._compiled_ is None
+        calls = self._count_compiles(monkeypatch)
+        row = gen.normal(size=(1, X.shape[1]))
+        assert tree._compiled_ is None
+        assert np.array_equal(tree.predict(row), predict_batch(tree.root_, row))
+        assert len(calls) == 1
+        engine = tree._compiled_
+        assert engine is not None
+        # A second call, of any method and size, reuses the engine.
+        tree.predict(row)
+        tree.predict_proba(gen.normal(size=(40, X.shape[1])))
+        assert len(calls) == 1 and tree._compiled_ is engine
 
-    def test_object_backend_never_compiles(self):
+    def test_replacing_a_root_recompiles(self, monkeypatch):
         gen = np.random.default_rng(5)
         X, y = _random_data(gen)
         tree = DecisionTreeClassifier(max_depth=4).fit(X, y)
-        for _ in range(20):
-            tree.predict(gen.normal(size=(MIN_COMPILE_ROWS - 1, X.shape[1])))
-            tree.predict_proba(gen.normal(size=(1, X.shape[1])))
-        assert tree._compiled_ is None
+        calls = self._count_compiles(monkeypatch)
+        row = gen.normal(size=(1, X.shape[1]))
+        tree.predict(row)
+        engine = tree._compiled_
+        tree.root_ = Leaf(prediction=int(tree.classes_[0]))
+        assert np.array_equal(tree.predict(row), tree.classes_[:1])
+        assert len(calls) == 2 and tree._compiled_ is not engine
 
-    def test_lazy_compile_skips_tiny_batches(self):
+    def test_forest_compiles_on_first_query_of_any_size(self):
         gen = np.random.default_rng(6)
         X, y = _random_data(gen)
         forest = RandomForestClassifier(n_estimators=3, max_depth=4, random_state=0)
         forest.fit(X, y)
-        forest.predict_all(gen.normal(size=(4, X.shape[1])))
-        assert forest._compiled_ is None  # below the lazy threshold
-        forest.predict_all(gen.normal(size=(256, X.shape[1])))
-        assert forest._compiled_ is not None  # large batch compiled
-        # ... and once compiled, tiny batches reuse the engine.
+        rows = gen.normal(size=(4, X.shape[1]))
+        assert np.array_equal(forest.predict_all(rows), _object_all(forest, rows))
         engine = forest._compiled_
-        forest.predict_all(gen.normal(size=(4, X.shape[1])))
+        assert engine is not None
+        forest.predict_all(gen.normal(size=(256, X.shape[1])))
         assert forest._compiled_ is engine
 
     def test_cache_invalidated_when_roots_change(self):
@@ -318,3 +354,48 @@ class TestCompiledVerificationPath:
         assert np.array_equal(
             report.per_tree_accuracy, (reference == model.trigger.y).mean(axis=1)
         )
+
+
+class TestTableWidth:
+    """The flat gather reads ``row * width + feature``: a table that
+    splits on a feature past the input width must refuse the batch
+    rather than read the next row."""
+
+    @staticmethod
+    def _wide_split_forest():
+        gen = np.random.default_rng(14)
+        X = gen.normal(size=(60, 30))
+        y = np.where(X[:, 0] > 0, 1, -1)
+        forest = RandomForestClassifier(n_estimators=1, max_depth=2, random_state=0)
+        forest.fit(X, y)
+        root = InternalNode(
+            feature=31,
+            threshold=0.0,
+            left=Leaf(prediction=-1, class_weights={-1: 1.0}),
+            right=Leaf(prediction=1, class_weights={1: 1.0}),
+        )
+        return forest.with_roots([root]), gen.normal(size=(40, 30))
+
+    @pytest.mark.parametrize("n_rows", [1, 40])
+    def test_in_memory_surgery_rejected(self, n_rows):
+        forest, X = self._wide_split_forest()
+        for method in ("predict_all", "predict", "predict_proba"):
+            with pytest.raises(ValidationError, match="splits on feature 31"):
+                getattr(forest, method)(X[:n_rows])
+
+    @pytest.mark.parametrize("mmap_mode", [None, "r"])
+    def test_rfbin_artefact_rejected(self, tmp_path, mmap_mode):
+        forest, X = self._wide_split_forest()
+        path = tmp_path / "wide.rfbin"
+        save(forest, path)
+        restored = load(path, mmap_mode=mmap_mode)
+        with pytest.raises(ValidationError, match="splits on feature 31"):
+            restored.predict_all(X)
+
+    def test_wide_enough_input_accepted(self):
+        engine = compile_trees(
+            [InternalNode(feature=2, threshold=0.0, left=Leaf(-1), right=Leaf(1))]
+        )
+        assert engine.predict_all(np.ones((3, 3))).tolist() == [[1, 1, 1]]
+        with pytest.raises(ValidationError, match="X has 2 features"):
+            engine.predict_all(np.ones((3, 2)))
