@@ -65,16 +65,6 @@ __all__ = [
 ]
 
 
-def _json_safe(value):
-    """Recursively convert a result value into *strictly* JSON-safe types.
-
-    Delegates to :func:`repro._jsonsafe.json_safe`, which also clamps
-    non-finite floats to ``None`` so ``--json`` output never contains
-    the invalid ``Infinity``/``NaN`` literals.
-    """
-    return json_safe(value)
-
-
 @dataclass(frozen=True)
 class AttackTarget:
     """The deployed watermarked model plus the attacker-visible data.
@@ -150,8 +140,9 @@ class AttackReport:
         return self.attacked_accuracy - self.baseline_accuracy
 
     def to_dict(self) -> dict:
-        """JSON-serialisable view (numpy scalars/arrays converted)."""
-        return _json_safe(
+        """Strictly JSON-safe view: numpy values converted, non-finite
+        floats as ``None`` (see :func:`repro._jsonsafe.json_safe`)."""
+        return json_safe(
             {
                 "attack": self.attack,
                 "params": self.params,

@@ -13,15 +13,17 @@ The paper decides each query with Z3; here the one engine is
 by the library's CDCL solver).  Two speedups apply on top of the
 paper's loop, neither of which changes what is computed:
 
-- **Encoding reuse**: the forest's leaf boxes, threshold atoms and
-  clause skeleton are compiled once per forest and required-label
-  pattern (:class:`repro.solver.CompiledPatternEncoding`) and
-  re-solved per instance, on one persistent solver, with only the
-  ``L∞`` box supplied as assumptions.  The encoding does not depend on
-  ``ε``, so it is kept across calls: an ε sweep (or several fake
-  signatures) on one forest compiles each pattern once.  The cache is
-  keyed weakly by the forest, pinned to the identity of its tree roots
-  (``fit`` and ``refit_trees`` replace them, so they recompile) and
+- **Encoding reuse**: the leaf boxes, threshold atoms and clause
+  skeleton are compiled once per forest and required-label pattern
+  (:class:`repro.solver.CompiledPatternEncoding`) from the forest's
+  compiled node table (``forest.compile()``; a lazily loaded ``.rfbin``
+  forest keeps its object trees unbuilt) and re-solved per instance, on
+  one persistent solver, with only the ``L∞`` box supplied as
+  assumptions.  The encoding does not depend on ``ε``, so it is kept
+  across calls: an ε sweep (or several fake signatures) on one forest
+  compiles each pattern once.  The cache is keyed weakly by the forest,
+  pinned to the identity of its node table (``fit`` and ``refit_trees``
+  replace the roots, so the table and the encodings are rebuilt) and
   bounded per forest (see ``repro.solver.compiled_encoding``).
 - **Parallel fan-out** (``n_jobs``): instance attempts are dispatched
   in deterministic contiguous chunks over a process pool.  Every
@@ -95,26 +97,19 @@ class ForgeryAttackResult:
         return int(self.forged_X.shape[0])
 
 
-def _compiled_from(cache: EncodingCache, roots: list, n_features: int) -> bool:
-    """Whether ``cache`` was compiled from exactly these roots."""
-    return (
-        cache.n_features == n_features
-        and len(cache.roots) == len(roots)
-        and all(held is root for held, root in zip(cache.roots, roots))
-    )
-
-
 @contextmanager
-def _forest_encodings(forest, roots: list, n_features: int):
+def _forest_encodings(forest, engine, n_features: int):
     """The forest's :class:`EncodingCache`, checked out for one call.
 
     The cache leaves the table while the call runs and returns in a
     ``finally``: a concurrent call on the same forest finds none and
     builds its own, so two threads never drive one persistent solver.
-    A cache compiled from other roots or another feature count is
-    replaced — root identity is the staleness rule of the forest's
-    compiled engine, and nothing edits nodes in place.  An ensemble
-    that cannot be weakly keyed gets a fresh cache per call.
+    A cache compiled from another node table or feature count is
+    replaced — the forest rebuilds its table whenever a root is
+    replaced, and nothing edits a table in place.  The table is not the
+    weak key itself because the cache holds it, which would keep the
+    entry alive.  An ensemble that cannot be weakly keyed gets a fresh
+    cache per call.
     """
     try:
         with _CACHES_LOCK:
@@ -122,8 +117,8 @@ def _forest_encodings(forest, roots: list, n_features: int):
         keyed = True
     except TypeError:
         cache, keyed = None, False
-    if cache is None or not _compiled_from(cache, roots, n_features):
-        cache = EncodingCache(roots, n_features)
+    if cache is None or cache.engine is not engine or cache.n_features != n_features:
+        cache = EncodingCache(engine, n_features)
     try:
         yield cache
     finally:
@@ -151,7 +146,7 @@ def _solve_instance(
 
 
 def _forge_batch(
-    roots,
+    engine,
     signature: Signature,
     labels: np.ndarray,
     centers: np.ndarray,
@@ -163,18 +158,18 @@ def _forge_batch(
 
     Under a fork-based pool the parent's compiled encodings arrive for
     free via :func:`repro.parallel.shared_payload`; otherwise (spawn
-    platforms) the worker builds its own.  Either way each instance
-    solve is the same pure function, so results do not depend on which
-    path was taken.
+    platforms) the worker builds its own from the pickled node table.
+    Either way each instance solve is the same pure function, so
+    results do not depend on which path was taken.
     """
     cache = shared_payload()
     if not isinstance(cache, EncodingCache):
-        if roots is None:
+        if engine is None:
             raise RuntimeError(
-                "forgery worker received no tree roots and no shared "
+                "forgery worker received no node table and no shared "
                 "encoding cache — fork detection went wrong"
             )
-        cache = EncodingCache(roots, n_features)
+        cache = EncodingCache(engine, n_features)
     out: list[tuple[str, np.ndarray | None]] = []
     for label, center in zip(labels, centers):
         outcome = _solve_instance(
@@ -252,7 +247,7 @@ def forge_trigger_set(
     if max_instances is not None:
         order = order[:max_instances]
 
-    roots = forest.roots()
+    engine = forest.compile()
     n_features = int(X_test.shape[1])
     n_workers = resolve_n_jobs(n_jobs, n_tasks=len(order))
 
@@ -275,7 +270,7 @@ def forge_trigger_set(
             sources.append(int(row))
         return True
 
-    with _forest_encodings(forest, roots, n_features) as cache:
+    with _forest_encodings(forest, engine, n_features) as cache:
         if n_workers == 1:
             for row in order:
                 if target_size is not None and len(forged) >= target_size:
@@ -291,11 +286,11 @@ def forge_trigger_set(
             # order*.  Without a target one wave covers everything; with a
             # target the wave size bounds the speculative surplus.
             shared_cache = None
-            payload_roots = roots
+            payload_engine = engine
             if fork_available():
                 # Workers inherit the warmed cache copy-on-write (a solver
                 # left dirty by an earlier call resets before its first
-                # solve); don't also pickle the tree roots into every
+                # solve); don't also pickle the node table into every
                 # payload.  On spawn-only platforms warming here would be
                 # wasted work — workers there build their own cache per
                 # batch.
@@ -304,7 +299,7 @@ def forge_trigger_set(
                         required_labels(fake_signature, int(label))
                     ).warm()
                 shared_cache = cache
-                payload_roots = None
+                payload_engine = None
             wave_size = (
                 len(order) if target_size is None else n_workers * _WAVE_CHUNK
             )
@@ -318,7 +313,7 @@ def forge_trigger_set(
                 batches = partition(list(wave), n_workers)
                 payloads = [
                     (
-                        payload_roots,
+                        payload_engine,
                         fake_signature,
                         y_test[batch],
                         X_test[batch],

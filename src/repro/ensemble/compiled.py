@@ -320,7 +320,7 @@ def compile_trees(
     """
     tree_roots = list(tree_roots)
     if not tree_roots:
-        raise ValidationError("cannot compile an empty list of trees")
+        raise ValidationError("an ensemble must contain at least one tree")
     feature: list = []
     threshold: list = []
     left: list = []

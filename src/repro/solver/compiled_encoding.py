@@ -21,17 +21,24 @@ to the ball centre.
 Across a forgery sweep only the ``L∞`` box around the test point
 changes — the forest, the fake signature and hence the required
 per-tree labels stay fixed.  :class:`CompiledPatternEncoding` is built
-once per ``(forest, required-label pattern)`` and precomputes:
+once per ``(forest, required-label pattern)`` from the forest's
+compiled node table (:class:`~repro.ensemble.compiled.CompiledEnsemble`)
+and precomputes:
 
+- every candidate leaf's box, read from the table's
+  ``feature``/``threshold``/``left``/``right``/``roots`` arrays in
+  level-synchronous array passes and flattened into one constraint
+  table, which drives a vectorised **prescreen** that detects
+  trivially unsatisfiable instances (some tree keeps no box compatible
+  with the bounds) in one pass over the ensemble, without touching the
+  solver;
 - the threshold **atom table** as flat feature/threshold/variable
   arrays, so the atoms decided by an instance's bounds fall out of two
   vectorised comparisons;
 - the **clause skeleton**: items 1, 2 and 4 above — everything except
-  the bound assumptions, which are exactly the instance-specific part;
-- the box constraints of all trees flattened into one table, for a
-  vectorised **prescreen** that detects trivially unsatisfiable
-  instances (some tree keeps no box compatible with the bounds) in one
-  pass over the ensemble, without touching the solver.
+  the bound assumptions, which are exactly the instance-specific part.
+
+A SAT witness is replayed through the same table before it is returned.
 
 Per instance the engine computes the feature bounds, turns them into
 *assumptions* (see :meth:`repro.solver.sat.SATSolver.solve`), and
@@ -53,16 +60,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..ensemble.compiled import CompiledEnsemble
 from ..exceptions import SolverError, ValidationError
-from ..trees.node import TreeNode
-from ..trees.paths import Box, leaf_boxes
 from .cnf import CNF
 from .problem import (
     PatternOutcome,
     PatternProblem,
-    check_pattern,
     check_pattern_inputs,
     compute_feature_bounds,
+    pattern_holds,
 )
 from .sat import SATSolver
 
@@ -83,12 +89,12 @@ _MAX_PATTERNS = 8
 
 @dataclass
 class _FlatScreen:
-    """Box constraints of every tree, flattened for one vectorised screen.
+    """The leaf-box constraints of every tree, for one vectorised screen.
 
     Boxes are numbered across the ensemble in tree order; tree ``t``
     owns boxes ``tree_offsets[t]:tree_offsets[t + 1]``.  Each upper
     constraint ``x_f <= v`` and lower constraint ``x_f > v`` names its
-    box, feature and threshold.
+    box, feature and threshold; both columns are ordered by box.
     """
 
     tree_offsets: np.ndarray  # n_trees + 1 box offsets
@@ -113,27 +119,78 @@ class _FlatScreen:
         return ok if kept.all() else None
 
 
-def _flat_screen(candidates: list[list[Box]]) -> _FlatScreen:
-    upper: list[tuple[int, int, float]] = []
-    lower: list[tuple[int, int, float]] = []
-    offsets = [0]
-    for boxes in candidates:
-        for index, box in enumerate(boxes, start=offsets[-1]):
-            upper.extend((index, f, v) for f, v in box.upper.items())
-            lower.extend((index, f, v) for f, v in box.lower.items())
-        offsets.append(offsets[-1] + len(boxes))
+def _table_boxes(engine: CompiledEnsemble, required: list[int]) -> _FlatScreen:
+    """The boxes of the leaves that carry their tree's required label.
 
-    def columns(rows):
-        box, feature, value = zip(*rows) if rows else ((), (), ())
-        return (
-            np.asarray(box, dtype=np.int64),
-            np.asarray(feature, dtype=np.int64),
-            np.asarray(value, dtype=np.float64),
-        )
-
-    return _FlatScreen(
-        np.asarray(offsets, dtype=np.int64), *columns(upper), *columns(lower)
+    A level-synchronous descent from the roots: each frontier entry
+    carries its tree and its path so far, as the internal rows it
+    passed and whether each turn went right.  Following ``x_f <= v``
+    left bounds ``x_f`` above by ``v``, following it right bounds it
+    strictly below.  Boxes come in depth-first, left-first order per
+    tree (the lexicographic order of their paths) and trees in ensemble
+    order.  Within a box, a feature's upper bound is the smallest
+    threshold of its left turns, placed at the first of them, and its
+    lower bound the largest threshold of its right turns, placed at the
+    first of those; an infinite or NaN threshold bounds nothing.  These
+    rules fix the CNF's variable and clause order.
+    """
+    feature, threshold, depth = engine.feature, engine.threshold, engine.depth
+    wanted = np.asarray(required, dtype=np.int64)
+    tree = np.arange(engine.n_trees)
+    node = np.asarray(engine.roots, dtype=np.int64)
+    passed = np.empty((tree.size, 0), dtype=np.int64)
+    right = np.empty((tree.size, 0), dtype=bool)
+    found: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    for level in range(depth + 1):
+        leaf = feature[node] < 0
+        keep = leaf & (engine.leaf_value[node] == wanted[tree])
+        pad = ((0, 0), (0, depth - level))
+        found.append((
+            tree[keep],
+            np.pad(passed[keep], pad, constant_values=-1),
+            np.pad(right[keep], pad),
+        ))
+        parent = node[~leaf]
+        tree = np.repeat(tree[~leaf], 2)
+        node = np.column_stack([engine.left[parent], engine.right[parent]]).ravel()
+        passed = np.repeat(np.column_stack([passed[~leaf], parent]), 2, axis=0)
+        right = np.column_stack([
+            np.repeat(right[~leaf], 2, axis=0), np.tile([False, True], parent.size)
+        ])
+    tree, passed, right = (np.concatenate(part) for part in zip(*found))
+    # Paths are prefix-free, so padding them with left turns keeps
+    # their lexicographic order.
+    order = np.lexsort(np.vstack([right.T[::-1], tree]))
+    passed, right = passed[order], right[order]
+    offsets = np.concatenate(
+        ([0], np.cumsum(np.bincount(tree, minlength=engine.n_trees)))
     )
+    box, step = np.nonzero(passed >= 0)  # by box, then root to leaf
+    row = passed[box, step]
+    turned_right = right[box, step]
+    columns = box, step, feature[row], threshold[row]
+    upper = ~turned_right & (columns[3] < np.inf)
+    lower = turned_right & (columns[3] > -np.inf)
+    return _FlatScreen(
+        offsets,
+        *_tightest(*(column[upper] for column in columns), np.minimum),
+        *_tightest(*(column[lower] for column in columns), np.maximum),
+    )
+
+
+def _tightest(box, step, feature, value, tighter):
+    """One constraint per ``(box, feature)``: the ``tighter`` value, at
+    the step where it first appears; ordered by box, then that step."""
+    order = np.lexsort((step, feature, box))
+    box, step, feature, value = box[order], step[order], feature[order], value[order]
+    first = np.ones(box.size, dtype=bool)
+    first[1:] = (box[1:] != box[:-1]) | (feature[1:] != feature[:-1])
+    starts = np.flatnonzero(first)
+    if starts.size:
+        value = tighter.reduceat(value, starts)
+    box, step, feature = box[starts], step[starts], feature[starts]
+    order = np.lexsort((step, box))
+    return box[order], feature[order], value[order]
 
 
 def decode_atom_intervals(
@@ -196,7 +253,7 @@ class CompiledPatternEncoding:
     :meth:`solve` once per test instance with only the box constraints.
     """
 
-    roots: list[TreeNode]
+    engine: CompiledEnsemble
     required: list[int]
     n_features: int
     domain: tuple[float, float] | None
@@ -257,7 +314,7 @@ class CompiledPatternEncoding:
         ``status="unknown"``.
         """
         center = check_pattern_inputs(
-            self.roots, self.required, self.n_features, center, epsilon, self.domain
+            self.engine, self.required, self.n_features, center, epsilon, self.domain
         )
         if budget is not None and budget < 0:
             raise ValidationError(f"budget must be >= 0 or None, got {budget}")
@@ -296,8 +353,8 @@ class CompiledPatternEncoding:
             self.atom_features, self.atom_thresholds, truth,
             lo, hi, self.n_features, center,
         )
-        if not check_pattern(
-            self.roots, self.required, instance, center, epsilon, self.domain
+        if not pattern_holds(
+            self.engine, self.required, instance, center, epsilon, self.domain
         ):
             raise SolverError(
                 "decoded instance does not realise the required pattern — "
@@ -307,33 +364,26 @@ class CompiledPatternEncoding:
 
 
 def compile_pattern_encoding(
-    roots: list[TreeNode],
+    engine: CompiledEnsemble,
     required: list[int],
     n_features: int,
     domain: tuple[float, float] | None = (0.0, 1.0),
 ) -> CompiledPatternEncoding:
     """Build the instance-independent encoding of a signature pattern.
 
-    Variables are numbered in a fixed order (leaf boxes in
-    :func:`repro.trees.paths.leaf_boxes` order, trees in ensemble
-    order), which is what keeps compiled and fresh solves bit-for-bit
-    interchangeable.
+    ``engine`` is the forest's node table (``forest.compile()``, or
+    :func:`~repro.ensemble.compiled.compile_trees` of a root list).
+    Variables are numbered in a fixed order (trees in ensemble order,
+    leaf boxes depth-first, left first), which is what keeps compiled
+    and fresh solves bit-for-bit interchangeable.
     """
-    check_pattern_inputs(roots, required, n_features, None, None, domain)
-
-    candidates: list[list[Box]] = []
-    always_unsat = False
-    for root, label in zip(roots, required):
-        boxes = [box for leaf, box in leaf_boxes(root) if leaf.prediction == label]
-        if not boxes:
-            always_unsat = True
-        candidates.append(boxes)
+    check_pattern_inputs(engine, required, n_features, None, None, domain)
+    screen = _table_boxes(engine, required)
 
     cnf = CNF()
     atom_vars: dict[tuple[int, float], int] = {}
 
-    def atom(feature: int, threshold: float) -> int:
-        key = (feature, float(threshold))
+    def atom(key: tuple[int, float]) -> int:
         if key not in atom_vars:
             atom_vars[key] = cnf.new_var()
         return atom_vars[key]
@@ -341,15 +391,21 @@ def compile_pattern_encoding(
     # Tree constraints: one selector variable per candidate leaf box.
     # No clause is pruned against the bounds — they arrive per instance
     # as assumptions, and unit propagation does the pruning.
-    for boxes in candidates:
+    n_boxes = int(screen.tree_offsets[-1])
+    upper = list(zip(screen.upper_feature.tolist(), screen.upper_value.tolist()))
+    lower = list(zip(screen.lower_feature.tolist(), screen.lower_value.tolist()))
+    upper_at = np.searchsorted(screen.upper_box, np.arange(n_boxes + 1)).tolist()
+    lower_at = np.searchsorted(screen.lower_box, np.arange(n_boxes + 1)).tolist()
+    offsets = screen.tree_offsets.tolist()
+    for first, stop in zip(offsets, offsets[1:]):
         selectors = []
-        for box in boxes:
+        for box in range(first, stop):
             selector = cnf.new_var()
             selectors.append(selector)
-            for feature, upper in box.upper.items():
-                cnf.add_clause([-selector, atom(feature, upper)])
-            for feature, lower in box.lower.items():
-                cnf.add_clause([-selector, -atom(feature, lower)])
+            for key in upper[upper_at[box] : upper_at[box + 1]]:
+                cnf.add_clause([-selector, atom(key)])
+            for key in lower[lower_at[box] : lower_at[box + 1]]:
+                cnf.add_clause([-selector, -atom(key)])
         cnf.add_clause(selectors)
 
     # Ordering axioms per feature over all atoms.
@@ -369,7 +425,7 @@ def compile_pattern_encoding(
     atom_thresholds = np.array([key[1] for key, _ in items], dtype=np.float64)
     atom_variables = np.array([var for _, var in items], dtype=np.int64)
     return CompiledPatternEncoding(
-        roots=roots,
+        engine=engine,
         required=list(required),
         n_features=n_features,
         domain=domain,
@@ -378,8 +434,8 @@ def compile_pattern_encoding(
         atom_features=atom_features,
         atom_thresholds=atom_thresholds,
         atom_variables=atom_variables,
-        screen=_flat_screen(candidates),
-        always_unsat=always_unsat,
+        screen=screen,
+        always_unsat=bool((np.diff(screen.tree_offsets) == 0).any()),
     )
 
 
@@ -394,11 +450,11 @@ class EncodingCache:
 
     def __init__(
         self,
-        roots: list[TreeNode],
+        engine: CompiledEnsemble,
         n_features: int,
         domain: tuple[float, float] | None = (0.0, 1.0),
     ) -> None:
-        self.roots = roots
+        self.engine = engine
         self.n_features = n_features
         self.domain = domain
         # Insertion order is recency order: least recently used first.
@@ -409,7 +465,7 @@ class EncodingCache:
         encoding = self._by_pattern.pop(key, None)
         if encoding is None:
             encoding = compile_pattern_encoding(
-                self.roots, list(required), self.n_features, self.domain
+                self.engine, list(required), self.n_features, self.domain
             )
         self._by_pattern[key] = encoding
         if len(self._by_pattern) > _MAX_PATTERNS:
@@ -427,5 +483,5 @@ def solve_pattern_smt(
     (``None`` = unlimited).
     """
     return compile_pattern_encoding(
-        problem.roots, problem.required, problem.n_features, problem.domain
+        problem.engine, problem.required, problem.n_features, problem.domain
     ).solve(problem.center, problem.epsilon, budget=max_conflicts)

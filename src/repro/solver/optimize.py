@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..ensemble.compiled import compile_trees
 from ..exceptions import ValidationError
 from . import compiled_encoding  # by module: name-wrapped compiles count
 
@@ -76,7 +77,7 @@ def minimal_forgery_distortion(
         if not (np.isfinite(value) and value > 0):
             raise ValidationError(f"{name} must be finite and > 0, got {value}")
     encoding = compiled_encoding.compile_pattern_encoding(
-        roots, required, n_features, domain
+        compile_trees(roots), required, n_features, domain
     )
     calls = 0
 

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.signature import Signature
+from ..ensemble.compiled import CompiledEnsemble, compile_trees
 from ..exceptions import ValidationError
 from ..trees.node import TreeNode, predict_one
-from ..trees.paths import Box, leaf_boxes
 
 __all__ = [
     "PatternProblem",
@@ -28,6 +28,7 @@ __all__ = [
     "compute_feature_bounds",
     "check_pattern",
     "check_pattern_inputs",
+    "pattern_holds",
 ]
 
 
@@ -63,7 +64,7 @@ def compute_feature_bounds(
 
 
 def check_pattern_inputs(
-    roots: list[TreeNode],
+    engine: CompiledEnsemble,
     required: list[int],
     n_features: int,
     center,
@@ -73,17 +74,20 @@ def check_pattern_inputs(
     """Validate a forgery query; return ``center`` as a float array.
 
     The one check behind :class:`PatternProblem` and the compiled
-    encoding: a non-empty ensemble with one required label per tree, an
-    ``L∞`` ball given whole (a finite center of shape
-    ``(n_features,)`` and a positive radius) or not at all, and a
-    non-empty domain.
+    encoding: one required label per tree of ``engine``, at least as
+    many features as its node table splits on, an ``L∞`` ball given
+    whole (a finite center of shape ``(n_features,)`` and a positive
+    radius) or not at all, and a non-empty domain.
     """
-    if len(roots) != len(required):
+    if engine.n_trees != len(required):
         raise ValidationError(
-            f"{len(roots)} trees but {len(required)} required labels"
+            f"{engine.n_trees} trees but {len(required)} required labels"
         )
-    if not roots:
-        raise ValidationError("the ensemble must contain at least one tree")
+    if n_features < engine._min_width:
+        raise ValidationError(
+            f"n_features is {n_features} but the trees split on feature "
+            f"{engine._min_width - 1}"
+        )
     if (center is None) != (epsilon is None):
         raise ValidationError("center and epsilon must be given together")
     if epsilon is not None and not epsilon > 0:
@@ -101,8 +105,26 @@ def check_pattern_inputs(
     return center
 
 
-def check_pattern(
-    roots: list[TreeNode],
+def _admissible(x, center, epsilon, domain) -> np.ndarray | None:
+    """``x`` as a float vector when it is finite, shaped like ``center``
+    (given a ball) and inside the domain and the ball; else ``None``."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1 or not np.isfinite(x).all():
+        return None
+    if domain is not None:
+        if (x < domain[0]).any() or (x > domain[1]).any():
+            return None
+    if center is not None and epsilon is not None:
+        if x.shape != np.shape(center):
+            return None
+        # Tiny slack absorbs float rounding at the ball boundary.
+        if np.abs(x - center).max() > epsilon + 1e-9:
+            return None
+    return x
+
+
+def pattern_holds(
+    engine: CompiledEnsemble,
     required: list[int],
     x: np.ndarray,
     center: np.ndarray | None = None,
@@ -111,20 +133,32 @@ def check_pattern(
 ) -> bool:
     """True when ``x`` realises the required pattern and constraints.
 
-    The function form of :meth:`PatternProblem.check_solution`, usable
-    by per-instance solvers without constructing a problem object.
+    ``x`` must be a finite vector, shaped like ``center`` when a ball is
+    given, inside the domain and the ball, and routed by every tree of
+    ``engine`` to a leaf with its required label.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        return False
-    if domain is not None:
-        if (x < domain[0]).any() or (x > domain[1]).any():
-            return False
-    if center is not None and epsilon is not None:
-        # Tiny slack absorbs float rounding at the ball boundary.
-        if np.abs(x - center).max() > epsilon + 1e-9:
-            return False
-    return all(
+    x = _admissible(x, center, epsilon, domain)
+    return x is not None and bool(
+        np.array_equal(engine.predict_all(x[None, :])[:, 0], required)
+    )
+
+
+def check_pattern(
+    roots: list[TreeNode],
+    required: list[int],
+    x: np.ndarray,
+    center: np.ndarray | None = None,
+    epsilon: float | None = None,
+    domain: tuple[float, float] | None = (0.0, 1.0),
+) -> bool:
+    """:func:`pattern_holds` for a list of tree roots.
+
+    Walks each root to its leaf instead of compiling the trees: callers
+    replay forged rows one at a time, and compiling a 64-tree forest
+    costs over a hundred times one row's walk.
+    """
+    x = _admissible(x, center, epsilon, domain)
+    return x is not None and all(
         predict_one(root, x) == label for root, label in zip(roots, required)
     )
 
@@ -155,10 +189,13 @@ class PatternProblem:
     center: np.ndarray | None = None
     epsilon: float | None = None
     domain: tuple[float, float] | None = (0.0, 1.0)
+    #: The trees compiled once into one node table.
+    engine: CompiledEnsemble = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        self.engine = compile_trees(self.roots)
         self.center = check_pattern_inputs(
-            self.roots, self.required, self.n_features,
+            self.engine, self.required, self.n_features,
             self.center, self.epsilon, self.domain,
         )
 
@@ -170,48 +207,14 @@ class PatternProblem:
             self.n_features, self.center, self.epsilon, self.domain
         )
 
-    def candidate_boxes(self) -> list[list[Box]] | None:
-        """Per tree, the boxes of leaves with the required label that are
-        compatible with the feature bounds.
-
-        Returns ``None`` when some tree has no compatible leaf — the
-        instance is trivially unsatisfiable.
-        """
-        lo, hi = self.feature_bounds()
-        if (lo > hi).any():
-            return None
-        candidates: list[list[Box]] = []
-        for root, label in zip(self.roots, self.required):
-            boxes = []
-            for leaf, box in leaf_boxes(root):
-                if leaf.prediction != label:
-                    continue
-                if _box_compatible(box, lo, hi):
-                    boxes.append(box)
-            if not boxes:
-                return None
-            candidates.append(boxes)
-        return candidates
-
     def check_solution(self, x: np.ndarray) -> bool:
         """True when ``x`` realises the required pattern and constraints."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n_features,):
             return False
-        return check_pattern(
-            self.roots, self.required, x, self.center, self.epsilon, self.domain
+        return pattern_holds(
+            self.engine, self.required, x, self.center, self.epsilon, self.domain
         )
-
-
-def _box_compatible(box: Box, lo: np.ndarray, hi: np.ndarray) -> bool:
-    """Does the box intersect the closed per-feature bounds?"""
-    for feature, upper in box.upper.items():
-        if upper < lo[feature]:
-            return False
-    for feature, lower in box.lower.items():
-        if lower >= hi[feature]:
-            return False
-    return True
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Decision-tree substrate: weighted CART trees and their geometry.
+"""Decision-tree substrate: weighted CART trees and their structure.
 
 Public surface:
 
@@ -6,9 +6,6 @@ Public surface:
   leaf-count caps (the knobs the paper's ``Adjust`` heuristic tunes).
 - :class:`Leaf` / :class:`InternalNode` — the paper's inductive tree
   structure, usable directly (e.g. by the 3SAT reduction).
-- :class:`Box`, :func:`leaf_boxes`, :func:`boxes_for_label` — leaf
-  regions as axis-aligned boxes, the geometric core of the forgery
-  solvers.
 - :func:`tree_stats`, :func:`ensemble_structure`, :func:`tree_to_text` —
   structural statistics (used by the detection attack) and export.
 - :mod:`repro.trees.compiled` — the flat node-table layout, flattener
@@ -23,7 +20,6 @@ Public surface:
 from .criteria import entropy_impurity, gini_impurity
 from .export import TreeStats, ensemble_structure, tree_stats, tree_to_text
 from .node import InternalNode, Leaf, TreeNode, iter_leaves, iter_nodes, predict_batch, predict_one
-from .paths import Box, boxes_for_label, leaf_boxes
 from .presort import (
     SortedDataset,
     clear_presort_cache,
@@ -35,19 +31,16 @@ from .regression import RegressionTree
 from .tree import DecisionTreeClassifier, resolve_max_features
 
 __all__ = [
-    "Box",
     "DecisionTreeClassifier",
     "InternalNode",
     "Leaf",
     "TreeNode",
     "TreeStats",
-    "boxes_for_label",
     "ensemble_structure",
     "entropy_impurity",
     "gini_impurity",
     "iter_leaves",
     "iter_nodes",
-    "leaf_boxes",
     "predict_batch",
     "predict_one",
     "prune_cost_complexity",

@@ -27,6 +27,8 @@ import pytest
 
 from repro.attacks import forge_trigger_set
 from repro.core import random_signature
+from repro.ensemble import compile_trees
+from repro.persistence import load, save
 from repro.solver import compile_pattern_encoding, compiled_encoding, required_labels
 
 
@@ -50,7 +52,9 @@ def _fresh_replay(ensemble, fake, X_test, y_test, epsilon, max_instances,
     statuses = {"sat": 0, "unsat": 0, "unknown": 0}
     for row in order:
         encoding = compile_pattern_encoding(
-            ensemble.roots(), required_labels(fake, int(y_test[row])), X_test.shape[1]
+            compile_trees(ensemble.roots()),
+            required_labels(fake, int(y_test[row])),
+            X_test.shape[1],
         )
         outcome = encoding.solve(center=X_test[row], epsilon=epsilon, budget=budget)
         statuses[outcome.status] += 1
@@ -115,6 +119,25 @@ class TestForgeDeterminism:
             labels = y_test[result.source_index][None, :]
             required = np.where(bits == 0, labels, -labels)
             assert np.array_equal(predictions, required)
+
+
+class TestLoadedForest:
+    @pytest.mark.parametrize("mmap_mode", [None, "r"], ids=["buffered", "mmap"])
+    def test_loaded_forest_forges_alike_and_stays_lazy(
+        self, forge_setup, tmp_path, mmap_mode
+    ):
+        """Forgery reads the loaded node table; the object trees are
+        never rebuilt."""
+        ensemble, fake, X_test, y_test = forge_setup
+        path = tmp_path / "forest.rfbin"
+        save(ensemble, path)
+        loaded = load(path, mmap_mode=mmap_mode)
+        kwargs = {"epsilon": 0.3, "max_instances": 12, "random_state": 77}
+        result = forge_trigger_set(loaded, fake, X_test, y_test, **kwargs)
+        expected = forge_trigger_set(ensemble, fake, X_test, y_test, **kwargs)
+        assert _fingerprint(result) == _fingerprint(expected)
+        assert result.statuses["sat"] and result.statuses["unsat"]
+        assert loaded._trees_ is None
 
 
 def _count_compiles(monkeypatch) -> list:
@@ -217,12 +240,12 @@ class TestEncodingReuseAcrossCalls:
         ensemble, fake, X_test, y_test = forge_setup
 
         class Unreferenceable:
-            __slots__ = ("n_trees_", "n_features_in_", "roots")
+            __slots__ = ("n_trees_", "n_features_in_", "compile")
 
         stolen = Unreferenceable()
         stolen.n_trees_ = ensemble.n_trees_
         stolen.n_features_in_ = ensemble.n_features_in_
-        stolen.roots = ensemble.roots
+        stolen.compile = ensemble.compile
         calls = _count_compiles(monkeypatch)
         for _ in range(2):
             result = forge_trigger_set(

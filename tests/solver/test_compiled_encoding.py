@@ -7,19 +7,20 @@ hand-built stumps.
 
 import numpy as np
 import pytest
-from box_dpll_oracle import solve_pattern_boxes
+from box_dpll_oracle import boxes_for_label, solve_pattern_boxes
 
 from repro.core import random_signature
+from repro.ensemble import compile_trees
 from repro.exceptions import ValidationError
 from repro.solver import (
     EncodingCache,
     PatternProblem,
     compile_pattern_encoding,
+    minimal_forgery_distortion,
     required_labels,
     solve_pattern_smt,
 )
 from repro.trees.node import InternalNode, Leaf
-from repro.trees.paths import leaf_boxes
 
 
 def _stump(feature=0, threshold=0.5):
@@ -32,7 +33,7 @@ class TestCompiledStatuses:
         signature = random_signature(bc_forest.n_trees_, random_state=21)
         required = required_labels(signature, +1)
         compiled = compile_pattern_encoding(
-            bc_forest.roots(), required, bc_forest.n_features_in_
+            bc_forest.compile(), required, bc_forest.n_features_in_
         )
         for i, epsilon in enumerate((0.05, 0.2, 0.5, 0.9)):
             center = X_test[i]
@@ -53,14 +54,14 @@ class TestCompiledStatuses:
         signature = random_signature(bc_forest.n_trees_, random_state=22)
         required = required_labels(signature, -1)
         compiled = compile_pattern_encoding(
-            bc_forest.roots(), required, bc_forest.n_features_in_
+            bc_forest.compile(), required, bc_forest.n_features_in_
         )
         # One persistent solver across the sweep vs a freshly compiled
         # encoding (hence a fresh solver) per instance.
         for i in range(6):
             reused = compiled.solve(center=X_test[i], epsilon=0.4)
             rebuilt = compile_pattern_encoding(
-                bc_forest.roots(), required, bc_forest.n_features_in_
+                bc_forest.compile(), required, bc_forest.n_features_in_
             ).solve(center=X_test[i], epsilon=0.4)
             assert reused.status == rebuilt.status
             if reused.is_sat:
@@ -69,7 +70,7 @@ class TestCompiledStatuses:
     def test_budget_caps_conflicts_and_none_is_the_default(self, bc_forest):
         """``budget=None``, the default, is an unlimited search — as in
         :class:`SATSolver` — and ``budget=0`` stops at the first conflict."""
-        encoding = compile_pattern_encoding([_stump()], [+1], 1)
+        encoding = compile_pattern_encoding(compile_trees([_stump()]), [+1], 1)
         center = np.array([0.8])
         assert encoding.solve(center=center, epsilon=0.3, budget=7).is_sat
         assert encoding._solver.max_conflicts == 7
@@ -78,7 +79,9 @@ class TestCompiledStatuses:
         # A pattern whose proof needs conflicts (3 on this forest).
         signature = random_signature(bc_forest.n_trees_, random_state=2)
         hard = compile_pattern_encoding(
-            bc_forest.roots(), required_labels(signature, -1), bc_forest.n_features_in_
+            bc_forest.compile(),
+            required_labels(signature, -1),
+            bc_forest.n_features_in_,
         )
         unlimited = hard.solve()
         assert unlimited.is_sat and unlimited.stats["conflicts"] > 0
@@ -87,7 +90,7 @@ class TestCompiledStatuses:
 
     @pytest.mark.parametrize("budget", [-1, -200_000])
     def test_negative_budget_rejected(self, budget):
-        encoding = compile_pattern_encoding([_stump()], [+1], 1)
+        encoding = compile_pattern_encoding(compile_trees([_stump()]), [+1], 1)
         with pytest.raises(ValidationError, match="budget"):
             encoding.solve(center=np.array([0.8]), epsilon=0.3, budget=budget)
         problem = PatternProblem(roots=[_stump()], required=[+1], n_features=1)
@@ -121,27 +124,54 @@ class TestInputValidation:
         with pytest.raises(ValidationError, match=match):
             PatternProblem(**build, **query)
         with pytest.raises(ValidationError, match=match):
-            compile_pattern_encoding(**build).solve(**query)
+            roots = build.pop("roots")
+            compile_pattern_encoding(compile_trees(roots), **build).solve(**query)
+
+
+_NARROW_ENTRY_POINTS = {
+    "compiled": lambda roots: compile_pattern_encoding(
+        compile_trees(roots), [+1], n_features=1
+    ),
+    "cache": lambda roots: EncodingCache(compile_trees(roots), 1).for_required([+1]),
+    "one-shot": lambda roots: solve_pattern_smt(
+        PatternProblem(roots, [+1], n_features=1)
+    ),
+    "distortion": lambda roots: minimal_forgery_distortion(
+        roots, [+1], np.array([0.5]), n_features=1
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "entry", _NARROW_ENTRY_POINTS.values(), ids=_NARROW_ENTRY_POINTS
+)
+def test_query_narrower_than_its_trees_rejected(entry):
+    """A stump on feature 1 cannot be queried with one feature; this
+    used to fail with a bare ``IndexError``."""
+    with pytest.raises(ValidationError, match="split on feature 1"):
+        entry([_stump(feature=1)])
 
 
 class TestCompiledStructure:
     def test_always_unsat_without_required_leaves(self):
         all_negative = InternalNode(0, 0.5, Leaf(-1), Leaf(-1))
-        encoding = compile_pattern_encoding([all_negative], [+1], 1)
+        encoding = compile_pattern_encoding(compile_trees([all_negative]), [+1], 1)
         assert encoding.always_unsat
         outcome = encoding.solve()
         assert outcome.is_unsat
         assert outcome.stats["trivial"] is True
 
     def test_prescreen_detects_ball_incompatibility(self):
-        encoding = compile_pattern_encoding([_stump()], [+1], 1)
+        encoding = compile_pattern_encoding(compile_trees([_stump()]), [+1], 1)
         # +1 needs x > 0.5; the ball [0.0, 0.2] keeps no compatible box.
         outcome = encoding.solve(center=np.array([0.1]), epsilon=0.1)
         assert outcome.is_unsat
         assert outcome.stats["trivial"] is True
 
     def test_atoms_shared_across_trees(self):
-        encoding = compile_pattern_encoding([_stump(), _stump()], [+1, +1], 1)
+        encoding = compile_pattern_encoding(
+            compile_trees([_stump(), _stump()]), [+1, +1], 1
+        )
         assert len(encoding.atom_vars) == 1
         assert encoding.atom_features.shape == (1,)
 
@@ -149,7 +179,7 @@ class TestCompiledStructure:
         # Atoms at 0.3 and 0.7; bounds [0.4, 0.6] decide both: the 0.3
         # atom is forced false, the 0.7 atom forced true.
         encoding = compile_pattern_encoding(
-            [_stump(0, 0.3), _stump(0, 0.7)], [+1, +1], 1
+            compile_trees([_stump(0, 0.3), _stump(0, 0.7)]), [+1, +1], 1
         )
         lo, hi = np.array([0.4]), np.array([0.6])
         literals = encoding.bound_assumptions(lo, hi)
@@ -161,7 +191,7 @@ class TestCompiledStructure:
         # Two thresholds on one feature: the skeleton holds the chain
         # clause (x <= 0.3) -> (x <= 0.7).
         encoding = compile_pattern_encoding(
-            [_stump(0, 0.3), _stump(0, 0.7)], [+1, +1], 1
+            compile_trees([_stump(0, 0.3), _stump(0, 0.7)]), [+1, +1], 1
         )
         small = encoding.atom_vars[(0, 0.3)]
         large = encoding.atom_vars[(0, 0.7)]
@@ -169,17 +199,19 @@ class TestCompiledStructure:
 
     def test_encoding_size_scales_with_leaves(self, bc_forest, forge_problem):
         encoding = compile_pattern_encoding(
-            forge_problem.roots, forge_problem.required, forge_problem.n_features
+            forge_problem.engine, forge_problem.required, forge_problem.n_features
         )
         assert encoding.cnf.n_vars > bc_forest.n_trees_
         assert len(encoding.cnf) > 0
 
     def test_mismatched_required_length_rejected(self):
         with pytest.raises(ValidationError, match="required"):
-            compile_pattern_encoding([_stump()], [+1, -1], 1)
+            compile_pattern_encoding(compile_trees([_stump()]), [+1, -1], 1)
 
     def test_domain_none_supported(self):
-        encoding = compile_pattern_encoding([_stump()], [-1], 1, domain=None)
+        encoding = compile_pattern_encoding(
+            compile_trees([_stump()]), [-1], 1, domain=None
+        )
         outcome = encoding.solve()
         assert outcome.is_sat
         assert outcome.instance[0] <= 0.5
@@ -198,7 +230,7 @@ class TestDecoding:
         assert problem.check_solution(outcome.instance)
 
     def test_decode_prefers_center(self):
-        encoding = compile_pattern_encoding([_stump(0, 0.5)], [+1], 2)
+        encoding = compile_pattern_encoding(compile_trees([_stump(0, 0.5)]), [+1], 2)
         outcome = encoding.solve(center=np.array([0.8, 0.33]), epsilon=0.3)
         # Feature 0 already exceeds 0.5 at the center; feature 1 is
         # unconstrained by the trees: the witness is the center itself.
@@ -207,26 +239,23 @@ class TestDecoding:
     def test_strict_lower_bound_is_the_next_float(self):
         # +1 needs x0 > 0.5; from the center 0.3 the nearest such point
         # is the float just above 0.5, not 0.5 itself.
-        encoding = compile_pattern_encoding([_stump(0, 0.5)], [+1], 1)
+        encoding = compile_pattern_encoding(compile_trees([_stump(0, 0.5)]), [+1], 1)
         outcome = encoding.solve(center=np.array([0.3]), epsilon=0.3)
         assert outcome.instance[0] == np.nextafter(0.5, np.inf)
 
     def test_ball_decides_atoms_and_witness_stays_inside(self):
         # The ball [0.8, 1.0] forces the 0.5 atom false: x0 > 0.5 holds
         # by assumption, and the witness is the center.
-        encoding = compile_pattern_encoding([_stump(0, 0.5)], [+1], 1)
+        encoding = compile_pattern_encoding(compile_trees([_stump(0, 0.5)]), [+1], 1)
         lo, hi = encoding.feature_bounds(np.array([0.9]), 0.1)
         assert encoding.bound_assumptions(lo, hi) == [-encoding.atom_vars[(0, 0.5)]]
         outcome = encoding.solve(center=np.array([0.9]), epsilon=0.1)
         assert outcome.is_sat and outcome.instance.tolist() == [0.9]
 
 
-def _candidates(encoding):
-    """Per tree, the leaf boxes carrying the required label."""
-    return [
-        [box for leaf, box in leaf_boxes(root) if leaf.prediction == label]
-        for root, label in zip(encoding.roots, encoding.required)
-    ]
+def _candidates(roots, required):
+    """Per tree, the oracle walk's leaf boxes carrying the required label."""
+    return [boxes_for_label(root, label) for root, label in zip(roots, required)]
 
 
 def _compatible_masks(encoding, lo, hi):
@@ -235,12 +264,12 @@ def _compatible_masks(encoding, lo, hi):
     return None if ok is None else np.split(ok, encoding.screen.tree_offsets[1:-1])
 
 
-def _per_tree_masks(encoding, lo, hi):
+def _per_tree_masks(roots, required, lo, hi):
     """Reference prescreen: one tree at a time, one box at a time.  A
     box is compatible when every upper threshold is >= lo and every
     lower threshold is < hi; ``None`` once a tree keeps no box."""
     masks = []
-    for boxes in _candidates(encoding):
+    for boxes in _candidates(roots, required):
         mask = np.array(
             [
                 all(v >= lo[f] for f, v in box.upper.items())
@@ -274,24 +303,25 @@ class TestFlatPrescreen:
         for draw in range(4):
             signature = random_signature(bc_forest.n_trees_, random_state=40 + draw)
             for label in (-1, +1):
+                required = required_labels(signature, label)
                 encoding = compile_pattern_encoding(
-                    bc_forest.roots(), required_labels(signature, label), n_features
+                    bc_forest.compile(), required, n_features
                 )
                 for width in (0.02, 0.1, 0.3, 0.6, 1.0):
                     for _ in range(10):
                         lo = rng.uniform(0.0, 1.0, n_features)
                         hi = lo + rng.uniform(0.0, width, n_features)
-                        expected = _per_tree_masks(encoding, lo, hi)
+                        expected = _per_tree_masks(bc_forest.roots(), required, lo, hi)
                         _assert_same_masks(_compatible_masks(encoding, lo, hi), expected)
                         outcomes["none" if expected is None else "masks"] += 1
         assert outcomes["none"] and outcomes["masks"]
 
     def test_single_leaf_tree_keeps_its_unconstrained_box(self):
         roots = [Leaf(+1), _stump(), Leaf(+1)]
-        encoding = compile_pattern_encoding(roots, [+1, +1, +1], 1)
+        encoding = compile_pattern_encoding(compile_trees(roots), [+1, +1, +1], 1)
         lo, hi = np.array([0.6]), np.array([0.9])
         masks = _compatible_masks(encoding, lo, hi)
-        _assert_same_masks(masks, _per_tree_masks(encoding, lo, hi))
+        _assert_same_masks(masks, _per_tree_masks(roots, [+1, +1, +1], lo, hi))
         assert [mask.tolist() for mask in masks] == [[True], [True], [True]]
         # The stump's box needs x > 0.5: these bounds rule it out.
         assert _compatible_masks(encoding, np.array([0.1]), np.array([0.4])) is None
@@ -302,17 +332,17 @@ class TestFlatPrescreen:
         flat table, wherever it sits — never its neighbour's box."""
         roots = [Leaf(+1), _stump(), Leaf(+1)]
         roots[position] = InternalNode(0, 0.5, Leaf(-1), Leaf(-1))
-        encoding = compile_pattern_encoding(roots, [+1, +1, +1], 1)
-        assert _candidates(encoding)[position] == []
+        encoding = compile_pattern_encoding(compile_trees(roots), [+1, +1, +1], 1)
+        assert _candidates(roots, [+1, +1, +1])[position] == []
         for lo, hi in ((0.0, 1.0), (0.6, 0.9), (0.1, 0.4)):
             bounds = np.array([lo]), np.array([hi])
-            assert _per_tree_masks(encoding, *bounds) is None
+            assert _per_tree_masks(roots, [+1, +1, +1], *bounds) is None
             assert _compatible_masks(encoding, *bounds) is None
 
 
 class TestEncodingCache:
     def test_same_pattern_returns_same_object(self, bc_forest):
-        cache = EncodingCache(bc_forest.roots(), bc_forest.n_features_in_)
+        cache = EncodingCache(bc_forest.compile(), bc_forest.n_features_in_)
         signature = random_signature(bc_forest.n_trees_, random_state=23)
         first = cache.for_required(required_labels(signature, +1))
         again = cache.for_required(required_labels(signature, +1))
@@ -321,7 +351,7 @@ class TestEncodingCache:
         assert other is not first
 
     def test_warm_prebuilds_persistent_solver(self):
-        encoding = compile_pattern_encoding([_stump()], [+1], 1)
+        encoding = compile_pattern_encoding(compile_trees([_stump()]), [+1], 1)
         assert encoding._solver is None
         encoding.warm()
         solver = encoding._solver

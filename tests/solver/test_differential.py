@@ -25,7 +25,7 @@ import pytest
 from box_dpll_oracle import solve_pattern_boxes
 
 from repro.core import random_signature
-from repro.ensemble import RandomForestClassifier
+from repro.ensemble import RandomForestClassifier, compile_trees
 from repro.solver import (
     PatternProblem,
     compile_pattern_encoding,
@@ -108,7 +108,7 @@ class TestEngineDifferential:
 
             boxes = solve_pattern_boxes(problem, max_nodes=None)
             compiled = compile_pattern_encoding(
-                problem.roots, problem.required, problem.n_features, problem.domain
+                problem.engine, problem.required, problem.n_features, problem.domain
             )
             compiled.solve(center=problem.center, epsilon=problem.epsilon)
             # The second solve runs on the reset persistent solver; the
@@ -169,7 +169,7 @@ class TestEngineDifferential:
             )
             boxes = solve_pattern_boxes(problem)
             compiled = compile_pattern_encoding(
-                roots, problem.required, problem.n_features
+                compile_trees(roots), problem.required, problem.n_features
             ).solve(center=problem.center, epsilon=problem.epsilon)
             one_shot = solve_pattern_smt(problem)
             assert compiled.status == boxes.status == one_shot.status

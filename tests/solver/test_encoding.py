@@ -7,6 +7,7 @@ directly with :class:`SATSolver` as well as through ``solve``.
 
 import numpy as np
 
+from repro.ensemble import compile_trees
 from repro.solver import (
     PatternProblem,
     SATSolver,
@@ -25,7 +26,7 @@ class TestEncoding:
         # No leaf of the tree predicts +1: the flag is set at compile
         # time and both entry points answer unsat without a search.
         all_negative = InternalNode(0, 0.5, Leaf(-1), Leaf(-1))
-        encoding = compile_pattern_encoding([all_negative], [+1], 1)
+        encoding = compile_pattern_encoding(compile_trees([all_negative]), [+1], 1)
         assert encoding.always_unsat
         problem = PatternProblem(roots=[all_negative], required=[+1], n_features=1)
         outcome = solve_pattern_smt(problem)
@@ -36,7 +37,7 @@ class TestEncoding:
         # Two stumps on the same (feature, threshold) share one atom, so
         # the CNF has one atom variable and its model decodes for both.
         encoding = compile_pattern_encoding(
-            [_stump(), _stump(), _stump(0, 0.7)], [+1, +1, -1], 1
+            compile_trees([_stump(), _stump(), _stump(0, 0.7)]), [+1, +1, -1], 1
         )
         assert set(encoding.atom_vars) == {(0, 0.5), (0, 0.7)}
         assert len(set(encoding.atom_vars.values())) == 2
@@ -48,7 +49,7 @@ class TestEncoding:
         # One tree needs x <= 0.3 (left leaf), impossible inside the
         # ball [0.8, 1.0]: the 0.3 atom is forced false by the bounds
         # and, under that assumption, the CNF itself is UNSAT.
-        encoding = compile_pattern_encoding([_stump(0, 0.3)], [-1], 1)
+        encoding = compile_pattern_encoding(compile_trees([_stump(0, 0.3)]), [-1], 1)
         center, epsilon = np.array([0.9]), 0.1
         lo, hi = encoding.feature_bounds(center, epsilon)
         atom = encoding.atom_vars[(0, 0.3)]

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from box_dpll_oracle import candidate_boxes
 
 from repro.core import Signature
 from repro.exceptions import ValidationError
-from repro.solver import PatternProblem, required_labels
+from repro.solver import PatternProblem, check_pattern, required_labels
 from repro.trees.node import InternalNode, Leaf
 
 
@@ -79,7 +80,7 @@ class TestPatternProblem:
 
     def test_candidate_boxes_filters_labels(self):
         problem = PatternProblem(roots=[_stump()], required=[+1], n_features=1)
-        candidates = problem.candidate_boxes()
+        candidates = candidate_boxes(problem)
         assert candidates is not None
         assert len(candidates) == 1
         assert len(candidates[0]) == 1  # only the right leaf is +1
@@ -88,7 +89,7 @@ class TestPatternProblem:
         # A tree whose leaves are all -1 cannot output +1.
         all_negative = InternalNode(0, 0.5, Leaf(-1), Leaf(-1))
         problem = PatternProblem(roots=[all_negative], required=[+1], n_features=1)
-        assert problem.candidate_boxes() is None
+        assert candidate_boxes(problem) is None
 
     def test_candidate_boxes_none_when_ball_excludes(self):
         problem = PatternProblem(
@@ -98,7 +99,7 @@ class TestPatternProblem:
             center=np.array([0.1]),
             epsilon=0.2,  # ball is [0, 0.3]
         )
-        assert problem.candidate_boxes() is None
+        assert candidate_boxes(problem) is None
 
     def test_check_solution(self):
         problem = PatternProblem(
@@ -117,3 +118,28 @@ class TestPatternProblem:
         problem = PatternProblem(roots=roots, required=[+1, -1], n_features=2)
         assert problem.check_solution(np.array([0.9, 0.1]))
         assert not problem.check_solution(np.array([0.9, 0.9]))
+
+
+class TestCheckPattern:
+    """``check_pattern`` replays a witness: only a finite vector shaped
+    like the ball's center can realise a pattern."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("ball", [False, True], ids=["no-ball", "ball"])
+    def test_non_finite_instance_rejected(self, value, ball):
+        # NaN used to pass the domain and ball checks and descend right;
+        # without a domain, so did ±inf.
+        stump = _stump(feature=1)
+        x = np.array([0.2, value])
+        kwargs = {"center": np.array([0.2, 0.6]), "epsilon": 0.5} if ball else {}
+        kwargs["domain"] = None
+        assert check_pattern([stump], [+1], np.array([0.2, 0.6]), **kwargs)
+        assert not check_pattern([stump], [+1], x, **kwargs)
+        assert not check_pattern([stump], [-1], x, **kwargs)
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_instance_shaped_unlike_center_rejected(self, width):
+        # Used to raise a bare numpy broadcast ValueError.
+        center = np.array([0.2, 0.6])
+        x = np.full(width, 0.6)
+        assert not check_pattern([_stump(feature=0)], [+1], x, center, 0.5)

@@ -57,6 +57,17 @@ Migration note: ``repro.trees`` no longer exports ``CompiledTree`` or
 a one-tree ``CompiledEnsemble``, and every batch is compiled; for
 ``compile_tree(root, classes)`` write ``compile_trees([root], classes)``
 and read ``predict_all(X)[0]``.  Outputs are unchanged.
+
+Migration note: ``repro.trees`` no longer exports ``Box``,
+``leaf_boxes`` or ``boxes_for_label``; ``repro.trees.paths`` and
+``PatternProblem.candidate_boxes`` are removed.  The forgery encoding
+reads its leaf boxes from the compiled node table, so
+``compile_pattern_encoding`` and ``EncodingCache`` take a
+``CompiledEnsemble`` in place of a root list: pass ``forest.compile()``
+or ``compile_trees(roots)``.  ``PatternProblem``, ``solve_pattern_smt``,
+``minimal_forgery_distortion`` and ``check_pattern`` still take roots.
+Outputs are unchanged.  The walk lives on as a test oracle
+(``tests/solver/box_dpll_oracle.py``).
 """
 
 import dataclasses
@@ -179,7 +190,6 @@ API_ALL = [
 ]
 
 TREES_ALL = [
-    "Box",
     "DecisionTreeClassifier",
     "InternalNode",
     "Leaf",
@@ -187,14 +197,12 @@ TREES_ALL = [
     "SortedDataset",
     "TreeNode",
     "TreeStats",
-    "boxes_for_label",
     "clear_presort_cache",
     "ensemble_structure",
     "entropy_impurity",
     "gini_impurity",
     "iter_leaves",
     "iter_nodes",
-    "leaf_boxes",
     "predict_batch",
     "predict_one",
     "presort_cache_stats",
@@ -208,11 +216,14 @@ TREES_ALL = [
 ]
 
 RETIRED_TREES_NAMES = (
+    "Box",
     "CompiledTree",
     "SPLITTERS",
+    "boxes_for_label",
     "compile_tree",
     "get_inference_backend",
     "inference_backend",
+    "leaf_boxes",
     "set_inference_backend",
 )
 
@@ -327,6 +338,15 @@ class TestSolverSurface:
         with pytest.raises(ImportError):
             importlib.import_module("repro.solver.encoding")
         assert not hasattr(repro.solver.sat, "solve_cnf")
+
+    def test_leaf_box_walk_is_gone(self):
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.trees.paths")
+        assert not hasattr(repro.solver.PatternProblem, "candidate_boxes")
+
+    def test_encodings_take_a_node_table(self):
+        for built in (repro.solver.compile_pattern_encoding, repro.solver.EncodingCache):
+            assert list(inspect.signature(built).parameters)[0] == "engine"
 
     def test_one_shot_solver_keeps_its_signature(self):
         parameters = inspect.signature(repro.solver.solve_pattern_smt).parameters

@@ -7,7 +7,7 @@ in prose.
 
 import numpy as np
 import pytest
-from box_dpll_oracle import solve_pattern_boxes
+from box_dpll_oracle import leaf_boxes, solve_pattern_boxes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +16,7 @@ from repro.api import EmbeddingSchedule, TrainerConfig, TriggerPolicy, Watermark
 from repro.core.verification import match_signature, verify_ownership
 from repro.ensemble import RandomForestClassifier, majority_vote
 from repro.solver import PatternProblem, required_labels, solve_pattern_smt
-from repro.trees import DecisionTreeClassifier, leaf_boxes
+from repro.trees import DecisionTreeClassifier
 from repro.trees.node import predict_one
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)

@@ -1,11 +1,17 @@
-"""Tests for leaf boxes (the geometric layer under the forgery solvers)."""
+"""Tests for leaf boxes, the geometry the box-DPLL oracle searches.
+
+``Box`` and the object-tree walk live in ``box_dpll_oracle.py``; the
+library reads the same boxes from node tables
+(``tests/solver/test_table_boxes.py`` checks that they agree).
+"""
 
 import numpy as np
 import pytest
+from box_dpll_oracle import Box, boxes_for_label, leaf_boxes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.trees import Box, DecisionTreeClassifier, boxes_for_label, leaf_boxes
+from repro.trees import DecisionTreeClassifier
 from repro.trees.node import InternalNode, Leaf, predict_one
 
 
