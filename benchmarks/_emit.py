@@ -10,6 +10,10 @@ Every benchmark funnels its output through :func:`emit`, which
   trajectory is tracked across PRs and uploadable as a CI artifact
   without scraping ASCII tables.
 
+A quick (smoke) run writes both files under the git-ignored
+``benchmarks/results/quick/`` instead, so it never replaces the
+committed full-mode evidence.
+
 JSON payload shape::
 
     {
@@ -88,15 +92,18 @@ def emit(
     """Print a rendered table and persist it as both text and JSON."""
     banner = f"\n=== {name} ===\n{text}\n"
     print(banner)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
+    if mode is None:
+        mode = "quick" if _env_quick() else "full"
+    out_dir = RESULTS_DIR / "quick" if mode == "quick" else RESULTS_DIR
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
     payload = {
         "name": name,
-        "mode": mode if mode is not None else ("quick" if _env_quick() else "full"),
+        "mode": mode,
         "rows": _normalise_rows(rows, headers),
         "metrics": {str(k): _plain(v) for k, v in (metrics or {}).items()},
         "text": text,
     }
-    (RESULTS_DIR / f"{name}.json").write_text(
+    (out_dir / f"{name}.json").write_text(
         json.dumps(payload, indent=2, allow_nan=False) + "\n", encoding="utf-8"
     )

@@ -6,7 +6,7 @@ Rendered tables are printed (visible with ``pytest -s``) and written to
 ``benchmarks/results/<name>.txt``; alongside each table, ``emit`` (see
 ``benchmarks/_emit.py``) also writes ``results/<name>.json`` with the
 run mode and the structured rows/metrics, so the perf trajectory is
-machine-readable from this PR on.
+machine-readable.  Quick runs write both under ``results/quick/``.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ instances".
 
 The paper decides each query with Z3; here the one engine is
 :class:`repro.solver.CompiledPatternEncoding` (threshold atoms decided
-by the library's CDCL solver).  Two speedups apply on top of the
-paper's loop, neither of which changes what is computed:
+by the library's CDCL solver).  Three speedups apply on top of the
+paper's loop, none of which changes what is computed:
 
 - **Encoding reuse**: the leaf boxes, threshold atoms and clause
   skeleton are compiled once per forest and required-label pattern
@@ -25,6 +25,12 @@ paper's loop, neither of which changes what is computed:
   pinned to the identity of its node table (``fit`` and ``refit_trees``
   replace the roots, so the table and the encodings are rebuilt) and
   bounded per forest (see ``repro.solver.compiled_encoding``).
+- **Refutation by bound propagation**: before the solver runs, the
+  ``L∞`` box is clipped to each tree's hull of the required-label leaf
+  boxes it meets, round after round; an attempt is ``unsat`` once some
+  tree keeps no box, so most UNSAT attempts never build or run the
+  solver.  Survivors are solved against the original box, so witnesses
+  are unchanged.
 - **Parallel fan-out** (``n_jobs``): instance attempts are dispatched
   in deterministic contiguous chunks over a process pool.  Every
   per-instance solve is a pure function of the forest, the signature

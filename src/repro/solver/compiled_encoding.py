@@ -28,10 +28,15 @@ and precomputes:
 - every candidate leaf's box, read from the table's
   ``feature``/``threshold``/``left``/``right``/``roots`` arrays in
   level-synchronous array passes and flattened into one constraint
-  table, which drives a vectorised **prescreen** that detects
-  trivially unsatisfiable instances (some tree keeps no box compatible
-  with the bounds) in one pass over the ensemble, without touching the
-  solver;
+  table, grouped once more per ``(feature, tree)``.  The table drives
+  a vectorised **prescreen** by bound propagation: a point realising
+  the pattern lies in one box per tree that meets the bounds, so each
+  round clips the bounds to every tree's hull of such boxes and
+  screens again.  An instance is refuted — without touching the
+  solver — once some tree keeps no box or some ``lo_f > hi_f``;
+  otherwise the rounds stop when the bounds stop moving (hull bounds,
+  as in Chen et al., "Robustness Verification of Tree-based Models",
+  NeurIPS 2019);
 - the threshold **atom table** as flat feature/threshold/variable
   arrays, so the atoms decided by an instance's bounds fall out of two
   vectorised comparisons;
@@ -40,10 +45,13 @@ and precomputes:
 
 A SAT witness is replayed through the same table before it is returned.
 
-Per instance the engine computes the feature bounds, turns them into
-*assumptions* (see :meth:`repro.solver.sat.SATSolver.solve`), and
-re-solves the persistent solver after a :meth:`~repro.solver.sat.SATSolver.reset`
-— no clause re-encoding, no re-allocation.  :func:`solve_pattern_smt`
+Per instance the engine computes the feature bounds and runs the
+prescreen; a survivor's bounds (not the tightened ones, so witnesses
+do not depend on the prescreen) become *assumptions* (see
+:meth:`repro.solver.sat.SATSolver.solve`) for the persistent solver,
+built on the first survivor and re-solved after a
+:meth:`~repro.solver.sat.SATSolver.reset` — no clause re-encoding, no
+re-allocation.  :func:`solve_pattern_smt`
 is the one-shot form for a single :class:`PatternProblem`.
 
 **Determinism contract.**  A reset solver is bit-for-bit equivalent to
@@ -88,8 +96,61 @@ _MAX_PATTERNS = 8
 
 
 @dataclass
+class _Hulls:
+    """The constraint table grouped per ``(side, feature, tree)``.
+
+    Both sides bound from above, as closed bounds: an upper constraint
+    ``x_f <= v`` keeps ``v`` under key ``2f``, and a lower constraint
+    ``x_f > w``, which is ``x_f >= nextafter(w)``, keeps
+    ``-nextafter(w)`` under key ``2f + 1``.  :meth:`bound` gives, per
+    key, the tightest bound that every compatible box of some one tree
+    obeys.
+    """
+
+    box: np.ndarray  # constraint boxes, ordered by key, then tree
+    value: np.ndarray
+    starts: np.ndarray  # first constraint of each (key, tree) group
+    group_tree: np.ndarray
+    keys: np.ndarray  # the distinct keys, ascending
+    runs: np.ndarray  # first group of each key
+
+    @classmethod
+    def index(cls, screen: "_FlatScreen") -> "_Hulls":
+        box = np.concatenate([screen.upper_box, screen.lower_box])
+        key = np.concatenate([2 * screen.upper_feature, 2 * screen.lower_feature + 1])
+        value = np.concatenate(
+            [screen.upper_value, -np.nextafter(screen.lower_value, np.inf)]
+        )
+        tree = screen.box_tree[box]
+        order = np.lexsort((tree, key))
+        box, key, value, tree = box[order], key[order], value[order], tree[order]
+        first = np.ones(box.size, dtype=bool)
+        first[1:] = (key[1:] != key[:-1]) | (tree[1:] != tree[:-1])
+        starts = np.flatnonzero(first)
+        group_key = key[starts]
+        runs = np.flatnonzero(np.diff(group_key, prepend=-1))
+        return cls(box, value, starts, tree[starts], group_key[runs], runs)
+
+    def bound(self, ok: np.ndarray, kept: np.ndarray) -> np.ndarray:
+        """Per key of :attr:`keys`, the least over trees of the largest
+        value among a tree's compatible boxes; ``inf`` where no tree
+        constrains the key in every compatible box.
+
+        A box holds at most one constraint per key, so a group covers
+        its tree when it counts as many compatible boxes as the tree
+        keeps (``kept``, all non-zero).
+        """
+        if not self.starts.size:
+            return self.value[:0]
+        active = ok[self.box]
+        covers = np.add.reduceat(active, self.starts) == kept[self.group_tree]
+        hull = np.maximum.reduceat(np.where(active, self.value, -np.inf), self.starts)
+        return np.minimum.reduceat(np.where(covers, hull, np.inf), self.runs)
+
+
+@dataclass
 class _FlatScreen:
-    """The leaf-box constraints of every tree, for one vectorised screen.
+    """The leaf-box constraints of every tree, for vectorised screening.
 
     Boxes are numbered across the ensemble in tree order; tree ``t``
     owns boxes ``tree_offsets[t]:tree_offsets[t + 1]``.  Each upper
@@ -104,19 +165,60 @@ class _FlatScreen:
     lower_box: np.ndarray
     lower_feature: np.ndarray
     lower_value: np.ndarray
+    box_tree: np.ndarray = field(init=False, repr=False)
+    hulls: _Hulls = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        offsets = self.tree_offsets
+        self.box_tree = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+        self.hulls = _Hulls.index(self)
+
+    def _screen(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Flat mask of boxes intersecting ``[lo, hi]``, and their count
+        per tree (0 for a tree without boxes)."""
+        ok = np.ones(self.box_tree.size, dtype=bool)
+        ok[self.upper_box[self.upper_value < lo[self.upper_feature]]] = False
+        ok[self.lower_box[self.lower_value >= hi[self.lower_feature]]] = False
+        return ok, np.bincount(self.box_tree[ok], minlength=self.tree_offsets.size - 1)
 
     def compatible(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
         """Flat mask of boxes intersecting the closed bounds ``[lo, hi]``;
         ``None`` when some tree keeps no compatible box."""
-        ok = np.ones(self.tree_offsets[-1], dtype=bool)
-        ok[self.upper_box[self.upper_value < lo[self.upper_feature]]] = False
-        ok[self.lower_box[self.lower_value >= hi[self.lower_feature]]] = False
-        # Compatible boxes per tree as differences of a running count
-        # at the tree offsets: a tree without boxes counts 0, where
-        # ``np.logical_or.reduceat`` would return its neighbour's box.
-        running = np.concatenate(([0], np.cumsum(ok)))
-        kept = running[self.tree_offsets[1:]] - running[self.tree_offsets[:-1]]
+        ok, kept = self._screen(lo, hi)
         return ok if kept.all() else None
+
+    def propagate(
+        self, lo: np.ndarray, hi: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """Tighten ``[lo, hi]`` by bound propagation over the boxes;
+        ``None`` when that proves no point of ``[lo, hi]`` reaches a
+        required leaf in every tree.
+
+        Such a point lies in one compatible box per tree, hence in each
+        tree's hull of compatible boxes.  Each round intersects the
+        bounds with every hull and screens again, until some tree keeps
+        no box or some ``lo_f > hi_f`` (refuted) or the bounds stop
+        moving (a fixpoint, whose bounds are returned).  The first
+        round is :meth:`compatible`.
+        """
+        if (lo > hi).any():
+            return None
+        ok, kept = self._screen(lo, hi)
+        # ``hi`` and ``-lo`` interleaved, indexed by the hulls' keys.
+        bounds = np.empty(2 * lo.size)
+        bounds[0::2], bounds[1::2] = hi, -lo
+        keys = self.hulls.keys
+        while kept.all():
+            current = bounds[keys]
+            tighter = np.minimum(current, self.hulls.bound(ok, kept))
+            if (tighter == current).all():
+                return lo, hi
+            bounds[keys] = tighter
+            hi, lo = bounds[0::2], -bounds[1::2]
+            if (lo > hi).any():
+                return None
+            ok, kept = self._screen(lo, hi)
+        return None
 
 
 def _table_boxes(engine: CompiledEnsemble, required: list[int]) -> _FlatScreen:
@@ -306,10 +408,13 @@ class CompiledPatternEncoding:
         epsilon: float | None = None,
         budget: int | None = None,
     ) -> PatternOutcome:
-        """Decide one instance via assumption-style CDCL re-solving.
+        """Decide one instance: bound propagation, then CDCL re-solving.
 
         ``center`` and ``epsilon`` give the ``L∞`` ball (both or
-        neither).  ``budget`` caps the solver's conflicts, ``>= 0``;
+        neither).  An instance the prescreen's bound propagation
+        refutes is ``unsat`` with stats ``{"trivial": True}`` whatever
+        the budget; the solver is neither built nor run for it.  For
+        the rest, ``budget`` caps the solver's conflicts, ``>= 0``;
         ``None`` means unlimited.  An exhausted budget returns
         ``status="unknown"``.
         """
@@ -319,9 +424,7 @@ class CompiledPatternEncoding:
         if budget is not None and budget < 0:
             raise ValidationError(f"budget must be >= 0 or None, got {budget}")
         lo, hi = self.feature_bounds(center, epsilon)
-        if self.always_unsat or (lo > hi).any():
-            return PatternOutcome(status="unsat", stats={"trivial": True})
-        if self.screen.compatible(lo, hi) is None:
+        if self.always_unsat or self.screen.propagate(lo, hi) is None:
             return PatternOutcome(status="unsat", stats={"trivial": True})
 
         solver = self.warm()._solver
@@ -342,13 +445,8 @@ class CompiledPatternEncoding:
         if result.status != "sat":
             return PatternOutcome(status=result.status, stats=stats)
 
-        assert result.model is not None
-        model = result.model
-        truth = np.fromiter(
-            (model[int(var)] for var in self.atom_variables),
-            dtype=bool,
-            count=self.atom_variables.shape[0],
-        )
+        assign = np.fromiter(solver.assign, np.int8, self.cnf.n_vars)
+        truth = assign[self.atom_variables - 1] == 1
         instance = decode_atom_intervals(
             self.atom_features, self.atom_thresholds, truth,
             lo, hi, self.n_features, center,

@@ -35,8 +35,10 @@ tens-of-thousands-of-clauses forgery encodings comfortably.
 from __future__ import annotations
 
 import heapq
+import numbers
 from dataclasses import dataclass
 
+from ..exceptions import ValidationError
 from .cnf import CNF
 
 __all__ = ["SATResult", "SATSolver"]
@@ -91,7 +93,7 @@ class SATSolver:
     """
 
     def __init__(self, cnf: CNF, max_conflicts: int | None = None) -> None:
-        self.n_vars = cnf.n_vars
+        self.n_vars = n = cnf.n_vars
         self.max_conflicts = max_conflicts
         # Clause database: clauses are lists of internal literal codes.
         # Internal code of DIMACS literal L: 2*(|L|-1) + (1 if L < 0 else 0).
@@ -99,7 +101,7 @@ class SATSolver:
         base_units: list[int] = []
         base_empty = False
         for clause in cnf.clauses:
-            codes = [self._encode(literal) for literal in clause]
+            codes = [2 * abs(literal) - 2 + (literal < 0) for literal in clause]
             if not codes:
                 base_empty = True
             elif len(codes) == 1:
@@ -107,102 +109,101 @@ class SATSolver:
             else:
                 base_clauses.append(codes)
         self._base_clauses = base_clauses
-        self._base_units = base_units
-        self._base_empty = base_empty
 
-        self.clauses: list[list[int]] = []
-        self.watches: list[list[int]] = [[] for _ in range(2 * self.n_vars)]
-        self.assign: list[int] = []
-        self.level: list[int] = []
-        self.reason: list[int] = []
+        # The pristine state that reset() restores: watch lists over
+        # the base clauses, base units enqueued at level 0.
+        self.clauses = [list(base) for base in base_clauses]
+        self.watches: list[list[int]] = [[] for _ in range(2 * n)]
+        for index, clause in enumerate(self.clauses):
+            self.watches[clause[0]].append(index)
+            self.watches[clause[1]].append(index)
+        self._pristine_watches = [list(watch_list) for watch_list in self.watches]
+        self.assign: list[int] = [_UNASSIGNED] * n
+        self.level: list[int] = [0] * n
+        self.reason: list[int] = [-1] * n
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
-        self.queue_head = 0
-        self.activity: list[float] = []
-        self.phase: list[bool] = []
-        self._order: list[tuple[float, int]] = []
-        self.var_inc = 1.0
+        contradiction = base_empty
+        for code in base_units:
+            if not self._enqueue(code, reason=-1):
+                contradiction = True
+        self._pristine_assign = list(self.assign)
+        self._pristine_trail = list(self.trail)
+        self._pristine_contradiction = contradiction
+        # (-activity, var) entries; all-zero activities in var order is
+        # already a valid heap.
+        self._pristine_order = [(-0.0, var) for var in range(n)]
+        # What a solve dirties, each literal listed once (flagged in
+        # the bytearray beside it): the false literals whose watch lists
+        # _propagate walked, and the watch lists it appended to.
+        self._walked: list[int] = []
+        self._walked_flag = bytearray(2 * n)
+        self._appended: list[int] = []
+        self._appended_flag = bytearray(2 * n)
         self.var_decay = 0.95
-        self.conflicts = 0
-        self.decisions = 0
-        self.propagations = 0
-        self.restarts = 0
-        self._contradiction = False
         self.reset()
 
     # -- literal helpers -------------------------------------------------
 
     @staticmethod
-    def _encode(literal: int) -> int:
-        return 2 * (abs(literal) - 1) + (1 if literal < 0 else 0)
-
-    @staticmethod
     def _negate(code: int) -> int:
         return code ^ 1
-
-    def _value(self, code: int) -> int:
-        """Value of a literal code: 1 true, 0 false, -1 unassigned."""
-        value = self.assign[code >> 1]
-        if value == _UNASSIGNED:
-            return _UNASSIGNED
-        return value ^ (code & 1)
 
     # -- lifecycle -------------------------------------------------------
 
     def reset(self) -> None:
         """Rewind to the pristine post-construction state.
 
-        Base clauses keep their allocation: their literal order (mutated
-        by watched-literal swaps during search) is restored in place and
-        learned clauses are truncated away.  After a reset the solver is
+        Base clauses keep their allocation and learned clauses are
+        truncated away.  Only what the last solve dirtied is restored:
+        a base clause's literal order changes only once it has been
+        visited from the pristine watch list of a false literal that
+        :meth:`_propagate` walked, so those clauses are copied back in
+        place, and every watch list that was walked or appended to is
+        copied from its pristine twin.  The per-variable state and the
+        order heap are copied whole.  After a reset the solver is
         bit-for-bit equivalent to ``SATSolver(cnf)`` — same watch lists,
         same heuristic state, same future search trajectory.
         """
-        n_base = len(self._base_clauses)
-        if len(self.clauses) >= n_base:
-            del self.clauses[n_base:]
-            for clause, base in zip(self.clauses, self._base_clauses):
-                clause[:] = base
-        else:
-            self.clauses = [list(base) for base in self._base_clauses]
-        for watch_list in self.watches:
-            watch_list.clear()
-        for index, clause in enumerate(self.clauses):
-            self.watches[clause[0]].append(index)
-            self.watches[clause[1]].append(index)
-
+        del self.clauses[len(self._base_clauses) :]
+        walked = self._walked
+        clauses, base_clauses = self.clauses, self._base_clauses
+        pristine = self._pristine_watches
+        for index in {index for code in walked for index in pristine[code]}:
+            clauses[index][:] = base_clauses[index]
+        watches = self.watches
+        for code in set(walked).union(self._appended):
+            watches[code] = list(pristine[code])
         n = self.n_vars
-        self.assign = [_UNASSIGNED] * n
+        walked.clear()
+        self._appended.clear()
+        self._walked_flag = bytearray(2 * n)
+        self._appended_flag = bytearray(2 * n)
+
+        self.assign = list(self._pristine_assign)
         self.level = [0] * n
         self.reason = [-1] * n
-        self.trail = []
+        self.trail = list(self._pristine_trail)
         self.trail_lim = []
         self.queue_head = 0
         self.activity = [0.0] * n
         self.phase = [False] * n
-        # (-activity, var) entries; all-zero activities in var order is
-        # already a valid heap.
-        self._order = [(-0.0, var) for var in range(n)]
+        self._order = list(self._pristine_order)
         self.var_inc = 1.0
         self.conflicts = 0
         self.decisions = 0
         self.propagations = 0
         self.restarts = 0
-
-        self._contradiction = self._base_empty
-        for code in self._base_units:
-            if not self._enqueue(code, reason=-1):
-                self._contradiction = True
+        self._contradiction = self._pristine_contradiction
 
     # -- assignment / propagation -----------------------------------------
 
     def _enqueue(self, code: int, reason: int) -> bool:
-        value = self._value(code)
-        if value == 0:
-            return False
-        if value == 1:
-            return True
+        """Assign literal ``code`` true; False if it is already false."""
         var = code >> 1
+        value = self.assign[var]
+        if value != _UNASSIGNED:
+            return (value ^ (code & 1)) == 1
         self.assign[var] = 1 - (code & 1)
         self.level[var] = len(self.trail_lim)
         self.reason[var] = reason
@@ -220,11 +221,16 @@ class SATSolver:
         watches = self.watches
         clauses = self.clauses
         assign = self.assign
+        walked, walked_flag = self._walked, self._walked_flag
+        appended, appended_flag = self._appended, self._appended_flag
         while self.queue_head < len(trail):
             code = trail[self.queue_head]
             self.queue_head += 1
             self.propagations += 1
             false_code = code ^ 1
+            if not walked_flag[false_code]:
+                walked_flag[false_code] = 1
+                walked.append(false_code)
             watch_list = watches[false_code]
             i = 0
             while i < len(watch_list):
@@ -248,6 +254,9 @@ class SATSolver:
                         watch_list[i] = watch_list[-1]
                         watch_list.pop()
                         watches[other].append(clause_index)
+                        if not appended_flag[other]:
+                            appended_flag[other] = 1
+                            appended.append(other)
                         moved = True
                         break
                 if moved:
@@ -380,13 +389,19 @@ class SATSolver:
             Call :meth:`reset` before re-solving with different
             assumptions — it discards everything (learned clauses
             included) that this call derived from them.
+
+        Raises
+        ------
+        ValidationError
+            When an assumption is 0, names no variable, is a bool or is
+            not an integer; nothing is enqueued then.
         """
+        codes = [] if assumptions is None else self._assumption_codes(assumptions)
         if self._contradiction:
             return self._result("unsat")
-        if assumptions is not None:
-            for literal in assumptions:
-                if not self._enqueue(self._encode(int(literal)), reason=-1):
-                    return self._result("unsat")
+        for code in codes:
+            if not self._enqueue(code, reason=-1):
+                return self._result("unsat")
         if self._propagate() != -1:
             return self._result("unsat")
 
@@ -409,6 +424,9 @@ class SATSolver:
                 else:
                     index = len(self.clauses)
                     self.clauses.append(learned)
+                    # Both lists were walked: the UIP ¬learned[0] and
+                    # ¬learned[1] were propagated before the conflict,
+                    # so reset restores them.
                     self.watches[learned[0]].append(index)
                     self.watches[learned[1]].append(index)
                     self._enqueue(learned[0], reason=index)
@@ -420,10 +438,33 @@ class SATSolver:
                     self._backtrack(0)
             else:
                 if not self._decide():
-                    model = {
-                        var + 1: self.assign[var] == 1 for var in range(self.n_vars)
-                    }
+                    model = dict(
+                        zip(range(1, self.n_vars + 1), map((1).__eq__, self.assign))
+                    )
                     return self._result("sat", model)
+
+    def _assumption_codes(self, assumptions) -> list[int]:
+        """Internal codes of DIMACS assumption literals, validated.
+
+        A literal is a non-zero integer (not a bool) naming one of the
+        solver's variables.
+        """
+        literals = list(assumptions)
+        if not set(map(type, literals)) <= {int}:
+            for literal in literals:
+                integral = isinstance(literal, numbers.Integral)
+                if isinstance(literal, bool) or not integral:
+                    raise ValidationError(
+                        f"assumption literals must be integers, got {literal!r}"
+                    )
+            literals = [int(literal) for literal in literals]
+        n = self.n_vars
+        if literals and (min(literals) < -n or max(literals) > n or 0 in literals):
+            literal = next(lit for lit in literals if not 0 < abs(lit) <= n)
+            raise ValidationError(
+                f"assumption literal {literal} names no variable in 1..{n}"
+            )
+        return [2 * abs(literal) - 2 + (literal < 0) for literal in literals]
 
     def _result(self, status: str, model: dict[int, bool] | None = None) -> SATResult:
         return SATResult(

@@ -340,6 +340,162 @@ class TestFlatPrescreen:
             assert _compatible_masks(encoding, *bounds) is None
 
 
+#: Thresholds of the random trees: a coarse grid, so trees share
+#: thresholds and ball edges land on them.
+_GRID = (0.2, 0.35, 0.5, 0.65, 0.8)
+
+
+def _random_tree(rng, n_features, depth):
+    if depth == 0 or rng.random() < 0.2:
+        return Leaf(int(rng.choice([-1, 1])))
+    return InternalNode(
+        int(rng.integers(n_features)),
+        float(rng.choice(_GRID)),
+        _random_tree(rng, n_features, depth - 1),
+        _random_tree(rng, n_features, depth - 1),
+    )
+
+
+def _random_query(rng):
+    """Random trees, pattern, ball and domain, as ``PatternProblem`` kwargs."""
+    n_features = int(rng.integers(1, 4))
+    roots = [
+        _random_tree(rng, n_features, int(rng.integers(0, 5)))
+        for _ in range(int(rng.integers(1, 7)))
+    ]
+    query = {
+        "roots": roots,
+        "required": [int(rng.choice([-1, 1])) for _ in roots],
+        "n_features": n_features,
+        "domain": None if rng.random() < 0.2 else (0.0, 1.0),
+    }
+    if rng.random() < 0.85:
+        query["center"] = rng.choice(_GRID + (0.1, 0.9), n_features)
+        query["epsilon"] = float(rng.choice([0.05, 0.15, 0.3, 0.45]))
+    return query
+
+
+class TestBoundPropagation:
+    """The fixpoint only refutes what is unsatisfiable, and refutes at
+    least what the single screen does."""
+
+    def test_refutations_are_oracle_unsat(self):
+        rng = np.random.default_rng(2024)
+        seen = {"screen": 0, "fixpoint only": 0, "survivor": 0}
+        for _ in range(600):
+            query = _random_query(rng)
+            problem = PatternProblem(**query)
+            encoding = compile_pattern_encoding(
+                problem.engine, problem.required, problem.n_features, problem.domain
+            )
+            lo, hi = problem.feature_bounds()
+            oracle = solve_pattern_boxes(problem).status
+            tightened = encoding.screen.propagate(lo, hi)
+            if encoding.screen.compatible(lo, hi) is None:
+                assert tightened is None
+                seen["screen"] += 1
+            elif tightened is None:
+                seen["fixpoint only"] += 1
+            else:
+                seen["survivor"] += 1
+                assert (lo <= tightened[0]).all() and (tightened[1] <= hi).all()
+            if tightened is None:
+                assert oracle == "unsat"
+            outcome = encoding.solve(problem.center, problem.epsilon)
+            assert outcome.status == oracle
+        assert all(seen.values()), seen
+
+    def test_two_trees_only_the_fixpoint_refutes(self):
+        # Each tree alone fits the unit box; together they need
+        # x0 <= 0.4 and x0 > 0.6.
+        roots = [_stump(0, 0.4), InternalNode(0, 0.6, Leaf(+1), Leaf(-1))]
+        encoding = compile_pattern_encoding(compile_trees(roots), [-1, -1], 1)
+        lo, hi = np.array([0.0]), np.array([1.0])
+        assert encoding.screen.compatible(lo, hi) is not None
+        assert encoding.screen.propagate(lo, hi) is None
+        outcome = encoding.solve()
+        assert outcome.is_unsat and outcome.stats == {"trivial": True}
+
+    def test_fixpoint_takes_several_rounds(self):
+        # Tree 0 ties x1 to x0: its +1 boxes are x0 <= 0.5, x1 <= 0.2
+        # and x0 > 0.5, x1 > 0.8.  Tree 1 needs x0 > 0.5; the first
+        # round lifts that into x0's bounds, tree 0 loses its left box,
+        # and only the second round bounds x1 from below.
+        left = InternalNode(1, 0.2, Leaf(+1), Leaf(-1))
+        right = InternalNode(1, 0.8, Leaf(-1), Leaf(+1))
+        roots = [InternalNode(0, 0.5, left, right), _stump(0, 0.5)]
+        encoding = compile_pattern_encoding(compile_trees(roots), [+1, +1], 2)
+        lo, hi = np.zeros(2), np.ones(2)
+        tightened = encoding.screen.propagate(lo, hi)
+        assert tightened[0].tolist() == [np.nextafter(0.5, 1), np.nextafter(0.8, 1)]
+        assert tightened[1].tolist() == [1.0, 1.0]
+        # Tree 2 (+1 where x0 <= 0.5 or x1 <= 0.8) bounds x1 above by
+        # 0.8 once the first round takes its left box: refuted in the
+        # second round, though every tree keeps boxes in the first.
+        low_x1 = InternalNode(1, 0.8, Leaf(+1), Leaf(-1))
+        roots.append(InternalNode(0, 0.5, Leaf(+1), low_x1))
+        encoding = compile_pattern_encoding(compile_trees(roots), [+1] * 3, 2)
+        assert encoding.screen.compatible(lo, hi) is not None
+        assert encoding.screen.propagate(lo, hi) is None
+        assert encoding.solve().is_unsat
+
+    def test_strict_bound_is_the_next_float(self):
+        # One tree needs x0 <= 0.5, the other x0 > 0.5: the lower bound
+        # becomes nextafter(0.5), which is above 0.5.
+        roots = [_stump(0, 0.5), _stump(0, 0.5)]
+        encoding = compile_pattern_encoding(compile_trees(roots), [-1, +1], 1)
+        assert encoding.screen.propagate(np.array([0.0]), np.array([1.0])) is None
+        # The next float itself is reachable: the bound is not tighter.
+        above = np.nextafter(0.5, 1)
+        single = compile_pattern_encoding(compile_trees([_stump(0, 0.5)]), [+1], 1)
+        lo, hi = single.screen.propagate(np.array([0.0]), np.array([above]))
+        assert lo.tolist() == [above] and hi.tolist() == [above]
+        outcome = single.solve(center=np.array([0.5]), epsilon=above - 0.5)
+        assert outcome.is_sat and outcome.instance.tolist() == [above]
+
+    def test_single_leaf_trees_and_a_side_without_constraints(self):
+        # Only upper constraints exist, and the single leaves add none.
+        roots = [Leaf(+1), _stump(0, 0.5), Leaf(+1)]
+        encoding = compile_pattern_encoding(compile_trees(roots), [+1, -1, +1], 2)
+        lo, hi = encoding.screen.propagate(np.zeros(2), np.ones(2))
+        assert lo.tolist() == [0.0, 0.0] and hi.tolist() == [0.5, 1.0]
+        # No constraints on either side: the bounds pass through.
+        leaves = compile_pattern_encoding(compile_trees([Leaf(+1)] * 2), [+1, +1], 1)
+        lo, hi = leaves.screen.propagate(np.array([0.2]), np.array([0.7]))
+        assert lo.tolist() == [0.2] and hi.tolist() == [0.7]
+
+    @pytest.mark.parametrize(
+        "root, expected_lo, expected_hi",
+        [
+            (_stump(0, 0.5), [np.nextafter(0.5, 1), -np.inf], [np.inf, np.inf]),
+            (Leaf(+1), [-np.inf, -np.inf], [np.inf, np.inf]),
+            # +1 boxes x0 <= 0.3 and x0 > 0.7: neither side is covered.
+            (
+                InternalNode(0, 0.3, Leaf(+1), _stump(0, 0.7)),
+                [-np.inf, -np.inf],
+                [np.inf, np.inf],
+            ),
+        ],
+        ids=["lower", "leaf", "uncovered"],
+    )
+    def test_domain_none_keeps_infinite_bounds(self, root, expected_lo, expected_hi):
+        """Without a domain, a side no tree bounds stays infinite rather
+        than becoming the finite ``nextafter(-inf)``."""
+        encoding = compile_pattern_encoding(
+            compile_trees([root]), [+1], 2, domain=None
+        )
+        lo, hi = encoding.screen.propagate(*encoding.feature_bounds(None, None))
+        assert lo.tolist() == expected_lo and hi.tolist() == expected_hi
+        assert encoding.solve().is_sat
+
+    def test_domain_none_upper_bound(self):
+        encoding = compile_pattern_encoding(
+            compile_trees([_stump(0, 0.5)]), [-1], 1, domain=None
+        )
+        lo, hi = encoding.screen.propagate(*encoding.feature_bounds(None, None))
+        assert lo.tolist() == [-np.inf] and hi.tolist() == [0.5]
+
+
 class TestEncodingCache:
     def test_same_pattern_returns_same_object(self, bc_forest):
         cache = EncodingCache(bc_forest.compile(), bc_forest.n_features_in_)

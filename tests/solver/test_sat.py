@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.exceptions import ValidationError
 from repro.solver import CNF, SATSolver
 
 
@@ -190,3 +191,135 @@ class TestRandomisedAgainstBruteForce:
         result = SATSolver(_pigeonhole(4)).solve()
         assert result.conflicts > 0
         assert result.propagations > 0
+
+
+def _random_cnf(rng) -> CNF:
+    """A random CNF of up to 24 variables around the 3-SAT threshold,
+    with unit clauses and, rarely, an empty clause."""
+    n = int(rng.integers(1, 25))
+    cnf = CNF()
+    cnf.new_vars(n)
+    for _ in range(int(rng.integers(0, 5 * n))):
+        width = int(rng.choice([1, 2, 3, 3, 3, 4]))
+        cnf.add_clause(
+            int(rng.choice([-1, 1])) * int(rng.integers(1, n + 1)) for _ in range(width)
+        )
+    if rng.random() < 0.03:
+        cnf.add_clause([])
+    return cnf
+
+
+def _state(solver: SATSolver) -> dict:
+    """Everything a reset must restore, as plain comparable values."""
+    return {
+        "clauses": solver.clauses,
+        "watches": solver.watches,
+        "assign": solver.assign,
+        "level": solver.level,
+        "reason": solver.reason,
+        "phase": solver.phase,
+        "activity": solver.activity,
+        "order": solver._order,
+        "trail": solver.trail,
+        "trail_lim": solver.trail_lim,
+        "scalars": (
+            solver.queue_head, solver.var_inc, solver.conflicts, solver.decisions,
+            solver.propagations, solver.restarts, solver._contradiction,
+        ),
+    }
+
+
+def _outcome(result) -> tuple:
+    return (
+        result.status, result.model, result.conflicts, result.decisions,
+        result.propagations, result.restarts,
+    )
+
+
+class TestResetDifferential:
+    """A reset solver equals a freshly built one, structure and search."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_reset_equals_fresh_solver(self, seed):
+        rng = np.random.default_rng(seed)
+        outcomes = set()
+        for _ in range(15):
+            cnf = _random_cnf(rng)
+            solver = SATSolver(cnf)
+            for _ in range(10):
+                budget = [0, 3, None][int(rng.integers(3))]
+                assumptions = [
+                    int(rng.choice([-1, 1])) * int(rng.integers(1, cnf.n_vars + 1))
+                    for _ in range(int(rng.integers(0, 4)))
+                ]
+                solver.max_conflicts = budget
+                solver.solve(assumptions)
+                solver.reset()
+                fresh = SATSolver(cnf, max_conflicts=budget)
+                assert _state(solver) == _state(fresh)
+                again, expected = solver.solve(assumptions), fresh.solve(assumptions)
+                assert _outcome(again) == _outcome(expected)
+                outcomes.add(again.status)
+                solver.reset()
+        assert {"sat", "unsat"} <= outcomes
+
+    def test_reset_after_learning_restores_watch_order(self):
+        """Learned clauses and watch swaps of a hard search leave no
+        trace after a reset."""
+        cnf = _pigeonhole(4)
+        solver = SATSolver(cnf)
+        assert solver.solve().conflicts > 0
+        assert len(solver.clauses) > len(SATSolver(cnf).clauses)
+        solver.reset()
+        assert _state(solver) == _state(SATSolver(cnf))
+
+
+def _two_vars_not_x2() -> CNF:
+    """A satisfiable formula over two variables with ``¬x2`` a base unit."""
+    cnf = CNF()
+    cnf.new_vars(2)
+    cnf.add_clause([1, 2])
+    cnf.add_clause([-2])
+    return cnf
+
+
+class TestAssumptionValidation:
+    """Assumption literals are checked before anything is enqueued: 0
+    used to alias the last variable, a variable past ``n_vars`` raised
+    a bare ``IndexError``, and a bool or float was taken as literal 1."""
+
+    @pytest.mark.parametrize(
+        "literal, match",
+        [
+            (0, "names no variable"),
+            (3, "names no variable"),
+            (-3, "names no variable"),
+            (5, "names no variable"),
+            (True, "must be integers"),
+            (False, "must be integers"),
+            (1.7, "must be integers"),
+            (1.0, "must be integers"),
+            ("1", "must be integers"),
+        ],
+    )
+    @pytest.mark.parametrize("contradiction", [False, True])
+    def test_invalid_literal_rejected(self, literal, match, contradiction):
+        cnf = _two_vars_not_x2()
+        if contradiction:
+            cnf.add_clause([])
+        solver = SATSolver(cnf)
+        trail = list(solver.trail)
+        with pytest.raises(ValidationError, match=match):
+            solver.solve([1, literal])
+        assert solver.trail == trail  # nothing was enqueued
+        assert solver.solve().status == ("unsat" if contradiction else "sat")
+
+    def test_zero_no_longer_aliases_the_last_variable(self):
+        solver = SATSolver(_two_vars_not_x2())
+        with pytest.raises(ValidationError):
+            solver.solve([0])
+        assert solver.solve().is_sat
+
+    def test_numpy_integers_accepted(self):
+        result = SATSolver(_two_vars_not_x2()).solve([np.int64(1), np.int32(-2)])
+        assert result.is_sat and result.model == {1: True, 2: False}
