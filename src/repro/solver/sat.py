@@ -109,38 +109,27 @@ class SATSolver:
             else:
                 base_clauses.append(codes)
         self._base_clauses = base_clauses
+        self._base_units = base_units
+        self._base_empty = base_empty
 
-        # The pristine state that reset() restores: watch lists over
-        # the base clauses, base units enqueued at level 0.
-        self.clauses = [list(base) for base in base_clauses]
+        self.clauses: list[list[int]] = []
         self.watches: list[list[int]] = [[] for _ in range(2 * n)]
-        for index, clause in enumerate(self.clauses):
-            self.watches[clause[0]].append(index)
-            self.watches[clause[1]].append(index)
-        self._pristine_watches = [list(watch_list) for watch_list in self.watches]
-        self.assign: list[int] = [_UNASSIGNED] * n
-        self.level: list[int] = [0] * n
-        self.reason: list[int] = [-1] * n
+        self.assign: list[int] = []
+        self.level: list[int] = []
+        self.reason: list[int] = []
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
-        contradiction = base_empty
-        for code in base_units:
-            if not self._enqueue(code, reason=-1):
-                contradiction = True
-        self._pristine_assign = list(self.assign)
-        self._pristine_trail = list(self.trail)
-        self._pristine_contradiction = contradiction
-        # (-activity, var) entries; all-zero activities in var order is
-        # already a valid heap.
-        self._pristine_order = [(-0.0, var) for var in range(n)]
-        # What a solve dirties, each literal listed once (flagged in
-        # the bytearray beside it): the false literals whose watch lists
-        # _propagate walked, and the watch lists it appended to.
-        self._walked: list[int] = []
-        self._walked_flag = bytearray(2 * n)
-        self._appended: list[int] = []
-        self._appended_flag = bytearray(2 * n)
+        self.queue_head = 0
+        self.activity: list[float] = []
+        self.phase: list[bool] = []
+        self._order: list[tuple[float, int]] = []
+        self.var_inc = 1.0
         self.var_decay = 0.95
+        self.conflicts = 0
+        self.decisions = 0
+        self.propagations = 0
+        self.restarts = 0
+        self._contradiction = False
         self.reset()
 
     # -- literal helpers -------------------------------------------------
@@ -154,47 +143,47 @@ class SATSolver:
     def reset(self) -> None:
         """Rewind to the pristine post-construction state.
 
-        Base clauses keep their allocation and learned clauses are
-        truncated away.  Only what the last solve dirtied is restored:
-        a base clause's literal order changes only once it has been
-        visited from the pristine watch list of a false literal that
-        :meth:`_propagate` walked, so those clauses are copied back in
-        place, and every watch list that was walked or appended to is
-        copied from its pristine twin.  The per-variable state and the
-        order heap are copied whole.  After a reset the solver is
+        Base clauses keep their allocation: their literal order (mutated
+        by watched-literal swaps during search) is restored in place and
+        learned clauses are truncated away.  After a reset the solver is
         bit-for-bit equivalent to ``SATSolver(cnf)`` — same watch lists,
         same heuristic state, same future search trajectory.
         """
-        del self.clauses[len(self._base_clauses) :]
-        walked = self._walked
-        clauses, base_clauses = self.clauses, self._base_clauses
-        pristine = self._pristine_watches
-        for index in {index for code in walked for index in pristine[code]}:
-            clauses[index][:] = base_clauses[index]
-        watches = self.watches
-        for code in set(walked).union(self._appended):
-            watches[code] = list(pristine[code])
-        n = self.n_vars
-        walked.clear()
-        self._appended.clear()
-        self._walked_flag = bytearray(2 * n)
-        self._appended_flag = bytearray(2 * n)
+        n_base = len(self._base_clauses)
+        if len(self.clauses) >= n_base:
+            del self.clauses[n_base:]
+            for clause, base in zip(self.clauses, self._base_clauses):
+                clause[:] = base
+        else:
+            self.clauses = [list(base) for base in self._base_clauses]
+        for watch_list in self.watches:
+            watch_list.clear()
+        for index, clause in enumerate(self.clauses):
+            self.watches[clause[0]].append(index)
+            self.watches[clause[1]].append(index)
 
-        self.assign = list(self._pristine_assign)
+        n = self.n_vars
+        self.assign = [_UNASSIGNED] * n
         self.level = [0] * n
         self.reason = [-1] * n
-        self.trail = list(self._pristine_trail)
+        self.trail = []
         self.trail_lim = []
         self.queue_head = 0
         self.activity = [0.0] * n
         self.phase = [False] * n
-        self._order = list(self._pristine_order)
+        # (-activity, var) entries; all-zero activities in var order is
+        # already a valid heap.
+        self._order = [(-0.0, var) for var in range(n)]
         self.var_inc = 1.0
         self.conflicts = 0
         self.decisions = 0
         self.propagations = 0
         self.restarts = 0
-        self._contradiction = self._pristine_contradiction
+
+        self._contradiction = self._base_empty
+        for code in self._base_units:
+            if not self._enqueue(code, reason=-1):
+                self._contradiction = True
 
     # -- assignment / propagation -----------------------------------------
 
@@ -221,16 +210,11 @@ class SATSolver:
         watches = self.watches
         clauses = self.clauses
         assign = self.assign
-        walked, walked_flag = self._walked, self._walked_flag
-        appended, appended_flag = self._appended, self._appended_flag
         while self.queue_head < len(trail):
             code = trail[self.queue_head]
             self.queue_head += 1
             self.propagations += 1
             false_code = code ^ 1
-            if not walked_flag[false_code]:
-                walked_flag[false_code] = 1
-                walked.append(false_code)
             watch_list = watches[false_code]
             i = 0
             while i < len(watch_list):
@@ -254,9 +238,6 @@ class SATSolver:
                         watch_list[i] = watch_list[-1]
                         watch_list.pop()
                         watches[other].append(clause_index)
-                        if not appended_flag[other]:
-                            appended_flag[other] = 1
-                            appended.append(other)
                         moved = True
                         break
                 if moved:
@@ -424,9 +405,6 @@ class SATSolver:
                 else:
                     index = len(self.clauses)
                     self.clauses.append(learned)
-                    # Both lists were walked: the UIP ¬learned[0] and
-                    # ¬learned[1] were propagated before the conflict,
-                    # so reset restores them.
                     self.watches[learned[0]].append(index)
                     self.watches[learned[1]].append(index)
                     self._enqueue(learned[0], reason=index)
