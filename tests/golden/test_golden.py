@@ -8,7 +8,8 @@ from ``TrainWithTrigger``, the same per-tree answers, the same forged
 sets, the same minimal-distortion searches and solver witnesses, and
 the same models from every embedding caller (experiment driver,
 multi-class driver, ``repro watermark``) and from the paper's literal
-full-retrain loop.
+full-retrain loop, and the same edited trees and reports from every
+registry attack.
 Arrays are hashed rather than artefact bytes, so persisted
 metadata may change without disturbing the pins.
 
@@ -35,15 +36,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.api import EmbeddingSchedule, TrainerConfig, TriggerPolicy, Watermarker
+from repro.api import (
+    EmbeddingSchedule,
+    TrainerConfig,
+    TriggerPolicy,
+    Watermarker,
+    available_attacks,
+    make_attack,
+)
 from repro.attacks import forge_trigger_set
 from repro.cli import main as cli_main
 from repro.core.multiclass import watermark_multiclass
 from repro.core.signature import random_signature
 from repro.datasets import breast_cancer_like, ijcnn1_like, mnist26_like
-from repro.ensemble import GradientBoostingClassifier, RandomForestClassifier
+from repro.ensemble import GradientBoostingClassifier, RandomForestClassifier, compile_forest
 from repro.experiments.config import SMALL
 from repro.experiments.detection import build_watermarked_model
+from repro.experiments.scenarios import build_attack_target
 from repro.hardness import Clause, Formula3CNF, Literal, forgery_problem_from_formula
 from repro.model_selection import train_test_split
 from repro.persistence import available_formats, get_exporter, load
@@ -246,6 +255,30 @@ def _full_retrain_bc():
     return table_digest({**tables, "~rounds": np.array([rounds]), "~weight": np.array([weight])})
 
 
+@functools.lru_cache(maxsize=None)
+def attack_target():
+    """The ``repro attack`` target: the ``SMALL`` breast-cancer owner model."""
+    return build_attack_target(SMALL, "breast-cancer")
+
+
+def _attack_edit(name: str, **params):
+    """Node tables of one registry model edit, leaf class masses included
+    (so a flip that moves mass without moving a label still shows)."""
+    forest = attack_target().model.ensemble
+    edited = make_attack(name, **params).edit(forest, np.random.default_rng(11))
+    return table_digest(compile_forest(edited, collect_leaf_weight=True).to_tables())
+
+
+def _attack_report(name: str):
+    """One registry attack's ``AttackReport.to_dict()`` at its default
+    parameters, minus the wall-clock timings."""
+    report = make_attack(name).run(attack_target(), np.random.default_rng(11)).to_dict()
+    for timing in ("elapsed_seconds", "solver_seconds"):
+        report["cost"].pop(timing, None)
+    encoded = json.dumps(report, sort_keys=True).encode()
+    return digest(np.frombuffer(encoded, dtype=np.uint8))
+
+
 FIXTURES = {
     "wm_ijcnn1_tables": lambda: table_digest(ijcnn1_dispute()[0].ensemble.compile().to_tables()),
     "wm_mnist26_tables": lambda: table_digest(mnist26_dispute()[0].ensemble.compile().to_tables()),
@@ -271,6 +304,14 @@ FIXTURES = {
     "multiclass_3class_tables": _multiclass,
     "cli_watermark_model_tables": _cli_watermark,
     "full_retrain_bc_tables": _full_retrain_bc,
+    "attack_truncate_depth3_tables": lambda: _attack_edit("truncate", depth=3),
+    "attack_flip_p0.2_tables": lambda: _attack_edit("flip", probability=0.2),
+    "attack_prune_alpha1_tables": lambda: _attack_edit("prune", alpha=1.0),
+    "attack_chain_tables": lambda: _attack_edit("chain"),
+    **{
+        f"attack_{name}_report": functools.partial(_attack_report, name)
+        for name in available_attacks()
+    },
 }
 
 
