@@ -39,7 +39,7 @@ import numpy as np
 from conftest import emit, is_quick
 
 from repro.ensemble import RandomForestClassifier
-from repro.parallel import fork_available, open_model_handle, run_batches
+from repro.parallel import fork_available, run_batches
 from repro.persistence import load, save
 from repro.trees import DecisionTreeClassifier
 from repro.trees.node import InternalNode, Leaf
@@ -117,7 +117,8 @@ def _serve_pickled(model, X):
 
 
 def _serve_from_handle(handle, X):
-    model = open_model_handle(handle)
+    path, fmt, mmap_mode = handle
+    model = load(path, format=fmt, mmap_mode=mmap_mode)
     model.predict_all(X)
     return _unique_rss_kb()
 

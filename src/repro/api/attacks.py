@@ -1,12 +1,14 @@
 """The uniform Attack protocol, report and registry.
 
-Each of the five attack modules under :mod:`repro.attacks` grew its own
-function signature and result dataclass; this module wraps them all in
-one protocol so scenario harnesses, the CLI and downstream tooling can
+The registry is the one way to run an attack: the model edits of
+:mod:`repro.trees.pruning`, surrogate extraction and the analyses of
+:mod:`repro.attacks` (forgery, suppression, detection) all run behind
+one protocol, so scenario harnesses, the CLI and downstream tooling can
 treat "an attack" as a value:
 
 - :class:`AttackTarget` — the deployed watermarked model plus the data
-  the attacker (and the evaluation) can see;
+  the attacker (and the evaluation) can see; its ``report`` builds
+  every attack's report;
 - :class:`Attack` — the protocol: a ``name`` and
   ``run(target, rng) -> AttackReport``;
 - :class:`AttackReport` — the uniform outcome: accuracy before/after,
@@ -17,14 +19,15 @@ treat "an attack" as a value:
   :func:`repro.experiments.run_scenario_matrix` and ``repro attack``.
 
 Model-editing attacks (truncate / flip / prune) additionally expose
-``edit(forest, rng) -> forest``, which is what makes
-:class:`ChainedAttack` — truncate, then flip, then prune, evaluated
-once at the end — expressible at all: the legacy per-module functions
-each re-verified their own result and could not compose.
+``edit(forest, rng) -> forest``; editing apart from evaluating is what
+makes :class:`ChainedAttack` — truncate, then flip, then prune,
+evaluated once at the end — expressible.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cached_property
@@ -35,15 +38,14 @@ import numpy as np
 from .._jsonsafe import json_safe
 from .._validation import check_random_state, check_X_y
 from ..attacks.detection import detection_report
-from ..attacks.extraction import extract_surrogate
 from ..attacks.forgery import forge_trigger_set, forgery_distortion
-from ..attacks.modification import flip_forest_leaves, truncate_forest
+from ..attacks.suppression import suppression_analysis
 from ..core.embedding import WatermarkedModel
 from ..core.signature import random_signature
 from ..core.verification import VerificationReport, verify_ownership
-from ..attacks.suppression import suppression_analysis
+from ..ensemble.forest import RandomForestClassifier
 from ..exceptions import ValidationError
-from ..trees.pruning import prune_cost_complexity
+from ..trees.pruning import flip_leaves, prune_cost_complexity, truncate_tree
 
 __all__ = [
     "Attack",
@@ -107,6 +109,47 @@ class AttackTarget:
             self.model.trigger.X,
             self.model.trigger.y,
             mode=mode,
+        )
+
+    def report(
+        self,
+        attack,
+        deployed,
+        succeeded: bool | None,
+        started: float,
+        cost: dict | None = None,
+        details: dict | None = None,
+    ) -> "AttackReport":
+        """The uniform report of ``attack`` having deployed ``deployed``.
+
+        Verifies the owner's watermark against ``deployed`` and scores
+        it; when ``deployed`` is the stolen model itself, its accuracy
+        is the baseline.  ``succeeded=None`` is the win condition of an
+        attack that deploys a model of its own: the watermark no longer
+        verifies.  ``started`` is the attack's ``time.perf_counter()``
+        at entry; ``cost`` entries follow the elapsed time, and
+        ``details`` default to the per-tree verification counts.
+        """
+        verification = self.verify(deployed)
+        if deployed is self.model.ensemble:
+            accuracy = self.baseline_accuracy
+        else:
+            accuracy = float(deployed.score(self.X_test, self.y_test))
+        if details is None:
+            details = {
+                "n_matching_trees": verification.n_matching,
+                "n_trees": verification.n_trees,
+            }
+        return AttackReport(
+            attack=attack.name,
+            params=attack_params(attack),
+            baseline_accuracy=self.baseline_accuracy,
+            attacked_accuracy=accuracy,
+            watermark_accepted=verification.accepted,
+            watermark_match_rate=verification.n_matching / verification.n_trees,
+            succeeded=not verification.accepted if succeeded is None else succeeded,
+            cost={"elapsed_seconds": time.perf_counter() - started, **(cost or {})},
+            details=details,
         )
 
 
@@ -192,6 +235,19 @@ def attack_params(attack) -> dict:
     return params
 
 
+def _check_strength(value, name: str, integral: bool = False) -> None:
+    """Reject a strength the attack would silently mis-read: a bool
+    (``True`` reads as 1), a NaN (it passes every ``<`` bound check) and,
+    for a depth or a query count, a fraction (``int()`` floors it).
+    Integral floats such as the CLI's ``2.0`` are valid."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    if math.isnan(value):
+        raise ValidationError(f"{name} must not be NaN")
+    if integral and not float(value).is_integer():
+        raise ValidationError(f"{name} must be a whole number, got {value!r}")
+
+
 # -- registry -----------------------------------------------------------
 
 _REGISTRY: dict[str, type] = {}
@@ -246,22 +302,7 @@ class ModelEditAttack:
     def run(self, target: AttackTarget, rng: np.random.Generator) -> AttackReport:
         started = time.perf_counter()
         attacked = self.edit(target.model.ensemble, rng)
-        verification = target.verify(attacked)
-        attacked_accuracy = float(attacked.score(target.X_test, target.y_test))
-        return AttackReport(
-            attack=self.name,
-            params=attack_params(self),
-            baseline_accuracy=target.baseline_accuracy,
-            attacked_accuracy=attacked_accuracy,
-            watermark_accepted=verification.accepted,
-            watermark_match_rate=verification.n_matching / verification.n_trees,
-            succeeded=not verification.accepted,
-            cost={"elapsed_seconds": time.perf_counter() - started},
-            details={
-                "n_matching_trees": verification.n_matching,
-                "n_trees": verification.n_trees,
-            },
-        )
+        return target.report(self, attacked, None, started)
 
 
 @register_attack
@@ -275,11 +316,13 @@ class TruncateAttack(ModelEditAttack):
     depth: int = 4
 
     def __post_init__(self) -> None:
+        _check_strength(self.depth, "depth", integral=True)
         if self.depth < 0:
             raise ValidationError(f"depth must be >= 0, got {self.depth}")
 
     def edit(self, forest, rng: np.random.Generator):
-        return truncate_forest(forest, int(self.depth))
+        depth = int(self.depth)
+        return forest.with_roots([truncate_tree(root, depth) for root in forest.roots()])
 
 
 @register_attack
@@ -293,13 +336,17 @@ class LeafFlipAttack(ModelEditAttack):
     probability: float = 0.1
 
     def __post_init__(self) -> None:
+        _check_strength(self.probability, "probability")
         if not 0.0 <= self.probability <= 1.0:
             raise ValidationError(
                 f"probability must be in [0, 1], got {self.probability}"
             )
 
     def edit(self, forest, rng: np.random.Generator):
-        return flip_forest_leaves(forest, float(self.probability), rng)
+        probability = float(self.probability)
+        return forest.with_roots(
+            [flip_leaves(root, probability, rng) for root in forest.roots()]
+        )
 
 
 @register_attack
@@ -313,6 +360,7 @@ class PruneAttack(ModelEditAttack):
     alpha: float = 1.0
 
     def __post_init__(self) -> None:
+        _check_strength(self.alpha, "alpha")
         if self.alpha < 0.0:
             raise ValidationError(f"alpha must be >= 0, got {self.alpha}")
 
@@ -327,10 +375,10 @@ class PruneAttack(ModelEditAttack):
 class ChainedAttack(ModelEditAttack):
     """Compose model edits in sequence, evaluated once at the end.
 
-    The default chain is the strongest cheap attacker the legacy
-    single-shot functions could not express: truncate the trees, add
-    behavioural noise, then prune — the watermark must survive the
-    *combination*, not each step in isolation.
+    The default chain is the strongest cheap attacker no single edit
+    expresses: truncate the trees, add behavioural noise, then prune —
+    the watermark must survive the *combination*, not each step in
+    isolation.
     """
 
     name: ClassVar[str] = "chain"
@@ -365,7 +413,17 @@ class ChainedAttack(ModelEditAttack):
 @register_attack
 @dataclass(frozen=True)
 class ExtractionAttack:
-    """Distil the stolen model into a surrogate via black-box queries."""
+    """Distil the stolen model into a surrogate via black-box queries.
+
+    A thief who fears verification can avoid serving the stolen model:
+    query it on unlabelled data drawn from ``target.X_train`` (true
+    labels are never read), train a surrogate forest on the answers and
+    deploy that.  The watermark is not expected to transfer — the
+    signature lives in the per-tree behaviour of the original ensemble,
+    and the surrogate's trees have no alignment with it — so the attack
+    succeeds when verification fails; ``details["agreement"]`` is the
+    surrogate's fidelity to the stolen model on the test set.
+    """
 
     name: ClassVar[str] = "extract"
     strength_param: ClassVar[str] = "query_budget"
@@ -374,6 +432,7 @@ class ExtractionAttack:
     surrogate_max_depth: int | None = 12
 
     def __post_init__(self) -> None:
+        _check_strength(self.query_budget, "query_budget", integral=True)
         if self.query_budget < 1:
             raise ValidationError(
                 f"query_budget must be >= 1, got {self.query_budget}"
@@ -390,31 +449,25 @@ class ExtractionAttack:
                 f"({pool.shape[0]} instances)"
             )
         victim = target.model.ensemble
-        baseline = target.baseline_accuracy  # also compiles the victim
-        chosen = rng.choice(pool.shape[0], size=budget, replace=False)
-        surrogate = extract_surrogate(
-            victim,
-            pool[chosen],
+        queries = pool[rng.choice(pool.shape[0], size=budget, replace=False)]
+        answers = victim.predict(queries)
+        if np.unique(answers).shape[0] < 2:
+            raise ValidationError(
+                "the victim answered all queries with one class; the surrogate "
+                "needs a more diverse query set"
+            )
+        surrogate = RandomForestClassifier(
+            n_estimators=victim.n_trees_,
             max_depth=self.surrogate_max_depth,
+            tree_feature_fraction=0.7,
             random_state=int(rng.integers(2**31 - 1)),
-        )
+        ).fit(queries, answers)
         agreement = float(
             np.mean(surrogate.predict(target.X_test) == victim.predict(target.X_test))
         )
-        verification = target.verify(surrogate)
-        attacked_accuracy = float(surrogate.score(target.X_test, target.y_test))
-        return AttackReport(
-            attack=self.name,
-            params=attack_params(self),
-            baseline_accuracy=baseline,
-            attacked_accuracy=attacked_accuracy,
-            watermark_accepted=verification.accepted,
-            watermark_match_rate=verification.n_matching / verification.n_trees,
-            succeeded=not verification.accepted,
-            cost={
-                "elapsed_seconds": time.perf_counter() - started,
-                "queries": budget,
-            },
+        return target.report(
+            self, surrogate, None, started,
+            cost={"queries": budget},
             details={"agreement": agreement},
         )
 
@@ -457,17 +510,12 @@ class ForgeryAttack:
             n_jobs=self.n_jobs,
             random_state=rng,
         )
-        verification = target.verify(model.ensemble)
-        return AttackReport(
-            attack=self.name,
-            params=attack_params(self),
-            baseline_accuracy=target.baseline_accuracy,
-            attacked_accuracy=target.baseline_accuracy,
-            watermark_accepted=verification.accepted,
-            watermark_match_rate=verification.n_matching / verification.n_trees,
-            succeeded=result.n_forged >= model.trigger.size,
+        return target.report(
+            self,
+            model.ensemble,
+            result.n_forged >= model.trigger.size,
+            started,
             cost={
-                "elapsed_seconds": time.perf_counter() - started,
                 "solver_seconds": result.elapsed_seconds,
                 "solver_budget": self.solver_budget,
                 "n_attempted": result.n_attempted,
@@ -513,16 +561,11 @@ class SuppressionAttack:
             target.X_test,
             X_background=target.X_train,
         )
-        verification = target.verify(model.ensemble)
-        return AttackReport(
-            attack=self.name,
-            params=attack_params(self),
-            baseline_accuracy=target.baseline_accuracy,
-            attacked_accuracy=target.baseline_accuracy,
-            watermark_accepted=verification.accepted,
-            watermark_match_rate=verification.n_matching / verification.n_trees,
-            succeeded=analysis.input_auc >= self.auc_threshold,
-            cost={"elapsed_seconds": time.perf_counter() - started},
+        return target.report(
+            self,
+            model.ensemble,
+            analysis.input_auc >= self.auc_threshold,
+            started,
             details={
                 "input_auc": analysis.input_auc,
                 "disagreement_auc": analysis.disagreement_auc,
@@ -576,15 +619,10 @@ class DetectionAttack:
         best_recovery = max(
             (attempt["recovery_rate"] for attempt in decided), default=0.0
         )
-        verification = target.verify(target.model.ensemble)
-        return AttackReport(
-            attack=self.name,
-            params=attack_params(self),
-            baseline_accuracy=target.baseline_accuracy,
-            attacked_accuracy=target.baseline_accuracy,
-            watermark_accepted=verification.accepted,
-            watermark_match_rate=verification.n_matching / verification.n_trees,
-            succeeded=best_recovery >= self.recovery_threshold,
-            cost={"elapsed_seconds": time.perf_counter() - started},
+        return target.report(
+            self,
+            target.model.ensemble,
+            best_recovery >= self.recovery_threshold,
+            started,
             details={"best_recovery_rate": best_recovery, "attempts": attempts},
         )

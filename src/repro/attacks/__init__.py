@@ -4,9 +4,12 @@
   (Table 2);
 - :mod:`~repro.attacks.forgery` — solver-based trigger forgery
   (Fig. 4/5, §4.2.2);
-- :mod:`~repro.attacks.suppression` — trigger-query distinguishers;
-- :mod:`~repro.attacks.modification` — model-modification attacks
-  (the paper's future-work threat model).
+- :mod:`~repro.attacks.suppression` — trigger-query distinguishers.
+
+Model-modification attacks (their tree edits live in
+:mod:`repro.trees.pruning`) and surrogate extraction have no module
+here: the registry in :mod:`repro.api.attacks` runs them, and is the
+one way to run any attack end to end.
 """
 
 from .detection import (
@@ -15,16 +18,7 @@ from .detection import (
     detect_bits,
     detection_report,
 )
-from .extraction import ExtractionOutcome, extract_surrogate, extraction_study
 from .forgery import ForgeryAttackResult, forge_trigger_set, forgery_distortion
-from .modification import (
-    ModificationOutcome,
-    flip_forest_leaves,
-    flip_leaves,
-    modification_robustness,
-    truncate_forest,
-    truncate_tree,
-)
 from .suppression import (
     SuppressionAnalysis,
     auc_from_scores,
@@ -35,24 +29,15 @@ from .suppression import (
 
 __all__ = [
     "DetectionResult",
-    "ExtractionOutcome",
     "ForgeryAttackResult",
-    "ModificationOutcome",
     "SuppressionAnalysis",
     "auc_from_scores",
     "behavioural_rates",
     "detect_bits",
     "detection_report",
     "disagreement_score",
-    "flip_forest_leaves",
-    "flip_leaves",
-    "extract_surrogate",
-    "extraction_study",
     "forge_trigger_set",
     "forgery_distortion",
     "input_distance_score",
-    "modification_robustness",
     "suppression_analysis",
-    "truncate_forest",
-    "truncate_tree",
 ]

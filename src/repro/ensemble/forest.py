@@ -304,9 +304,9 @@ class RandomForestClassifier:
         """A fitted clone of this forest with every tree root replaced.
 
         This is the single cloning path for model-surgery call sites
-        (modification attacks, pruning sweeps): the clone shares
-        training metadata (``classes_``, ``n_features_in_``, feature
-        subspaces) but carries fresh shallow-copied trees whose
+        (the truncate, flip and prune edits of the attack registry): the
+        clone shares training metadata (``classes_``, ``n_features_in_``,
+        feature subspaces) but carries fresh shallow-copied trees whose
         compiled-engine caches are explicitly reset — a copied tree must
         never serve predictions from the donor's node table, nor pin the
         donor's root graph in memory through a stale cache entry.

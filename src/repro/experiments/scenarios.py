@@ -11,9 +11,10 @@ Determinism: each (dataset, attack) pair derives its RNG seed from the
 config seed and stable CRC32 hashes of the names — never from Python's
 salted ``hash`` — and every strength of a sweep restarts from that same
 seed.  Same-seed restarts couple stochastic attacks across strengths
-the way the legacy drivers did (the leaves flipped at ``p=0.05`` are a
-subset of those flipped at ``p=0.3``), which keeps damage curves
-monotone instead of noisy.
+(the leaves flipped at ``p=0.05`` are a subset of those flipped at
+``p=0.3``), which keeps damage curves monotone instead of noisy, and
+make every cell of a sweep equal to a standalone run at its strength,
+whatever the order of the sweep.
 """
 
 from __future__ import annotations

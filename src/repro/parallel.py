@@ -33,8 +33,6 @@ __all__ = [
     "run_batches",
     "shared_payload",
     "fork_available",
-    "shared_model_handle",
-    "open_model_handle",
 ]
 
 T = TypeVar("T")
@@ -58,34 +56,6 @@ def shared_payload() -> object | None:
     optimisation, never the only source of an input).
     """
     return _SHARED
-
-
-def shared_model_handle(model) -> tuple | None:
-    """The ``(path, format, mmap_mode)`` reopen handle behind ``model``.
-
-    A model loaded from an mmap-able artefact (``.rfbin`` with
-    ``mmap_mode="r"``) remembers where it came from; shipping this
-    handle to worker processes — instead of pickling the model — lets
-    every worker map the *same* file, so the node tables exist once in
-    the page cache no matter how many workers serve from them.  Returns
-    ``None`` for models that never touched disk (workers then receive a
-    pickled copy as before).  Models whose lazy state is intact already
-    pickle down to this handle automatically; the explicit form exists
-    for callers that route work through queues or their own IPC.
-    """
-    handle = getattr(model, "_mmap_source_", None)
-    if handle is None:
-        ensemble = getattr(model, "ensemble", None)
-        handle = getattr(ensemble, "_mmap_source_", None)
-    return handle
-
-
-def open_model_handle(handle: tuple):
-    """Reopen a :func:`shared_model_handle` in this process (worker side)."""
-    from .persistence import load
-
-    path, fmt, mmap_mode = handle
-    return load(path, format=fmt, mmap_mode=mmap_mode)
 
 
 def resolve_n_jobs(n_jobs, n_tasks: int | None = None) -> int:

@@ -36,7 +36,8 @@ from __future__ import annotations
 
 import heapq
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..exceptions import ValidationError
 from .cnf import CNF
@@ -52,16 +53,26 @@ class SATResult:
 
     ``status`` is ``"sat"``, ``"unsat"`` or ``"unknown"`` (conflict
     budget exhausted).  ``model`` maps every variable to a bool when
-    satisfiable.  Under assumptions, ``"unsat"`` means *unsatisfiable
-    together with the assumptions*.
+    satisfiable; it is built on first access from a snapshot of the
+    solver's assignment, so callers that read ``SATSolver.assign``
+    directly never pay for the dict.  Under assumptions, ``"unsat"``
+    means *unsatisfiable together with the assumptions*.
     """
 
     status: str
-    model: dict[int, bool] | None = None
     conflicts: int = 0
     decisions: int = 0
     propagations: int = 0
     restarts: int = 0
+    _assignment: list[int] | None = field(default=None, repr=False)
+
+    @cached_property
+    def model(self) -> dict[int, bool] | None:
+        if self._assignment is None:
+            return None
+        return dict(
+            zip(range(1, len(self._assignment) + 1), map((1).__eq__, self._assignment))
+        )
 
     @property
     def is_sat(self) -> bool:
@@ -416,10 +427,7 @@ class SATSolver:
                     self._backtrack(0)
             else:
                 if not self._decide():
-                    model = dict(
-                        zip(range(1, self.n_vars + 1), map((1).__eq__, self.assign))
-                    )
-                    return self._result("sat", model)
+                    return self._result("sat", self.assign[:])
 
     def _assumption_codes(self, assumptions) -> list[int]:
         """Internal codes of DIMACS assumption literals, validated.
@@ -444,10 +452,10 @@ class SATSolver:
             )
         return [2 * abs(literal) - 2 + (literal < 0) for literal in literals]
 
-    def _result(self, status: str, model: dict[int, bool] | None = None) -> SATResult:
+    def _result(self, status: str, assignment: list[int] | None = None) -> SATResult:
         return SATResult(
             status=status,
-            model=model,
+            _assignment=assignment,
             conflicts=self.conflicts,
             decisions=self.decisions,
             propagations=self.propagations,

@@ -1,4 +1,4 @@
-"""Cost-complexity pruning of fitted decision trees.
+"""Model surgery on fitted decision trees: pruning, truncation, flipping.
 
 Classic CART weakest-link pruning: for every internal node compute
 
@@ -12,19 +12,35 @@ Two consumers in this library:
 
 - substrate completeness — a downstream user of the tree learner gets
   the standard regularisation tool;
-- the *pruning attack* on watermarks: an adversary prunes a stolen
-  model hoping to destroy the trigger behaviour more cheaply than depth
-  truncation (benchmarked in the modification-robustness extension).
+- the *model-modification attacks* on watermarks (the paper's
+  future-work threat model): an adversary edits a stolen model hoping
+  to destroy the trigger behaviour more cheaply than it costs in
+  accuracy.  Pruning, depth truncation (:func:`truncate_tree`, a
+  classic compression attack) and random leaf flipping
+  (:func:`flip_leaves`, behavioural noise) are the edits behind the
+  ``prune``, ``truncate`` and ``flip`` attacks of
+  :mod:`repro.api.attacks`.
+
+Every function here returns an edited copy; the input tree is never
+mutated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..exceptions import ValidationError
 from .node import InternalNode, Leaf, TreeNode
 
-__all__ = ["prune_cost_complexity", "pruning_path", "subtree_risk"]
+__all__ = [
+    "flip_leaves",
+    "prune_cost_complexity",
+    "pruning_path",
+    "subtree_risk",
+    "truncate_tree",
+]
 
 
 def _clone(node: TreeNode) -> TreeNode:
@@ -51,8 +67,68 @@ def _collapse(node: TreeNode) -> Leaf:
         else:
             stack.append(current.left)
             stack.append(current.right)
+    # Deterministic tie-break: smaller label wins.
     prediction = min(sorted(totals), key=lambda label: (-totals[label], label))
     return Leaf(prediction=int(prediction), class_weights=totals)
+
+
+def truncate_tree(root: TreeNode, max_depth: int) -> TreeNode:
+    """A copy of the tree cut at ``max_depth`` (0 = a single leaf), each
+    cut subtree replaced by its weighted-majority leaf."""
+    if max_depth < 0:
+        raise ValidationError(f"max_depth must be >= 0, got {max_depth}")
+
+    def walk(node: TreeNode, depth: int) -> TreeNode:
+        if node.is_leaf:
+            return _clone(node)
+        if depth >= max_depth:
+            return _collapse(node)
+        return InternalNode(
+            feature=node.feature,
+            threshold=node.threshold,
+            left=walk(node.left, depth + 1),
+            right=walk(node.right, depth + 1),
+        )
+
+    return walk(root, 0)
+
+
+def flip_leaves(root: TreeNode, flip_probability: float, rng: np.random.Generator) -> TreeNode:
+    """A copy of the tree where each leaf's ±1 label flips with prob. ``p``.
+
+    Leaves draw from ``rng`` in left-to-right order, one draw each.
+    """
+    if not 0.0 <= flip_probability <= 1.0:
+        raise ValidationError(
+            f"flip_probability must be in [0, 1], got {flip_probability}"
+        )
+
+    def walk(node: TreeNode) -> TreeNode:
+        if node.is_leaf:
+            prediction = node.prediction  # type: ignore[union-attr]
+            weights = dict(node.class_weights)  # type: ignore[union-attr]
+            if rng.uniform() < flip_probability:
+                flipped = -prediction
+                if weights:
+                    # Swap the mass of the old and new label so the
+                    # recorded distribution still names the flipped
+                    # label as its majority: ``predict`` (leaf label)
+                    # and ``predict_proba`` (leaf distribution) must
+                    # agree on attacked models.
+                    weights[prediction], weights[flipped] = (
+                        weights.get(flipped, 0.0),
+                        weights.get(prediction, 0.0),
+                    )
+                prediction = flipped
+            return Leaf(prediction=int(prediction), class_weights=weights)
+        return InternalNode(
+            feature=node.feature,
+            threshold=node.threshold,
+            left=walk(node.left),
+            right=walk(node.right),
+        )
+
+    return walk(root)
 
 
 def subtree_risk(node: TreeNode) -> tuple[float, int]:
@@ -111,7 +187,7 @@ def prune_cost_complexity(root: TreeNode, alpha: float) -> TreeNode:
     reduce training risk at all; large ``alpha`` collapses the whole
     tree into a single leaf.
     """
-    if alpha < 0:
+    if not alpha >= 0:  # also rejects NaN, which would collapse every node
         raise ValidationError(f"alpha must be >= 0, got {alpha}")
     root = _clone(root)
     while not root.is_leaf:

@@ -161,6 +161,33 @@ class TestAttackValidation:
         with pytest.raises(ValidationError):
             make_attack("extract", query_budget=0)
 
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("truncate", {"depth": 2.5}),
+            ("truncate", {"depth": True}),
+            ("flip", {"probability": True}),
+            ("prune", {"alpha": float("nan")}),
+            ("prune", {"alpha": False}),
+            ("extract", {"query_budget": 2.5}),
+            ("extract", {"query_budget": True}),
+        ],
+    )
+    def test_misread_strengths_rejected(self, name, params):
+        # Each of these used to be read silently as another value: a bool
+        # as 0 or 1, a fractional depth or budget floored, a NaN alpha
+        # past every bound check (it collapsed every tree into a leaf).
+        with pytest.raises(ValidationError):
+            make_attack(name, **params)
+
+    def test_integral_float_strengths_accepted(self, target):
+        # The CLI parses every --strength as a float.
+        as_float = make_attack("truncate", depth=2.0).run(target, np.random.default_rng(0))
+        as_int = make_attack("truncate", depth=2).run(target, np.random.default_rng(0))
+        assert as_float.details == as_int.details
+        assert as_float.attacked_accuracy == as_int.attacked_accuracy
+        assert make_attack("extract", query_budget=60.0).query_budget == 60.0
+
     def test_extraction_budget_bounded_by_pool(self, target):
         attack = make_attack("extract", query_budget=10**6)
         with pytest.raises(ValidationError, match="pool"):

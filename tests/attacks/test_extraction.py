@@ -1,115 +1,112 @@
-"""Tests for the model-extraction (surrogate) attack."""
+"""Tests for the model-extraction (surrogate) attack, run through the registry."""
 
 import numpy as np
 import pytest
 
-from repro.attacks import extract_surrogate, extraction_study
+from repro.api import AttackTarget, make_attack
 from repro.exceptions import ValidationError
+from repro.experiments import run_scenario_matrix
+from repro.experiments.config import SMALL
+
+
+def _target(model, X_pool, X_test, y_test):
+    """A target whose attacker pool is ``X_pool``; the pool's labels are
+    garbage, since extraction must never read them."""
+    return AttackTarget(
+        model=model,
+        X_train=X_pool,
+        y_train=np.zeros(X_pool.shape[0], dtype=np.int64),
+        X_test=X_test,
+        y_test=y_test,
+    )
 
 
 class TestExtractSurrogate:
-    def test_surrogate_mimics_victim(self, bc_forest, bc_data):
-        X_train, X_test, _, _ = bc_data
-        surrogate = extract_surrogate(bc_forest, X_train, random_state=0)
-        agreement = np.mean(surrogate.predict(X_test) == bc_forest.predict(X_test))
-        assert agreement > 0.75
+    def test_surrogate_mimics_victim(self, wm_model, bc_data):
+        X_train, X_test, _, y_test = bc_data
+        target = _target(wm_model, X_train, X_test, y_test)
+        report = make_attack("extract", query_budget=X_train.shape[0]).run(
+            target, np.random.default_rng(0)
+        )
+        assert report.details["agreement"] > 0.75
+        assert report.cost["queries"] == X_train.shape[0]
 
-    def test_surrogate_never_sees_true_labels(self, bc_forest, bc_data):
+    def test_surrogate_never_sees_true_labels(self, wm_model):
         # Train the surrogate on victim answers over *random noise*
         # queries: it still fits those answers, demonstrating the
         # attack needs only black-box access.
-        rng = np.random.default_rng(1)
-        X_noise = rng.uniform(size=(300, bc_forest.n_features_in_))
-        labels = bc_forest.predict(X_noise)
+        victim = wm_model.ensemble
+        X_noise = np.random.default_rng(1).uniform(size=(300, victim.n_features_in_))
+        labels = victim.predict(X_noise)
         if len(np.unique(labels)) < 2:
             pytest.skip("victim answered noise with a single class")
-        surrogate = extract_surrogate(bc_forest, X_noise, random_state=2)
-        fidelity = np.mean(surrogate.predict(X_noise) == labels)
-        assert fidelity > 0.9
+        # Scoring the surrogate on its own queries, against the victim's
+        # answers, measures how well it fits them.
+        target = _target(wm_model, X_noise, X_noise, labels)
+        report = make_attack("extract", query_budget=300).run(
+            target, np.random.default_rng(2)
+        )
+        assert report.attacked_accuracy > 0.9
 
-    def test_single_class_answers_rejected(self, bc_forest):
+    def test_single_class_answers_rejected(self, wm_model, bc_data):
         # Queries taken from deep inside one class region.
-        X_one_sided = np.zeros((20, bc_forest.n_features_in_))
-        labels = bc_forest.predict(X_one_sided)
-        if len(np.unique(labels)) > 1:
+        _, X_test, _, y_test = bc_data
+        X_one_sided = np.zeros((20, wm_model.ensemble.n_features_in_))
+        if len(np.unique(wm_model.ensemble.predict(X_one_sided))) > 1:
             pytest.skip("victim not single-class on this probe")
+        target = _target(wm_model, X_one_sided, X_test, y_test)
         with pytest.raises(ValidationError, match="one class"):
-            extract_surrogate(bc_forest, X_one_sided)
+            make_attack("extract", query_budget=20).run(
+                target, np.random.default_rng(0)
+            )
 
 
 class TestExtractionStudy:
     def test_watermark_does_not_transfer(self, wm_model, bc_data):
         """The key security observation: surrogates break per-tree
         alignment, so the watermark does not survive extraction."""
-        X_train, X_test, y_train, y_test = bc_data
-        outcomes = extraction_study(
-            wm_model,
-            X_pool=X_train,
-            X_test=X_test,
-            y_test=y_test,
-            query_budgets=(120,),
-            random_state=3,
+        target = AttackTarget.from_split(wm_model, bc_data)
+        report = make_attack("extract", query_budget=120).run(
+            target, np.random.default_rng(3)
         )
-        assert len(outcomes) == 1
-        outcome = outcomes[0]
-        assert not outcome.watermark_accepted
-        assert outcome.watermark_match_rate < 1.0
+        assert not report.watermark_accepted
+        assert report.watermark_match_rate < 1.0
+        assert report.succeeded
 
     def test_more_queries_help_fidelity(self, wm_model, bc_data):
-        X_train, X_test, y_train, y_test = bc_data
-        outcomes = extraction_study(
-            wm_model,
-            X_pool=X_train,
-            X_test=X_test,
-            y_test=y_test,
-            query_budgets=(30, 150),
-            random_state=4,
-        )
-        assert outcomes[1].agreement >= outcomes[0].agreement - 0.1
-
-    def test_budget_exceeding_pool_rejected(self, wm_model, bc_data):
-        X_train, X_test, y_train, y_test = bc_data
-        with pytest.raises(ValidationError, match="pool"):
-            extraction_study(
-                wm_model,
-                X_pool=X_train,
-                X_test=X_test,
-                y_test=y_test,
-                query_budgets=(X_train.shape[0] + 1,),
+        target = AttackTarget.from_split(wm_model, bc_data)
+        few, many = (
+            make_attack("extract", query_budget=budget).run(
+                target, np.random.default_rng(4)
             )
+            for budget in (30, 150)
+        )
+        assert many.details["agreement"] >= few.details["agreement"] - 0.1
+
+
+def _extraction_sweep(budgets) -> dict:
+    """Cells of an extract sweep on the SMALL breast-cancer target, keyed by
+    budget, with wall-clock timings dropped."""
+    cells = run_scenario_matrix(
+        SMALL, ["extract"], strengths={"extract": budgets}, datasets=("breast-cancer",)
+    )
+    swept = {}
+    for cell in cells:
+        view = cell.to_dict()
+        del view["report"]["cost"]["elapsed_seconds"]
+        swept[cell.strength] = view
+    return swept
 
 
 class TestSweepCellIndependence:
     """Regression for the shared-RNG-across-cells bug class: one
-    generator threaded through the budget loop made every cell depend
-    on which budgets ran before it.  Cells are now keyed by budget
-    *value*, so sweeps are order-invariant and each cell matches a
-    standalone run."""
+    generator threaded through a budget sweep made every cell depend on
+    which budgets ran before it.  Every strength of a scenario-matrix
+    sweep restarts from its cell's seed, so sweeps are order-invariant
+    and each cell matches a standalone run."""
 
-    @staticmethod
-    def _fingerprint(outcome, X_test):
-        return (
-            outcome.query_budget,
-            outcome.agreement,
-            outcome.surrogate_accuracy,
-            outcome.watermark_match_rate,
-            outcome.surrogate.predict(X_test).tobytes(),
-        )
+    def test_cell_matches_standalone_run(self):
+        assert _extraction_sweep((60, 120))[120.0] == _extraction_sweep((120,))[120.0]
 
-    def test_cell_matches_standalone_run(self, wm_model, bc_data):
-        X_train, X_test, y_train, y_test = bc_data
-        kwargs = dict(X_pool=X_train, X_test=X_test, y_test=y_test, random_state=7)
-        swept = extraction_study(wm_model, query_budgets=(60, 120), **kwargs)
-        alone = extraction_study(wm_model, query_budgets=(120,), **kwargs)
-        assert self._fingerprint(swept[1], X_test) == self._fingerprint(
-            alone[0], X_test
-        )
-
-    def test_sweep_order_invariance(self, wm_model, bc_data):
-        X_train, X_test, y_train, y_test = bc_data
-        kwargs = dict(X_pool=X_train, X_test=X_test, y_test=y_test, random_state=7)
-        forward = extraction_study(wm_model, query_budgets=(60, 120), **kwargs)
-        reverse = extraction_study(wm_model, query_budgets=(120, 60), **kwargs)
-        assert [self._fingerprint(o, X_test) for o in forward] == [
-            self._fingerprint(o, X_test) for o in reverse[::-1]
-        ]
+    def test_sweep_order_invariance(self):
+        assert _extraction_sweep((60, 120)) == _extraction_sweep((120, 60))

@@ -1,18 +1,17 @@
-"""Tests for model-modification attacks (future-work threat model)."""
+"""Tests for model-modification attacks (future-work threat model).
+
+The tree edits live in :mod:`repro.trees.pruning`; the attacks that
+apply them to a stolen forest run through the registry.
+"""
 
 import numpy as np
 import pytest
 
-from repro.attacks import (
-    flip_forest_leaves,
-    flip_leaves,
-    modification_robustness,
-    truncate_forest,
-    truncate_tree,
-)
+from repro.api import AttackTarget, make_attack
 from repro.exceptions import ValidationError
-from repro.trees.node import InternalNode, Leaf
 from repro.trees.export import tree_stats
+from repro.trees.node import InternalNode, Leaf, iter_leaves
+from repro.trees.pruning import flip_leaves, truncate_tree
 
 
 def _deep_tree():
@@ -59,15 +58,15 @@ class TestFlipLeaves:
         tree = _deep_tree()
         flipped = flip_leaves(tree, 0.0, rng)
         assert tree_stats(flipped) == tree_stats(tree)
-        assert [l.prediction for l in _leaves(flipped)] == [
-            l.prediction for l in _leaves(tree)
+        assert [l.prediction for l in iter_leaves(flipped)] == [
+            l.prediction for l in iter_leaves(tree)
         ]
 
     def test_probability_one_flips_everything(self, rng):
         tree = _deep_tree()
         flipped = flip_leaves(tree, 1.0, rng)
-        assert [l.prediction for l in _leaves(flipped)] == [
-            -l.prediction for l in _leaves(tree)
+        assert [l.prediction for l in iter_leaves(flipped)] == [
+            -l.prediction for l in iter_leaves(tree)
         ]
 
     def test_invalid_probability(self, rng):
@@ -84,7 +83,7 @@ class TestFlipLeaves:
         assert left.prediction == 1 and left.class_weights == {1: 3.0, -1: 1.0}
         assert right.prediction == -1 and right.class_weights == {-1: 5.0, 1: 0.0}
 
-    def test_flip_keeps_predict_and_proba_consistent(self, bc_data, rng):
+    def test_flip_keeps_predict_and_proba_consistent(self, bc_data):
         # Regression: on attacked models, `predict` (leaf labels) and
         # `predict_proba` (leaf distributions) must name the same
         # majority class — in the engine and in the object graph.
@@ -98,7 +97,9 @@ class TestFlipLeaves:
         forest = RandomForestClassifier(
             n_estimators=3, tree_feature_fraction=1.0, random_state=23
         ).fit(X_train, y_train)
-        attacked = flip_forest_leaves(forest, 1.0, random_state=24)
+        attacked = make_attack("flip", probability=1.0).edit(
+            forest, np.random.default_rng(24)
+        )
         for tree in attacked.trees_:
             routes = {
                 "object": (
@@ -114,61 +115,46 @@ class TestFlipLeaves:
                 assert np.array_equal(labels, by_proba), route
 
 
-def _leaves(root):
-    from repro.trees.node import iter_leaves
-
-    return list(iter_leaves(root))
-
-
 class TestForestAttacks:
-    def test_truncate_forest_structure(self, bc_forest):
-        attacked = truncate_forest(bc_forest, 2)
+    def test_truncate_forest_structure(self, bc_forest, rng):
+        attacked = make_attack("truncate", depth=2).edit(bc_forest, rng)
         assert (attacked.structure()["depth"] <= 2).all()
         # Original untouched.
         assert (bc_forest.structure()["depth"] > 2).any()
 
-    def test_flip_forest_changes_predictions(self, bc_forest, bc_data):
+    def test_flip_forest_changes_predictions(self, bc_forest, bc_data, rng):
         _, X_test, _, _ = bc_data
-        attacked = flip_forest_leaves(bc_forest, 1.0, random_state=0)
+        attacked = make_attack("flip", probability=1.0).edit(bc_forest, rng)
         original = bc_forest.predict_all(X_test)
         flipped = attacked.predict_all(X_test)
         assert np.array_equal(flipped, -original)
 
-    def test_attacked_forest_still_predicts(self, bc_forest, bc_data):
+    def test_attacked_forest_still_predicts(self, bc_forest, bc_data, rng):
         _, X_test, _, _ = bc_data
-        attacked = truncate_forest(bc_forest, 3)
+        attacked = make_attack("truncate", depth=3).edit(bc_forest, rng)
         predictions = attacked.predict(X_test)
         assert set(np.unique(predictions)) <= {-1, 1}
 
 
 class TestModificationRobustness:
-    def test_flip_degrades_watermark(self, wm_model, bc_data):
-        _, X_test, _, y_test = bc_data
-        outcome = modification_robustness(
-            wm_model, X_test, y_test, attack="flip", strength=1.0, random_state=1
+    @pytest.fixture(scope="class")
+    def target(self, wm_model, bc_data):
+        return AttackTarget.from_split(wm_model, bc_data)
+
+    def test_flip_degrades_watermark(self, target):
+        report = make_attack("flip", probability=1.0).run(
+            target, np.random.default_rng(1)
         )
         # Flipping every leaf inverts all per-tree behaviour: 0-bit trees
         # now miss every trigger, 1-bit trees hit every trigger.
-        assert not outcome.watermark_accepted
-        assert outcome.watermark_match_rate == 0.0
+        assert not report.watermark_accepted
+        assert report.watermark_match_rate == 0.0
+        assert report.succeeded
 
-    def test_identity_attack_keeps_watermark(self, wm_model, bc_data):
-        _, X_test, _, y_test = bc_data
-        outcome = modification_robustness(
-            wm_model, X_test, y_test, attack="flip", strength=0.0, random_state=2
+    def test_truncation_tradeoff_recorded(self, target):
+        report = make_attack("truncate", depth=1).run(
+            target, np.random.default_rng(0)
         )
-        assert outcome.watermark_accepted
-        assert outcome.watermark_match_rate == 1.0
-
-    def test_truncation_tradeoff_recorded(self, wm_model, bc_data):
-        _, X_test, _, y_test = bc_data
-        outcome = modification_robustness(
-            wm_model, X_test, y_test, attack="truncate", strength=1
-        )
-        assert 0.0 <= outcome.accuracy <= 1.0
-        assert 0.0 <= outcome.watermark_match_rate <= 1.0
-
-    def test_unknown_attack_rejected(self, wm_model, bc_data):
-        _, X_test, _, y_test = bc_data
-        with pytest.raises(ValidationError):
-            modification_robustness(wm_model, X_test, y_test, attack="distill", strength=1)
+        assert 0.0 <= report.attacked_accuracy <= 1.0
+        assert 0.0 <= report.watermark_match_rate <= 1.0
+        assert report.details["n_trees"] == target.model.ensemble.n_trees_

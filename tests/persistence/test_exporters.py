@@ -239,21 +239,6 @@ class TestPickleByPath:
             clone.predict_all(X_test), bc_forest.predict_all(X_test)
         )
 
-    def test_shared_model_handle(self, bc_forest, bc_data, tmp_path):
-        from repro.parallel import open_model_handle, shared_model_handle
-
-        _, X_test, _, _ = bc_data
-        path = tmp_path / "forest.rfbin"
-        save(bc_forest, path)
-        assert shared_model_handle(bc_forest) is None  # never touched disk
-        restored = load(path, mmap_mode="r")
-        handle = shared_model_handle(restored)
-        assert handle == (str(path), "binary", "r")
-        reopened = open_model_handle(handle)
-        assert np.array_equal(
-            reopened.predict_all(X_test), bc_forest.predict_all(X_test)
-        )
-
     def test_worker_pool_shares_artifact(self, bc_forest, bc_data, tmp_path):
         from repro.parallel import fork_available, run_batches
 

@@ -68,6 +68,23 @@ or ``compile_trees(roots)``.  ``PatternProblem``, ``solve_pattern_smt``,
 ``minimal_forgery_distortion`` and ``check_pattern`` still take roots.
 Outputs are unchanged.  The walk lives on as a test oracle
 (``tests/solver/box_dpll_oracle.py``).
+
+Migration note: ``repro.attacks.modification`` and
+``repro.attacks.extraction`` are removed, and ``repro.attacks`` no
+longer exports ``modification_robustness``, ``ModificationOutcome``,
+``extraction_study``, ``ExtractionOutcome``, ``extract_surrogate``,
+``truncate_forest``, ``flip_forest_leaves``, ``truncate_tree`` or
+``flip_leaves``.  Run attacks through the registry:
+``make_attack("truncate", depth=d)``, ``make_attack("flip",
+probability=p)`` or ``make_attack("extract", query_budget=n)``, then
+``.run(AttackTarget.from_split(model, split), rng)`` for the report or
+``.edit(forest, rng)`` for the edited forest; sweep budgets with
+``run_scenario_matrix``.  ``truncate_tree`` and ``flip_leaves`` moved
+to ``repro.trees.pruning``.  Outputs are unchanged.
+``repro.parallel.shared_model_handle`` and ``open_model_handle`` are
+removed too: a lazily loaded forest pickles down to its
+``(path, format, mmap_mode)`` handle by itself, and
+``repro.persistence.load(path, format=..., mmap_mode=...)`` reopens one.
 """
 
 import dataclasses
@@ -78,6 +95,8 @@ import pytest
 
 import repro
 import repro.api
+import repro.attacks
+import repro.parallel
 import repro.core
 import repro.ensemble
 import repro.solver
@@ -266,6 +285,18 @@ RETIRED_SOLVER_NAMES = (
     "solve_pattern_portfolio",
 )
 
+RETIRED_ATTACK_NAMES = (
+    "ExtractionOutcome",
+    "ModificationOutcome",
+    "extract_surrogate",
+    "extraction_study",
+    "flip_forest_leaves",
+    "flip_leaves",
+    "modification_robustness",
+    "truncate_forest",
+    "truncate_tree",
+)
+
 REGISTERED_ATTACKS = (
     "chain",
     "detection",
@@ -303,6 +334,16 @@ class TestApiSurface:
 
     def test_attack_registry_is_pinned(self):
         assert repro.api.available_attacks() == REGISTERED_ATTACKS
+
+    def test_legacy_attack_drivers_are_gone(self):
+        for name in RETIRED_ATTACK_NAMES:
+            assert not hasattr(repro.attacks, name), name
+            assert name not in repro.attacks.__all__, name
+        for module in ("repro.attacks.modification", "repro.attacks.extraction"):
+            with pytest.raises(ImportError):
+                importlib.import_module(module)
+        for name in ("shared_model_handle", "open_model_handle"):
+            assert not hasattr(repro.parallel, name), name
 
 
 class TestTreesSurface:

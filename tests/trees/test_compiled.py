@@ -292,9 +292,9 @@ class TestBackendAndCaching:
         forest.fit(X, y)
         stale = forest.compile()
 
-        from repro.attacks.modification import truncate_forest
+        from repro.trees.pruning import truncate_tree
 
-        attacked = truncate_forest(forest, max_depth=1)
+        attacked = forest.with_roots([truncate_tree(root, 1) for root in forest.roots()])
         X_query = gen.normal(size=(300, X.shape[1]))
         reference = _object_all(attacked, X_query)
         assert np.array_equal(attacked.predict_all(X_query), reference)

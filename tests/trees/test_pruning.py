@@ -73,6 +73,8 @@ class TestPruneCostComplexity:
         tree, _, _ = _fitted_tree(rng)
         with pytest.raises(ValidationError):
             prune_cost_complexity(tree.root_, -1.0)
+        with pytest.raises(ValidationError):
+            prune_cost_complexity(tree.root_, float("nan"))
 
     def test_training_risk_grows_gracefully(self, rng):
         # Pruning trades leaves for risk; the risk increase per pruning
