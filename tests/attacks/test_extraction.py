@@ -83,6 +83,13 @@ class TestExtractionStudy:
         )
         assert many.details["agreement"] >= few.details["agreement"] - 0.1
 
+    def test_budget_exceeding_pool_rejected(self, wm_model, bc_data):
+        X_train = bc_data[0]
+        target = AttackTarget.from_split(wm_model, bc_data)
+        attack = make_attack("extract", query_budget=X_train.shape[0] + 1)
+        with pytest.raises(ValidationError, match="pool"):
+            attack.run(target, np.random.default_rng(0))
+
 
 def _extraction_sweep(budgets) -> dict:
     """Cells of an extract sweep on the SMALL breast-cancer target, keyed by

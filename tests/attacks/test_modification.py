@@ -151,6 +151,13 @@ class TestModificationRobustness:
         assert report.watermark_match_rate == 0.0
         assert report.succeeded
 
+    def test_identity_attack_keeps_watermark(self, target):
+        report = make_attack("flip", probability=0.0).run(
+            target, np.random.default_rng(2)
+        )
+        assert report.watermark_accepted
+        assert report.watermark_match_rate == 1.0
+
     def test_truncation_tradeoff_recorded(self, target):
         report = make_attack("truncate", depth=1).run(
             target, np.random.default_rng(0)
@@ -158,3 +165,7 @@ class TestModificationRobustness:
         assert 0.0 <= report.attacked_accuracy <= 1.0
         assert 0.0 <= report.watermark_match_rate <= 1.0
         assert report.details["n_trees"] == target.model.ensemble.n_trees_
+
+    def test_unknown_attack_rejected(self):
+        with pytest.raises(ValidationError, match="unknown attack 'distill'"):
+            make_attack("distill")
