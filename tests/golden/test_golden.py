@@ -90,7 +90,7 @@ def table_digest(tables: dict) -> str:
 # -- fixtures -------------------------------------------------------------
 
 
-def _dispute_model(dataset, seed: int):
+def _dispute_model(dataset, seed: int, n_jobs=None):
     """The perfbench dispute owner recipe with a 16-bit signature."""
     X_train, X_test, y_train, y_test = train_test_split(
         dataset.X, dataset.y, test_size=0.3, random_state=seed + 1
@@ -103,6 +103,7 @@ def _dispute_model(dataset, seed: int):
             base_params={"max_depth": 10, "min_samples_leaf": 1},
             adjust=True,
             tree_feature_fraction=0.35,
+            n_jobs=n_jobs,
         ),
         random_state=seed + 3,
     )
@@ -117,6 +118,15 @@ def ijcnn1_dispute():
 @functools.lru_cache(maxsize=None)
 def mnist26_dispute():
     return _dispute_model(mnist26_like(300, random_state=201, image_size=14), 210)
+
+
+def _dispute_jobs2():
+    """The dispute recipe embedded with two worker processes, so each
+    fit and refit round splits its tree slots across the pool."""
+    model, _X_test, _y_test = _dispute_model(
+        ijcnn1_like(700, random_state=121), 130, n_jobs=2
+    )
+    return table_digest(model.ensemble.compile().to_tables())
 
 
 def _forged(epsilon: float, n_jobs):
@@ -178,6 +188,22 @@ def _best_first_entropy():
         max_features="sqrt", tree_feature_fraction=0.8, random_state=502,
     ).fit(ds.X, ds.y)
     return table_digest(forest.compile().to_tables())
+
+
+def _depth_first_sqrt_entropy():
+    """Depth-first forest: per-split ``sqrt`` feature sampling, a leaf
+    floor of 3, three classes, entropy and some zero sample weights
+    (leaf class masses included)."""
+    rng = np.random.default_rng(1201)
+    X = rng.random((300, 9))
+    y = np.digitize(X[:, 1] + 0.5 * X[:, 4] + 0.3 * rng.random(300), [0.6, 1.2])
+    weights = rng.uniform(0.5, 3.0, 300)
+    weights[rng.choice(300, size=30, replace=False)] = 0.0
+    forest = RandomForestClassifier(
+        n_estimators=8, criterion="entropy", max_features="sqrt",
+        min_samples_leaf=3, tree_feature_fraction=0.8, random_state=1202,
+    ).fit(X, y, sample_weight=weights)
+    return table_digest(compile_forest(forest, collect_leaf_weight=True).to_tables())
 
 
 def _three_class_tree():
@@ -288,7 +314,9 @@ FIXTURES = {
     "wm_mnist26_predict_all": lambda: digest(
         mnist26_dispute()[0].ensemble.predict_all(mnist26_dispute()[1])
     ),
+    "wm_ijcnn1_jobs2_tables": _dispute_jobs2,
     "best_first_entropy_tables": _best_first_entropy,
+    "depth_first_sqrt_entropy_tables": _depth_first_sqrt_entropy,
     "three_class_tree_tables": _three_class_tree,
     "gbdt_tables": _gbdt,
     "small_batch_object_route": _small_batch,
