@@ -12,11 +12,13 @@ This is the exact model class the paper watermarks:
 
 from __future__ import annotations
 
+import numbers
 from copy import copy
 
 import numpy as np
 
 from .._validation import (
+    check_count,
     check_sample_weight,
     check_X,
     check_X_y,
@@ -27,7 +29,7 @@ from ..parallel import partition, resolve_n_jobs, run_batches, shared_payload
 from ..trees.compiled import adopt_compiled, ensure_compiled, model_lock
 from ..trees.presort import adopt_presort, presorted_dataset
 from ..trees.export import ensemble_structure
-from ..trees.tree import DecisionTreeClassifier
+from ..trees.tree import DecisionTreeClassifier, fit_trees
 from .compiled import CompiledEnsemble, compile_forest
 from .voting import majority_vote
 
@@ -47,7 +49,10 @@ def _fit_tree_slots(
     Each slot's subspace draw and per-split sampling both come from the
     slot's private stream, so the result depends only on
     ``(X, y, weights, tree_params, seed)`` — not on which worker fits it
-    or which other slots are being (re)fitted alongside.
+    or which other slots are being (re)fitted alongside.  The slots grow
+    in lockstep (:func:`~repro.trees.tree.fit_trees`): one batched split
+    search per step serves the pending nodes of every tree in the call,
+    and each tree is still the one fitting it alone would give.
 
     The parent warms the dataset's presort cache and ships it as the
     pool's shared payload; fork workers inherit it copy-on-write and
@@ -56,16 +61,16 @@ def _fit_tree_slots(
     it (spawn platforms, no payload) each worker presorts once itself.
     """
     adopt_presort(shared_payload(), X)
-    fitted = []
+    trees, subsets = [], []
     for seed in seeds:
         rng = np.random.default_rng(seed)
         subset = np.sort(rng.choice(X.shape[1], size=subspace_size, replace=False))
-        tree = DecisionTreeClassifier(
-            feature_subset=subset, random_state=rng, **tree_params
+        trees.append(
+            DecisionTreeClassifier(feature_subset=subset, random_state=rng, **tree_params)
         )
-        tree.fit(X, y, sample_weight=weights)
-        fitted.append((tree, subset))
-    return fitted
+        subsets.append(subset)
+    fit_trees(trees, X, y, sample_weight=weights)
+    return list(zip(trees, subsets))
 
 
 class RandomForestClassifier:
@@ -192,7 +197,12 @@ class RandomForestClassifier:
     # ------------------------------------------------------------------
 
     def _subspace_size(self, n_features: int) -> int:
-        if not 0.0 < self.tree_feature_fraction <= 1.0:
+        fraction = self.tree_feature_fraction
+        if (
+            isinstance(fraction, (bool, np.bool_))
+            or not isinstance(fraction, numbers.Real)
+            or not 0.0 < fraction <= 1.0
+        ):
             raise ValidationError(
                 f"tree_feature_fraction must be in (0, 1], got "
                 f"{self.tree_feature_fraction}"
@@ -232,6 +242,8 @@ class RandomForestClassifier:
         """
         jobs = resolve_n_jobs(self.n_jobs, n_tasks=len(seeds))
         subspace_size = self._subspace_size(X.shape[1])
+        # Validate the shared tree hyper-parameters here, not in a worker.
+        DecisionTreeClassifier(**self._tree_params())._validate_params(X.shape[1])
         presort = presorted_dataset(X)
         batches = [
             (X, y, weights, self._tree_params(), subspace_size, chunk)
@@ -242,8 +254,7 @@ class RandomForestClassifier:
 
     def fit(self, X, y, sample_weight=None) -> "RandomForestClassifier":
         """Fit ``n_estimators`` trees on the full (weighted) training set."""
-        if self.n_estimators < 1:
-            raise ValidationError(f"n_estimators must be >= 1, got {self.n_estimators}")
+        check_count(self.n_estimators, "n_estimators")
         X, y = check_X_y(X, y)
         weights = check_sample_weight(sample_weight, X.shape[0])
         seeds = spawn_seed_sequences(self.random_state, self.n_estimators)

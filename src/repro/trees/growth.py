@@ -1,32 +1,44 @@
-"""Tree growth strategies: depth-first and best-first (leaf-capped).
+"""Tree growth: every tree of a fit grown in lockstep.
 
-Two builders are provided because the paper's ``Adjust`` heuristic caps
-*both* the depth and the number of leaves of the trained trees.  A cap
-on ``max_leaf_nodes`` only makes sense with best-first growth (always
-expand the frontier leaf with the largest impurity decrease, as sklearn
-does); without a leaf cap, classic depth-first growth is used.
+One engine grows a whole batch of trees on the same training arrays —
+a forest's tree slots, or a single :class:`~repro.trees.DecisionTreeClassifier`
+as a batch of one.  On each step every tree that still grows hands
+over the nodes it needs searched next, and one batched
+:func:`~repro.trees.splitter.find_best_split` call scores them all:
 
-Both builders maintain a :class:`~repro.trees.presort.NodeOrdering`
-per frame: the root's feature-sorted lanes come from the dataset's
-global sort cache, and every split *partitions* the parent's lanes into
-the children's with one stable boolean compress per lane — no node ever
-re-sorts, and no per-node work depends on the full dataset size.
+- a **depth-first** tree (no leaf cap) hands over its next stack pop;
+- a **best-first** tree (``max_leaf_nodes`` set, the paper's ``Adjust``
+  caps) hands over both children of its expansion, then expands the
+  frontier leaf with the largest weighted impurity decrease, as sklearn
+  does.
+
+A tree that cannot proceed until a search comes back simply waits for
+the next step, so each tree keeps its own search order and its own
+order of per-split feature draws: the trees are the ones growing each
+tree alone would give, bit for bit.  A node whose sampled features
+found no split retries once with the whole subspace on the following
+step (no draw is involved).
+
+A node's lanes are its rows sorted per subspace feature: the root's
+come from the dataset's global sort cache, and the lanes of every
+split node of a step are *partitioned* into its children's in one
+batched stable compress — no node ever re-sorts, and no per-node work
+depends on the full dataset size.  Leaves are labelled once, at the
+end, from one class-count pass per tree.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import weighted_class_counts
 from .node import InternalNode, Leaf, TreeNode
-from .presort import NodeOrdering, partition_ordering, root_ordering
-from .splitter import Split, find_best_split
+from .presort import SortedDataset, partition_orderings, root_ordering
+from .splitter import _BATCH_ELEMENTS, NodeSearch, Split, find_best_split
 
-__all__ = ["GrowthParams", "grow_tree"]
+__all__ = ["GrowthParams", "grow_trees"]
 
 
 @dataclass
@@ -34,10 +46,10 @@ class GrowthParams:
     """Hyper-parameters controlling tree induction.
 
     ``max_features`` is the number of features sampled (without
-    replacement) at *each split*; ``feature_subset`` restricts the whole
-    tree to a fixed subspace (the forest assigns one per tree, which is
-    how the paper's "each tree is trained on a subset of the features"
-    is realised).
+    replacement) at *each split*; the feature subspace each tree may
+    split on is passed to :func:`grow_trees` alongside (the forest
+    assigns one per tree, which is how the paper's "each tree is
+    trained on a subset of the features" is realised).
     """
 
     criterion: object
@@ -49,290 +61,270 @@ class GrowthParams:
     max_features: int | None = None
 
 
-def _make_leaf(
-    index: np.ndarray,
+class _Node:
+    """A node whose fate is still open: searched, split or leaf."""
+
+    __slots__ = ("index", "depth", "parent", "side", "rows", "features", "positions", "split")
+
+    def __init__(self, index, depth, parent, side):
+        self.index = index
+        self.depth = depth
+        self.parent = parent  # InternalNode, or None for the root
+        self.side = side  # "left" / "right" slot of the parent
+        self.rows = None  # lanes, filled in before the node is searched
+        self.features = None  # candidate feature ids of its next search
+        self.positions = None  # their lane positions (None = every lane)
+        self.split = None  # a best-first node's split, once searched
+
+
+class _Tree:
+    """One tree's growth state: its subspace, its RNG and its frontier.
+
+    ``pending`` holds the nodes the tree waits on, in the order it drew
+    their features; :meth:`receive` takes their splits and moves the
+    tree on until it waits again (or is done).  Split nodes whose
+    children may be searched are queued on ``partitions`` for the
+    engine, which fills in the children's lanes before the next search.
+    """
+
+    def __init__(self, root: _Node, subspace: np.ndarray, rng, params: GrowthParams):
+        self.root: TreeNode | None = None
+        self.subspace = subspace
+        self.rng = rng
+        self.params = params
+        self.pending: list[_Node] = []
+        self.leaves: list[_Node] = []
+        self.best_first = params.max_leaf_nodes is not None
+        # Depth-first frontier: a stack.  Best-first frontier: a heap of
+        # searched nodes keyed by gain, plus the children of the latest
+        # expansion until both searches are back.
+        self.stack: list[_Node] = []
+        self.heap: list[tuple[float, int, _Node]] = []
+        self.expanding: list[_Node] = []
+        self.pushed = 0
+        self.n_leaves = 1
+        if self.best_first:
+            self._queue(root, search=True)
+            self.expanding = list(self.pending)
+        else:
+            self.stack.append(root)
+
+    def _can_split(self, node: _Node) -> bool:
+        params = self.params
+        if params.max_depth is not None and node.depth >= params.max_depth:
+            return False
+        k = node.index.shape[0]
+        return k >= params.min_samples_split and k >= 2 * params.min_samples_leaf
+
+    def _queue(self, node: _Node, search: bool) -> None:
+        """Draw ``node``'s candidate features and queue its search, or
+        make it a leaf.  ``search=False`` still draws, leaving the RNG
+        stream where growing the tree alone leaves it."""
+        if not self._can_split(node):
+            self._leaf(node)
+            return
+        subspace, max_features = self.subspace, self.params.max_features
+        if max_features is None or max_features >= subspace.shape[0]:
+            node.features, node.positions = subspace, None
+        else:
+            chosen = self.rng.choice(subspace.shape[0], size=max_features, replace=False)
+            node.positions = np.sort(chosen)
+            node.features = subspace[node.positions]
+        if search:
+            self.pending.append(node)
+        else:
+            self._leaf(node)
+
+    def _leaf(self, node: _Node) -> None:
+        node.rows = node.split = None  # a leaf keeps only its row ids
+        self.leaves.append(node)
+
+    def _attach(self, node: _Node, tree_node: TreeNode) -> None:
+        if node.parent is None:
+            self.root = tree_node
+        else:
+            setattr(node.parent, node.side, tree_node)
+
+    def _split(self, node: _Node, split: Split, partitions: list, search: bool):
+        """Turn ``node`` into an internal node; returns its two children.
+
+        Their lanes are queued for partitioning if either may be
+        searched (a child the depth cap or the size floors make a leaf
+        never needs them).
+        """
+        internal = InternalNode(
+            feature=split.feature, threshold=split.threshold,
+            left=None, right=None,  # type: ignore[arg-type]
+        )
+        self._attach(node, internal)
+        depth = node.depth + 1
+        left = _Node(split.left_index, depth, internal, "left")
+        right = _Node(split.right_index, depth, internal, "right")
+        if search and (self._can_split(left) or self._can_split(right)):
+            partitions.append((node.rows, split, left, right))
+        node.rows = node.split = None  # the children own the lanes now
+        return left, right
+
+    def receive(self, splits: list[Split | None], partitions: list) -> None:
+        """Take the splits of the pending nodes and move on."""
+        retry = []
+        for node, split in zip(self.pending, splits):
+            if split is None and node.positions is not None:
+                # The sampled features were uninformative; retry once
+                # with the whole subspace so trees can still isolate
+                # heavily-weighted trigger samples.
+                node.features, node.positions = self.subspace, None
+                retry.append(node)
+            elif self.best_first:
+                node.split = split  # waits for its sibling
+            elif split is None:
+                self._leaf(node)
+            else:
+                self.stack.extend(self._split(node, split, partitions, True))
+        self.pending = retry
+        if not retry:
+            self.advance(partitions)
+
+    def advance(self, partitions: list) -> None:
+        """Move on until the tree waits on a search or is finished."""
+        if self.pending:
+            return
+        if not self.best_first:
+            while not self.pending and self.stack:
+                self._queue(self.stack.pop(), search=True)
+            return
+        # Children enter the heap once both are back, left first, so
+        # the heap's tie-break counter runs as it does for a lone tree.
+        for node in self.expanding:
+            if node.split is None:
+                self._leaf(node)
+            else:
+                heapq.heappush(self.heap, (-node.split.gain, self.pushed, node))
+                self.pushed += 1
+        max_leaves = self.params.max_leaf_nodes
+        while not self.pending and self.heap and self.n_leaves < max_leaves:
+            _, _, node = heapq.heappop(self.heap)
+            self.n_leaves += 1  # one leaf became two
+            # After the last expansion the children stay leaves: their
+            # features are still drawn, but never searched.
+            search = self.n_leaves < max_leaves
+            left, right = self._split(node, node.split, partitions, search)
+            self._queue(left, search)
+            self._queue(right, search)
+        self.expanding = list(self.pending)
+        if not self.pending:
+            # Frontier nodes never expanded stay leaves.
+            for _, _, node in self.heap:
+                self._leaf(node)
+            self.heap = []
+
+    def finish(self, codes: np.ndarray, weights: np.ndarray, classes: np.ndarray) -> TreeNode:
+        """Label every leaf from one class-count pass and return the root."""
+        n_classes = classes.shape[0]
+        n_leaves = len(self.leaves)
+        flat = np.concatenate([node.index for node in self.leaves])
+        # Each (leaf, class) bin sums its weights in row order, as a
+        # per-leaf bincount would.
+        counts = np.bincount(
+            np.repeat(np.arange(n_leaves) * n_classes, [node.index.shape[0] for node in self.leaves])
+            + codes[flat],
+            weights=weights[flat],
+            minlength=n_leaves * n_classes,
+        ).reshape(n_leaves, n_classes)
+        labels = classes.tolist()
+        predictions = classes[np.argmax(counts, axis=1)].tolist()
+        for node, prediction, row in zip(self.leaves, predictions, counts.tolist()):
+            leaf = Leaf(
+                prediction=prediction,
+                class_weights={labels[c]: row[c] for c in range(n_classes) if row[c] > 0},
+            )
+            self._attach(node, leaf)
+        assert self.root is not None
+        return self.root
+
+
+def _partition(presort: SortedDataset, partitions: list) -> None:
+    """Fill in the lanes of every child queued this step.
+
+    Parents are partitioned in batches of at most ``_BATCH_ELEMENTS``
+    lane elements (a lone larger parent makes its own batch), so the
+    batch's temporaries stay as small as a search block's.
+    """
+    start = 0
+    while start < len(partitions):
+        stop, elements = start, 0
+        while stop < len(partitions) and (
+            stop == start or elements + partitions[stop][0].size <= _BATCH_ELEMENTS
+        ):
+            elements += partitions[stop][0].size
+            stop += 1
+        batch = partitions[start:stop]
+        # Drop the queue's hold on these parents' lanes: they are freed
+        # as soon as their children's exist.
+        partitions[start:stop] = [None] * (stop - start)
+        children = partition_orderings(
+            presort,
+            [
+                (rows, split.feature, split.threshold, split.left_index.shape[0])
+                for rows, split, _, _ in batch
+            ],
+        )
+        for (_, _, left, right), (left_rows, right_rows) in zip(batch, children):
+            left.rows, right.rows = left_rows, right_rows
+        del batch, children
+        start = stop
+
+
+def grow_trees(
     codes: np.ndarray,
     weights: np.ndarray,
     classes: np.ndarray,
-) -> Leaf:
-    """Build a leaf predicting the weighted-majority class of ``index``."""
-    counts = weighted_class_counts(codes[index], weights[index], classes.shape[0])
-    prediction = int(classes[int(np.argmax(counts))])
-    class_weights = {
-        int(classes[c]): float(counts[c]) for c in range(classes.shape[0]) if counts[c] > 0
-    }
-    return Leaf(prediction=prediction, class_weights=class_weights)
-
-
-def _candidate_features(
-    subspace: np.ndarray, params: GrowthParams, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Sample the features considered by one split.
-
-    Returns ``(features, positions)`` where ``positions`` locates the
-    sample within the subspace (``None`` when every subspace feature is
-    considered) — the positions index the node ordering's lanes.
-    """
-    if params.max_features is None or params.max_features >= subspace.shape[0]:
-        return subspace, None
-    chosen = rng.choice(subspace.shape[0], size=params.max_features, replace=False)
-    positions = np.sort(chosen)
-    return subspace[positions], positions
-
-
-def _child_can_split(k: int, depth: int, params: GrowthParams) -> bool:
-    """Whether a child of size ``k`` at ``depth`` can possibly split.
-
-    Mirrors the early-out checks of :func:`_search_split`; children that
-    fail them become leaves, so partitioning an ordering for them would
-    be wasted work.
-    """
-    if params.max_depth is not None and depth >= params.max_depth:
-        return False
-    return k >= params.min_samples_split and k >= 2 * params.min_samples_leaf
-
-
-def _child_orderings(
-    presort,
-    ordering: NodeOrdering,
-    split: Split,
-    child_depth: int,
     params: GrowthParams,
-) -> tuple[NodeOrdering | None, NodeOrdering | None]:
-    """Partition a split node's ordering for the children that need one."""
-    want_left = _child_can_split(split.left_index.shape[0], child_depth, params)
-    want_right = _child_can_split(split.right_index.shape[0], child_depth, params)
-    if not (want_left or want_right):
-        return None, None
-    return partition_ordering(
-        presort, ordering, split.left_index, split.right_index, want_left, want_right
-    )
+    presort: SortedDataset,
+    slots: list[tuple[np.ndarray, np.random.Generator]],
+) -> list[TreeNode]:
+    """Grow one tree per ``(subspace, rng)`` slot over the full training set.
 
-
-def _search_split(
-    X: np.ndarray,
-    codes: np.ndarray,
-    weights: np.ndarray,
-    index: np.ndarray,
-    depth: int,
-    subspace: np.ndarray,
-    n_classes: int,
-    params: GrowthParams,
-    rng: np.random.Generator,
-    ordering: NodeOrdering | None,
-) -> Split | None:
-    """Find a split for a node, honouring all stopping criteria.
-
-    ``ordering`` is ``None`` exactly for nodes the early-outs below turn
-    into leaves (see :func:`_child_can_split`).
+    ``presort`` is the training matrix's
+    :class:`~repro.trees.presort.SortedDataset` (see
+    :func:`~repro.trees.presort.presorted_dataset`); ``codes`` and
+    ``weights`` are its class codes and sample weights.  Rows of zero
+    weight never enter a tree.  Each tree is the one growing it alone
+    would give — the batch only decides how many nodes share a search.
     """
-    if params.max_depth is not None and depth >= params.max_depth:
-        return None
-    if index.shape[0] < params.min_samples_split:
-        return None
-    if index.shape[0] < 2 * params.min_samples_leaf:
-        return None
-    features, positions = _candidate_features(subspace, params, rng)
-    split = find_best_split(
-        X,
-        codes,
-        weights,
-        index,
-        features,
-        n_classes,
-        params.criterion,
-        params.min_samples_leaf,
-        params.min_impurity_decrease,
-        ordering,
-        positions,
-    )
-    if split is None and positions is not None:
-        # The sampled feature subset may have been uninformative even
-        # though the node is impure; retry once with the full subspace so
-        # trees can still isolate heavily-weighted trigger samples.
-        # (``positions is None`` means the first search already covered
-        # the whole subspace — a retry would repeat it verbatim.)
-        split = find_best_split(
-            X,
+    index = np.flatnonzero(weights > 0)
+    trees = []
+    for subspace, rng in slots:
+        root = _Node(index, 0, None, "left")
+        root.rows = root_ordering(presort, index, subspace)
+        trees.append(_Tree(root, subspace, rng, params))
+    partitions: list = []
+    for tree in trees:
+        tree.advance(partitions)
+    n_classes = classes.shape[0]
+    while True:
+        _partition(presort, partitions)
+        partitions = []
+        growing = [tree for tree in trees if tree.pending]
+        if not growing:
+            break
+        splits = find_best_split(
+            presort,
             codes,
             weights,
-            index,
-            subspace,
+            [
+                NodeSearch(node.index, node.rows, node.features, node.positions)
+                for tree in growing
+                for node in tree.pending
+            ],
             n_classes,
             params.criterion,
             params.min_samples_leaf,
             params.min_impurity_decrease,
-            ordering,
         )
-    return split
-
-
-def _grow_depth_first(
-    X: np.ndarray,
-    codes: np.ndarray,
-    weights: np.ndarray,
-    index: np.ndarray,
-    subspace: np.ndarray,
-    classes: np.ndarray,
-    params: GrowthParams,
-    rng: np.random.Generator,
-    presort,
-) -> TreeNode:
-    """Classic recursive growth (explicit stack, no recursion limits)."""
-    n_classes = classes.shape[0]
-    ordering = root_ordering(presort, index, subspace, codes, weights)
-    # Each frame is (index, depth, parent, side, ordering); parent None
-    # means root.
-    root_holder: list[TreeNode] = []
-    stack: list[tuple[np.ndarray, int, InternalNode | None, str, NodeOrdering | None]] = [
-        (index, 0, None, "left", ordering)
-    ]
-    while stack:
-        node_index, depth, parent, side, node_ordering = stack.pop()
-        split = _search_split(
-            X, codes, weights, node_index, depth, subspace, n_classes, params, rng,
-            node_ordering,
-        )
-        node: TreeNode
-        if split is None:
-            node = _make_leaf(node_index, codes, weights, classes)
-        else:
-            node = InternalNode(
-                feature=split.feature,
-                threshold=split.threshold,
-                left=None,  # type: ignore[arg-type]
-                right=None,  # type: ignore[arg-type]
-            )
-            left_ordering, right_ordering = _child_orderings(
-                presort, node_ordering, split, depth + 1, params
-            )
-            stack.append((split.left_index, depth + 1, node, "left", left_ordering))
-            stack.append((split.right_index, depth + 1, node, "right", right_ordering))
-        if parent is None:
-            root_holder.append(node)
-        elif side == "left":
-            parent.left = node
-        else:
-            parent.right = node
-    return root_holder[0]
-
-
-def _grow_best_first(
-    X: np.ndarray,
-    codes: np.ndarray,
-    weights: np.ndarray,
-    index: np.ndarray,
-    subspace: np.ndarray,
-    classes: np.ndarray,
-    params: GrowthParams,
-    rng: np.random.Generator,
-    presort,
-) -> TreeNode:
-    """Best-first growth: repeatedly expand the frontier leaf with the
-    largest weighted impurity decrease until ``max_leaf_nodes`` is hit."""
-    n_classes = classes.shape[0]
-    max_leaves = params.max_leaf_nodes
-    assert max_leaves is not None and max_leaves >= 2
-
-    counter = itertools.count()  # heap tie-breaker for determinism
-
-    @dataclass
-    class _Frontier:
-        index: np.ndarray
-        depth: int
-        parent: InternalNode | None
-        side: str
-        split: Split | None
-        ordering: NodeOrdering | None
-
-    def _attach(parent: InternalNode | None, side: str, node: TreeNode) -> None:
-        nonlocal root
-        if parent is None:
-            root = node
-        elif side == "left":
-            parent.left = node
-        else:
-            parent.right = node
-
-    root: TreeNode = _make_leaf(index, codes, weights, classes)
-    heap: list[tuple[float, int, _Frontier]] = []
-
-    def _push(entry: _Frontier) -> None:
-        entry.split = _search_split(
-            X, codes, weights, entry.index, entry.depth, subspace, n_classes, params,
-            rng, entry.ordering,
-        )
-        if entry.split is None:
-            entry.ordering = None  # nothing left to partition; free the lanes
-            _attach(entry.parent, entry.side, _make_leaf(entry.index, codes, weights, classes))
-        else:
-            heapq.heappush(heap, (-entry.split.gain, next(counter), entry))
-
-    ordering = root_ordering(presort, index, subspace, codes, weights)
-    _push(
-        _Frontier(
-            index=index, depth=0, parent=None, side="left", split=None,
-            ordering=ordering,
-        )
-    )
-    n_leaves = 1
-    while heap and n_leaves < max_leaves:
-        _, _, entry = heapq.heappop(heap)
-        split = entry.split
-        assert split is not None
-        node = InternalNode(
-            feature=split.feature,
-            threshold=split.threshold,
-            left=_make_leaf(split.left_index, codes, weights, classes),
-            right=_make_leaf(split.right_index, codes, weights, classes),
-        )
-        _attach(entry.parent, entry.side, node)
-        n_leaves += 1  # one leaf became two
-        left_ordering, right_ordering = _child_orderings(
-            presort, entry.ordering, split, entry.depth + 1, params
-        )
-        entry.ordering = None
-        _push(
-            _Frontier(
-                split.left_index, entry.depth + 1, node, "left", None, left_ordering
-            )
-        )
-        _push(
-            _Frontier(
-                split.right_index, entry.depth + 1, node, "right", None, right_ordering
-            )
-        )
-    # Frontier nodes never expanded stay as the provisional leaves they
-    # already are (attached when their parents were created).
-    return root
-
-
-def grow_tree(
-    X: np.ndarray,
-    codes: np.ndarray,
-    weights: np.ndarray,
-    subspace: np.ndarray,
-    classes: np.ndarray,
-    params: GrowthParams,
-    rng: np.random.Generator,
-    presort,
-) -> TreeNode:
-    """Grow a decision tree over the full training set.
-
-    Chooses best-first growth when ``max_leaf_nodes`` is set (so the cap
-    binds on the most useful expansions first, like sklearn) and
-    depth-first growth otherwise.  ``presort`` is the dataset's
-    :class:`~repro.trees.presort.SortedDataset` (see
-    :func:`~repro.trees.presort.presorted_dataset`).
-    """
-    index = np.arange(X.shape[0])
-    positive_weight = weights[index] > 0
-    if not positive_weight.all():
-        index = index[positive_weight]
-    if params.max_leaf_nodes is not None:
-        return _grow_best_first(
-            X, codes, weights, index, subspace, classes, params, rng, presort
-        )
-    return _grow_depth_first(
-        X, codes, weights, index, subspace, classes, params, rng, presort
-    )
+        at = 0
+        for tree in growing:
+            n = len(tree.pending)
+            tree.receive(splits[at : at + n], partitions)
+            at += n
+    return [tree.finish(codes, weights, classes) for tree in trees]

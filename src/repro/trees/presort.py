@@ -41,14 +41,14 @@ from __future__ import annotations
 
 import threading
 import weakref
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "SortedDataset",
-    "NodeOrdering",
     "root_ordering",
-    "partition_ordering",
+    "partition_orderings",
     "presorted_dataset",
     "adopt_presort",
     "clear_presort_cache",
@@ -193,92 +193,60 @@ class SortedDataset:
         return rows, values
 
 
-class NodeOrdering:
-    """Per-node feature-sorted lanes, maintained through tree growth.
-
-    All four tables are ``(n_lane_features, k)`` with lane ``j`` sorted
-    by the node's ``j``-th subspace feature: global row ids, feature
-    values, class codes and sample weights.  Carrying the gathered
-    codes/weights alongside the order means split evaluation touches no
-    ``n``-sized array at all — and partitioning a node into its children
-    (a stable boolean compress per lane, :func:`partition_ordering`)
-    costs O(k) per feature, independent of the dataset size.
-    """
-
-    __slots__ = ("rows", "values", "codes", "weights")
-
-    def __init__(
-        self,
-        rows: np.ndarray,
-        values: np.ndarray,
-        codes: np.ndarray,
-        weights: np.ndarray,
-    ) -> None:
-        self.rows = rows
-        self.values = values
-        self.codes = codes
-        self.weights = weights
-
-
 def root_ordering(
-    presort: SortedDataset,
-    index: np.ndarray,
-    features: np.ndarray,
-    codes: np.ndarray,
-    weights: np.ndarray,
-) -> NodeOrdering:
-    """The root node's :class:`NodeOrdering` over the tree's subspace.
+    presort: SortedDataset, index: np.ndarray, features: np.ndarray
+) -> np.ndarray:
+    """The root node's lanes: ``(len(features), k)`` row ids.
 
-    Derived from the dataset presort (one membership filter — or a
-    direct view when the root holds every sample), plus one gather each
-    for codes and weights; every deeper node's ordering then comes from
-    :func:`partition_ordering` without ever touching the global tables
-    again.
+    Lane ``j`` lists the node's rows in stable ascending order of
+    ``features[j]``.  Derived from the dataset presort (one membership
+    filter — or a direct view when the root holds every sample); every
+    deeper node's lanes then come from :func:`partition_orderings`
+    without touching the global tables again.  The split search gathers
+    values, class codes and weights through the row ids, so a node
+    carries nothing else — as 32-bit ids where they fit, since a forest
+    grown in lockstep holds every tree's frontier lanes at once.
     """
-    rows, values = presort.node_sorted(index, features)
-    return NodeOrdering(rows, values, codes[rows], weights[rows])
+    rows, _values = presort.node_sorted(index, features)
+    return rows.astype(np.int32) if presort.n_samples < 2**31 else rows
 
 
-def partition_ordering(
+def partition_orderings(
     presort: SortedDataset,
-    ordering: NodeOrdering,
-    left_index: np.ndarray,
-    right_index: np.ndarray,
-    want_left: bool = True,
-    want_right: bool = True,
-) -> tuple[NodeOrdering | None, NodeOrdering | None]:
-    """Split a node's ordering into its children's orderings.
+    parents: Sequence[tuple[np.ndarray, int, float, int]],
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Split every parent's lanes into its children's, in one pass.
 
-    A stable order filtered by membership is the subset's stable order,
-    so compressing each lane with the left/right membership mask yields
-    exactly what re-sorting (or re-filtering the global order) would —
-    bit for bit — at O(k) per lane.  A child known to become a leaf
-    (growth checks the depth cap and size floors up front) can be
-    skipped via ``want_left`` / ``want_right``.
+    Each parent is ``(rows, feature, threshold, n_left)``: its lanes,
+    its split and the size of its left child.  A row goes left when
+    ``X[row, feature] <= threshold``, exactly the test that made the
+    split's ``left_index``.  A stable order filtered by membership is
+    the subset's stable order, so compressing each lane yields exactly
+    what re-sorting (or re-filtering the global order) would — bit for
+    bit — at O(k) per lane, and the parents of every tree grown in
+    lockstep share one gather, one comparison and two compresses.
     """
-    n_lanes, k = ordering.rows.shape
-    mask = np.zeros(presort.n_samples, dtype=bool)
-    mask[left_index] = True
-    member = mask[ordering.rows]
-    left = right = None
-    if want_left:
-        k_left = left_index.shape[0]
-        left = NodeOrdering(
-            ordering.rows[member].reshape(n_lanes, k_left),
-            ordering.values[member].reshape(n_lanes, k_left),
-            ordering.codes[member].reshape(n_lanes, k_left),
-            ordering.weights[member].reshape(n_lanes, k_left),
-        )
-    if want_right:
-        k_right = right_index.shape[0]
-        other = ~member
-        right = NodeOrdering(
-            ordering.rows[other].reshape(n_lanes, k_right),
-            ordering.values[other].reshape(n_lanes, k_right),
-            ordering.codes[other].reshape(n_lanes, k_right),
-            ordering.weights[other].reshape(n_lanes, k_right),
-        )
-    return left, right
+    if not parents:
+        return []
+    flat = np.concatenate([rows.ravel() for rows, _, _, _ in parents])
+    sizes = [rows.size for rows, _, _, _ in parents]
+    where = np.repeat([f * presort.n_samples for _, f, _, _ in parents], sizes)
+    where += flat
+    member = presort.XT.take(where) <= np.repeat([t for _, _, t, _ in parents], sizes)
+    left, right = flat[member], flat[~member]
+    out = []
+    at_left = at_right = 0
+    for rows, _, _, n_left in parents:
+        n_lanes, k = rows.shape
+        n_right = k - n_left
+        # Copies, so a long-lived child pins its own lanes, not the batch.
+        out.append((
+            left[at_left : at_left + n_lanes * n_left].reshape(n_lanes, n_left).copy(),
+            right[at_right : at_right + n_lanes * n_right].reshape(n_lanes, n_right).copy(),
+        ))
+        at_left += n_lanes * n_left
+        at_right += n_lanes * n_right
+    return out
 
 
 _CACHE: list[SortedDataset] = []

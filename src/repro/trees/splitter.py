@@ -7,38 +7,60 @@ paper relies on from sklearn: sample weights steer the chosen splits, so
 heavily re-weighted trigger instances dominate impurity and force the
 tree to carve them out correctly (Algorithm 1, ``TrainWithTrigger``).
 
-The search is **presorted**: a node's feature-sorted lanes come from
-a :class:`~repro.trees.presort.NodeOrdering` that tree growth derives
-from the per-dataset :class:`~repro.trees.presort.SortedDataset` cache
-and partitions down the tree, and all candidate features of a node are
-scored in one batched prefix-sum / criterion evaluation — no per-node
-sorting, no per-feature Python loop.  A stable global sort order
-filtered to an ascending-index subset *is* the stable argsort of that
-subset, so the lanes are exactly what a node-local sort would give; the
-equal-gain tie-break (lowest feature id) and the midpoint-collapse guard
-are part of the contract.  ``tests/trees/test_splitter.py`` checks the
-search node by node against a node-local reference implementation.
+The search is **presorted and batched across nodes**: each node's
+feature-sorted lanes (row ids, one lane per feature) come from the
+per-dataset :class:`~repro.trees.presort.SortedDataset` cache, which
+tree growth filters once at the root and partitions down the tree, and
+one :func:`find_best_split` call scores every node it is
+handed — typically the pending nodes of every tree a forest grows in
+lockstep — in one pass.  Lanes of similar length are stacked into
+zero-padded ``(lanes, columns)`` blocks (node sizes bucketed by powers
+of two, at most ``_BATCH_ELEMENTS`` padded elements per block), so the
+work is a few dozen NumPy calls per block instead of per node.  This is
+SLIQ's idea (Mehta, Agrawal & Rissanen, EDBT 1996) of scoring many
+nodes in one scan of presorted lists.
+
+The batching changes no bit of any split:
+
+- ``np.cumsum`` along a lane adds in sequence, so every prefix at a
+  real position is the one a per-node search computes, and a padded
+  lane's last prefix (its total plus zeros) is its total exactly;
+- padded and out-of-window positions score ``-inf``;
+- the cross-lane tie-break is explicit — the maximal gain wins and exact
+  ties go to the lowest feature id — so it does not depend on how lanes
+  are stacked.
+
+A stable global sort order filtered to an ascending-index subset *is*
+the stable argsort of that subset, so the lanes are exactly what a
+node-local sort would give; the equal-gain tie-break and the
+midpoint-collapse guard are part of the contract.
+``tests/trees/test_splitter.py`` checks the search node by node against
+a node-local reference implementation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .criteria import entropy_impurity, gini_impurity, weighted_class_counts
+from .criteria import entropy_impurity, gini_impurity
+from .presort import SortedDataset
 
-__all__ = ["Split", "find_best_split"]
+__all__ = ["NodeSearch", "Split", "find_best_split"]
 
 # Two adjacent feature values closer than this are treated as equal and
 # never separated by a threshold, matching the float32-ish granularity
 # real tree learners use and keeping midpoint thresholds representable.
 _MIN_VALUE_GAP = 1e-12
 
-# Feature-block size cap for the batched evaluation: blocks are sized so
-# the (k, F, n_classes) prefix tensors stay within a few dozen MB even
-# at the root of a large dataset.
-_BLOCK_ELEMENTS = 1 << 21
+# Cap on the padded elements (lanes x columns x classes) one block
+# evaluates at once, and on the lane elements tree growth partitions at
+# once.  Each of a block's dozen float temporaries then stays within
+# 128 KiB however many nodes a call is handed: the roots of a 64-tree
+# forest alone would otherwise pad to megabytes apiece.
+_BATCH_ELEMENTS = 1 << 14
 
 
 @dataclass
@@ -58,97 +80,85 @@ class Split:
     right_index: np.ndarray
 
 
-def _binary_child_weighted(
-    sorted_codes: np.ndarray,
-    sorted_weights: np.ndarray,
-    criterion,
-    lo: int,
-    hi: int,
-) -> np.ndarray | None:
+class NodeSearch(NamedTuple):
+    """One node handed to :func:`find_best_split`.
+
+    ``index`` holds the node's row ids (ascending); ``rows`` its lanes,
+    ``(n_lanes, k)`` row ids with lane ``j`` sorted by its feature (see
+    :func:`~repro.trees.presort.root_ordering`); ``features`` the
+    candidate feature ids and ``lanes`` their lane positions within
+    ``rows`` (``None`` = every lane, in order, in which case
+    ``features`` names the lanes' features).
+    """
+
+    index: np.ndarray
+    rows: np.ndarray
+    features: np.ndarray
+    lanes: np.ndarray | None = None
+
+
+def _binary_child_weighted(c0, c1, fused, lo, hi, guarded):
     """Fused ``w_l·crit(left) + w_r·crit(right)`` for the two-class case.
 
-    Shape ``(F, hi-lo)``, one row per feature lane, covering the
-    admissible split positions ``lo+1 .. hi`` (the ``min_samples_leaf``
-    window — positions outside it are masked out downstream anyway, so
-    the division chain never runs there).  Every arithmetic step mirrors
-    the generic one-hot/criterion pipeline operation for operation —
-    ``x·x`` for ``np.square``, a single add for the two-element
-    class-axis sums — so the result is bitwise-identical while touching
-    a third of the memory.  Returns ``None`` for criteria without a
-    fused kernel (callers fall back to the generic path).
+    ``c0`` / ``c1`` come in as the lanes' class-0 / class-1 weights
+    (one-hot weights: per row exactly one is non-zero) and are turned
+    into their prefix sums in place.  The result has shape
+    ``(R, hi-lo)``, one row per lane, covering the split positions
+    ``lo+1 .. hi``.  Every arithmetic step mirrors the generic
+    one-hot/criterion pipeline operation for operation — ``x·x`` for
+    ``np.square``, a single add for the two-element class-axis sums —
+    so the result is bitwise-identical while touching a third of the
+    memory.
     """
-    if criterion is gini_impurity:
-        fused = _binary_gini
-    elif criterion is entropy_impurity:
-        fused = _binary_entropy
-    else:
-        return None
-    # One-hot weights: class-1 weight is w - w0 — exact, because per
-    # element exactly one of the two terms is zero.
-    w0 = np.where(sorted_codes == 0, sorted_weights, 0.0)
-    w1 = sorted_weights - w0
-    c0 = np.cumsum(w0, axis=1)
-    c1 = np.cumsum(w1, axis=1)
+    np.cumsum(c0, axis=1, out=c0)
+    np.cumsum(c1, axis=1, out=c1)
     l0 = c0[:, lo:hi]
     l1 = c1[:, lo:hi]
     r0 = c0[:, -1:] - l0
     r1 = c1[:, -1:] - l1
-    left_weight = l0 + l1
-    right_weight = r0 + r1
-    # Strictly positive sample weights make every cumulative child
-    # weight positive, so the criterion's ``where(total > 0, ...)``
-    # guard is the identity and can be skipped; tree growth guarantees
-    # positivity (zero-weight rows never enter the root index), other
-    # callers get the guarded evaluation.
-    guarded = not sorted_weights[0].min() > 0.0
-    if guarded:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            left = left_weight * fused(l0, l1, left_weight, guarded)
-            right = right_weight * fused(r0, r1, right_weight, guarded)
-    else:
-        # Positive child weights: no division can misfire, so the
-        # errstate context (a measurable per-node cost) is skipped too.
-        left = left_weight * fused(l0, l1, left_weight, guarded)
-        right = right_weight * fused(r0, r1, right_weight, guarded)
-    return left + right
+    left = fused(l0, l1, l0 + l1, guarded)
+    right = fused(r0, r1, r0 + r1, guarded)
+    left += right
+    return left
 
 
 def _binary_gini(count0, count1, total, guarded):
-    """Two-class Gini, op-for-op equal to :func:`gini_impurity`."""
+    """Two-class Gini times the child weight ``total``, op-for-op equal
+    to ``total * gini_impurity(counts)``."""
     p0 = count0 / total
     p1 = count1 / total
-    impurity = 1.0 - (p0 * p0 + p1 * p1)
-    if not guarded:
-        return impurity
-    return np.where(total > 0, impurity, 0.0)
+    p0 *= p0
+    p1 *= p1
+    p0 += p1
+    impurity = np.subtract(1.0, p0, out=p0)
+    if guarded:
+        impurity = np.where(total > 0, impurity, 0.0)
+    impurity *= total
+    return impurity
 
 
 def _binary_entropy(count0, count1, total, guarded):
-    """Two-class entropy, op-for-op equal to :func:`entropy_impurity`."""
+    """Two-class entropy times the child weight ``total``, op-for-op
+    equal to ``total * entropy_impurity(counts)``."""
     p0 = count0 / total
     p1 = count1 / total
     log0 = np.where(p0 > 0, np.log2(np.maximum(p0, 1e-300)), 0.0)
     log1 = np.where(p1 > 0, np.log2(np.maximum(p1, 1e-300)), 0.0)
     impurity = -(p0 * log0 + p1 * log1)
-    if not guarded:
-        return impurity
-    return np.where(total > 0, impurity, 0.0)
+    if guarded:
+        impurity = np.where(total > 0, impurity, 0.0)
+    impurity *= total
+    return impurity
 
 
-def _generic_child_weighted(
-    sorted_codes: np.ndarray,
-    sorted_weights: np.ndarray,
-    n_classes: int,
-    criterion,
-    lo: int,
-    hi: int,
-) -> np.ndarray:
+_FUSED = {gini_impurity: _binary_gini, entropy_impurity: _binary_entropy}
+
+
+def _generic_child_weighted(codes, weights, n_classes, criterion, lo, hi):
     """Generic ``w_l·crit(left) + w_r·crit(right)``: any C, any criterion."""
-    n_features, k = sorted_codes.shape
-    one_hot = np.zeros((n_features, k, n_classes), dtype=np.float64)
-    one_hot[
-        np.arange(n_features)[:, None], np.arange(k)[None, :], sorted_codes
-    ] = sorted_weights
+    n_rows, width = codes.shape
+    one_hot = np.zeros((n_rows, width, n_classes), dtype=np.float64)
+    one_hot[np.arange(n_rows)[:, None], np.arange(width)[None, :], codes] = weights
     prefix = np.cumsum(one_hot, axis=1)
     left_counts = prefix[:, lo:hi, :]  # position i+1 sends sorted rows 0..i left
     right_counts = prefix[:, -1:, :] - left_counts
@@ -159,196 +169,267 @@ def _generic_child_weighted(
     )
 
 
-def _evaluate_feature_block(
-    sorted_codes: np.ndarray,
-    sorted_weights: np.ndarray,
-    sorted_values: np.ndarray,
-    features: np.ndarray,
-    n_classes: int,
-    criterion,
-    min_samples_leaf: int,
-    parent_weighted_impurity: float,
-) -> tuple[float, float, int] | None:
-    """Batched best split over one block of presorted features.
+def _parent_weighted_impurity(counts: np.ndarray, criterion) -> np.ndarray:
+    """``w_node · crit(node)`` per row of an ``(N, C)`` class-count table."""
+    if counts.shape[1] == 2 and criterion is gini_impurity:
+        # The fused two-class Gini: the same IEEE add / divide /
+        # multiply sequence as the generic criterion, fewer temporaries.
+        total = counts[:, 0] + counts[:, 1]
+        return _binary_gini(counts[:, 0], counts[:, 1], total, True)
+    return counts.sum(axis=1) * criterion(counts)
 
-    Lane ``j`` of each input holds the node's class codes, sample
-    weights and feature values sorted by ``features[j]`` (feature-major,
-    contiguous lanes).  Every step is the element-wise image of a
-    per-feature prefix-sum search over that lane, so the floats at valid
-    positions — and hence the selected split — are the ones a node-local
-    search would compute; the lanes merely share one prefix-sum and one
-    criterion evaluation.
+
+class _Kernel(NamedTuple):
+    """What every block of one :func:`find_best_split` call shares.
+
+    ``tables`` are two per-row arrays the lanes gather through their row
+    ids — class-0 and class-1 weights for a fused two-class criterion
+    (``fused`` set), class codes and weights otherwise.  Each carries
+    one extra entry, the padding row ``n``, of zero weight.
     """
-    n_features, k = sorted_codes.shape
-    # Admissible positions form the contiguous window
+
+    presort: SortedDataset
+    tables: tuple[np.ndarray, np.ndarray]
+    fused: object
+    guarded: bool
+    n_classes: int
+    criterion: object
+    min_samples_leaf: int
+
+
+def _score_block(kernel: _Kernel, parts, nodes, sizes, parent, features):
+    """Best position of every lane in one padded block.
+
+    ``parts`` lists ``(node, first lane, stop lane)`` triples, sorted by
+    node size, so the block is as wide as its last node; ``features``
+    holds the block's lane features.  Returns ``(gains, thresholds)``,
+    one entry per lane (``-inf`` where a lane has no admissible
+    position).  Every step at a real position is the element-wise image
+    of a per-node search, so the floats there — and hence every
+    selected split — are the ones a node-local search would compute.
+    """
+    n = kernel.presort.n_samples
+    width = int(sizes[parts[-1][0]])
+    part_nodes = [i for i, _, _ in parts]
+    part_lanes = [stop - first for _, first, stop in parts]
+    n_rows = sum(part_lanes)
+    # Padding points at row n: zero weight, so it is inert in the prefix
+    # sums, and its positions are masked below.
+    rows = np.full((n_rows, width), n, dtype=np.intp)
+    row = 0
+    for i, first, stop in parts:
+        node = nodes[i]
+        lanes = slice(first, stop) if node.lanes is None else node.lanes[first:stop]
+        end = row + stop - first
+        rows[row:end, : sizes[i]] = node.rows[lanes]
+        row = end
+    row_size = np.repeat(sizes[part_nodes], part_lanes)
+    row_parent = np.repeat(parent[part_nodes], part_lanes)
+    first_table, second_table = kernel.tables
+    # Feature-major values, gathered flat; padding reads a neighbouring
+    # (or clipped) value, which the mask below never admits.
+    values = np.take(kernel.presort.XT, features[:, None] * n + rows, mode="clip")
+
+    # Admissible positions form the window
     # ``min_samples_leaf <= position <= k - min_samples_leaf``; in the
     # gains-column space (column c ↔ position c+1) that is [lo, hi).
     # Positions are never below 1 or above k-1, so the window clamps to
     # that range, which also keeps a ``min_samples_leaf=0`` call
     # (only reachable by calling the search directly) well defined.
+    min_samples_leaf = kernel.min_samples_leaf
     lo = max(0, min_samples_leaf - 1)
-    hi = min(k - min_samples_leaf, k - 1)
+    row_hi = np.minimum(row_size - min_samples_leaf, row_size - 1)
+    hi = min(width - min_samples_leaf, width - 1)
     if lo >= hi:
-        return None
+        return np.full(n_rows, -np.inf), np.zeros(n_rows)
 
-    child_weighted = (
-        _binary_child_weighted(sorted_codes, sorted_weights, criterion, lo, hi)
-        if n_classes == 2
-        else None
+    # Unguarded criteria divide by zero-weight children only at padded
+    # positions, whose NaNs the mask below replaces.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kernel.fused is not None:
+            child_weighted = _binary_child_weighted(
+                first_table[rows], second_table[rows], kernel.fused, lo, hi,
+                kernel.guarded,
+            )
+        else:
+            child_weighted = _generic_child_weighted(
+                first_table[rows], second_table[rows], kernel.n_classes,
+                kernel.criterion, lo, hi,
+            )
+    gains = row_parent[:, None] - child_weighted  # (R, hi-lo)
+    admissible = (values[:, lo + 1 : hi + 1] - values[:, lo:hi] > _MIN_VALUE_GAP) & (
+        np.arange(lo, hi)[None, :] < row_hi[:, None]
     )
-    if child_weighted is None:
-        child_weighted = _generic_child_weighted(
-            sorted_codes, sorted_weights, n_classes, criterion, lo, hi
-        )
-    gains = parent_weighted_impurity - child_weighted  # (F, hi-lo)
-
-    distinct = (
-        sorted_values[:, lo + 1 : hi + 1] - sorted_values[:, lo:hi] > _MIN_VALUE_GAP
-    )
-    if not distinct.any():
-        return None
-
-    masked = np.where(distinct, gains, -np.inf)
-    best_columns = np.argmax(masked, axis=1)  # first maximum per feature lane
-    best_gains = masked[np.arange(n_features), best_columns]
-    admissible = np.flatnonzero(best_gains > -np.inf)
-    if admissible.size == 0:
-        return None
-
-    # Cross-feature tie-break key (gain, -feature id): the maximal gain
-    # wins, exact ties resolve toward the lowest feature id.
-    top_gain = best_gains[admissible].max()
-    tied = admissible[best_gains[admissible] == top_gain]
-    j = int(tied[np.argmin(features[tied])])
-
-    position = int(best_columns[j]) + lo + 1
-    lane = sorted_values[j]
-    threshold = 0.5 * (lane[position - 1] + lane[position])
-    if threshold <= lane[position - 1]:
-        threshold = lane[position - 1]
-    return float(best_gains[j]), float(threshold), int(features[j])
+    masked = np.where(admissible, gains, -np.inf)
+    columns = np.argmax(masked, axis=1)  # first maximum per lane
+    lane = np.arange(n_rows)
+    best = masked[lane, columns]
+    position = columns + (lo + 1)
+    below = values[lane, position - 1]
+    threshold = 0.5 * (below + values[lane, position])
+    threshold = np.where(threshold <= below, below, threshold)
+    return best, threshold
 
 
-def _blocked_best(
-    sorted_codes: np.ndarray,
-    sorted_weights: np.ndarray,
-    sorted_values: np.ndarray,
-    candidate_features: np.ndarray,
-    n_classes: int,
-    criterion,
-    min_samples_leaf: int,
-    parent_weighted_impurity: float,
-) -> tuple[float, float, int] | None:
-    """Chunk the feature lanes so prefix tensors stay memory-bounded."""
-    k = sorted_codes.shape[1]
-    block = max(1, _BLOCK_ELEMENTS // max(1, k * n_classes))
-    best: tuple[float, float, int] | None = None
-    for start in range(0, candidate_features.shape[0], block):
-        stop = start + block
-        result = _evaluate_feature_block(
-            sorted_codes[start:stop],
-            sorted_weights[start:stop],
-            sorted_values[start:stop],
-            candidate_features[start:stop],
-            n_classes,
-            criterion,
-            min_samples_leaf,
-            parent_weighted_impurity,
-        )
-        if result is None:
-            continue
-        if best is None or (result[0], -result[2]) > (best[0], -best[2]):
-            best = result
-    return best
+def _blocks(order, sizes, n_lanes, n_classes):
+    """Group lanes into padded blocks of similar width.
+
+    ``order`` lists node ids by ascending size.  A block never mixes
+    sizes from different powers of two (padding wastes at most half a
+    block) and never exceeds ``_BATCH_ELEMENTS`` padded elements; a node
+    too wide for that alone is split across blocks lane by lane.
+    """
+    blocks: list[list[tuple[int, int, int]]] = []
+    current: list[tuple[int, int, int]] = []
+    current_rows = 0
+    current_bucket = -1
+    for i in order:
+        k = int(sizes[i])
+        bucket = (k - 1).bit_length()
+        rows_fit = max(1, _BATCH_ELEMENTS // (k * n_classes))
+        first = 0
+        lanes = int(n_lanes[i])
+        while first < lanes:
+            if current and (
+                bucket != current_bucket or current_rows >= rows_fit
+            ):
+                blocks.append(current)
+                current, current_rows = [], 0
+            current_bucket = bucket
+            stop = min(lanes, first + rows_fit - current_rows)
+            current.append((i, first, stop))
+            current_rows += stop - first
+            first = stop
+    if current:
+        blocks.append(current)
+    return blocks
 
 
 def find_best_split(
-    X: np.ndarray,
+    presort: SortedDataset,
     codes: np.ndarray,
     weights: np.ndarray,
-    index: np.ndarray,
-    candidate_features: np.ndarray,
+    nodes: Sequence[NodeSearch],
     n_classes: int,
     criterion,
     min_samples_leaf: int,
     min_impurity_decrease: float,
-    ordering,
-    lane_positions: np.ndarray | None = None,
-) -> Split | None:
-    """Search for the best split of the node holding samples ``index``.
+) -> list[Split | None]:
+    """Search the best split of every node in ``nodes`` in one pass.
 
     Parameters
     ----------
-    X, codes, weights:
+    presort:
+        The training matrix's :class:`~repro.trees.presort.SortedDataset`;
+        lane values are gathered from its feature-major copy.
+    codes, weights:
         Full training arrays; ``codes`` are class codes in ``[0, n_classes)``.
-    index:
-        Row indices of the samples sitting at this node.
-    candidate_features:
-        Feature ids to consider (already restricted to the tree's feature
-        subspace and to the per-split ``max_features`` sample).
+    nodes:
+        The nodes to search (see :class:`NodeSearch`), from any number
+        of trees grown on these arrays.
     criterion:
         Vectorised impurity function from :mod:`repro.trees.criteria`.
     min_samples_leaf:
         Minimum number of samples (unweighted) in each child.
     min_impurity_decrease:
         Minimum absolute weighted impurity decrease to accept a split.
-    ordering:
-        The :class:`~repro.trees.presort.NodeOrdering` carrying the
-        node's sorted lanes (tree growth maintains these).
-        ``lane_positions`` selects the candidate lanes within it
-        (``None`` = all lanes, in order).
 
     Returns
     -------
-    Split | None
-        The best admissible split, or ``None`` if the node must stay a leaf.
+    list[Split | None]
+        Per node, the best admissible split, or ``None`` if the node
+        must stay a leaf.  Each answer is the one a search of that node
+        alone gives, bit for bit.
     """
-    node_counts = weighted_class_counts(codes[index], weights[index], n_classes)
-    if n_classes == 2 and criterion is gini_impurity:
-        # Scalar fast path for the dominant case: the same IEEE add /
-        # divide / multiply sequence as the vectorised criterion, minus
-        # ~10 numpy calls per node.  (Entropy stays on the array path —
-        # its log2 must come from the same libm to stay bit-identical.)
-        total = node_counts[0] + node_counts[1]
-        if total > 0:
-            p0 = node_counts[0] / total
-            p1 = node_counts[1] / total
-            impurity = 1.0 - (p0 * p0 + p1 * p1)
-        else:
-            impurity = 0.0
-        parent_weighted_impurity = float(total * impurity)
+    n_nodes = len(nodes)
+    results: list[Split | None] = [None] * n_nodes
+    if n_nodes == 0:
+        return results
+    sizes = np.array([node.index.shape[0] for node in nodes], dtype=np.intp)
+    flat_index = np.concatenate([node.index for node in nodes])
+    # One bincount for every node: each (node, class) bin accumulates
+    # its weights in row order, as a per-node bincount would.
+    counts = np.bincount(
+        np.repeat(np.arange(n_nodes) * n_classes, sizes) + codes[flat_index],
+        weights=weights[flat_index],
+        minlength=n_nodes * n_classes,
+    ).reshape(n_nodes, n_classes)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        parent = _parent_weighted_impurity(counts, criterion)
+    # A pure node (or one of fewer than two rows) stays a leaf.
+    live = np.flatnonzero((parent > 0.0) & (sizes >= 2))
+    if live.size == 0:
+        return results
+
+    fused = _FUSED.get(criterion) if n_classes == 2 else None
+    n = codes.shape[0]
+    if fused is not None:
+        # One-hot weights: class-1 weight is w - w0 — exact, because per
+        # row exactly one of the two terms is zero.
+        first_table = np.zeros(n + 1)
+        first_table[:n] = np.where(codes == 0, weights, 0.0)
+        second_table = np.zeros(n + 1)
+        second_table[:n] = weights - first_table[:n]
     else:
-        parent_weighted_impurity = float(
-            node_counts.sum() * criterion(node_counts[None, :])[0]
+        first_table = np.append(codes, 0)
+        second_table = np.append(weights, 0.0)
+    kernel = _Kernel(
+        presort=presort,
+        tables=(first_table, second_table),
+        fused=fused,
+        # Children of positive weight make the criteria's ``total > 0``
+        # guard the identity; tree growth keeps zero-weight rows out of
+        # every node, so only direct calls pay for it.
+        guarded=not weights[flat_index].min() > 0.0,
+        n_classes=n_classes,
+        criterion=criterion,
+        min_samples_leaf=min_samples_leaf,
+    )
+
+    order = live[np.argsort(sizes[live], kind="stable")].tolist()
+    n_lanes = np.zeros(n_nodes, dtype=np.intp)
+    for i in order:
+        n_lanes[i] = nodes[i].features.shape[0]
+    features = np.concatenate([nodes[i].features for i in order])
+    gains = np.empty(features.shape[0])
+    thresholds = np.empty(features.shape[0])
+    row = 0
+    for parts in _blocks(order, sizes, n_lanes, n_classes):
+        end = row + sum(stop - first for _, first, stop in parts)
+        gains[row:end], thresholds[row:end] = _score_block(
+            kernel, parts, nodes, sizes, parent, features[row:end]
         )
-    if parent_weighted_impurity <= 0.0:
-        return None  # already pure
-    if ordering.codes.shape[1] < 2:
-        return None
+        row = end
 
-    lanes = slice(None) if lane_positions is None else lane_positions
-    best = _blocked_best(
-        ordering.codes[lanes],
-        ordering.weights[lanes],
-        ordering.values[lanes],
-        np.asarray(candidate_features),
-        n_classes,
-        criterion,
-        min_samples_leaf,
-        parent_weighted_impurity,
+    # Per node: the maximal gain wins, exact ties go to the lowest
+    # feature id (and, should a feature repeat, to its first lane).
+    node_lanes = n_lanes[order]
+    starts = np.concatenate(([0], np.cumsum(node_lanes)[:-1]))
+    row_node = np.repeat(np.arange(len(order)), node_lanes)
+    top = np.maximum.reduceat(gains, starts)
+    tied = gains == top[row_node]
+    lowest = np.minimum.reduceat(
+        np.where(tied, features, np.iinfo(np.int64).max), starts
     )
-    if best is None:
-        return None
-    gain, threshold, feature = best
-    if gain < min_impurity_decrease or gain <= 1e-15:
-        return None
-
-    node_values = X[index, feature]
-    go_left = node_values <= threshold
-    return Split(
-        feature=feature,
-        threshold=threshold,
-        gain=gain,
-        left_index=index[go_left],
-        right_index=index[~go_left],
+    chosen = np.minimum.reduceat(
+        np.where(tied & (features == lowest[row_node]), np.arange(gains.size), gains.size),
+        starts,
     )
+    best_gain = gains[chosen]
+    accepted = ~(best_gain < min_impurity_decrease) & (best_gain > 1e-15)
+    best_feature = features[chosen]
+    best_threshold = thresholds[chosen]
+    for j in np.flatnonzero(accepted).tolist():
+        i = order[j]
+        feature = int(best_feature[j])
+        threshold = float(best_threshold[j])
+        index = nodes[i].index
+        go_left = presort.XT[feature, index] <= threshold
+        results[i] = Split(
+            feature=feature,
+            threshold=threshold,
+            gain=float(best_gain[j]),
+            left_index=index[go_left],
+            right_index=index[~go_left],
+        )
+    return results

@@ -13,7 +13,11 @@ from __future__ import annotations
 
 import numpy as np
 
+import numbers
+from typing import Sequence
+
 from .._validation import (
+    check_count,
     check_random_state,
     check_sample_weight,
     check_X,
@@ -22,11 +26,11 @@ from .._validation import (
 from ..exceptions import NotFittedError, ValidationError
 from .compiled import ensure_compiled
 from .criteria import get_criterion
-from .growth import GrowthParams, grow_tree
+from .growth import GrowthParams, grow_trees
 from .node import TreeNode, iter_leaves
 from .presort import presorted_dataset
 
-__all__ = ["DecisionTreeClassifier", "resolve_max_features"]
+__all__ = ["DecisionTreeClassifier", "fit_trees", "resolve_max_features"]
 
 
 def resolve_max_features(max_features, n_features: int) -> int | None:
@@ -126,23 +130,29 @@ class DecisionTreeClassifier:
     # ------------------------------------------------------------------
 
     def _validate_params(self, n_features: int) -> GrowthParams:
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValidationError(f"max_depth must be >= 1, got {self.max_depth}")
-        if self.max_leaf_nodes is not None and self.max_leaf_nodes < 2:
-            raise ValidationError(
-                f"max_leaf_nodes must be >= 2, got {self.max_leaf_nodes}"
-            )
+        if self.max_depth is not None:
+            check_count(self.max_depth, "max_depth")
+        if self.max_leaf_nodes is not None:
+            check_count(self.max_leaf_nodes, "max_leaf_nodes")
+            if self.max_leaf_nodes < 2:
+                raise ValidationError(
+                    f"max_leaf_nodes must be >= 2, got {self.max_leaf_nodes}"
+                )
+        check_count(self.min_samples_split, "min_samples_split")
         if self.min_samples_split < 2:
             raise ValidationError(
                 f"min_samples_split must be >= 2, got {self.min_samples_split}"
             )
-        if self.min_samples_leaf < 1:
+        check_count(self.min_samples_leaf, "min_samples_leaf")
+        decrease = self.min_impurity_decrease
+        if (
+            isinstance(decrease, (bool, np.bool_))
+            or not isinstance(decrease, numbers.Real)
+            or not np.isfinite(decrease)
+            or decrease < 0
+        ):
             raise ValidationError(
-                f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}"
-            )
-        if self.min_impurity_decrease < 0:
-            raise ValidationError(
-                f"min_impurity_decrease must be >= 0, got {self.min_impurity_decrease}"
+                f"min_impurity_decrease must be a finite number >= 0, got {decrease!r}"
             )
         return GrowthParams(
             criterion=get_criterion(self.criterion),
@@ -154,38 +164,20 @@ class DecisionTreeClassifier:
             max_features=resolve_max_features(self.max_features, n_features),
         )
 
+    def _subspace(self, n_features: int) -> np.ndarray:
+        """The feature ids this tree may split on, ascending."""
+        if self.feature_subset is None:
+            return np.arange(n_features)
+        subspace = np.asarray(self.feature_subset, dtype=np.int64)
+        if subspace.ndim != 1 or subspace.size == 0:
+            raise ValidationError("feature_subset must be a non-empty 1-D index array")
+        if subspace.min() < 0 or subspace.max() >= n_features:
+            raise ValidationError("feature_subset contains out-of-range feature ids")
+        return np.unique(subspace)
+
     def fit(self, X, y, sample_weight=None) -> "DecisionTreeClassifier":
         """Learn the tree from ``(X, y)`` with optional sample weights."""
-        X, y = check_X_y(X, y)
-        weights = check_sample_weight(sample_weight, X.shape[0])
-        try:
-            y_int = np.asarray(y, dtype=np.int64)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError("labels must be integers") from exc
-        if not np.array_equal(y_int, np.asarray(y)):
-            raise ValidationError("labels must be integers")
-
-        classes, codes = np.unique(y_int, return_inverse=True)
-        params = self._validate_params(X.shape[1])
-
-        if self.feature_subset is None:
-            subspace = np.arange(X.shape[1])
-        else:
-            subspace = np.asarray(self.feature_subset, dtype=np.int64)
-            if subspace.ndim != 1 or subspace.size == 0:
-                raise ValidationError("feature_subset must be a non-empty 1-D index array")
-            if subspace.min() < 0 or subspace.max() >= X.shape[1]:
-                raise ValidationError("feature_subset contains out-of-range feature ids")
-            subspace = np.unique(subspace)
-
-        rng = check_random_state(self.random_state)
-        self.root_ = grow_tree(
-            X, codes, weights, subspace, classes, params, rng, presorted_dataset(X)
-        )
-        self.classes_ = classes
-        self.n_features_in_ = X.shape[1]
-        self._compiled_ = None
-        self._compiled_sources_ = None
+        fit_trees([self], X, y, sample_weight)
         return self
 
     # ------------------------------------------------------------------
@@ -269,3 +261,44 @@ class DecisionTreeClassifier:
         weights = check_sample_weight(sample_weight, X.shape[0])
         correct = (self.predict(X) == np.asarray(y)).astype(np.float64)
         return float(np.average(correct, weights=weights))
+
+
+def fit_trees(
+    trees: Sequence[DecisionTreeClassifier], X, y, sample_weight=None
+) -> None:
+    """Fit several trees on the same ``(X, y, sample_weight)`` in lockstep.
+
+    The trees must share their hyper-parameters; each brings its own
+    ``feature_subset`` and ``random_state`` (a forest's tree slots).
+    All of them grow in one :func:`~repro.trees.growth.grow_trees`
+    engine, so one batched split search serves every tree on each step,
+    and each tree ends up exactly as fitting it alone would leave it.
+    Trees must not share a ``Generator``: their per-split feature draws
+    would interleave.
+    """
+    X, y = check_X_y(X, y)
+    weights = check_sample_weight(sample_weight, X.shape[0])
+    try:
+        y_int = np.asarray(y, dtype=np.int64)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError("labels must be integers") from exc
+    if not np.array_equal(y_int, np.asarray(y)):
+        raise ValidationError("labels must be integers")
+    classes, codes = np.unique(y_int, return_inverse=True)
+
+    params = trees[0]._validate_params(X.shape[1])
+    slots = []
+    for tree in trees:
+        if tree._validate_params(X.shape[1]) != params:
+            raise ValidationError("trees fitted together must share hyper-parameters")
+        slots.append((tree._subspace(X.shape[1]), check_random_state(tree.random_state)))
+    if len({id(rng) for _, rng in slots}) != len(slots):
+        raise ValidationError("trees fitted together must not share a random Generator")
+
+    roots = grow_trees(codes, weights, classes, params, presorted_dataset(X), slots)
+    for tree, root in zip(trees, roots):
+        tree.root_ = root
+        tree.classes_ = classes
+        tree.n_features_in_ = X.shape[1]
+        tree._compiled_ = None
+        tree._compiled_sources_ = None

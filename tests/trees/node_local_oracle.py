@@ -8,8 +8,11 @@ simple enough to check by eye, so the differential tests compare the
 library against it: the same thresholds, tie-breaks and gains, bit for
 bit.
 
-- :func:`local_best_split` has the signature of
-  :func:`repro.trees.splitter.find_best_split` without the ordering.
+- :func:`local_best_split` searches one node: the training arrays, the
+  node's rows and its candidate features, without any lanes.
+- :func:`local_find_best_split` has the batched signature of
+  :func:`repro.trees.splitter.find_best_split` and loops
+  :func:`local_best_split` over the nodes it is handed.
 - :func:`node_local_growth` swaps it in for the library's search while
   a tree, forest or regression tree is fitted, which yields the tree
   node-local search would grow.
@@ -102,6 +105,21 @@ def local_best_split(
     return Split(feature, threshold, gain, index[go_left], index[~go_left])
 
 
+def local_find_best_split(
+    presort, codes, weights, nodes, n_classes, criterion, min_samples_leaf,
+    min_impurity_decrease,
+):
+    """The batched search's contract, one node at a time."""
+    X = presort.XT.T
+    return [
+        local_best_split(
+            X, codes, weights, node.index, node.features, n_classes, criterion,
+            min_samples_leaf, min_impurity_decrease,
+        )
+        for node in nodes
+    ]
+
+
 class _LocalSort:
     """Stands in for a ``SortedDataset``: sorts every node from scratch."""
 
@@ -119,21 +137,12 @@ class _LocalSort:
 def node_local_growth(monkeypatch):
     """Fit trees with node-local split search inside the block.
 
-    Classification trees call :func:`local_best_split` instead of the
-    presorted search, and regression trees sort every node's values
+    Classification trees call :func:`local_find_best_split` instead of
+    the presorted search, and regression trees sort every node's values
     instead of filtering the dataset's sort cache.  Only in-process
     fits are affected (``n_jobs`` must stay serial).
     """
-
-    def search(X, codes, weights, index, candidate_features, n_classes,
-               criterion, min_samples_leaf, min_impurity_decrease,
-               ordering, lane_positions=None):
-        return local_best_split(
-            X, codes, weights, index, candidate_features, n_classes,
-            criterion, min_samples_leaf, min_impurity_decrease,
-        )
-
     with monkeypatch.context() as patch:
-        patch.setattr(growth, "find_best_split", search)
+        patch.setattr(growth, "find_best_split", local_find_best_split)
         patch.setattr(regression, "presorted_dataset", _LocalSort)
         yield

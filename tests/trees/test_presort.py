@@ -33,9 +33,8 @@ from repro.trees import (
     presorted_dataset,
 )
 from repro.trees.presort import (
-    NodeOrdering,
     adopt_presort,
-    partition_ordering,
+    partition_orderings,
     presort_cache_stats,
     root_ordering,
 )
@@ -101,37 +100,40 @@ class TestSortedDataset:
 
     def test_partition_ordering_matches_refiltering(self, rng):
         X = rng.normal(size=(50, 4))
-        y = rng.integers(0, 2, size=50)
-        w = rng.uniform(0.5, 2.0, size=50)
         ps = SortedDataset(X)
         index = np.arange(50)
         features = np.arange(4)
-        ordering = root_ordering(ps, index, features, y, w)
+        rows = root_ordering(ps, index, features)
         left_index = index[X[:, 0] <= 0.0]
         right_index = index[X[:, 0] > 0.0]
-        left, right = partition_ordering(ps, ordering, left_index, right_index)
+        [(left, right)] = partition_orderings(ps, [(rows, 0, 0.0, left_index.shape[0])])
         for child, child_index in ((left, left_index), (right, right_index)):
             fresh_rows, fresh_values = ps.node_sorted(child_index, features)
-            assert np.array_equal(child.rows, fresh_rows)
-            assert np.array_equal(child.values, fresh_values)
-            assert np.array_equal(child.codes, y[fresh_rows])
-            assert np.array_equal(child.weights, w[fresh_rows])
+            assert np.array_equal(child, fresh_rows)
+            assert np.array_equal(ps.XT[features[:, None], child], fresh_values)
 
-    def test_partition_ordering_one_sided(self, rng):
-        X = rng.normal(size=(20, 2))
+    def test_partition_orderings_batches_parents(self, rng):
+        # One pass partitions parents of different lane counts and
+        # sizes; each child keeps its parent's lanes, in fresh arrays.
+        X = rng.normal(size=(20, 3))
         ps = SortedDataset(X)
         index = np.arange(20)
-        ordering = root_ordering(
-            ps, index, np.arange(2), np.zeros(20, dtype=np.intp), np.ones(20)
+        wide_features, narrow_features = np.arange(3), np.array([2])
+        wide = root_ordering(ps, index, wide_features)
+        narrow_index = np.flatnonzero(X[:, 2] > -0.5)
+        narrow = root_ordering(ps, narrow_index, narrow_features)
+        threshold = float(np.sort(X[:, 1])[7])
+        narrow_left_size = int((X[narrow_index, 2] <= 0.0).sum())
+        (left, right), (narrow_left, narrow_right) = partition_orderings(
+            ps, [(wide, 1, threshold, 8), (narrow, 2, 0.0, narrow_left_size)]
         )
-        left_index = index[:8]
-        right_index = index[8:]
-        left, right = partition_ordering(
-            ps, ordering, left_index, right_index, want_left=False, want_right=True
-        )
-        assert left is None
-        assert isinstance(right, NodeOrdering)
-        assert right.rows.shape == (2, 12)
+        assert left.shape == (3, 8) and right.shape == (3, 12)
+        assert narrow_left.shape == (1, narrow_left_size)
+        expected_left = ps.node_sorted(index[X[:, 1] <= threshold], wide_features)[0]
+        assert np.array_equal(left, expected_left)
+        expected_right = ps.node_sorted(narrow_index[X[narrow_index, 2] > 0.0], narrow_features)[0]
+        assert np.array_equal(narrow_right, expected_right)
+        assert all(child.base is None for child in (left, right, narrow_left, narrow_right))
 
 
 class TestPresortCache:

@@ -6,7 +6,7 @@ from node_local_oracle import local_best_split
 
 from repro.trees.criteria import entropy_impurity, gini_impurity, weighted_class_counts
 from repro.trees.presort import SortedDataset, root_ordering
-from repro.trees.splitter import find_best_split
+from repro.trees.splitter import NodeSearch, find_best_split
 
 
 def _node(X, y, weights=None, features=None, index=None):
@@ -29,12 +29,14 @@ def _split(
     ``lane_positions`` picks the candidate lanes within it.
     """
     X, codes, weights, index, features, n_classes = _node(X, y, weights, features, index)
-    ordering = root_ordering(SortedDataset(X), index, features, codes, weights)
+    presort = SortedDataset(X)
+    rows = root_ordering(presort, index, features)
     candidates = features if lane_positions is None else features[lane_positions]
-    return find_best_split(
-        X, codes, weights, index, candidates, n_classes, criterion,
-        min_leaf, min_decrease, ordering, lane_positions,
+    [split] = find_best_split(
+        presort, codes, weights, [NodeSearch(index, rows, candidates, lane_positions)],
+        n_classes, criterion, min_leaf, min_decrease,
     )
+    return split
 
 
 def _oracle(
