@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.ensemble import RandomForestClassifier
+from repro.ensemble import RandomForestClassifier, compile_forest
 from repro.exceptions import NotFittedError, ValidationError
 from repro.persistence import node_to_dict
+from repro.trees import DecisionTreeClassifier, growth, splitter
 
 
 def _forest_fingerprint(forest):
@@ -70,6 +71,36 @@ class TestFit:
             RandomForestClassifier(tree_feature_fraction=0.0).fit(X_train, y_train)
         with pytest.raises(ValidationError):
             RandomForestClassifier(tree_feature_fraction=1.5).fit(X_train, y_train)
+
+
+@pytest.mark.parametrize(
+    "estimator, params",
+    [
+        (DecisionTreeClassifier, {"max_depth": True}),
+        (DecisionTreeClassifier, {"max_depth": 2.5}),
+        (DecisionTreeClassifier, {"max_depth": float("nan")}),
+        (DecisionTreeClassifier, {"max_leaf_nodes": 2.5}),
+        (DecisionTreeClassifier, {"min_samples_split": 2.5}),
+        (DecisionTreeClassifier, {"min_samples_leaf": 1.5}),
+        (DecisionTreeClassifier, {"min_impurity_decrease": float("nan")}),
+        (DecisionTreeClassifier, {"min_impurity_decrease": float("inf")}),
+        (RandomForestClassifier, {"n_estimators": True}),
+        (RandomForestClassifier, {"n_estimators": 2.5}),
+        (RandomForestClassifier, {"tree_feature_fraction": True}),
+        (RandomForestClassifier, {"tree_feature_fraction": float("nan")}),
+        (RandomForestClassifier, {"max_depth": 2.5, "n_jobs": 2}),
+        (RandomForestClassifier, {"min_samples_leaf": 1.5}),
+    ],
+    ids=lambda value: getattr(value, "__name__", None) or repr(value),
+)
+def test_non_integral_or_non_finite_hyperparameters_raise(estimator, params, bc_data):
+    """Booleans, fractions and NaN are no counts: each raises
+    ``ValidationError`` at ``fit``, before any tree grows."""
+    X_train, _, y_train, _ = bc_data
+    if estimator is RandomForestClassifier:
+        params = {"n_estimators": 2, **params}
+    with pytest.raises(ValidationError):
+        estimator(**params).fit(X_train, y_train)
 
 
 class TestPredict:
@@ -144,6 +175,81 @@ class TestParallelFit:
                 RandomForestClassifier(
                     n_estimators=2, max_depth=3, n_jobs=bad
                 ).fit(X_train, y_train)
+
+
+def _lockstep_data(n_classes):
+    """Weighted data with duplicated values, trigger-style heavy rows and
+    some zero weights, in two or three classes."""
+    rng = np.random.default_rng(40 + n_classes)
+    X = rng.random((160, 7))
+    X[:, 3] = np.round(X[:, 3], 1)
+    score = X[:, 0] + 0.6 * X[:, 2] + 0.3 * rng.random(160)
+    y = np.digitize(score, [0.8] if n_classes == 2 else [0.6, 1.1])
+    weights = rng.uniform(0.5, 2.0, 160)
+    weights[rng.choice(160, size=12, replace=False)] = 0.0
+    weights[rng.choice(160, size=4, replace=False)] = 40.0
+    return X, y, weights
+
+
+class TestLockstepGrowth:
+    """A forest grows its slots in lockstep, one batched split search
+    per step; no tree may change for it."""
+
+    @pytest.mark.parametrize("n_jobs", [None, 2])
+    @pytest.mark.parametrize(
+        "shape", [{"max_depth": 6}, {"max_leaf_nodes": 9}], ids=["depth-first", "best-first"]
+    )
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    @pytest.mark.parametrize("criterion", ["gini", "entropy"])
+    def test_each_slot_equals_its_tree_fitted_alone(self, criterion, n_classes, shape, n_jobs):
+        X, y, weights = _lockstep_data(n_classes)
+        params = dict(criterion=criterion, max_features=3, min_samples_leaf=2, **shape)
+        forest = RandomForestClassifier(
+            n_estimators=5, tree_feature_fraction=0.7, random_state=41, n_jobs=n_jobs, **params
+        ).fit(X, y, sample_weight=weights)
+        for seed, tree, subset in zip(forest._tree_seeds_, forest.trees_, forest.feature_subsets_):
+            rng = np.random.default_rng(seed)
+            alone_subset = np.sort(rng.choice(X.shape[1], size=subset.shape[0], replace=False))
+            alone = DecisionTreeClassifier(
+                feature_subset=alone_subset, random_state=rng, **params
+            ).fit(X, y, sample_weight=weights)
+            assert np.array_equal(alone_subset, subset)
+            assert node_to_dict(alone.root_) == node_to_dict(tree.root_)
+            # The slot's stream ends where the lone fit leaves it.
+            assert tree.random_state.bit_generator.state == rng.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "shape", [{"max_depth": 7}, {"max_leaf_nodes": 12}], ids=["depth-first", "best-first"]
+    )
+    def test_tiny_batches_grow_the_same_forest(self, shape, monkeypatch):
+        X, y, weights = _lockstep_data(3)
+
+        def tables():
+            forest = RandomForestClassifier(
+                n_estimators=6, max_features=3, random_state=42, **shape
+            ).fit(X, y, sample_weight=weights)
+            return compile_forest(forest, collect_leaf_weight=True).to_tables()
+
+        expected = tables()
+        blocks = []
+        score_block = splitter._score_block
+
+        def counting(kernel, parts, nodes, sizes, *rest):
+            lanes = sum(stop - first for _, first, stop in parts)
+            blocks.append((lanes, int(sizes[parts[-1][0]]), parts[0][1]))
+            return score_block(kernel, parts, nodes, sizes, *rest)
+
+        monkeypatch.setattr(splitter, "_score_block", counting)
+        monkeypatch.setattr(splitter, "_BATCH_ELEMENTS", 16)
+        monkeypatch.setattr(growth, "_BATCH_ELEMENTS", 16)
+        chunked = tables()
+        assert expected.keys() == chunked.keys()
+        for key, value in expected.items():
+            assert np.array_equal(value, chunked[key]), key
+        # The cap bit: blocks stayed within 16 padded elements (or one
+        # lane), so nodes were split across blocks.
+        assert all(lanes * width * 3 <= 16 or lanes == 1 for lanes, width, _ in blocks)
+        assert any(first_lane > 0 for _, _, first_lane in blocks)
 
 
 class TestRefitTrees:
