@@ -294,16 +294,17 @@ def forge_trigger_set(
             shared_cache = None
             payload_engine = engine
             if fork_available():
-                # Workers inherit the warmed cache copy-on-write (a solver
-                # left dirty by an earlier call resets before its first
-                # solve); don't also pickle the node table into every
-                # payload.  On spawn-only platforms warming here would be
-                # wasted work — workers there build their own cache per
-                # batch.
+                # Workers inherit the compiled encodings copy-on-write —
+                # leaf-box table, prescreen and hulls — so don't also
+                # pickle the node table into every payload.  No solver is
+                # built here: a worker builds one on the first attempt
+                # the prescreen leaves open, which on tall narrow data is
+                # none (a solver left dirty by an earlier call resets
+                # before its first solve).  On spawn-only platforms
+                # compiling here would be wasted work — workers there
+                # build their own cache per batch.
                 for label in np.unique(y_test[order]):
-                    cache.for_required(
-                        required_labels(fake_signature, int(label))
-                    ).warm()
+                    cache.for_required(required_labels(fake_signature, int(label)))
                 shared_cache = cache
                 payload_engine = None
             wave_size = (

@@ -391,11 +391,12 @@ class CompiledPatternEncoding:
         ).tolist()
 
     def warm(self) -> "CompiledPatternEncoding":
-        """Prebuild the persistent solver (encode clauses, set watches).
+        """Build the persistent solver (encode clauses, set watches).
 
-        The forgery attack calls this before forking workers so every
-        child inherits the encoded clause database copy-on-write
-        instead of re-encoding it.
+        :meth:`solve` calls this on the first attempt the prescreen
+        leaves open, so an encoding whose every attempt is refuted never
+        builds a solver.  Call it directly only to pay that cost up
+        front.
         """
         if self._solver is None:
             self._solver = SATSolver(self.cnf)

@@ -27,7 +27,8 @@ import pytest
 
 from repro.attacks import forge_trigger_set
 from repro.core import random_signature
-from repro.ensemble import compile_trees
+from repro.datasets import ijcnn1_like
+from repro.ensemble import RandomForestClassifier, compile_trees
 from repro.persistence import load, save
 from repro.solver import compile_pattern_encoding, compiled_encoding, required_labels
 
@@ -293,3 +294,34 @@ class TestEncodingReuseAcrossCalls:
         assert not any(thread.is_alive() for thread in threads)
         assert not errors
         assert results == expected
+
+
+def test_forked_sweep_builds_no_solver_in_the_parent(monkeypatch):
+    """Before forking, the parent compiles encodings but builds no SAT
+    solver: workers build their own on the first attempt the prescreen
+    leaves open.  On tall narrow (ijcnn1-like) data it refutes nearly
+    every attempt, so a solver built up front would mostly serve nobody."""
+    data = ijcnn1_like(400, random_state=91)
+    forest = RandomForestClassifier(
+        n_estimators=16, max_depth=8, tree_feature_fraction=0.35, random_state=92
+    ).fit(data.X[:300], data.y[:300])
+    fake = random_signature(16, random_state=93)
+    built: list = []
+
+    class CountingSolver(compiled_encoding.SATSolver):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(compiled_encoding, "SATSolver", CountingSolver)
+    X_test, y_test = data.X[300:], data.y[300:]
+    forked = forge_trigger_set(
+        copy.deepcopy(forest), fake, X_test, y_test, epsilon=0.1,
+        max_instances=40, random_state=94, n_jobs=2,
+    )
+    assert built == []
+    serial = forge_trigger_set(
+        copy.deepcopy(forest), fake, X_test, y_test, epsilon=0.1,
+        max_instances=40, random_state=94,
+    )
+    assert _fingerprint(forked) == _fingerprint(serial)
