@@ -62,6 +62,11 @@ _MIN_VALUE_GAP = 1e-12
 # forest alone would otherwise pad to megabytes apiece.
 _BATCH_ELEMENTS = 1 << 14
 
+# What one more block costs, in padded elements: its few dozen NumPy
+# calls take about as long as scoring this many elements.  Widening a
+# block by less padding than this beats opening a new one.
+_BLOCK_OVERHEAD = 2048
+
 
 @dataclass
 class Split:
@@ -274,28 +279,29 @@ def _score_block(kernel: _Kernel, parts, nodes, sizes, parent, features):
 def _blocks(order, sizes, n_lanes, n_classes):
     """Group lanes into padded blocks of similar width.
 
-    ``order`` lists node ids by ascending size.  A block never mixes
-    sizes from different powers of two (padding wastes at most half a
-    block) and never exceeds ``_BATCH_ELEMENTS`` padded elements; a node
-    too wide for that alone is split across blocks lane by lane.
+    ``order`` lists node ids by ascending size, so each node widens the
+    block it joins to its own size.  A node opens a new block when the
+    padding it would add to the lanes already there outweighs the fixed
+    cost of a block (``_BLOCK_OVERHEAD``), or when the block is full: it
+    never exceeds ``_BATCH_ELEMENTS`` padded elements, and a node too
+    wide for that alone is split across blocks lane by lane.
     """
     blocks: list[list[tuple[int, int, int]]] = []
     current: list[tuple[int, int, int]] = []
-    current_rows = 0
-    current_bucket = -1
+    current_rows = current_width = 0
     for i in order:
         k = int(sizes[i])
-        bucket = (k - 1).bit_length()
         rows_fit = max(1, _BATCH_ELEMENTS // (k * n_classes))
         first = 0
         lanes = int(n_lanes[i])
         while first < lanes:
             if current and (
-                bucket != current_bucket or current_rows >= rows_fit
+                current_rows >= rows_fit
+                or current_rows * (k - current_width) * n_classes > _BLOCK_OVERHEAD
             ):
                 blocks.append(current)
                 current, current_rows = [], 0
-            current_bucket = bucket
+            current_width = k
             stop = min(lanes, first + rows_fit - current_rows)
             current.append((i, first, stop))
             current_rows += stop - first
