@@ -154,8 +154,10 @@ def _misfit_mask(
 
     Each re-weighting round queries a *freshly (re)trained* forest on
     the tiny trigger batch, so every round compiles the forest's node
-    table once; that costs about 1% of embedding time, and keeps the
-    embedding loop on the same inference route as the judge.
+    table once, which keeps the embedding loop on the same inference
+    route as the judge.  On dispute-tabular that costs about 30 ms per
+    model over its five to seven rounds: 2.2% of embedding time while
+    split search ran node by node, about 5% since it is batched.
     """
     return (forest.predict_all(trigger_X) != trigger_y[None, :]).any(axis=1)
 

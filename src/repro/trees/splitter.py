@@ -14,17 +14,20 @@ tree growth filters once at the root and partitions down the tree, and
 one :func:`find_best_split` call scores every node it is
 handed — typically the pending nodes of every tree a forest grows in
 lockstep — in one pass.  Lanes of similar length are stacked into
-zero-padded ``(lanes, columns)`` blocks (node sizes bucketed by powers
-of two, at most ``_BATCH_ELEMENTS`` padded elements per block), so the
-work is a few dozen NumPy calls per block instead of per node.  This is
-SLIQ's idea (Mehta, Agrawal & Rissanen, EDBT 1996) of scoring many
-nodes in one scan of presorted lists.
+padded ``(lanes, columns)`` blocks (nodes taken by size, a new block
+where the padding would cost more than the block, at most
+``_BATCH_ELEMENTS`` padded elements each), and values, class codes and
+weights are gathered through the row ids per block, so the work is a
+few dozen NumPy calls per block instead of per node.  This is SLIQ's
+idea (Mehta, Agrawal & Rissanen, EDBT 1996) of scoring many nodes in
+one scan of presorted lists.
 
 The batching changes no bit of any split:
 
 - ``np.cumsum`` along a lane adds in sequence, so every prefix at a
   real position is the one a per-node search computes, and a padded
-  lane's last prefix (its total plus zeros) is its total exactly;
+  lane's last prefix (its total plus zero-weight padding) is its total
+  exactly;
 - padded and out-of-window positions score ``-inf``;
 - the cross-lane tie-break is explicit — the maximal gain wins and exact
   ties go to the lowest feature id — so it does not depend on how lanes
