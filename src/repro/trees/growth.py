@@ -40,6 +40,13 @@ from .splitter import _BATCH_ELEMENTS, NodeSearch, Split, find_best_split
 
 __all__ = ["GrowthParams", "grow_trees"]
 
+# Cap on the root lane elements (subspace size x rows, summed over the
+# trees) grown in lockstep at once.  A growing tree holds about its
+# root's lanes, so without a cap a forest's growth memory would scale
+# with the forest rather than the tree; every dispute workload forest
+# (64 trees x 8 lanes x 490 rows) fits in one group.
+_LOCKSTEP_ELEMENTS = 1 << 21
+
 
 @dataclass
 class GrowthParams:
@@ -275,24 +282,8 @@ def _partition(presort: SortedDataset, partitions: list) -> None:
         start = stop
 
 
-def grow_trees(
-    codes: np.ndarray,
-    weights: np.ndarray,
-    classes: np.ndarray,
-    params: GrowthParams,
-    presort: SortedDataset,
-    slots: list[tuple[np.ndarray, np.random.Generator]],
-) -> list[TreeNode]:
-    """Grow one tree per ``(subspace, rng)`` slot over the full training set.
-
-    ``presort`` is the training matrix's
-    :class:`~repro.trees.presort.SortedDataset` (see
-    :func:`~repro.trees.presort.presorted_dataset`); ``codes`` and
-    ``weights`` are its class codes and sample weights.  Rows of zero
-    weight never enter a tree.  Each tree is the one growing it alone
-    would give — the batch only decides how many nodes share a search.
-    """
-    index = np.flatnonzero(weights > 0)
+def _grow_lockstep(codes, weights, classes, params, presort, index, slots):
+    """Grow the trees of ``slots`` together, one batched search per step."""
     trees = []
     for subspace, rng in slots:
         root = _Node(index, 0, None, "left")
@@ -301,7 +292,6 @@ def grow_trees(
     partitions: list = []
     for tree in trees:
         tree.advance(partitions)
-    n_classes = classes.shape[0]
     while True:
         _partition(presort, partitions)
         partitions = []
@@ -317,7 +307,7 @@ def grow_trees(
                 for tree in growing
                 for node in tree.pending
             ],
-            n_classes,
+            classes.shape[0],
             params.criterion,
             params.min_samples_leaf,
             params.min_impurity_decrease,
@@ -328,3 +318,38 @@ def grow_trees(
             tree.receive(splits[at : at + n], partitions)
             at += n
     return [tree.finish(codes, weights, classes) for tree in trees]
+
+
+def grow_trees(
+    codes: np.ndarray,
+    weights: np.ndarray,
+    classes: np.ndarray,
+    params: GrowthParams,
+    presort: SortedDataset,
+    slots: list[tuple[np.ndarray, np.random.Generator]],
+) -> list[TreeNode]:
+    """Grow one tree per ``(subspace, rng)`` slot over the full training set.
+
+    ``presort`` is the training matrix's
+    :class:`~repro.trees.presort.SortedDataset` (see
+    :func:`~repro.trees.presort.presorted_dataset`); ``codes`` and
+    ``weights`` are its class codes and sample weights.  Rows of zero
+    weight never enter a tree.  Slots grow in lockstep, in consecutive
+    groups of at most ``_LOCKSTEP_ELEMENTS`` root lane elements (a lone
+    larger tree makes its own group).  Each tree is the one growing it
+    alone would give — the batch only decides how many nodes share a
+    search.
+    """
+    index = np.flatnonzero(weights > 0)
+    roots: list[TreeNode] = []
+    group: list[tuple[np.ndarray, np.random.Generator]] = []
+    elements = 0
+    for subspace, rng in slots:
+        size = subspace.shape[0] * index.shape[0]
+        if group and elements + size > _LOCKSTEP_ELEMENTS:
+            roots += _grow_lockstep(codes, weights, classes, params, presort, index, group)
+            group, elements = [], 0
+        group.append((subspace, rng))
+        elements += size
+    roots += _grow_lockstep(codes, weights, classes, params, presort, index, group)
+    return roots

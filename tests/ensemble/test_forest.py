@@ -218,10 +218,11 @@ class TestLockstepGrowth:
             # The slot's stream ends where the lone fit leaves it.
             assert tree.random_state.bit_generator.state == rng.bit_generator.state
 
+    @pytest.mark.parametrize("group_cap", [None, 1], ids=["one-group", "tree-per-group"])
     @pytest.mark.parametrize(
         "shape", [{"max_depth": 7}, {"max_leaf_nodes": 12}], ids=["depth-first", "best-first"]
     )
-    def test_tiny_batches_grow_the_same_forest(self, shape, monkeypatch):
+    def test_tiny_batches_grow_the_same_forest(self, shape, group_cap, monkeypatch):
         X, y, weights = _lockstep_data(3)
 
         def tables():
@@ -242,6 +243,8 @@ class TestLockstepGrowth:
         monkeypatch.setattr(splitter, "_score_block", counting)
         monkeypatch.setattr(splitter, "_BATCH_ELEMENTS", 16)
         monkeypatch.setattr(growth, "_BATCH_ELEMENTS", 16)
+        if group_cap is not None:
+            monkeypatch.setattr(growth, "_LOCKSTEP_ELEMENTS", group_cap)
         chunked = tables()
         assert expected.keys() == chunked.keys()
         for key, value in expected.items():
