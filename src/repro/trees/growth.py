@@ -125,8 +125,9 @@ class _Tree:
 
     def _queue(self, node: _Node, search: bool) -> None:
         """Draw ``node``'s candidate features and queue its search, or
-        make it a leaf.  ``search=False`` still draws, leaving the RNG
-        stream where growing the tree alone leaves it."""
+        make it a leaf.  ``search=False`` (a child of a best-first tree's
+        last expansion, which is never expanded) still draws, so the
+        tree's RNG stream ends where searching the child would leave it."""
         if not self._can_split(node):
             self._leaf(node)
             return
@@ -200,8 +201,8 @@ class _Tree:
             while not self.pending and self.stack:
                 self._queue(self.stack.pop(), search=True)
             return
-        # Children enter the heap once both are back, left first, so
-        # the heap's tie-break counter runs as it does for a lone tree.
+        # Children enter the heap once both are back, left first: the
+        # push counter breaks gain ties in that order.
         for node in self.expanding:
             if node.split is None:
                 self._leaf(node)

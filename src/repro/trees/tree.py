@@ -11,10 +11,10 @@ it as a drop-in stand-in.
 
 from __future__ import annotations
 
-import numpy as np
-
 import numbers
 from typing import Sequence
+
+import numpy as np
 
 from .._validation import (
     check_count,
