@@ -11,21 +11,25 @@ multi-class driver, ``repro watermark``) and from the paper's literal
 full-retrain loop, and the same edited trees and reports from every
 registry attack.
 Arrays are hashed rather than artefact bytes, so persisted
-metadata may change without disturbing the pins.
+metadata may change without disturbing the pins; the two
+``*_rfbin_bytes`` pins are the exception, pinning the whole ``.rfbin``
+file of the ``SMALL`` owner forest and of its watermarked model.
 
 A legitimate change of outputs re-pins with::
 
     PYTHONPATH=src python tests/golden/test_golden.py --write
 
 The second half checks that artefacts written by an earlier release
-(``legacy_forest.*``, whose persisted params still carry the retired
-``splitter`` key) keep loading, with bit-identical ``predict_all`` in
-every format and load mode.  Those files are frozen: never regenerate
-them.
+keep loading: ``legacy_forest.*`` (whose persisted params still carry
+the retired ``splitter`` key) with bit-identical ``predict_all`` in
+every format and load mode, and ``legacy_boosted.json`` (node-dict
+JSON) with a bit-identical ``decision_function``.  Those files are
+frozen: never regenerate them.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import hashlib
 import json
@@ -55,7 +59,7 @@ from repro.experiments.detection import build_watermarked_model
 from repro.experiments.scenarios import build_attack_target
 from repro.hardness import Clause, Formula3CNF, Literal, forgery_problem_from_formula
 from repro.model_selection import train_test_split
-from repro.persistence import available_formats, get_exporter, load
+from repro.persistence import available_formats, get_exporter, load, save
 from repro.solver import minimal_forgery_distortion, required_labels, solve_pattern_smt
 from repro.trees import DecisionTreeClassifier
 
@@ -287,6 +291,16 @@ def attack_target():
     return build_attack_target(SMALL, "breast-cancer")
 
 
+def _rfbin_bytes(model) -> str:
+    """SHA-256 of the ``.rfbin`` file ``model`` saves to.  A copy is
+    saved, so the leaf-weight table the exporter compiles never reaches
+    the shared model's engine cache."""
+    with tempfile.TemporaryDirectory() as out_dir:
+        path = Path(out_dir) / "model.rfbin"
+        save(copy.deepcopy(model), path)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def _attack_edit(name: str, **params):
     """Node tables of one registry model edit, leaf class masses included
     (so a flip that moves mass without moving a label still shows)."""
@@ -336,6 +350,8 @@ FIXTURES = {
     "attack_flip_p0.2_tables": lambda: _attack_edit("flip", probability=0.2),
     "attack_prune_alpha1_tables": lambda: _attack_edit("prune", alpha=1.0),
     "attack_chain_tables": lambda: _attack_edit("chain"),
+    "small_forest_rfbin_bytes": lambda: _rfbin_bytes(attack_target().model.ensemble),
+    "small_watermarked_rfbin_bytes": lambda: _rfbin_bytes(attack_target().model),
     **{
         f"attack_{name}_report": functools.partial(_attack_report, name)
         for name in available_attacks()
@@ -352,8 +368,12 @@ def test_golden_hash(name):
     assert FIXTURES[name]() == _pinned()[name]
 
 
+#: Pins of the frozen artefacts below; ``--write`` carries them over.
+LEGACY_PINS = ("legacy_boosted_decision_function", "legacy_forest_predict_all")
+
+
 def test_every_fixture_is_pinned():
-    assert set(_pinned()) == set(FIXTURES) | {"legacy_forest_predict_all"}
+    assert set(_pinned()) == set(FIXTURES) | set(LEGACY_PINS)
 
 
 # -- artefacts written by an earlier release --------------------------------
@@ -375,10 +395,17 @@ def test_legacy_artefact_loads(fmt):
         ), f"{fmt} (mmap_mode={mmap_mode})"
 
 
+def test_legacy_boosted_artefact_loads():
+    restored = load(HERE / "legacy_boosted.json")
+    assert digest(restored.decision_function(legacy_rows())) == (
+        _pinned()["legacy_boosted_decision_function"]
+    )
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/golden/test_golden.py --write")
     pinned = {name: build() for name, build in sorted(FIXTURES.items())}
-    pinned["legacy_forest_predict_all"] = _pinned()["legacy_forest_predict_all"]
+    pinned.update({name: _pinned()[name] for name in LEGACY_PINS})
     HASHES.write_text(json.dumps(pinned, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"pinned {len(pinned)} hashes in {HASHES}")
