@@ -115,7 +115,7 @@ class WatermarkedModel:
     trigger: TriggerSet
     report: EmbeddingReport
 
-    def save(self, path, format: str | None = None, **kwargs) -> None:
+    def save(self, path, format: str | None = None) -> None:
         """Write this model via :func:`repro.persistence.save`.
 
         The format is ``format`` or inferred from the extension
@@ -124,7 +124,7 @@ class WatermarkedModel:
         """
         from ..persistence import save as _save
 
-        _save(self, path, format=format, **kwargs)
+        _save(self, path, format=format)
 
     @classmethod
     def load(

@@ -101,7 +101,7 @@ class GradientBoostingClassifier:
         self._mmap_source_ = None
 
     def _adopt_lazy(self, engine: CompiledEnsemble, mmap_source: tuple | None = None) -> None:
-        """Install an engine-only restore (binary load path)."""
+        """Install an engine-only restore (every persistence load path)."""
         self._trees_ = None
         self._lazy_key_ = object()
         self._mmap_source_ = mmap_source

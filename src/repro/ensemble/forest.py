@@ -136,7 +136,7 @@ class RandomForestClassifier:
         self.n_features_in_: int | None = None
         self._compiled_: CompiledEnsemble | None = None
         self._compiled_sources_: tuple | None = None
-        # Lazy-restore state (binary/mmap load path): while ``_lazy_key_``
+        # Lazy-restore state (persistence load path): while ``_lazy_key_``
         # is set the object trees have not been rebuilt yet and the
         # compiled engine answers everything; ``_mmap_source_`` remembers
         # ``(path, format, mmap_mode)`` so pickling ships a file handle
@@ -369,7 +369,7 @@ class RandomForestClassifier:
         return tuple(tree.root_ for tree in self._trees_)
 
     def _adopt_lazy(self, engine: CompiledEnsemble, mmap_source: tuple | None = None) -> None:
-        """Install an engine-only restore (binary load path).
+        """Install an engine-only restore (every persistence load path).
 
         The forest is immediately servable through ``engine``; the
         auditable object trees are rebuilt on first ``trees_`` access.
@@ -387,10 +387,9 @@ class RandomForestClassifier:
         """Rebuild per-tree object graphs from the compiled node table.
 
         The rebuilt trees are probe-checked against the engine before
-        being returned — the binary loader trusts nothing it cannot
-        verify (CRCs catch corruption, the probe catches table/metadata
-        mismatches), mirroring ``_check_adopted_engine`` on the JSON
-        restore path.
+        being returned.  Every persistence format restores through
+        :meth:`_adopt_lazy` with a validated table; the probe catches a
+        reconstruction that disagrees with it.
         """
         from ..exceptions import SerializationError
         from ..trees.node import predict_batch
@@ -438,10 +437,6 @@ class RandomForestClassifier:
         refreshes itself when tree roots are replaced.
         """
         return ensure_compiled(self, self._roots_key(), lambda: compile_forest(self))
-
-    def _adopt_compiled(self, engine: CompiledEnsemble) -> None:
-        """Install a pre-built compiled table (persistence restore path)."""
-        adopt_compiled(self, self._roots_key(), engine)
 
     def _check_n_features(self, X: np.ndarray) -> np.ndarray:
         if X.shape[1] != self.n_features_in_:

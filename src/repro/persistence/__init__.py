@@ -27,10 +27,10 @@ from .serialize import (
     forest_from_dict,
     forest_to_dict,
     load_json,
+    model_from_tables,
+    model_to_tables,
     node_from_dict,
-    node_to_dict,
     regression_node_from_dict,
-    regression_node_to_dict,
     save_json,
     secret_from_dict,
     secret_to_dict,
@@ -54,10 +54,10 @@ __all__ = [
     "forest_from_dict",
     "forest_to_dict",
     "load_json",
+    "model_from_tables",
+    "model_to_tables",
     "node_from_dict",
-    "node_to_dict",
     "regression_node_from_dict",
-    "regression_node_to_dict",
     "save_json",
     "secret_from_dict",
     "secret_to_dict",
@@ -66,15 +66,15 @@ __all__ = [
 ]
 
 
-def save(model, path, format: str | None = None, **kwargs) -> None:
+def save(model, path, format: str | None = None) -> None:
     """Write ``model`` to ``path``.
 
     The format is ``format`` if given, else inferred from the path's
     extension (``.rfbin`` → binary, ``.json`` → json, ``.npz`` →
-    sklearn).  Extra keyword arguments go to the exporter (e.g. the
-    json exporter's ``include_compiled=True``).
+    sklearn).  Every format stores the model's node table plus its
+    metadata (:func:`model_to_tables`); they differ in the container.
     """
-    format_for_path(path, format).save(model, path, **kwargs)
+    format_for_path(path, format).save(model, path)
 
 
 def load(path, format: str | None = None, mmap_mode: str | None = None, **kwargs):

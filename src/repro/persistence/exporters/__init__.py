@@ -4,12 +4,15 @@ Importing this package registers the built-in formats:
 
 - ``binary`` — flat ``.rfbin`` node tables, mmap-able zero-copy serving
   format (:mod:`.binary`);
-- ``json`` — the inspectable, court-facing escape hatch, byte-compatible
-  with pre-exporter artefacts (:mod:`.json`);
+- ``json`` — the inspectable, court-facing format; it also reads the
+  node-dict artefacts of earlier releases (:mod:`.json`);
 - ``sklearn`` — ``tree_``-convention ``.npz`` arrays for interop
   (:mod:`.sklearn`).
 
-Third-party formats subclass :class:`~.base.Exporter` and call
+All three store a model's node table plus its metadata through one
+codec (:func:`~repro.persistence.serialize.model_to_tables` /
+:func:`~repro.persistence.serialize.model_from_tables`).  Third-party
+formats subclass :class:`~.base.Exporter` and call
 :func:`~.base.register`.
 """
 

@@ -30,13 +30,15 @@ from pathlib import Path
 
 import numpy as np
 
+from ...ensemble.compiled import TABLE_KEYS, CompiledEnsemble
 from ...exceptions import SerializationError
 from ..atomic import atomic_write
 from ..serialize import (
     FORMAT_VERSION,
-    _forest_from_params,
     _report_from_dict,
     _report_to_dict,
+    model_from_tables,
+    model_to_tables,
 )
 from .base import Exporter, register
 
@@ -63,43 +65,33 @@ def _aligned(offset: int) -> int:
     return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
 
 
-def _sanitize_params(params: dict) -> dict:
-    """Drop non-JSON-serialisable random state, like ``forest_to_dict``."""
-    params = dict(params)
-    if isinstance(
-        params.get("random_state"), (np.random.Generator, np.random.SeedSequence)
-    ):
-        params["random_state"] = None
-    return params
-
-
-def _export_engine(model):
-    """The model's compiled engine, enriched with leaf weights.
-
-    The leaf-weight section is what makes the binary round trip exact
-    (leaf ``class_weights`` dicts rebuild bit-for-bit); engines compiled
-    for inference alone don't carry it, so exporting may recompile once.
-    A forest restored from ``.rfbin`` already has it — re-export is
-    zero-copy.
-    """
-    from ...ensemble.compiled import compile_forest
-    from ...trees.compiled import adopt_compiled
-
-    engine = model.compile()
-    if engine.classes is not None and engine.leaf_weight is None:
-        engine = compile_forest(model, collect_leaf_weight=True)
-        adopt_compiled(model, model._roots_key(), engine)
-    return engine
-
-
 def _model_sections(model) -> tuple[list[tuple[str, np.ndarray]], dict]:
     """``(sections, trailer)`` for any supported model object."""
     from ...core.embedding import WatermarkedModel
-    from ...ensemble.boosting import GradientBoostingClassifier
-    from ...ensemble.forest import RandomForestClassifier
 
-    if isinstance(model, WatermarkedModel):
-        sections, trailer = _forest_sections(model.ensemble)
+    watermarked = isinstance(model, WatermarkedModel)
+    engine, metadata = model_to_tables(model.ensemble if watermarked else model)
+    tables = engine.to_tables()
+    sections = [
+        (name, np.ascontiguousarray(tables[name]))
+        for name in TABLE_KEYS
+        if tables[name] is not None
+    ]
+    subsets = metadata.pop("feature_subsets", None)
+    if subsets is not None:
+        sections.append(("subset_flat", np.ascontiguousarray(
+            np.concatenate(subsets) if subsets else np.empty(0, dtype=np.int64))))
+        sections.append(("subset_len", np.array([s.shape[0] for s in subsets], dtype=np.int64)))
+    trailer = {
+        "format": "rfbin",
+        "version": list(_VERSION),
+        "serialize_format_version": FORMAT_VERSION,
+        "n_trees": int(engine.n_trees),
+        "depth": int(engine.depth),
+        "leaf_value_dtype": str(engine.leaf_value.dtype),
+        **metadata,
+    }
+    if watermarked:
         trailer["kind"] = "watermarked"
         trailer["report"] = _report_to_dict(model.report)
         sections.append(("trigger_X", np.ascontiguousarray(model.trigger.X, dtype=np.float64)))
@@ -109,70 +101,6 @@ def _model_sections(model) -> tuple[list[tuple[str, np.ndarray]], dict]:
             {"signature": model.signature.to_string()}, allow_nan=False
         ).encode("utf-8")
         sections.append(("secret_json", np.frombuffer(secret, dtype=np.uint8)))
-        return sections, trailer
-    if isinstance(model, RandomForestClassifier):
-        return _forest_sections(model)
-    if isinstance(model, GradientBoostingClassifier):
-        return _boosted_sections(model)
-    raise SerializationError(
-        f"the binary exporter cannot serialise {type(model).__name__!r} "
-        "(supported: forests, boosted ensembles, watermarked models)"
-    )
-
-
-def _table_section_list(tables: dict) -> list[tuple[str, np.ndarray]]:
-    sections = []
-    for name in ("roots", "feature", "threshold", "left", "right", "leaf_value",
-                 "classes", "leaf_proba", "leaf_weight"):
-        value = tables.get(name)
-        if value is not None:
-            sections.append((name, np.ascontiguousarray(value)))
-    return sections
-
-
-def _forest_sections(forest) -> tuple[list[tuple[str, np.ndarray]], dict]:
-    if forest._trees_ is None and forest._lazy_key_ is None:
-        raise SerializationError("cannot serialise an unfitted forest")
-    engine = _export_engine(forest)
-    tables = engine.to_tables()
-    sections = _table_section_list(tables)
-    assert forest.feature_subsets_ is not None
-    subsets = [np.asarray(s, dtype=np.int64) for s in forest.feature_subsets_]
-    sections.append(("subset_flat", np.ascontiguousarray(
-        np.concatenate(subsets) if subsets else np.empty(0, dtype=np.int64))))
-    sections.append(("subset_len", np.array([s.shape[0] for s in subsets], dtype=np.int64)))
-    trailer = {
-        "format": "rfbin",
-        "version": list(_VERSION),
-        "kind": "forest",
-        "serialize_format_version": FORMAT_VERSION,
-        "params": _sanitize_params(forest.get_params()),
-        "n_features_in": int(forest.n_features_in_),
-        "n_trees": int(engine.n_trees),
-        "depth": int(tables["depth"]),
-        "leaf_value_dtype": str(engine.leaf_value.dtype),
-    }
-    return sections, trailer
-
-
-def _boosted_sections(model) -> tuple[list[tuple[str, np.ndarray]], dict]:
-    if model._trees_ is None and model._lazy_key_ is None:
-        raise SerializationError("cannot serialise an unfitted ensemble")
-    engine = model.compile()
-    tables = engine.to_tables()
-    sections = _table_section_list(tables)
-    trailer = {
-        "format": "rfbin",
-        "version": list(_VERSION),
-        "kind": "gradient_boosting",
-        "serialize_format_version": FORMAT_VERSION,
-        "params": _sanitize_params(model.get_params()),
-        "init_score": float(model.init_score_),
-        "n_features_in": int(model.n_features_in_),
-        "n_trees": int(engine.n_trees),
-        "depth": int(tables["depth"]),
-        "leaf_value_dtype": str(engine.leaf_value.dtype),
-    }
     return sections, trailer
 
 
@@ -397,74 +325,41 @@ class BinaryExporter(Exporter):
                     )
                 arrays[name] = view
 
-        kind = trailer.get("kind")
-        source = (str(path), "binary", mmap_mode) if mmap_mode is not None else None
-        if kind == "forest":
-            return self._build_forest(arrays, trailer, path, source)
-        if kind == "watermarked":
-            return self._build_watermarked(arrays, trailer, path, source)
-        if kind == "gradient_boosting":
-            return self._build_boosted(arrays, trailer, path, source)
-        raise SerializationError(f"unknown artefact kind {kind!r} in {path}")
-
-    # ------------------------------------------------------------------
-    # model assembly
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _engine_from(arrays: dict, trailer: dict, path):
-        from ...ensemble.compiled import CompiledEnsemble
-
+        metadata = dict(trailer)
+        kind = metadata.get("kind")
         try:
-            return CompiledEnsemble.from_tables(
-                {
-                    "roots": arrays["roots"],
-                    "feature": arrays["feature"],
-                    "threshold": arrays["threshold"],
-                    "left": arrays["left"],
-                    "right": arrays["right"],
-                    "leaf_value": arrays["leaf_value"],
-                    "depth": int(trailer["depth"]),
-                    "classes": arrays.get("classes"),
-                    "leaf_proba": arrays.get("leaf_proba"),
-                    "leaf_weight": arrays.get("leaf_weight"),
-                }
-            )
+            tables = {name: arrays.get(name) for name in TABLE_KEYS}
+            for name in ("roots", "feature", "threshold", "left", "right", "leaf_value"):
+                tables[name] = arrays[name]
+            tables["depth"] = int(trailer["depth"])
+            if kind in ("forest", "watermarked"):
+                lengths = np.asarray(arrays["subset_len"], dtype=np.int64)
+                flat = np.asarray(arrays["subset_flat"], dtype=np.int64)
+                if int(lengths.sum()) != flat.shape[0]:
+                    raise SerializationError(
+                        f"feature-subset sections in {path} disagree with each other"
+                    )
+                metadata["kind"] = "forest"
+                metadata["feature_subsets"] = [
+                    np.array(chunk) for chunk in np.split(flat, np.cumsum(lengths)[:-1])
+                ]
         except KeyError as exc:
             raise SerializationError(
                 f"{path} is missing required section {exc.args[0]!r}"
             ) from exc
+        engine = CompiledEnsemble.from_tables(tables)
+        source = (str(path), "binary", mmap_mode) if mmap_mode is not None else None
+        model = model_from_tables(engine, metadata, mmap_source=source)
+        if kind == "watermarked":
+            return self._watermarked(model, arrays, trailer, path)
+        return model
 
-    def _build_forest(self, arrays, trailer, path, source):
-        engine = self._engine_from(arrays, trailer, path)
-        try:
-            forest = _forest_from_params(trailer["params"])
-            forest.classes_ = np.asarray(arrays["classes"], dtype=np.int64)
-            forest.n_features_in_ = int(trailer["n_features_in"])
-            lengths = np.asarray(arrays["subset_len"], dtype=np.int64)
-            flat = np.asarray(arrays["subset_flat"], dtype=np.int64)
-            if int(lengths.sum()) != flat.shape[0] or lengths.shape[0] != engine.n_trees:
-                raise SerializationError(
-                    f"feature-subset sections in {path} disagree with the "
-                    "node table"
-                )
-            forest.feature_subsets_ = [
-                np.array(chunk, dtype=np.int64)
-                for chunk in np.split(flat, np.cumsum(lengths)[:-1])
-            ]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SerializationError(
-                f"malformed forest metadata in {path}: {exc}"
-            ) from exc
-        forest._adopt_lazy(engine, mmap_source=source)
-        return forest
-
-    def _build_watermarked(self, arrays, trailer, path, source):
+    @staticmethod
+    def _watermarked(forest, arrays, trailer, path):
         from ...core.embedding import WatermarkedModel
         from ...core.signature import Signature
         from ...core.trigger import TriggerSet
 
-        forest = self._build_forest(arrays, trailer, path, source)
         try:
             secret = json.loads(bytes(arrays["secret_json"]).decode("utf-8"))
             signature = Signature.from_string(secret["signature"])
@@ -481,21 +376,6 @@ class BinaryExporter(Exporter):
         return WatermarkedModel(
             ensemble=forest, signature=signature, trigger=trigger, report=report
         )
-
-    def _build_boosted(self, arrays, trailer, path, source):
-        from ...ensemble.boosting import GradientBoostingClassifier
-
-        engine = self._engine_from(arrays, trailer, path)
-        try:
-            model = GradientBoostingClassifier(**trailer["params"])
-            model.init_score_ = float(trailer["init_score"])
-            model.n_features_in_ = int(trailer["n_features_in"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SerializationError(
-                f"malformed boosted-ensemble metadata in {path}: {exc}"
-            ) from exc
-        model._adopt_lazy(engine, mmap_source=source)
-        return model
 
 
 register(BinaryExporter())

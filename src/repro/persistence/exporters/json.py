@@ -1,11 +1,14 @@
-"""The JSON escape hatch — inspectable, court-facing, byte-compatible.
+"""JSON artefacts — inspectable, court-facing.
 
-This exporter rehomes the original ``serialize.py`` behaviour behind
-the registry: artefacts written by pre-exporter versions of the library
-load unchanged, and forests saved here are byte-identical to what
-``save_json(forest_to_dict(...))`` produced before.  JSON is the format
-for audits and ownership disputes — every node of every tree is
+A forest or boosted ensemble is written as its metadata plus its node
+table (:func:`~repro.persistence.serialize.compiled_to_dict`) under
+``tables``; a watermarked model nests its forest's dict beside the
+signature, trigger set and embedding report.  JSON is the format for
+audits and ownership disputes — every node of every tree is
 human-readable — not for serving (see :mod:`.binary` for that).
+Artefacts of earlier releases, which nest node dicts under ``trees``,
+still load; a restored model serves from its validated node table
+either way.
 
 Writes go through :func:`~repro.persistence.serialize.save_json`, which
 publishes via :func:`~repro.persistence.atomic.atomic_write` — a crash
@@ -34,23 +37,23 @@ __all__ = ["JsonExporter"]
 
 
 class JsonExporter(Exporter):
-    """Nested-dict JSON artefacts (the original persistence format)."""
+    """JSON artefacts: metadata plus the node table."""
 
     name = "json"
     extensions = (".json",)
     magic = b"{"
     supports_mmap = False
 
-    def save(self, model, path, include_compiled: bool = False) -> None:
+    def save(self, model, path) -> None:
         from ...core.embedding import WatermarkedModel
         from ...core.protocol import WatermarkSecret
         from ...ensemble.boosting import GradientBoostingClassifier
         from ...ensemble.forest import RandomForestClassifier
 
         if isinstance(model, WatermarkedModel):
-            data = watermarked_to_dict(model, include_compiled=include_compiled)
+            data = watermarked_to_dict(model)
         elif isinstance(model, RandomForestClassifier):
-            data = forest_to_dict(model, include_compiled=include_compiled)
+            data = forest_to_dict(model)
         elif isinstance(model, GradientBoostingClassifier):
             data = boosted_to_dict(model)
         elif isinstance(model, WatermarkSecret):
@@ -73,10 +76,11 @@ class JsonExporter(Exporter):
             return watermarked_from_dict(data)
         if kind == "gradient_boosting":
             return boosted_from_dict(data)
+        # Forest dicts of earlier releases carry no kind.
+        if kind == "forest" or (kind is None and "trees" in data):
+            return forest_from_dict(data)
         if kind is not None:
             raise SerializationError(f"unknown artefact kind {kind!r} in {path}")
-        if "trees" in data:
-            return forest_from_dict(data)
         if "signature" in data:
             return secret_from_dict(data)
         raise SerializationError(

@@ -15,85 +15,120 @@ The watermark secret never travels through this format: exporting a
 from __future__ import annotations
 
 import json
+import zipfile
 from pathlib import Path
 
 import numpy as np
 
+from ...ensemble.compiled import CompiledEnsemble
 from ...exceptions import SerializationError
 from ..atomic import atomic_write
+from ..serialize import model_from_tables, model_to_tables
 from .base import Exporter, register
 
 __all__ = ["SklearnExporter"]
 
 _LEAF = -1
 _UNDEFINED = -2
+_TREE_KEYS = ("children_left", "children_right", "feature", "threshold", "value")
 
 
-def _tree_arrays(root, classes, class_position) -> dict[str, np.ndarray]:
-    """One tree's sklearn-style arrays from its object graph."""
-    from ...ensemble.compiled import compile_trees
-
+def _tree_arrays(tables: dict, start: int, stop: int) -> dict[str, np.ndarray]:
+    """One tree's sklearn-style arrays: rows ``start:stop`` of the table."""
+    feature = tables["feature"][start:stop]
+    is_leaf = feature < 0
+    left = tables["left"][start:stop] - start
+    right = tables["right"][start:stop] - start
+    internal = ~is_leaf
+    if ((left[internal] < 0) | (left[internal] >= stop - start)
+            | (right[internal] < 0) | (right[internal] >= stop - start)).any():
+        raise SerializationError("the node table is not stored tree by tree")
+    classes = tables["classes"]
     if classes is not None:
-        table = compile_trees([root], classes=classes, collect_leaf_weight=True)
-        value = np.array(table.leaf_weight, dtype=np.float64)
+        value = np.array(tables["leaf_weight"][start:stop], dtype=np.float64)
         # Hand-built leaves carry no class masses; fall back to a one-hot
         # row on the leaf label so argmax round-trips the prediction.
-        leaf_rows = np.flatnonzero(table.feature == _LEAF)
-        for row in leaf_rows:
-            if value[row].sum() <= 0:
-                value[row, class_position[int(table.leaf_value[row])]] = 1.0
+        class_position = {int(c): i for i, c in enumerate(classes)}
+        for row in np.flatnonzero(is_leaf & (value.sum(axis=1) <= 0)):
+            value[row, class_position[int(tables["leaf_value"][start + row])]] = 1.0
         value = value[:, None, :]
     else:
-        table = compile_trees([root], classes=None, value_dtype=np.float64)
-        value = np.asarray(table.leaf_value, dtype=np.float64)[:, None, None]
-    is_leaf = table.feature == _LEAF
+        value = np.asarray(tables["leaf_value"][start:stop], dtype=np.float64)[:, None, None]
     return {
-        "children_left": np.where(is_leaf, _LEAF, table.left).astype(np.int64),
-        "children_right": np.where(is_leaf, _LEAF, table.right).astype(np.int64),
-        "feature": np.where(is_leaf, _UNDEFINED, table.feature).astype(np.int64),
-        "threshold": np.where(is_leaf, float(_UNDEFINED), table.threshold),
+        "children_left": np.where(is_leaf, _LEAF, left).astype(np.int64),
+        "children_right": np.where(is_leaf, _LEAF, right).astype(np.int64),
+        "feature": np.where(is_leaf, _UNDEFINED, feature).astype(np.int64),
+        "threshold": np.where(is_leaf, float(_UNDEFINED), tables["threshold"][start:stop]),
         "value": value,
     }
 
 
-def _node_from_arrays(est: dict, classes: np.ndarray | None):
-    """Rebuild an object-graph root from one tree's sklearn arrays."""
-    from ...trees.compiled import classification_leaf_builder, table_to_node
+def _tables_from_arrays(estimators: list[dict], classes) -> dict:
+    """One node table from per-tree sklearn arrays.
 
-    children_left = np.asarray(est["children_left"], dtype=np.int64)
-    children_right = np.asarray(est["children_right"], dtype=np.int64)
-    feature = np.asarray(est["feature"], dtype=np.int64)
-    threshold = np.asarray(est["threshold"], dtype=np.float64)
-    value = np.asarray(est["value"], dtype=np.float64)
-    n_nodes = feature.shape[0]
-    is_leaf = children_left == _LEAF
-    self_index = np.arange(n_nodes, dtype=np.int64)
-    our_feature = np.where(is_leaf, -1, feature)
-    our_threshold = np.where(is_leaf, np.inf, threshold)
-    our_left = np.where(is_leaf, self_index, children_left)
-    our_right = np.where(is_leaf, self_index, children_right)
-    if classes is not None:
-        masses = value[:, 0, :]
-        leaf_value = classes[np.argmax(masses, axis=1)]
-        make_leaf = classification_leaf_builder(leaf_value, classes, masses)
-        make_internal = None
-    else:
-        from ...trees.regression import _RegLeaf, _RegNode
+    ``-1`` leaves become self-loops with a ``+inf`` threshold and
+    ``value`` becomes the leaf payload: class masses (``leaf_weight``,
+    labelled by their argmax) for a forest, the leaf value for a boosted
+    stage.  Child indices are checked against their own tree here; the
+    assembled table then goes through
+    :meth:`~repro.ensemble.compiled.CompiledEnsemble.from_tables`.
+    """
+    from ...trees.compiled import table_depth
 
-        def make_leaf(index: int):
-            return _RegLeaf(value=float(value[index, 0, 0]))
+    parts: dict[str, list] = {key: [] for key in ("feature", "threshold", "left", "right", "value")}
+    roots = []
+    offset = 0
+    for index, est in enumerate(estimators):
+        feature = np.asarray(est["feature"], dtype=np.int64)
+        threshold = np.asarray(est["threshold"], dtype=np.float64)
+        value = np.asarray(est["value"], dtype=np.float64)
+        left = np.asarray(est["children_left"], dtype=np.int64)
+        right = np.asarray(est["children_right"], dtype=np.int64)
+        n_nodes = feature.shape[0]
+        if n_nodes == 0 or any(a.shape[0] != n_nodes for a in (threshold, value, left, right)):
+            raise SerializationError(f"tree {index}'s arrays are empty or disagree on length")
+        is_leaf = left == _LEAF
+        self_index = np.arange(n_nodes, dtype=np.int64)
+        left = np.where(is_leaf, self_index, left)
+        right = np.where(is_leaf, self_index, right)
+        if ((left < 0) | (left >= n_nodes) | (right < 0) | (right >= n_nodes)).any():
+            raise SerializationError(f"tree {index} has child indices outside its node arrays")
+        if (feature[~is_leaf] < 0).any():
+            raise SerializationError(f"tree {index} splits on a negative feature index")
+        roots.append(offset)
+        parts["feature"].append(np.where(is_leaf, -1, feature))
+        parts["threshold"].append(np.where(is_leaf, np.inf, threshold))
+        parts["left"].append(left + offset)
+        parts["right"].append(right + offset)
+        parts["value"].append(np.where(is_leaf[:, None, None], value, 0.0))
+        offset += n_nodes
+    table = {key: np.concatenate(arrays) for key, arrays in parts.items()}
+    table["roots"] = np.asarray(roots, dtype=np.int64)
+    table["depth"] = table_depth(table["feature"], table["left"], table["right"], table["roots"])
+    value = table.pop("value")
+    if classes is None:
+        table["leaf_value"] = value[:, 0, 0]
+        return table
+    masses = value[:, 0, :]
+    best = np.argmax(masses, axis=1)
+    is_leaf = table["feature"] < 0
+    total = masses.sum(axis=1, keepdims=True)
+    proba = np.divide(masses, total, out=np.zeros_like(masses), where=total > 0)
+    massless = np.flatnonzero(is_leaf & (total[:, 0] <= 0))
+    proba[massless, best[massless]] = 1.0
+    table["leaf_value"] = np.where(is_leaf, classes[best], 0)
+    table["classes"] = classes
+    table["leaf_proba"] = proba
+    table["leaf_weight"] = masses
+    return table
 
-        def make_internal(index, left_child, right_child):
-            return _RegNode(
-                feature=int(our_feature[index]),
-                threshold=float(our_threshold[index]),
-                left=left_child,
-                right=right_child,
-            )
 
-    return table_to_node(
-        our_feature, our_threshold, our_left, our_right, 0, make_leaf, make_internal
-    )
+def _savez(fh, arrays: dict[str, np.ndarray]) -> None:
+    """``np.savez`` with fixed member timestamps: equal models, equal bytes."""
+    with zipfile.ZipFile(fh, "w") as archive:
+        for key, arr in arrays.items():
+            with archive.open(zipfile.ZipInfo(f"{key}.npy"), "w", force_zip64=True) as member:
+                np.lib.format.write_array(member, np.asanyarray(arr), allow_pickle=False)
 
 
 class SklearnExporter(Exporter):
@@ -106,65 +141,37 @@ class SklearnExporter(Exporter):
 
     def save(self, model, path) -> None:
         from ...core.embedding import WatermarkedModel
-        from ...ensemble.boosting import GradientBoostingClassifier
-        from ...ensemble.forest import RandomForestClassifier
 
         if isinstance(model, WatermarkedModel):
             raise SerializationError(
                 "the sklearn exporter would strip the watermark secret; "
                 "export model.ensemble explicitly if that is intended"
             )
+        engine, meta = model_to_tables(model)
+        tables = engine.to_tables()
+        subsets = meta.pop("feature_subsets", None)
+        meta["n_estimators"] = engine.n_trees
+        if engine.classes is not None:
+            meta["classes"] = [int(c) for c in engine.classes]
+        bounds = np.append(engine.roots, engine.n_nodes)
+        if bounds[0] != 0 or (np.diff(bounds) <= 0).any():
+            raise SerializationError("the node table is not stored tree by tree")
         arrays: dict[str, np.ndarray] = {}
-        if isinstance(model, RandomForestClassifier):
-            trees = model._check_fitted()
-            classes = model.classes_
-            class_position = {int(c): i for i, c in enumerate(classes)}
-            meta = {
-                "kind": "forest",
-                "params": _jsonable_params(model.get_params()),
-                "classes": [int(c) for c in classes],
-                "n_features_in": int(model.n_features_in_),
-                "n_estimators": len(trees),
-            }
-            for index, tree in enumerate(trees):
-                for key, arr in _tree_arrays(
-                    tree.root_, classes, class_position
-                ).items():
-                    arrays[f"est{index}_{key}"] = arr
-                arrays[f"est{index}_subset"] = np.asarray(
-                    model.feature_subsets_[index], dtype=np.int64
-                )
-        elif isinstance(model, GradientBoostingClassifier):
-            trees = model._check_fitted()
-            meta = {
-                "kind": "gradient_boosting",
-                "params": _jsonable_params(model.get_params()),
-                "init_score": float(model.init_score_),
-                "n_features_in": int(model.n_features_in_),
-                "n_estimators": len(trees),
-            }
-            for index, tree in enumerate(trees):
-                for key, arr in _tree_arrays(tree.root_, None, None).items():
-                    arrays[f"est{index}_{key}"] = arr
-        else:
-            raise SerializationError(
-                f"the sklearn exporter cannot serialise {type(model).__name__!r}"
-            )
+        for index in range(engine.n_trees):
+            for key, arr in _tree_arrays(tables, bounds[index], bounds[index + 1]).items():
+                arrays[f"est{index}_{key}"] = arr
+            if subsets is not None:
+                arrays[f"est{index}_subset"] = subsets[index]
         arrays["meta_json"] = np.frombuffer(
             json.dumps(meta, sort_keys=True, allow_nan=False).encode("utf-8"),
             dtype=np.uint8,
         )
         # Crash-safe: assembled in a temp sibling, renamed atomically.
         with atomic_write(path, "wb") as fh:
-            np.savez(fh, **arrays)
+            _savez(fh, arrays)
 
     def load(self, path, mmap_mode: str | None = None):
         # npz archives are zip containers; mmap_mode is advisory only.
-        from ...ensemble.boosting import GradientBoostingClassifier
-        from ...trees.regression import RegressionTree
-        from ...trees.tree import DecisionTreeClassifier
-        from ..serialize import _forest_from_params
-
         path = Path(path)
         try:
             with np.load(path, allow_pickle=False) as archive:
@@ -175,72 +182,25 @@ class SklearnExporter(Exporter):
             ) from exc
         try:
             meta = json.loads(bytes(arrays["meta_json"]).decode("utf-8"))
-            kind = meta["kind"]
             n_estimators = int(meta["n_estimators"])
             estimators = [
-                {
-                    key: arrays[f"est{index}_{key}"]
-                    for key in (
-                        "children_left",
-                        "children_right",
-                        "feature",
-                        "threshold",
-                        "value",
-                    )
-                }
+                {key: arrays[f"est{index}_{key}"] for key in _TREE_KEYS}
                 for index in range(n_estimators)
             ]
-            if kind == "forest":
+            classes = None
+            if meta["kind"] == "forest":
                 classes = np.asarray(meta["classes"], dtype=np.int64)
-                forest = _forest_from_params(meta["params"])
-                forest.classes_ = classes
-                forest.n_features_in_ = int(meta["n_features_in"])
-                forest.feature_subsets_ = [
-                    np.asarray(arrays[f"est{index}_subset"], dtype=np.int64)
-                    for index in range(n_estimators)
+                meta["feature_subsets"] = [
+                    arrays[f"est{index}_subset"] for index in range(n_estimators)
                 ]
-                trees = []
-                for index, est in enumerate(estimators):
-                    tree = DecisionTreeClassifier(
-                        feature_subset=forest.feature_subsets_[index]
-                    )
-                    tree.root_ = _node_from_arrays(est, classes)
-                    tree.classes_ = classes
-                    tree.n_features_in_ = forest.n_features_in_
-                    trees.append(tree)
-                forest.trees_ = trees
-                return forest
-            if kind == "gradient_boosting":
-                model = GradientBoostingClassifier(**meta["params"])
-                model.init_score_ = float(meta["init_score"])
-                model.n_features_in_ = int(meta["n_features_in"])
-                trees = []
-                for est in estimators:
-                    tree = RegressionTree(
-                        max_depth=model.max_depth,
-                        min_samples_leaf=model.min_samples_leaf,
-                    )
-                    tree.root_ = _node_from_arrays(est, None)
-                    tree.n_features_in_ = model.n_features_in_
-                    trees.append(tree)
-                model.trees_ = trees
-                return model
-            raise SerializationError(f"unknown artefact kind {kind!r} in {path}")
+            tables = _tables_from_arrays(estimators, classes)
         except SerializationError:
             raise
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError, json.JSONDecodeError) as exc:
             raise SerializationError(
                 f"malformed sklearn-interop archive {path}: {exc}"
             ) from exc
-
-
-def _jsonable_params(params: dict) -> dict:
-    params = dict(params)
-    if isinstance(
-        params.get("random_state"), (np.random.Generator, np.random.SeedSequence)
-    ):
-        params["random_state"] = None
-    return params
+        return model_from_tables(CompiledEnsemble.from_tables(tables), meta)
 
 
 register(SklearnExporter())

@@ -1,9 +1,21 @@
-"""JSON serialisation of trees, forests and watermark secrets.
+"""The model ↔ node-table codec, and JSON serialisation of models and secrets.
 
 Ownership disputes stretch over time: the owner must be able to persist
 the watermarked model and — separately and more carefully — the secret
 ``(signature, trigger set)``, then reload both bit-for-bit for the
-verification protocol.  JSON keeps the artefacts inspectable by a court.
+verification protocol.
+
+Every model format stores the same thing: the model's compiled node
+table plus a little metadata.  :func:`model_to_tables` and
+:func:`model_from_tables` are that one codec; the binary, JSON and
+sklearn exporters differ only in the container around it.  A restored
+forest or boosted ensemble serves from its validated table and rebuilds
+its object trees only when something inspects them.
+
+JSON keeps the artefacts inspectable by a court: a model dict carries
+its metadata and, under ``tables``, the :func:`compiled_to_dict` node
+table.  Model dicts of earlier releases held nested node dicts under
+``trees`` instead; they still load, through the same restore.
 """
 
 from __future__ import annotations
@@ -17,17 +29,17 @@ from ..core.protocol import WatermarkSecret
 from .atomic import atomic_write
 from ..core.signature import Signature
 from ..ensemble.boosting import GradientBoostingClassifier
-from ..ensemble.compiled import CompiledEnsemble
+from ..ensemble.compiled import CompiledEnsemble, compile_forest, compile_trees
 from ..ensemble.forest import RandomForestClassifier
-from ..exceptions import SerializationError
+from ..exceptions import SerializationError, ValidationError
+from ..trees.compiled import adopt_compiled
 from ..trees.node import InternalNode, Leaf, TreeNode
-from ..trees.regression import RegressionTree, _RegLeaf, _RegNode
-from ..trees.tree import DecisionTreeClassifier
+from ..trees.regression import _RegLeaf, _RegNode
 
 __all__ = [
-    "node_to_dict",
+    "model_to_tables",
+    "model_from_tables",
     "node_from_dict",
-    "regression_node_to_dict",
     "regression_node_from_dict",
     "forest_to_dict",
     "forest_from_dict",
@@ -50,6 +62,12 @@ FORMAT_VERSION = 1
 #: split-search engines that grew identical trees.
 _RETIRED_FOREST_PARAMS = frozenset({"splitter"})
 
+#: Metadata keys of each model kind, besides ``kind`` itself.
+_METADATA_KEYS = {
+    "forest": ("params", "n_features_in", "feature_subsets"),
+    "gradient_boosting": ("params", "init_score", "n_features_in"),
+}
+
 
 def _forest_from_params(params: dict) -> RandomForestClassifier:
     """An unfitted forest built from persisted constructor params.
@@ -62,111 +80,131 @@ def _forest_from_params(params: dict) -> RandomForestClassifier:
     )
 
 
-def node_to_dict(node: TreeNode) -> dict:
-    """Serialise a tree node (and its subtree) to nested dicts.
+def _json_safe_params(params: dict) -> dict:
+    """A copy of constructor ``params`` that strict JSON can carry.
 
-    The traversal is iterative — child dicts are allocated empty and
-    filled from an explicit stack — so chain-shaped trees thousands of
-    levels deep serialise without touching Python's recursion limit.
-    Key insertion order matches the original recursive implementation,
-    keeping ``json.dumps`` output byte-identical to pre-existing
-    artefacts.
+    A shared ``Generator`` or ``SeedSequence`` ``random_state`` is not
+    JSON-serialisable and not needed for replay; it becomes ``None``.
     """
-    root: dict = {}
-    stack = [(node, root)]
-    while stack:
-        current, out = stack.pop()
-        if current.is_leaf:
-            out["kind"] = "leaf"
-            out["prediction"] = int(current.prediction)  # type: ignore[union-attr]
-            out["class_weights"] = {
-                str(k): float(v)
-                for k, v in current.class_weights.items()  # type: ignore[union-attr]
-            }
-        else:
-            out["kind"] = "node"
-            out["feature"] = int(current.feature)
-            out["threshold"] = float(current.threshold)
-            out["left"] = {}
-            out["right"] = {}
-            stack.append((current.right, out["right"]))
-            stack.append((current.left, out["left"]))
-    return root
+    params = dict(params)
+    if isinstance(
+        params.get("random_state"), (np.random.Generator, np.random.SeedSequence)
+    ):
+        params["random_state"] = None
+    return params
 
 
-def node_from_dict(data: dict) -> TreeNode:
-    """Inverse of :func:`node_to_dict` (iterative, deep-tree safe)."""
+# ----------------------------------------------------------------------
+# The model <-> node-table codec
+# ----------------------------------------------------------------------
 
-    def build_shallow(item: dict) -> TreeNode:
-        kind = item["kind"]
-        if kind == "leaf":
-            return Leaf(
-                prediction=int(item["prediction"]),
-                class_weights={
-                    int(k): float(v)
-                    for k, v in item.get("class_weights", {}).items()
-                },
+
+def model_to_tables(model) -> tuple[CompiledEnsemble, dict]:
+    """Split a fitted forest or boosted ensemble into ``(engine, metadata)``.
+
+    ``engine`` is the model's compiled node table.  A forest's carries
+    the ``leaf_weight`` section that rebuilds each leaf's
+    ``class_weights`` exactly; engines compiled for inference alone lack
+    it, so exporting may recompile once.  A restored forest already has
+    it, and its export touches no object tree.
+
+    ``metadata`` holds ``kind``, ``params`` (JSON-safe) and
+    ``n_features_in``, plus ``feature_subsets`` (int64 arrays, one per
+    tree) for a forest or ``init_score`` for a boosted ensemble.
+    """
+    if isinstance(model, RandomForestClassifier):
+        if model._trees_ is None and model._lazy_key_ is None:
+            raise SerializationError("cannot serialise an unfitted forest")
+        engine = model.compile()
+        if engine.leaf_weight is None:
+            engine = adopt_compiled(
+                model, model._roots_key(), compile_forest(model, collect_leaf_weight=True)
             )
-        if kind == "node":
-            # Children are attached by the driver loop below; the
-            # placeholders keep the dataclass happy meanwhile.
-            item["left"], item["right"]  # noqa: B018 - raise KeyError early
-            return InternalNode(
-                feature=int(item["feature"]),
-                threshold=float(item["threshold"]),
-                left=None,  # type: ignore[arg-type]
-                right=None,  # type: ignore[arg-type]
-            )
-        raise SerializationError(f"unknown node kind {item.get('kind')!r}")
+        return engine, {
+            "kind": "forest",
+            "params": _json_safe_params(model.get_params()),
+            "n_features_in": int(model.n_features_in_),
+            "feature_subsets": [
+                np.asarray(subset, dtype=np.int64) for subset in model.feature_subsets_
+            ],
+        }
+    if isinstance(model, GradientBoostingClassifier):
+        if model._trees_ is None and model._lazy_key_ is None:
+            raise SerializationError("cannot serialise an unfitted ensemble")
+        return model.compile(), {
+            "kind": "gradient_boosting",
+            "params": _json_safe_params(model.get_params()),
+            "init_score": float(model.init_score_),
+            "n_features_in": int(model.n_features_in_),
+        }
+    raise SerializationError(
+        f"cannot serialise {type(model).__name__!r}: it is not a forest or "
+        "a boosted ensemble"
+    )
 
+
+def model_from_tables(
+    engine: CompiledEnsemble, metadata: dict, mmap_source: tuple | None = None
+):
+    """Inverse of :func:`model_to_tables`: a model serving from ``engine``.
+
+    ``engine`` must come from :meth:`CompiledEnsemble.from_tables`, the
+    gatekeeper for outside tables.  The model adopts it lazily: its
+    object trees are rebuilt, and probe-checked against the engine, on
+    first ``trees_`` access.  ``mmap_source`` is the
+    ``(path, format, mmap_mode)`` triple a memory-mapped model pickles
+    as.  Metadata that disagrees with the table raises
+    :class:`~repro.exceptions.SerializationError`.
+    """
+    kind = metadata.get("kind")
     try:
-        root = build_shallow(data)
-        stack = [(data, root)]
-        while stack:
-            item, node = stack.pop()
-            if node.is_leaf:
-                continue
-            node.left = build_shallow(item["left"])
-            node.right = build_shallow(item["right"])
-            stack.append((item["right"], node.right))
-            stack.append((item["left"], node.left))
-        return root
+        if kind == "forest":
+            if engine.classes is None:
+                raise SerializationError("a forest node table needs a classes section")
+            subsets = [
+                np.asarray(subset, dtype=np.int64) for subset in metadata["feature_subsets"]
+            ]
+            if len(subsets) != engine.n_trees:
+                raise SerializationError(
+                    f"{len(subsets)} feature subsets disagree with the "
+                    f"{engine.n_trees}-tree node table"
+                )
+            model = _forest_from_params(metadata["params"])
+            model.classes_ = engine.classes
+            model.feature_subsets_ = subsets
+        elif kind == "gradient_boosting":
+            model = GradientBoostingClassifier(**metadata["params"])
+            model.init_score_ = float(metadata["init_score"])
+        else:
+            raise SerializationError(f"unknown artefact kind {kind!r}")
+        model.n_features_in_ = int(metadata["n_features_in"])
     except SerializationError:
         raise
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise SerializationError(f"malformed tree node data: {exc}") from exc
+    except (KeyError, TypeError, ValueError, ValidationError) as exc:
+        raise SerializationError(f"malformed {kind} metadata: {exc}") from exc
+    model._adopt_lazy(engine, mmap_source=mmap_source)
+    return model
 
 
-def regression_node_to_dict(node) -> dict:
-    """Serialise a regression-tree node (iterative, deep-tree safe)."""
-    root: dict = {}
-    stack = [(node, root)]
-    while stack:
-        current, out = stack.pop()
-        if current.is_leaf:
-            out["kind"] = "leaf"
-            out["value"] = float(current.value)
-        else:
-            out["kind"] = "node"
-            out["feature"] = int(current.feature)
-            out["threshold"] = float(current.threshold)
-            out["left"] = {}
-            out["right"] = {}
-            stack.append((current.right, out["right"]))
-            stack.append((current.left, out["left"]))
-    return root
+# ----------------------------------------------------------------------
+# JSON
+# ----------------------------------------------------------------------
 
 
-def regression_node_from_dict(data: dict):
-    """Inverse of :func:`regression_node_to_dict`."""
+def _tree_from_dicts(data: dict, make_leaf, make_internal):
+    """An object tree from an earlier release's nested node dicts.
+
+    Iterative, so trees far deeper than the recursion limit load.
+    Internal nodes are built childless; the loop attaches children.
+    """
 
     def build_shallow(item: dict):
         kind = item["kind"]
         if kind == "leaf":
-            return _RegLeaf(value=float(item["value"]))
+            return make_leaf(item)
         if kind == "node":
             item["left"], item["right"]  # noqa: B018 - raise KeyError early
-            return _RegNode(
+            return make_internal(
                 feature=int(item["feature"]),
                 threshold=float(item["threshold"]),
                 left=None,
@@ -189,7 +227,25 @@ def regression_node_from_dict(data: dict):
     except SerializationError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise SerializationError(f"malformed regression node data: {exc}") from exc
+        raise SerializationError(f"malformed tree node data: {exc}") from exc
+
+
+def node_from_dict(data: dict) -> TreeNode:
+    """A classification tree from an earlier release's node dicts."""
+
+    def make_leaf(item: dict) -> Leaf:
+        weights = item.get("class_weights", {})
+        return Leaf(
+            prediction=int(item["prediction"]),
+            class_weights={int(k): float(v) for k, v in weights.items()},
+        )
+
+    return _tree_from_dicts(data, make_leaf, InternalNode)
+
+
+def regression_node_from_dict(data: dict):
+    """A regression tree from an earlier release's node dicts."""
+    return _tree_from_dicts(data, lambda item: _RegLeaf(value=float(item["value"])), _RegNode)
 
 
 def compiled_to_dict(engine: CompiledEnsemble) -> dict:
@@ -217,9 +273,8 @@ def compiled_to_dict(engine: CompiledEnsemble) -> dict:
         "classes": None if engine.classes is None else [int(c) for c in engine.classes],
         "leaf_proba": None if engine.leaf_proba is None else engine.leaf_proba.tolist(),
     }
-    # Only engines compiled for export carry leaf weights; the key is
-    # omitted otherwise so default artefacts stay byte-identical to the
-    # pre-exporter format.
+    # Boosted and inference-only engines carry no leaf weights; the key
+    # is omitted for them.
     if engine.leaf_weight is not None:
         data["leaf_weight"] = engine.leaf_weight.tolist()
     return data
@@ -269,149 +324,100 @@ def compiled_from_dict(data: dict) -> CompiledEnsemble:
         raise SerializationError(f"malformed compiled ensemble data: {exc}") from exc
 
 
-def _check_adopted_engine(
-    forest: RandomForestClassifier, engine: CompiledEnsemble
-) -> None:
-    """Guard against a stale or tampered serialized compiled table.
-
-    The ``trees`` section is the human-auditable source of truth; an
-    engine that disagrees with it must never be installed (verification
-    in an ownership dispute runs through the engine).  Structural checks
-    are exact; behavioural agreement is spot-checked on a fixed probe
-    batch, which catches stale/corrupted tables with high probability
-    without re-flattening the whole forest.
-    """
-    from ..trees.node import predict_batch
-
-    if engine.n_trees != len(forest.trees_):
-        raise SerializationError(
-            f"compiled table has {engine.n_trees} trees but the forest "
-            f"has {len(forest.trees_)}"
-        )
-    if engine.classes is None or not np.array_equal(engine.classes, forest.classes_):
-        raise SerializationError(
-            "compiled table classes disagree with the forest classes"
-        )
-    probe = np.random.default_rng(0).standard_normal((8, forest.n_features_in_))
-    expected = np.stack([predict_batch(tree.root_, probe) for tree in forest.trees_])
-    if not np.array_equal(engine.predict_all(probe), expected):
-        raise SerializationError(
-            "compiled node table disagrees with the serialized trees on a "
-            "probe batch; refusing to adopt it"
-        )
+def _model_to_dict(model) -> dict:
+    engine, metadata = model_to_tables(model)
+    if "feature_subsets" in metadata:
+        metadata["feature_subsets"] = [s.tolist() for s in metadata["feature_subsets"]]
+    return {"format_version": FORMAT_VERSION, **metadata, "tables": compiled_to_dict(engine)}
 
 
-def forest_to_dict(
-    forest: RandomForestClassifier, include_compiled: bool = False
-) -> dict:
-    """Serialise a fitted forest (params + trees + feature subspaces).
-
-    With ``include_compiled=True`` the compiled node table rides along
-    (compiling first if needed), so a deployment can reload the forest
-    ready to serve without paying the flattening cost again.
-    """
-    if forest.trees_ is None:
-        raise SerializationError("cannot serialise an unfitted forest")
-    params = forest.get_params()
-    # A shared Generator or SeedSequence is not JSON-serialisable and
-    # not needed for replay.
-    if isinstance(
-        params.get("random_state"), (np.random.Generator, np.random.SeedSequence)
-    ):
-        params["random_state"] = None
-    data = {
-        "format_version": FORMAT_VERSION,
-        "params": params,
-        "classes": [int(c) for c in forest.classes_],
-        "n_features_in": int(forest.n_features_in_),
-        "feature_subsets": [subset.tolist() for subset in forest.feature_subsets_],
-        "trees": [node_to_dict(tree.root_) for tree in forest.trees_],
-    }
-    if include_compiled:
-        data["compiled"] = compiled_to_dict(forest.compile())
-    return data
-
-
-def forest_from_dict(data: dict) -> RandomForestClassifier:
-    """Inverse of :func:`forest_to_dict` — returns a ready-to-predict forest."""
-    try:
-        if data["format_version"] != FORMAT_VERSION:
-            raise SerializationError(
-                f"unsupported format version {data['format_version']}"
-            )
-        forest = _forest_from_params(data["params"])
-        forest.classes_ = np.array(data["classes"], dtype=np.int64)
-        forest.n_features_in_ = int(data["n_features_in"])
-        forest.feature_subsets_ = [
-            np.array(subset, dtype=np.int64) for subset in data["feature_subsets"]
-        ]
-        trees = []
-        for tree_data, subset in zip(data["trees"], forest.feature_subsets_):
-            tree = DecisionTreeClassifier(feature_subset=subset)
-            tree.root_ = node_from_dict(tree_data)
-            tree.classes_ = forest.classes_
-            tree.n_features_in_ = forest.n_features_in_
-            trees.append(tree)
-        forest.trees_ = trees
-        if data.get("compiled") is not None:
-            engine = compiled_from_dict(data["compiled"])
-            _check_adopted_engine(forest, engine)
-            forest._adopt_compiled(engine)
-        return forest
-    except SerializationError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SerializationError(f"malformed forest data: {exc}") from exc
+def forest_to_dict(forest: RandomForestClassifier) -> dict:
+    """Serialise a fitted forest: metadata plus its node table under ``tables``."""
+    return _model_to_dict(forest)
 
 
 def boosted_to_dict(model: GradientBoostingClassifier) -> dict:
-    """Serialise a fitted gradient-boosted ensemble.
+    """Serialise a fitted gradient-boosted ensemble, laid out like a forest.
 
     The ``kind`` discriminator lets format-agnostic loaders dispatch
     between artefact families without guessing from key shapes.
     """
-    if model.trees_ is None:
-        raise SerializationError("cannot serialise an unfitted ensemble")
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "gradient_boosting",
-        "params": model.get_params(),
-        "init_score": float(model.init_score_),
-        "n_features_in": int(model.n_features_in_),
-        "trees": [regression_node_to_dict(tree.root_) for tree in model.trees_],
-    }
+    return _model_to_dict(model)
 
 
-def boosted_from_dict(data: dict) -> GradientBoostingClassifier:
-    """Inverse of :func:`boosted_to_dict` — ready-to-predict ensemble."""
+def _same_section(ours, theirs) -> bool:
+    if ours is None or theirs is None:
+        return ours is theirs
+    ours, theirs = np.asarray(ours), np.asarray(theirs)
+    return ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+
+
+def _node_dict_engine(data: dict, kind: str) -> CompiledEnsemble:
+    """The validated node table of an earlier release's node-dict artefact.
+
+    Such an artefact may carry a ``compiled`` table beside its trees.
+    It must equal, section by section, the table compiled from the
+    trees; its optional ``leaf_proba``/``leaf_weight`` sections may be
+    absent.
+    """
+    if kind == "forest":
+        engine = compile_trees(
+            [node_from_dict(tree) for tree in data["trees"]],
+            classes=np.array(data["classes"], dtype=np.int64),
+            collect_leaf_weight=True,
+        )
+    else:
+        engine = compile_trees(
+            [regression_node_from_dict(tree) for tree in data["trees"]],
+            value_dtype=np.float64,
+        )
+    engine = CompiledEnsemble.from_tables(engine.to_tables())
+    if data.get("compiled") is not None:
+        stored = compiled_from_dict(data["compiled"]).to_tables()
+        for key, ours in engine.to_tables().items():
+            theirs = stored[key]
+            if theirs is None and key in ("leaf_proba", "leaf_weight"):
+                continue
+            if not _same_section(ours, theirs):
+                raise SerializationError(
+                    f"compiled table disagrees with the serialized trees in "
+                    f"section {key!r}; refusing to adopt it"
+                )
+    return engine
+
+
+def _model_from_dict(data: dict, kind: str):
     try:
         if data["format_version"] != FORMAT_VERSION:
             raise SerializationError(
                 f"unsupported format version {data['format_version']}"
             )
-        kind = data.get("kind", "gradient_boosting")
-        if kind != "gradient_boosting":
-            raise SerializationError(
-                f"expected a gradient_boosting artefact, got kind {kind!r}"
-            )
-        model = GradientBoostingClassifier(**data["params"])
-        model.init_score_ = float(data["init_score"])
-        model.n_features_in_ = int(data["n_features_in"])
-        trees = []
-        for tree_data in data["trees"]:
-            tree = RegressionTree(
-                max_depth=model.max_depth,
-                min_samples_leaf=model.min_samples_leaf,
-            )
-            tree.root_ = regression_node_from_dict(tree_data)
-            tree.n_features_in_ = model.n_features_in_
-            trees.append(tree)
-        model.trees_ = trees
-        return model
+        found = data.get("kind", kind)
+        if found != kind:
+            raise SerializationError(f"expected a {kind} artefact, got kind {found!r}")
+        if "tables" in data:
+            engine = compiled_from_dict(data["tables"])
+        else:
+            engine = _node_dict_engine(data, kind)
+        metadata = {key: data[key] for key in _METADATA_KEYS[kind]}
     except SerializationError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SerializationError(f"malformed boosted ensemble data: {exc}") from exc
+    except (KeyError, TypeError, ValueError, ValidationError) as exc:
+        raise SerializationError(f"malformed {kind} data: {exc}") from exc
+    return model_from_tables(engine, {"kind": kind, **metadata})
+
+
+def forest_from_dict(data: dict) -> RandomForestClassifier:
+    """Inverse of :func:`forest_to_dict` — a forest serving from its table.
+
+    Also reads the node-dict forests of earlier releases.
+    """
+    return _model_from_dict(data, "forest")
+
+
+def boosted_from_dict(data: dict) -> GradientBoostingClassifier:
+    """Inverse of :func:`boosted_to_dict`; also reads node-dict artefacts."""
+    return _model_from_dict(data, "gradient_boosting")
 
 
 def _report_to_dict(report) -> dict:
@@ -452,7 +458,7 @@ def _report_from_dict(data: dict):
     )
 
 
-def watermarked_to_dict(model, include_compiled: bool = False) -> dict:
+def watermarked_to_dict(model) -> dict:
     """Serialise a :class:`~repro.core.embedding.WatermarkedModel`.
 
     The artefact contains the owner's secret (signature + trigger set)
@@ -462,7 +468,7 @@ def watermarked_to_dict(model, include_compiled: bool = False) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "kind": "watermarked",
-        "ensemble": forest_to_dict(model.ensemble, include_compiled=include_compiled),
+        "ensemble": forest_to_dict(model.ensemble),
         "signature": model.signature.to_string(),
         "trigger": {
             "indices": model.trigger.indices.tolist(),

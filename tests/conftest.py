@@ -30,10 +30,12 @@ BASE_PARAMS = {"max_depth": 8, "min_samples_leaf": 1}
 
 # The reference implementations kept with the tests — the box-DPLL
 # solver (``tests/solver/box_dpll_oracle.py``), the paper's literal
-# embedding loop (``tests/core/full_retrain_oracle.py``) and the
+# embedding loop (``tests/core/full_retrain_oracle.py``), the
 # object-graph ``predict_proba`` walk (``tests/trees/object_graph_oracle.py``)
-# — are imported by module name from every test directory.
-for _oracle_dir in ("solver", "core", "trees"):
+# and the node-dict writers of earlier releases
+# (``tests/persistence/legacy_node_dicts.py``) — are imported by module
+# name from every test directory.
+for _oracle_dir in ("solver", "core", "trees", "persistence"):
     sys.path.insert(0, str(Path(__file__).resolve().parent / _oracle_dir))
 
 

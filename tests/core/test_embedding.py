@@ -5,11 +5,11 @@ import contextlib
 import numpy as np
 import pytest
 from full_retrain_oracle import literal_loop, train_with_trigger_full
+from legacy_node_dicts import node_to_dict
 
 from repro.api import EmbeddingSchedule, TrainerConfig, TriggerPolicy, Watermarker
 from repro.core import Signature, random_signature, train_with_trigger, verify_ownership
 from repro.exceptions import ConvergenceError, ValidationError
-from repro.persistence import node_to_dict
 
 BASE_PARAMS = {"max_depth": 8, "min_samples_leaf": 1}
 ESCALATING = EmbeddingSchedule(escalation_factor=2.0)

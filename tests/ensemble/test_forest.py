@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
+from legacy_node_dicts import node_to_dict
 
 from repro.ensemble import RandomForestClassifier, compile_forest
 from repro.exceptions import NotFittedError, ValidationError
-from repro.persistence import node_to_dict
 from repro.trees import DecisionTreeClassifier, growth, splitter
 
 

@@ -255,7 +255,9 @@ def _multiclass():
 
 
 def _cli_watermark():
-    """The model file written by ``repro watermark`` with a fixed seed."""
+    """The model file written by ``repro watermark`` with a fixed seed:
+    the trees it restores, compiled for inference (the restored table
+    itself also carries the leaf class masses)."""
     with tempfile.TemporaryDirectory() as out_dir:
         cli_main([
             "watermark", "--dataset", "breast-cancer", "--samples", "240",
@@ -263,7 +265,7 @@ def _cli_watermark():
             "--seed", "1101", "--out-dir", out_dir,
         ])
         forest = load(Path(out_dir) / "model.json")
-    return table_digest(forest.compile().to_tables())
+    return table_digest(compile_forest(forest).to_tables())
 
 
 def _full_retrain_bc():

@@ -5,9 +5,10 @@ import pickle
 
 import numpy as np
 import pytest
+from legacy_node_dicts import legacy_boosted_dict, legacy_forest_dict, node_to_dict
 
 from repro.core import WatermarkedModel
-from repro.ensemble import GradientBoostingClassifier
+from repro.ensemble import GradientBoostingClassifier, compile_boosted, compile_forest
 from repro.exceptions import SerializationError
 from repro.persistence import (
     available_formats,
@@ -80,9 +81,9 @@ class TestForestRoundtrip:
         save(bc_forest, path)
         restored = load(path, mmap_mode=mmap_mode)
         # Materialising the lazy forest rebuilds the exact object graph.
-        assert json.dumps(forest_to_dict(restored), sort_keys=True) == json.dumps(
-            forest_to_dict(bc_forest), sort_keys=True
-        )
+        assert [node_to_dict(tree.root_) for tree in restored.trees_] == [
+            node_to_dict(tree.root_) for tree in bc_forest.trees_
+        ]
 
     def test_binary_load_is_lazy(self, bc_forest, bc_data, tmp_path):
         _, X_test, _, _ = bc_data
@@ -113,7 +114,7 @@ class TestForestRoundtrip:
     def test_pre_exporter_artifact_loads(self, bc_forest, bc_data, tmp_path):
         _, X_test, _, _ = bc_data
         path = tmp_path / "legacy.json"
-        save_json(forest_to_dict(bc_forest), path)
+        save_json(legacy_forest_dict(bc_forest), path)
         restored = load(path)
         assert np.array_equal(
             restored.predict_all(X_test), bc_forest.predict_all(X_test)
@@ -128,6 +129,68 @@ class TestForestRoundtrip:
         assert np.array_equal(
             load(p2).predict_all(X_test), bc_forest.predict_all(X_test)
         )
+
+
+FORMATS = [("binary", "rfbin"), ("json", "json"), ("sklearn", "npz")]
+
+
+class TestOneRestorePath:
+    """Every format stores the node table and restores through it."""
+
+    @pytest.fixture(params=["forest", "boosted"])
+    def model(self, request, bc_forest, gb_model):
+        return bc_forest if request.param == "forest" else gb_model
+
+    @pytest.mark.parametrize("fmt,ext", FORMATS)
+    def test_loaded_model_serves_from_its_table(self, model, bc_data, tmp_path, fmt, ext):
+        _, X_test, _, _ = bc_data
+        path = tmp_path / f"model.{ext}"
+        save(model, path, format=fmt)
+        restored = load(path)
+        assert restored._trees_ is None
+        np.testing.assert_array_equal(restored.predict(X_test), model.predict(X_test))
+        assert restored._trees_ is None
+
+    @pytest.mark.parametrize("fmt,ext", FORMATS)
+    def test_resave_is_byte_identical(self, model, tmp_path, fmt, ext):
+        first, second = tmp_path / f"a.{ext}", tmp_path / f"b.{ext}"
+        save(model, first, format=fmt)
+        restored = load(first)
+        save(restored, second, format=fmt)
+        assert first.read_bytes() == second.read_bytes()
+        # Re-exporting reads the table; no object tree was rebuilt.
+        assert restored._trees_ is None
+
+    @pytest.mark.parametrize("fmt,ext", FORMATS)
+    def test_materialised_trees_recompile_to_the_table(self, model, tmp_path, fmt, ext):
+        path = tmp_path / f"model.{ext}"
+        save(model, path, format=fmt)
+        restored = load(path)
+        loaded = restored.compile().to_tables()
+        assert restored.trees_ is not None
+        if isinstance(restored, GradientBoostingClassifier):
+            recompiled = compile_boosted(restored).to_tables()
+        else:
+            recompiled = compile_forest(restored, collect_leaf_weight=True).to_tables()
+        for key, value in recompiled.items():
+            np.testing.assert_array_equal(np.asarray(loaded[key]), np.asarray(value), key)
+
+    def test_legacy_boosted_dict_loads_lazily(self, gb_model, bc_data, tmp_path):
+        _, X_test, _, _ = bc_data
+        path = tmp_path / "legacy.json"
+        save_json(legacy_boosted_dict(gb_model), path)
+        restored = load(path)
+        assert restored._trees_ is None
+        np.testing.assert_array_equal(
+            restored.decision_function(X_test), gb_model.decision_function(X_test)
+        )
+
+    def test_json_layout_is_metadata_plus_tables(self, bc_forest):
+        data = forest_to_dict(bc_forest)
+        assert set(data) == {
+            "format_version", "kind", "params", "n_features_in", "feature_subsets", "tables"
+        }
+        assert data["kind"] == "forest" and "trees" not in data
 
 
 class TestBoostedRoundtrip:

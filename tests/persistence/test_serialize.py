@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from legacy_node_dicts import legacy_forest_dict, node_to_dict
 
 from repro.core import WatermarkSecret
 from repro.exceptions import SerializationError
@@ -10,7 +11,6 @@ from repro.persistence import (
     forest_to_dict,
     load_json,
     node_from_dict,
-    node_to_dict,
     save_json,
     secret_from_dict,
     secret_to_dict,
@@ -88,19 +88,25 @@ class TestCompiledRoundtrip:
     def test_forest_dict_carries_compiled_table(self, bc_forest, bc_data, tmp_path):
         _, X_test, _, _ = bc_data
         path = tmp_path / "forest.json"
-        save_json(forest_to_dict(bc_forest, include_compiled=True), path)
+        save_json(forest_to_dict(bc_forest), path)
         restored = forest_from_dict(load_json(path))
-        # The engine was adopted as-is: predictions match without recompiling.
+        # The table was adopted as-is: predictions match without
+        # recompiling and without rebuilding the object trees.
         engine = restored._compiled_
         assert engine is not None
         assert np.array_equal(restored.predict_all(X_test), bc_forest.predict_all(X_test))
         assert restored._compiled_ is engine
+        assert restored._trees_ is None
 
-    def test_forest_dict_without_compiled_still_loads(self, bc_forest):
-        data = forest_to_dict(bc_forest)
+    def test_forest_dict_without_compiled_still_loads(self, bc_forest, bc_data):
+        """A node-dict forest of an earlier release, with no compiled
+        table beside its trees, loads and rebuilds the same trees."""
+        _, X_test, _, _ = bc_data
+        data = legacy_forest_dict(bc_forest)
         assert "compiled" not in data
         restored = forest_from_dict(data)
-        assert restored._compiled_ is None
+        assert np.array_equal(restored.predict_all(X_test), bc_forest.predict_all(X_test))
+        assert [node_to_dict(tree.root_) for tree in restored.trees_] == data["trees"]
 
     def test_malformed_compiled_rejected(self, bc_forest):
         from repro.persistence import compiled_from_dict, compiled_to_dict
@@ -163,8 +169,8 @@ class TestCompiledRoundtrip:
         """``leaf_proba`` is an optional section: a forest whose adopted
         table lacks it still answers ``predict_proba``, tree by tree."""
         _, X_test, _, _ = bc_data
-        data = forest_to_dict(bc_forest, include_compiled=True)
-        data["compiled"]["leaf_proba"] = None
+        data = forest_to_dict(bc_forest)
+        data["tables"]["leaf_proba"] = None
         restored = forest_from_dict(data)
         assert restored._compiled_.leaf_proba is None
         np.testing.assert_array_equal(
@@ -177,13 +183,40 @@ class TestCompiledRoundtrip:
     def test_tampered_compiled_table_not_adopted(self, bc_forest):
         """A compiled table disagreeing with the trees must be refused:
         verification would otherwise serve the tampered predictions."""
-        data = forest_to_dict(bc_forest, include_compiled=True)
+        data = legacy_forest_dict(bc_forest, include_compiled=True)
         # Flip every leaf label in the compiled table only.
         data["compiled"]["leaf_value"] = [
             -v for v in data["compiled"]["leaf_value"]
         ]
         with pytest.raises(SerializationError, match="disagrees with the serialized trees"):
             forest_from_dict(data)
+
+    @pytest.mark.parametrize("section", ["threshold", "leaf_proba", "classes"])
+    def test_compiled_section_must_equal_the_trees(self, bc_forest, section):
+        """The check is exact, section by section: a change no probe row
+        would route through is refused too."""
+        data = legacy_forest_dict(bc_forest, include_compiled=True)
+        compiled = data["compiled"]
+        if section == "threshold":
+            internal = next(i for i, t in enumerate(compiled["threshold"]) if t is not None)
+            compiled["threshold"][internal] = np.nextafter(compiled["threshold"][internal], 9.0)
+        elif section == "leaf_proba":
+            leaf = compiled["feature"].index(-1)
+            compiled["leaf_proba"][leaf] = compiled["leaf_proba"][leaf][::-1]
+        else:
+            compiled["classes"] = compiled["classes"][::-1]
+        with pytest.raises(SerializationError, match=f"section '{section}'"):
+            forest_from_dict(data)
+
+    def test_compiled_section_without_optional_sections_loads(self, bc_forest, bc_data):
+        _, X_test, _, _ = bc_data
+        data = legacy_forest_dict(bc_forest, include_compiled=True)
+        data["compiled"]["leaf_proba"] = None
+        data["compiled"].pop("leaf_weight", None)
+        restored = forest_from_dict(data)
+        np.testing.assert_array_equal(
+            restored.predict_proba(X_test), bc_forest.predict_proba(X_test)
+        )
 
     def test_bad_version_rejected(self, bc_forest):
         data = forest_to_dict(bc_forest)
@@ -286,10 +319,9 @@ class TestDeepTrees:
         assert depth == self.DEPTH
 
     def test_depth_5000_regression_tree(self):
-        from repro.persistence.serialize import (
-            regression_node_from_dict,
-            regression_node_to_dict,
-        )
+        from legacy_node_dicts import regression_node_to_dict
+
+        from repro.persistence.serialize import regression_node_from_dict
         from repro.trees.regression import _RegLeaf, _RegNode
 
         node = _RegLeaf(value=0.5)

@@ -15,16 +15,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from legacy_node_dicts import node_to_dict, regression_node_to_dict
 from node_local_oracle import node_local_growth
 
 from repro.ensemble import RandomForestClassifier
 from repro.exceptions import ValidationError
 from repro.persistence import forest_to_dict
-from repro.persistence.serialize import (
-    _forest_from_params,
-    node_to_dict,
-    regression_node_to_dict,
-)
+from repro.persistence.serialize import _forest_from_params
 from repro.trees import (
     DecisionTreeClassifier,
     RegressionTree,
