@@ -5,7 +5,8 @@ to SHA-256 digests of its arrays (dtype, shape and raw bytes).  The
 pinned digests in ``hashes.json`` are the whole-model evidence that a
 refactor left training, inference and forgery unchanged: the same trees
 from ``TrainWithTrigger``, the same per-tree answers, the same forged
-sets, the same minimal-distortion searches and solver witnesses, and
+sets, the same forgery CNF skeletons (variable and clause numbering),
+the same minimal-distortion searches and solver witnesses, and
 the same models from every embedding caller (experiment driver,
 multi-class driver, ``repro watermark``) and from the paper's literal
 full-retrain loop, and the same edited trees and reports from every
@@ -60,7 +61,12 @@ from repro.experiments.scenarios import build_attack_target
 from repro.hardness import Clause, Formula3CNF, Literal, forgery_problem_from_formula
 from repro.model_selection import train_test_split
 from repro.persistence import available_formats, get_exporter, load, save
-from repro.solver import minimal_forgery_distortion, required_labels, solve_pattern_smt
+from repro.solver import (
+    compile_pattern_encoding,
+    minimal_forgery_distortion,
+    required_labels,
+    solve_pattern_smt,
+)
 from repro.trees import DecisionTreeClassifier
 
 HERE = Path(__file__).resolve().parent
@@ -157,6 +163,25 @@ def _minimal_distortion(row: int, fake_seed: int):
     )
     epsilon = None if result.epsilon is None else np.array([result.epsilon])
     return digest(epsilon, result.instance, np.array([result.solver_calls]))
+
+
+def _skeleton(dispute, fake_seed: int, label: int):
+    """The forgery CNF skeleton of one label pattern: variable count,
+    clauses and atom table, whose numbering fixes every solver search."""
+    model, X_test, _y_test = dispute()
+    fake = random_signature(16, 0.5, random_state=fake_seed)
+    encoding = compile_pattern_encoding(
+        model.ensemble.compile(), required_labels(fake, label), X_test.shape[1]
+    )
+    clauses = encoding.cnf.clauses
+    return digest(
+        np.array([encoding.cnf.n_vars], dtype=np.int64),
+        np.array([len(clause) for clause in clauses], dtype=np.int64),
+        np.array([literal for clause in clauses for literal in clause], dtype=np.int64),
+        encoding.atom_features,
+        encoding.atom_thresholds,
+        encoding.atom_variables,
+    )
 
 
 def _hardness_paper_example():
@@ -344,6 +369,9 @@ FIXTURES = {
     "min_distortion_ijcnn1_row5": lambda: _minimal_distortion(5, 902),
     "min_distortion_ijcnn1_row11": lambda: _minimal_distortion(11, 903),
     "hardness_paper_example_smt": _hardness_paper_example,
+    "skeleton_ijcnn1_label+1": lambda: _skeleton(ijcnn1_dispute, 401, +1),
+    "skeleton_ijcnn1_label-1": lambda: _skeleton(ijcnn1_dispute, 401, -1),
+    "skeleton_mnist26_label+1": lambda: _skeleton(mnist26_dispute, 301, +1),
     "detection_small_breast_cancer_tables": _detection_small_bc,
     "multiclass_3class_tables": _multiclass,
     "cli_watermark_model_tables": _cli_watermark,
