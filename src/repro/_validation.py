@@ -82,12 +82,13 @@ def check_sample_weight(sample_weight, n_samples: int) -> np.ndarray:
     return arr
 
 
-def check_count(value, name: str) -> None:
-    """Validate a count ``>= 1``: an integer, and never a ``bool``."""
+def check_count(value, name: str, minimum: int = 1) -> None:
+    """Validate a count ``>= minimum``: an integer (numpy integers
+    included), and never a ``bool``, a float or a NaN."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValidationError(f"{name} must be >= 1, got {value}")
+    if value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
 
 
 def check_random_state(seed) -> np.random.Generator:

@@ -13,24 +13,27 @@ The paper decides each query with Z3; here the one engine is
 by the library's CDCL solver).  Three speedups apply on top of the
 paper's loop, none of which changes what is computed:
 
-- **Encoding reuse**: the leaf boxes, threshold atoms and clause
-  skeleton are compiled once per forest and required-label pattern
-  (:class:`repro.solver.CompiledPatternEncoding`) from the forest's
-  compiled node table (``forest.compile()``; a lazily loaded ``.rfbin``
-  forest keeps its object trees unbuilt) and re-solved per instance, on
-  one persistent solver, with only the ``L∞`` box supplied as
-  assumptions.  The encoding does not depend on ``ε``, so it is kept
-  across calls: an ε sweep (or several fake signatures) on one forest
-  compiles each pattern once.  The cache is keyed weakly by the forest,
+- **Encoding reuse**: the leaf boxes are compiled once per forest and
+  required-label pattern (:class:`repro.solver.CompiledPatternEncoding`)
+  from the forest's compiled node table (``forest.compile()``; a lazily
+  loaded ``.rfbin`` forest keeps its object trees unbuilt); the
+  threshold atoms, clause skeleton and persistent solver follow on the
+  first attempt the prescreen below leaves open.  Each attempt is
+  re-solved on that one solver, with only the ``L∞`` box supplied as
+  assumptions.  A call resolves each label's encoding once.  The
+  encoding does not depend on ``ε``, so it is kept across calls: an ε
+  sweep (or several fake signatures) on one forest compiles each
+  pattern once.  The cache is keyed weakly by the forest,
   pinned to the identity of its node table (``fit`` and ``refit_trees``
   replace the roots, so the table and the encodings are rebuilt) and
   bounded per forest (see ``repro.solver.compiled_encoding``).
 - **Refutation by bound propagation**: before the solver runs, the
   ``L∞`` box is clipped to each tree's hull of the required-label leaf
   boxes it meets, round after round; an attempt is ``unsat`` once some
-  tree keeps no box, so most UNSAT attempts never build or run the
-  solver.  Survivors are solved against the original box, so witnesses
-  are unchanged.
+  tree keeps no box, so most UNSAT attempts never run the solver, and
+  a pattern none of whose attempts survive never builds its skeleton
+  or solver.  Survivors are solved against the original box, so
+  witnesses are unchanged.
 - **Parallel fan-out** (``n_jobs``): instance attempts are dispatched
   in deterministic contiguous chunks over a process pool.  Every
   per-instance solve is a pure function of the forest, the signature
@@ -51,7 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .._validation import check_random_state, check_X_y
+from .._validation import check_count, check_random_state, check_X_y
 from ..core.signature import Signature
 from ..exceptions import ValidationError
 from ..parallel import (
@@ -133,22 +136,25 @@ def _forest_encodings(forest, engine, n_features: int):
                 _CACHES[forest] = cache
 
 
-def _solve_instance(
-    cache: EncodingCache,
-    signature: Signature,
-    label: int,
-    center: np.ndarray,
-    epsilon: float,
-    budget: int | None,
-):
-    """Solve one forgery instance — a pure function of its arguments.
+class _LabelEncodings(dict):
+    """Each test label's encoding, resolved from the cache on first use.
 
-    A reset solver is bit-for-bit a fresh one, so the outcome depends
-    only on the cached encoding and the instance bounds, which is what
-    the serial == parallel determinism contract rests on.
+    A call needs at most two patterns, fewer than the cache keeps, so
+    resolving each once per call evicts nothing a per-attempt lookup
+    would keep.  A solve is a pure function of the encoding and the
+    instance bounds (a reset solver is bit-for-bit a fresh one), which
+    is what the serial == parallel determinism contract rests on.
     """
-    encoding = cache.for_required(required_labels(signature, label))
-    return encoding.solve(center=center, epsilon=epsilon, budget=budget)
+
+    def __init__(self, cache: EncodingCache, signature: Signature) -> None:
+        super().__init__()
+        self.cache = cache
+        self.signature = signature
+
+    def __missing__(self, label: int):
+        encoding = self.cache.for_required(required_labels(self.signature, label))
+        self[label] = encoding
+        return encoding
 
 
 def _forge_batch(
@@ -176,10 +182,11 @@ def _forge_batch(
                 "encoding cache — fork detection went wrong"
             )
         cache = EncodingCache(engine, n_features)
+    encodings = _LabelEncodings(cache, signature)
     out: list[tuple[str, np.ndarray | None]] = []
     for label, center in zip(labels, centers):
-        outcome = _solve_instance(
-            cache, signature, int(label), center, epsilon, budget
+        outcome = encodings[int(label)].solve(
+            center=center, epsilon=epsilon, budget=budget
         )
         out.append((outcome.status, outcome.instance))
     return out
@@ -212,13 +219,15 @@ def forge_trigger_set(
         ``L∞`` distortion budget relative to each test instance.
     target_size:
         Stop once this many instances were forged (the paper compares
-        against the original trigger-set size).  ``None`` = no target.
+        against the original trigger-set size), an integer ``>= 0``.
+        ``None`` = no target.
     max_instances:
-        Cap on test instances attempted (``None`` = all of them).
+        Cap on test instances attempted, an integer ``>= 0`` (``None``
+        = all of them).
     solver_budget:
-        Per-instance conflict budget, ``>= 0``; exhausted attempts count
-        as ``"unknown"``.  ``None`` means 200,000 conflicts, not an
-        unlimited search.
+        Per-instance conflict budget, an integer ``>= 0``; exhausted
+        attempts count as ``"unknown"``.  ``None`` means 200,000
+        conflicts, not an unlimited search.
     n_jobs:
         Worker processes for the instance sweep (``None``/``1`` serial,
         ``-1`` all cores).  Results are identical across settings.
@@ -236,8 +245,8 @@ def forge_trigger_set(
         ("max_instances", max_instances),
         ("solver_budget", solver_budget),
     ):
-        if value is not None and value < 0:
-            raise ValidationError(f"{name} must be >= 0 or None, got {value}")
+        if value is not None:
+            check_count(value, name, minimum=0)
     if len(fake_signature) != forest.n_trees_:
         raise ValidationError(
             f"fake signature has {len(fake_signature)} bits but the forest has "
@@ -277,13 +286,13 @@ def forge_trigger_set(
         return True
 
     with _forest_encodings(forest, engine, n_features) as cache:
+        encodings = _LabelEncodings(cache, fake_signature)
         if n_workers == 1:
             for row in order:
                 if target_size is not None and len(forged) >= target_size:
                     break
-                outcome = _solve_instance(
-                    cache, fake_signature, int(y_test[row]), X_test[row],
-                    float(epsilon), solver_budget,
+                outcome = encodings[int(y_test[row])].solve(
+                    center=X_test[row], epsilon=float(epsilon), budget=solver_budget
                 )
                 consume(int(row), outcome.status, outcome.instance)
         else:
@@ -295,16 +304,19 @@ def forge_trigger_set(
             payload_engine = engine
             if fork_available():
                 # Workers inherit the compiled encodings copy-on-write —
-                # leaf-box table, prescreen and hulls — so don't also
-                # pickle the node table into every payload.  No solver is
-                # built here: a worker builds one on the first attempt
-                # the prescreen leaves open, which on tall narrow data is
-                # none (a solver left dirty by an earlier call resets
-                # before its first solve).  On spawn-only platforms
-                # compiling here would be wasted work — workers there
-                # build their own cache per batch.
+                # leaf-box table, prescreen, hulls and clause skeleton —
+                # so don't also pickle the node table into every
+                # payload.  The skeleton is built here because every
+                # wave forks a new pool, whose workers would otherwise
+                # each rebuild it.  No solver is built here: a worker
+                # builds one on the first attempt the prescreen leaves
+                # open, which on tall narrow data is none (a solver left
+                # dirty by an earlier call resets before its first
+                # solve).  On spawn-only platforms compiling here would
+                # be wasted work — workers there build their own cache
+                # per batch.
                 for label in np.unique(y_test[order]):
-                    cache.for_required(required_labels(fake_signature, int(label)))
+                    encodings[int(label)].build_skeleton()
                 shared_cache = cache
                 payload_engine = None
             wave_size = (

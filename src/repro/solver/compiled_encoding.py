@@ -23,36 +23,41 @@ changes — the forest, the fake signature and hence the required
 per-tree labels stay fixed.  :class:`CompiledPatternEncoding` is built
 once per ``(forest, required-label pattern)`` from the forest's
 compiled node table (:class:`~repro.ensemble.compiled.CompiledEnsemble`)
-and precomputes:
+and precomputes every candidate leaf's box, read from the table's
+``feature``/``threshold``/``left``/``right``/``roots`` arrays in
+level-synchronous array passes and flattened into one constraint
+table, grouped once more per ``(feature, tree)``.  The table drives a
+vectorised **prescreen** by bound propagation: a point realising the
+pattern lies in one box per tree that meets the bounds, so each round
+clips the bounds to every tree's hull of such boxes and screens again.
+An instance is refuted — without touching the solver — once some tree
+keeps no box or some ``lo_f > hi_f``; otherwise the rounds stop when
+the bounds stop moving (hull bounds, as in Chen et al., "Robustness
+Verification of Tree-based Models", NeurIPS 2019).
 
-- every candidate leaf's box, read from the table's
-  ``feature``/``threshold``/``left``/``right``/``roots`` arrays in
-  level-synchronous array passes and flattened into one constraint
-  table, grouped once more per ``(feature, tree)``.  The table drives
-  a vectorised **prescreen** by bound propagation: a point realising
-  the pattern lies in one box per tree that meets the bounds, so each
-  round clips the bounds to every tree's hull of such boxes and
-  screens again.  An instance is refuted — without touching the
-  solver — once some tree keeps no box or some ``lo_f > hi_f``;
-  otherwise the rounds stop when the bounds stop moving (hull bounds,
-  as in Chen et al., "Robustness Verification of Tree-based Models",
-  NeurIPS 2019);
+The rest is built lazily, by :meth:`~CompiledPatternEncoding.warm` on
+the first attempt the prescreen leaves open, and then kept:
+
 - the threshold **atom table** as flat feature/threshold/variable
   arrays, so the atoms decided by an instance's bounds fall out of two
   vectorised comparisons;
 - the **clause skeleton**: items 1, 2 and 4 above — everything except
-  the bound assumptions, which are exactly the instance-specific part.
+  the bound assumptions, which are exactly the instance-specific part;
+- the persistent solver over that skeleton.
 
-A SAT witness is replayed through the same table before it is returned.
+An encoding whose every attempt is refuted — on tall narrow data,
+nearly every encoding — thus never numbers a variable.  The skeleton is
+built by one loop over the screen's boxes, so its numbering does not
+depend on when it is built.  A SAT witness is replayed through the node
+table before it is returned.
 
 Per instance the engine computes the feature bounds and runs the
 prescreen; a survivor's bounds (not the tightened ones, so witnesses
 do not depend on the prescreen) become *assumptions* (see
 :meth:`repro.solver.sat.SATSolver.solve`) for the persistent solver,
-built on the first survivor and re-solved after a
-:meth:`~repro.solver.sat.SATSolver.reset` — no clause re-encoding, no
-re-allocation.  :func:`solve_pattern_smt`
-is the one-shot form for a single :class:`PatternProblem`.
+re-solved after a :meth:`~repro.solver.sat.SATSolver.reset` — no clause
+re-encoding, no re-allocation.  :func:`solve_pattern_smt` is the
+one-shot form for a single :class:`PatternProblem`.
 
 **Determinism contract.**  A reset solver is bit-for-bit equivalent to
 a freshly constructed one (learned clauses and heuristic state are
@@ -68,8 +73,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .._validation import check_count
 from ..ensemble.compiled import CompiledEnsemble
-from ..exceptions import SolverError, ValidationError
+from ..exceptions import SolverError
 from .cnf import CNF
 from .problem import (
     PatternOutcome,
@@ -89,9 +95,11 @@ __all__ = [
 ]
 
 #: Patterns one :class:`EncodingCache` keeps.  The forgery experiment
-#: sweeps ε outside three fake signatures, six patterns per forest.  A
-#: warmed encoding of a 64-tree forest with 1,000-1,400 leaves holds
-#: 2.2-3.0 MB (tracemalloc), so a full cache of one stays under 25 MB.
+#: sweeps ε outside three fake signatures, six patterns per forest.  On
+#: a 64-tree forest with about 1,300 leaves (tracemalloc) an unwarmed
+#: encoding — the screen and its hulls — holds 0.17 MB; a warmed one
+#: adds the skeleton (0.8-0.9 MB) and the solver (1.6 MB), 2.6 MB in
+#: all, so a full cache of one stays under 25 MB.
 _MAX_PATTERNS = 8
 
 
@@ -348,137 +356,20 @@ def decode_atom_intervals(
 
 
 @dataclass
-class CompiledPatternEncoding:
-    """The instance-independent part of a forgery query, precompiled.
+class _Skeleton:
+    """The clause skeleton of a pattern and its threshold atom table."""
 
-    Use :func:`compile_pattern_encoding` to build one; then call
-    :meth:`solve` once per test instance with only the box constraints.
-    """
-
-    engine: CompiledEnsemble
-    required: list[int]
-    n_features: int
-    domain: tuple[float, float] | None
     cnf: CNF
     atom_vars: dict[tuple[int, float], int]
     # Atom table sorted by (feature, threshold); slices index per feature.
     atom_features: np.ndarray
     atom_thresholds: np.ndarray
     atom_variables: np.ndarray
-    screen: _FlatScreen
-    always_unsat: bool
-    _solver: SATSolver | None = field(default=None, repr=False)
-    _solver_dirty: bool = field(default=False, repr=False)
-
-    # -- per-instance pieces --------------------------------------------
-
-    def feature_bounds(
-        self, center: np.ndarray | None, epsilon: float | None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return compute_feature_bounds(self.n_features, center, epsilon, self.domain)
-
-    def bound_assumptions(self, lo: np.ndarray, hi: np.ndarray) -> list[int]:
-        """Atoms decided by the bounds, as assumption literals.
-
-        An atom ``x_f <= v`` is forced true when ``v >= hi_f`` and false
-        when ``v < lo_f``; atoms with ``v`` inside ``[lo_f, hi_f)`` stay
-        free.
-        """
-        forced_false = self.atom_thresholds < lo[self.atom_features]
-        forced_true = self.atom_thresholds >= hi[self.atom_features]
-        return np.concatenate(
-            [-self.atom_variables[forced_false], self.atom_variables[forced_true]]
-        ).tolist()
-
-    def warm(self) -> "CompiledPatternEncoding":
-        """Build the persistent solver (encode clauses, set watches).
-
-        :meth:`solve` calls this on the first attempt the prescreen
-        leaves open, so an encoding whose every attempt is refuted never
-        builds a solver.  Call it directly only to pay that cost up
-        front.
-        """
-        if self._solver is None:
-            self._solver = SATSolver(self.cnf)
-            self._solver_dirty = False
-        return self
-
-    def solve(
-        self,
-        center: np.ndarray | None = None,
-        epsilon: float | None = None,
-        budget: int | None = None,
-    ) -> PatternOutcome:
-        """Decide one instance: bound propagation, then CDCL re-solving.
-
-        ``center`` and ``epsilon`` give the ``L∞`` ball (both or
-        neither).  An instance the prescreen's bound propagation
-        refutes is ``unsat`` with stats ``{"trivial": True}`` whatever
-        the budget; the solver is neither built nor run for it.  For
-        the rest, ``budget`` caps the solver's conflicts, ``>= 0``;
-        ``None`` means unlimited.  An exhausted budget returns
-        ``status="unknown"``.
-        """
-        center = check_pattern_inputs(
-            self.engine, self.required, self.n_features, center, epsilon, self.domain
-        )
-        if budget is not None and budget < 0:
-            raise ValidationError(f"budget must be >= 0 or None, got {budget}")
-        lo, hi = self.feature_bounds(center, epsilon)
-        if self.always_unsat or self.screen.propagate(lo, hi) is None:
-            return PatternOutcome(status="unsat", stats={"trivial": True})
-
-        solver = self.warm()._solver
-        assert solver is not None
-        if self._solver_dirty:
-            solver.reset()
-        self._solver_dirty = True
-        solver.max_conflicts = budget
-
-        result = solver.solve(self.bound_assumptions(lo, hi))
-        stats = {
-            "conflicts": result.conflicts,
-            "decisions": result.decisions,
-            "propagations": result.propagations,
-            "n_vars": self.cnf.n_vars,
-            "n_clauses": len(self.cnf),
-        }
-        if result.status != "sat":
-            return PatternOutcome(status=result.status, stats=stats)
-
-        assign = np.fromiter(solver.assign, np.int8, self.cnf.n_vars)
-        truth = assign[self.atom_variables - 1] == 1
-        instance = decode_atom_intervals(
-            self.atom_features, self.atom_thresholds, truth,
-            lo, hi, self.n_features, center,
-        )
-        if not pattern_holds(
-            self.engine, self.required, instance, center, epsilon, self.domain
-        ):
-            raise SolverError(
-                "decoded instance does not realise the required pattern — "
-                "compiled encoding bug"
-            )
-        return PatternOutcome(status="sat", instance=instance, stats=stats)
 
 
-def compile_pattern_encoding(
-    engine: CompiledEnsemble,
-    required: list[int],
-    n_features: int,
-    domain: tuple[float, float] | None = (0.0, 1.0),
-) -> CompiledPatternEncoding:
-    """Build the instance-independent encoding of a signature pattern.
-
-    ``engine`` is the forest's node table (``forest.compile()``, or
-    :func:`~repro.ensemble.compiled.compile_trees` of a root list).
-    Variables are numbered in a fixed order (trees in ensemble order,
-    leaf boxes depth-first, left first), which is what keeps compiled
-    and fresh solves bit-for-bit interchangeable.
-    """
-    check_pattern_inputs(engine, required, n_features, None, None, domain)
-    screen = _table_boxes(engine, required)
-
+def _encode_skeleton(screen: _FlatScreen) -> _Skeleton:
+    """Number the variables and clauses from the screen's boxes:
+    trees in ensemble order, leaf boxes depth-first, left first."""
     cnf = CNF()
     atom_vars: dict[tuple[int, float], int] = {}
 
@@ -518,21 +409,184 @@ def compile_pattern_encoding(
                 [-atom_vars[(feature, smaller)], atom_vars[(feature, larger)]]
             )
 
-    # Atom table sorted by (feature, threshold) with per-feature slices.
     items = sorted(atom_vars.items())
-    atom_features = np.array([key[0] for key, _ in items], dtype=np.int64)
-    atom_thresholds = np.array([key[1] for key, _ in items], dtype=np.float64)
-    atom_variables = np.array([var for _, var in items], dtype=np.int64)
+    return _Skeleton(
+        cnf,
+        atom_vars,
+        np.array([key[0] for key, _ in items], dtype=np.int64),
+        np.array([key[1] for key, _ in items], dtype=np.float64),
+        np.array([var for _, var in items], dtype=np.int64),
+    )
+
+
+@dataclass
+class CompiledPatternEncoding:
+    """The instance-independent part of a forgery query, precompiled.
+
+    Use :func:`compile_pattern_encoding` to build one; then call
+    :meth:`solve` once per test instance with only the box constraints.
+    The clause skeleton (:attr:`cnf` and the atom table) is built on
+    first use — by :meth:`warm` or by reading one of its attributes —
+    and then kept.
+    """
+
+    engine: CompiledEnsemble
+    required: list[int]
+    n_features: int
+    domain: tuple[float, float] | None
+    screen: _FlatScreen
+    always_unsat: bool
+    _skeleton: _Skeleton | None = field(default=None, repr=False)
+    _solver: SATSolver | None = field(default=None, repr=False)
+    _solver_dirty: bool = field(default=False, repr=False)
+
+    # -- the lazily built skeleton ----------------------------------------
+
+    def build_skeleton(self) -> _Skeleton:
+        """The clause skeleton and atom table, built on the first call
+        and then kept.  Builds no solver."""
+        if self._skeleton is None:
+            self._skeleton = _encode_skeleton(self.screen)
+        return self._skeleton
+
+    @property
+    def cnf(self) -> CNF:
+        return self.build_skeleton().cnf
+
+    @property
+    def atom_vars(self) -> dict[tuple[int, float], int]:
+        return self.build_skeleton().atom_vars
+
+    @property
+    def atom_features(self) -> np.ndarray:
+        return self.build_skeleton().atom_features
+
+    @property
+    def atom_thresholds(self) -> np.ndarray:
+        return self.build_skeleton().atom_thresholds
+
+    @property
+    def atom_variables(self) -> np.ndarray:
+        return self.build_skeleton().atom_variables
+
+    # -- per-instance pieces --------------------------------------------
+
+    def feature_bounds(
+        self, center: np.ndarray | None, epsilon: float | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        return compute_feature_bounds(self.n_features, center, epsilon, self.domain)
+
+    def bound_assumptions(self, lo: np.ndarray, hi: np.ndarray) -> list[int]:
+        """Atoms decided by the bounds, as assumption literals.
+
+        An atom ``x_f <= v`` is forced true when ``v >= hi_f`` and false
+        when ``v < lo_f``; atoms with ``v`` inside ``[lo_f, hi_f)`` stay
+        free.
+        """
+        forced_false = self.atom_thresholds < lo[self.atom_features]
+        forced_true = self.atom_thresholds >= hi[self.atom_features]
+        return np.concatenate(
+            [-self.atom_variables[forced_false], self.atom_variables[forced_true]]
+        ).tolist()
+
+    def warm(self) -> "CompiledPatternEncoding":
+        """Build the clause skeleton and the persistent solver (encode
+        clauses, set watches).
+
+        :meth:`solve` calls this on the first attempt the prescreen
+        leaves open, so an encoding whose every attempt is refuted
+        builds neither.  Call it directly only to pay that cost up
+        front.
+        """
+        if self._solver is None:
+            self._solver = SATSolver(self.cnf)
+            self._solver_dirty = False
+        return self
+
+    def solve(
+        self,
+        center: np.ndarray | None = None,
+        epsilon: float | None = None,
+        budget: int | None = None,
+    ) -> PatternOutcome:
+        """Decide one instance: bound propagation, then CDCL re-solving.
+
+        ``center`` and ``epsilon`` give the ``L∞`` ball (both or
+        neither).  An instance the prescreen's bound propagation
+        refutes is ``unsat`` with stats ``{"trivial": True}`` whatever
+        the budget; the solver is neither built nor run for it.  For
+        the rest, ``budget`` caps the solver's conflicts, an integer
+        ``>= 0``; ``None`` means unlimited.  An exhausted budget returns
+        ``status="unknown"``.
+        """
+        center = check_pattern_inputs(
+            self.engine, self.required, self.n_features, center, epsilon, self.domain
+        )
+        if budget is not None:
+            check_count(budget, "budget", minimum=0)
+        lo, hi = self.feature_bounds(center, epsilon)
+        if self.always_unsat or self.screen.propagate(lo, hi) is None:
+            return PatternOutcome(status="unsat", stats={"trivial": True})
+
+        solver = self.warm()._solver
+        assert solver is not None
+        if self._solver_dirty:
+            solver.reset()
+        self._solver_dirty = True
+        solver.max_conflicts = budget
+
+        skeleton = self.build_skeleton()
+        result = solver.solve(self.bound_assumptions(lo, hi))
+        stats = {
+            "conflicts": result.conflicts,
+            "decisions": result.decisions,
+            "propagations": result.propagations,
+            "n_vars": skeleton.cnf.n_vars,
+            "n_clauses": len(skeleton.cnf),
+        }
+        if result.status != "sat":
+            return PatternOutcome(status=result.status, stats=stats)
+
+        assign = np.fromiter(solver.assign, np.int8, skeleton.cnf.n_vars)
+        truth = assign[skeleton.atom_variables - 1] == 1
+        instance = decode_atom_intervals(
+            skeleton.atom_features, skeleton.atom_thresholds, truth,
+            lo, hi, self.n_features, center,
+        )
+        if not pattern_holds(
+            self.engine, self.required, instance, center, epsilon, self.domain
+        ):
+            raise SolverError(
+                "decoded instance does not realise the required pattern — "
+                "compiled encoding bug"
+            )
+        return PatternOutcome(status="sat", instance=instance, stats=stats)
+
+
+def compile_pattern_encoding(
+    engine: CompiledEnsemble,
+    required: list[int],
+    n_features: int,
+    domain: tuple[float, float] | None = (0.0, 1.0),
+) -> CompiledPatternEncoding:
+    """Build the instance-independent encoding of a signature pattern.
+
+    ``engine`` is the forest's node table (``forest.compile()``, or
+    :func:`~repro.ensemble.compiled.compile_trees` of a root list).
+    Only the leaf-box screen is built here; the clause skeleton waits
+    for the first attempt the screen leaves open
+    (:meth:`CompiledPatternEncoding.warm`).  Its variables are numbered
+    in a fixed order (trees in ensemble order, leaf boxes depth-first,
+    left first), which is what keeps compiled and fresh solves
+    bit-for-bit interchangeable.
+    """
+    check_pattern_inputs(engine, required, n_features, None, None, domain)
+    screen = _table_boxes(engine, required)
     return CompiledPatternEncoding(
         engine=engine,
         required=list(required),
         n_features=n_features,
         domain=domain,
-        cnf=cnf,
-        atom_vars=atom_vars,
-        atom_features=atom_features,
-        atom_thresholds=atom_thresholds,
-        atom_variables=atom_variables,
         screen=screen,
         always_unsat=bool((np.diff(screen.tree_offsets) == 0).any()),
     )

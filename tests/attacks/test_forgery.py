@@ -7,7 +7,28 @@ from box_dpll_oracle import solve_pattern_boxes
 from repro.attacks import forge_trigger_set, forgery_distortion
 from repro.core import random_signature
 from repro.exceptions import ValidationError
-from repro.solver import CompiledPatternEncoding, PatternProblem, required_labels
+from repro.solver import (
+    CompiledPatternEncoding,
+    PatternProblem,
+    compile_pattern_encoding,
+    required_labels,
+)
+
+#: Counts that are not integers: (call, keyword arguments).  Before,
+#: ``max_instances=2.5`` died with a bare ``TypeError``, ``True`` counted
+#: as 1, and a NaN budget meant an unbounded search.
+_NON_INTEGER_COUNTS = {
+    "max_instances-fraction": ("forge", {"max_instances": 2.5}),
+    "max_instances-bool": ("forge", {"max_instances": True}),
+    "target_size-fraction": ("forge", {"target_size": 2.5}),
+    "target_size-bool": ("forge", {"target_size": True}),
+    "solver_budget-bool": ("forge", {"solver_budget": True}),
+    "solver_budget-fraction": ("forge", {"solver_budget": 2.5}),
+    "solver_budget-nan": ("forge", {"solver_budget": float("nan")}),
+    "solve-budget-bool": ("solve", {"budget": True}),
+    "solve-budget-fraction": ("solve", {"budget": 2.5}),
+    "solve-budget-nan": ("solve", {"budget": float("nan")}),
+}
 
 
 class TestForgeTriggerSet:
@@ -118,6 +139,34 @@ class TestForgeTriggerSet:
             forge_trigger_set(
                 wm_model.ensemble, fake, X_test, y_test, epsilon=0.5, **kwargs
             )
+
+    @pytest.mark.parametrize(
+        "call, kwargs", _NON_INTEGER_COUNTS.values(), ids=_NON_INTEGER_COUNTS.keys()
+    )
+    def test_non_integer_counts_rejected(self, wm_model, bc_data, call, kwargs):
+        _, X_test, _, y_test = bc_data
+        fake = random_signature(len(wm_model.signature), random_state=62)
+        with pytest.raises(ValidationError, match=next(iter(kwargs))):
+            if call == "forge":
+                forge_trigger_set(
+                    wm_model.ensemble, fake, X_test, y_test, epsilon=0.5, **kwargs
+                )
+            else:
+                compile_pattern_encoding(
+                    wm_model.ensemble.compile(),
+                    required_labels(fake, +1),
+                    X_test.shape[1],
+                ).solve(center=X_test[0], epsilon=0.5, **kwargs)
+
+    def test_numpy_integer_counts_accepted(self, wm_model, bc_data):
+        _, X_test, _, y_test = bc_data
+        fake = random_signature(len(wm_model.signature), random_state=62)
+        result = forge_trigger_set(
+            wm_model.ensemble, fake, X_test, y_test, epsilon=0.5,
+            target_size=np.int32(50), max_instances=np.int64(3),
+            solver_budget=np.int64(1000),
+        )
+        assert result.n_attempted == 3
 
     def test_none_budget_is_two_hundred_thousand_conflicts(
         self, wm_model, bc_data, monkeypatch

@@ -296,30 +296,88 @@ class TestEncodingReuseAcrossCalls:
         assert results == expected
 
 
-def test_forked_sweep_builds_no_solver_in_the_parent(monkeypatch):
-    """Before forking, the parent compiles encodings but builds no SAT
-    solver: workers build their own on the first attempt the prescreen
-    leaves open.  On tall narrow (ijcnn1-like) data it refutes nearly
-    every attempt, so a solver built up front would mostly serve nobody."""
+@pytest.fixture(scope="module")
+def tall_narrow():
+    """A forest on tall narrow (ijcnn1-like) data.  Its prescreen refutes
+    every one of the first 40 attempts at ε = 0.05, and leaves attempts
+    of both labels open at ε = 0.5."""
     data = ijcnn1_like(400, random_state=91)
     forest = RandomForestClassifier(
         n_estimators=16, max_depth=8, tree_feature_fraction=0.35, random_state=92
     ).fit(data.X[:300], data.y[:300])
-    fake = random_signature(16, random_state=93)
-    built: list = []
+    return forest, random_signature(16, random_state=93), data.X[300:], data.y[300:]
+
+
+def _count_builds(monkeypatch) -> dict:
+    """Count the clause skeletons and SAT solvers this process builds."""
+    built = {"skeleton": 0, "solver": 0}
+    encode = compiled_encoding._encode_skeleton
+
+    def counting_encode(screen):
+        built["skeleton"] += 1
+        return encode(screen)
 
     class CountingSolver(compiled_encoding.SATSolver):
         def __init__(self, *args, **kwargs):
-            built.append(1)
+            built["solver"] += 1
             super().__init__(*args, **kwargs)
 
+    monkeypatch.setattr(compiled_encoding, "_encode_skeleton", counting_encode)
     monkeypatch.setattr(compiled_encoding, "SATSolver", CountingSolver)
-    X_test, y_test = data.X[300:], data.y[300:]
+    return built
+
+
+class TestLazySkeleton:
+    """The clause skeleton waits for the first attempt the prescreen
+    leaves open, and the lazily built one gives the same results."""
+
+    def test_refuted_sweep_builds_no_skeleton_and_no_solver(
+        self, tall_narrow, monkeypatch
+    ):
+        forest, fake, X_test, y_test = tall_narrow
+        built = _count_builds(monkeypatch)
+        result = forge_trigger_set(
+            copy.deepcopy(forest), fake, X_test, y_test, epsilon=0.05,
+            max_instances=40, random_state=94,
+        )
+        assert result.statuses == {"sat": 0, "unsat": 40, "unknown": 0}
+        assert built == {"skeleton": 0, "solver": 0}
+
+    def test_first_survivor_builds_skeleton_once_per_pattern(
+        self, tall_narrow, monkeypatch
+    ):
+        forest, fake, X_test, y_test = tall_narrow
+        forest = copy.deepcopy(forest)
+        built = _count_builds(monkeypatch)
+        results = {}
+        for epsilon in (0.05, 0.5, 0.3):
+            results[epsilon] = forge_trigger_set(
+                forest, fake, X_test, y_test, epsilon=epsilon,
+                max_instances=40, random_state=94,
+            )
+            if epsilon == 0.05:
+                assert built == {"skeleton": 0, "solver": 0}
+        assert built == {"skeleton": 2, "solver": 2}
+        for epsilon, result in results.items():
+            assert _fingerprint(result) == _fresh_replay(
+                forest, fake, X_test, y_test, epsilon, 40, 94
+            )
+
+
+def test_forked_sweep_builds_no_solver_in_the_parent(tall_narrow, monkeypatch):
+    """Before forking, the parent compiles encodings and builds their
+    skeletons, but no SAT solver: workers build their own on the first
+    attempt the prescreen leaves open.  On tall narrow (ijcnn1-like)
+    data it refutes nearly every attempt, so a solver built up front
+    would mostly serve nobody.  Each wave forks a new pool, so a
+    skeleton built in a worker would be rebuilt every wave."""
+    forest, fake, X_test, y_test = tall_narrow
+    built = _count_builds(monkeypatch)
     forked = forge_trigger_set(
         copy.deepcopy(forest), fake, X_test, y_test, epsilon=0.1,
         max_instances=40, random_state=94, n_jobs=2,
     )
-    assert built == []
+    assert built == {"skeleton": 2, "solver": 0}
     serial = forge_trigger_set(
         copy.deepcopy(forest), fake, X_test, y_test, epsilon=0.1,
         max_instances=40, random_state=94,

@@ -13,9 +13,11 @@ from repro.core import random_signature
 from repro.ensemble import compile_trees
 from repro.exceptions import ValidationError
 from repro.solver import (
+    CompiledPatternEncoding,
     EncodingCache,
     PatternProblem,
     compile_pattern_encoding,
+    compiled_encoding,
     minimal_forgery_distortion,
     required_labels,
     solve_pattern_smt,
@@ -515,3 +517,50 @@ class TestEncodingCache:
         encoding.warm()
         assert encoding._solver is solver  # idempotent
         assert encoding.solve(center=np.array([0.8]), epsilon=0.3).is_sat
+
+
+class TestLazySkeleton:
+    def test_skeleton_waits_for_the_first_survivor(self):
+        encoding = compile_pattern_encoding(compile_trees([_stump()]), [+1], 1)
+        assert encoding._skeleton is None
+        refuted = encoding.solve(center=np.array([0.2]), epsilon=0.1)
+        assert refuted.stats == {"trivial": True}
+        assert encoding._skeleton is None and encoding._solver is None
+        assert encoding.solve(center=np.array([0.8]), epsilon=0.3).is_sat
+        skeleton = encoding._skeleton
+        assert skeleton is not None and encoding.cnf is skeleton.cnf
+        assert encoding.solve(center=np.array([0.7]), epsilon=0.3).is_sat
+        assert encoding._skeleton is skeleton  # kept
+
+    def test_reading_an_attribute_builds_the_skeleton_without_a_solver(self):
+        encoding = compile_pattern_encoding(compile_trees([_stump()]), [+1], 1)
+        assert encoding.atom_vars == {(0, 0.5): 2}
+        assert encoding.cnf.n_vars == 2 and encoding._solver is None
+
+    def test_skeleton_is_built_inside_warm_wrapped_by_name(self, monkeypatch):
+        """A profiler that wraps ``CompiledPatternEncoding.warm`` by
+        name counts the skeleton build as the warm-up's own time."""
+        depth = []
+        inside_warm = []
+        warm = CompiledPatternEncoding.warm
+        encode = compiled_encoding._encode_skeleton
+
+        def wrapped_warm(self):
+            depth.append(1)
+            try:
+                return warm(self)
+            finally:
+                depth.pop()
+
+        def recording_encode(screen):
+            inside_warm.append(bool(depth))
+            return encode(screen)
+
+        monkeypatch.setattr(CompiledPatternEncoding, "warm", wrapped_warm)
+        monkeypatch.setattr(compiled_encoding, "_encode_skeleton", recording_encode)
+        encoding = compile_pattern_encoding(compile_trees([_stump()]), [+1], 1)
+        assert encoding.solve(center=np.array([0.2]), epsilon=0.1).status == "unsat"
+        assert inside_warm == []
+        assert encoding.solve(center=np.array([0.8]), epsilon=0.3).is_sat
+        assert encoding.solve(center=np.array([0.7]), epsilon=0.3).is_sat
+        assert inside_warm == [True]
