@@ -6,7 +6,8 @@ pinned digests in ``hashes.json`` are the whole-model evidence that a
 refactor left training, inference and forgery unchanged: the same trees
 from ``TrainWithTrigger``, the same per-tree answers, the same forged
 sets, the same forgery CNF skeletons (variable and clause numbering),
-the same minimal-distortion searches and solver witnesses, and
+the same SAT searches (per-solve counters and assignments), the same
+minimal-distortion searches and solver witnesses, and
 the same models from every embedding caller (experiment driver,
 multi-class driver, ``repro watermark``) and from the paper's literal
 full-retrain loop, and the same edited trees and reports from every
@@ -30,6 +31,7 @@ frozen: never regenerate them.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import functools
 import hashlib
@@ -62,6 +64,8 @@ from repro.hardness import Clause, Formula3CNF, Literal, forgery_problem_from_fo
 from repro.model_selection import train_test_split
 from repro.persistence import available_formats, get_exporter, load, save
 from repro.solver import (
+    CNF,
+    SATSolver,
     compile_pattern_encoding,
     minimal_forgery_distortion,
     required_labels,
@@ -182,6 +186,65 @@ def _skeleton(dispute, fake_seed: int, label: int):
         encoding.atom_thresholds,
         encoding.atom_variables,
     )
+
+
+@contextlib.contextmanager
+def _recorded_solves():
+    """Collect the result of every ``SATSolver.solve`` call in the block."""
+    results = []
+    solve = SATSolver.solve
+
+    def recording(self, assumptions=None):
+        results.append(solve(self, assumptions))
+        return results[-1]
+
+    SATSolver.solve = recording
+    try:
+        yield results
+    finally:
+        SATSolver.solve = solve
+
+
+def _sat_digest(results, *extra) -> str:
+    """Digest of SAT results: status, the four counters and the
+    assignment of each, in call order, then ``extra`` arrays."""
+    arrays = []
+    for result in results:
+        arrays += [
+            np.frombuffer(result.status.encode(), dtype=np.uint8),
+            np.array([result.conflicts, result.decisions, result.propagations,
+                      result.restarts], dtype=np.int64),
+            None if result._assignment is None else np.array(result._assignment, np.int8),
+        ]
+    return digest(*arrays, *extra)
+
+
+def _sat_trace_forged():
+    """Every solver search of the ε = 0.3 serial forgery, decision for
+    decision: any change to the VSIDS order, propagation or learning
+    moves a counter or an assignment."""
+    with _recorded_solves() as results:
+        _forged(0.3, None)
+    assert results, "the forgery reached no solver"
+    return _sat_digest(results)
+
+
+def _sat_trace_php6_rescale():
+    """PHP(7, 6) solved from ``var_inc = 1e98``, so the search crosses
+    the 1e100 activity rescale; the final activities are pinned too."""
+    holes, cnf = 6, CNF()
+    var = {(p, h): cnf.new_var() for p in range(holes + 1) for h in range(holes)}
+    for p in range(holes + 1):
+        cnf.add_clause([var[p, h] for h in range(holes)])
+    for h in range(holes):
+        for p1 in range(holes + 1):
+            for p2 in range(p1 + 1, holes + 1):
+                cnf.add_clause([-var[p1, h], -var[p2, h]])
+    solver = SATSolver(cnf)
+    solver.var_inc = 1e98
+    result = solver.solve()
+    assert solver.var_inc < 1e98, "the search never rescaled"
+    return _sat_digest([result], np.array(solver.activity))
 
 
 def _hardness_paper_example():
@@ -365,6 +428,8 @@ FIXTURES = {
     "forged_eps0.3_serial": lambda: _forged(0.3, None),
     "forged_eps0.1_jobs2": lambda: _forged(0.1, 2),
     "forged_eps0.3_jobs2": lambda: _forged(0.3, 2),
+    "sat_trace_mnist26_eps0.3": _sat_trace_forged,
+    "sat_trace_php6_rescale": _sat_trace_php6_rescale,
     "min_distortion_ijcnn1_row0": lambda: _minimal_distortion(0, 901),
     "min_distortion_ijcnn1_row5": lambda: _minimal_distortion(5, 902),
     "min_distortion_ijcnn1_row11": lambda: _minimal_distortion(11, 903),
