@@ -5,7 +5,9 @@ plays in the paper.  It implements the standard modern architecture:
 
 - two-watched-literal unit propagation,
 - first-UIP conflict analysis with clause learning,
-- VSIDS-style variable activities (lazy binary heap) with phase saving,
+- VSIDS-style variable activities with phase saving: a binary heap
+  ranks only the bumped variables (activity above 0) and a
+  lowest-index pointer hands out the rest, as in MiniSat's order heap,
 - Luby restarts,
 - a conflict budget so callers can bound worst-case work (the paper
   reports forgery runs that "do not scale"; the budget lets our
@@ -13,10 +15,11 @@ plays in the paper.  It implements the standard modern architecture:
 - *assumption-style re-solving*: :meth:`SATSolver.solve` accepts a list
   of assumption literals, and :meth:`SATSolver.reset` restores the
   solver to its pristine post-construction state without re-encoding or
-  re-allocating the base clause database.  The compiled forgery
-  encoding (:mod:`repro.solver.compiled_encoding`) builds one solver
-  per signature pattern and re-solves it once per test instance, with
-  only the instance's box constraints supplied as assumptions.
+  re-allocating the base clause database or its watch lists.  The
+  compiled forgery encoding (:mod:`repro.solver.compiled_encoding`)
+  builds one solver per signature pattern and re-solves it once per
+  test instance, with only the instance's box constraints supplied as
+  assumptions.
 
 Assumptions are enqueued as root-level facts for the duration of a
 single :meth:`solve` call.  That is sound here because ``reset`` drops
@@ -39,6 +42,7 @@ import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from .._validation import check_count
 from ..exceptions import ValidationError
 from .cnf import CNF
 
@@ -83,6 +87,12 @@ class SATResult:
         return self.status == "unsat"
 
 
+def _check_budget(max_conflicts) -> None:
+    """A conflict budget is ``None`` (unlimited) or an integer ``>= 0``."""
+    if max_conflicts is not None:
+        check_count(max_conflicts, "max_conflicts", minimum=0)
+
+
 def _luby(i: int) -> int:
     """The Luby restart sequence (1,1,2,1,1,2,4,...), 1-indexed."""
     while True:
@@ -104,6 +114,7 @@ class SATSolver:
     """
 
     def __init__(self, cnf: CNF, max_conflicts: int | None = None) -> None:
+        _check_budget(max_conflicts)
         self.n_vars = n = cnf.n_vars
         self.max_conflicts = max_conflicts
         # Clause database: clauses are lists of internal literal codes.
@@ -119,12 +130,18 @@ class SATSolver:
                 base_units.append(codes[0])
             else:
                 base_clauses.append(codes)
+        # Pristine watch lists, built once: reset() copies them back in place.
+        base_watches: list[list[int]] = [[] for _ in range(2 * n)]
+        for index, codes in enumerate(base_clauses):
+            base_watches[codes[0]].append(index)
+            base_watches[codes[1]].append(index)
         self._base_clauses = base_clauses
+        self._base_watches = base_watches
         self._base_units = base_units
         self._base_empty = base_empty
 
-        self.clauses: list[list[int]] = []
-        self.watches: list[list[int]] = [[] for _ in range(2 * n)]
+        self.clauses: list[list[int]] = [list(codes) for codes in base_clauses]
+        self.watches: list[list[int]] = [list(watch) for watch in base_watches]
         self.assign: list[int] = []
         self.level: list[int] = []
         self.reason: list[int] = []
@@ -134,6 +151,7 @@ class SATSolver:
         self.activity: list[float] = []
         self.phase: list[bool] = []
         self._order: list[tuple[float, int]] = []
+        self._zero_floor = 0
         self.var_inc = 1.0
         self.var_decay = 0.95
         self.conflicts = 0
@@ -154,24 +172,21 @@ class SATSolver:
     def reset(self) -> None:
         """Rewind to the pristine post-construction state.
 
-        Base clauses keep their allocation: their literal order (mutated
-        by watched-literal swaps during search) is restored in place and
-        learned clauses are truncated away.  After a reset the solver is
-        bit-for-bit equivalent to ``SATSolver(cnf)`` — same watch lists,
-        same heuristic state, same future search trajectory.
+        Base clauses and watch lists keep their allocation: the literal
+        order of each clause (mutated by watched-literal swaps during
+        search) and each watch list are copied back in place from the
+        snapshots taken at construction, and learned clauses are
+        truncated away.  The decision order starts empty: no variable
+        is bumped yet, so every one is handed out by the lowest-index
+        pointer.  After a reset the solver is bit-for-bit equivalent to
+        ``SATSolver(cnf)`` — same watch lists, same heuristic state,
+        same future search trajectory.
         """
-        n_base = len(self._base_clauses)
-        if len(self.clauses) >= n_base:
-            del self.clauses[n_base:]
-            for clause, base in zip(self.clauses, self._base_clauses):
-                clause[:] = base
-        else:
-            self.clauses = [list(base) for base in self._base_clauses]
-        for watch_list in self.watches:
-            watch_list.clear()
-        for index, clause in enumerate(self.clauses):
-            self.watches[clause[0]].append(index)
-            self.watches[clause[1]].append(index)
+        del self.clauses[len(self._base_clauses):]
+        for clause, base in zip(self.clauses, self._base_clauses):
+            clause[:] = base
+        for watch_list, base in zip(self.watches, self._base_watches):
+            watch_list[:] = base
 
         n = self.n_vars
         self.assign = [_UNASSIGNED] * n
@@ -182,9 +197,8 @@ class SATSolver:
         self.queue_head = 0
         self.activity = [0.0] * n
         self.phase = [False] * n
-        # (-activity, var) entries; all-zero activities in var order is
-        # already a valid heap.
-        self._order = [(-0.0, var) for var in range(n)]
+        self._order = []
+        self._zero_floor = 0
         self.var_inc = 1.0
         self.conflicts = 0
         self.decisions = 0
@@ -213,71 +227,84 @@ class SATSolver:
     def _propagate(self) -> int:
         """Unit propagation; returns a conflicting clause index or -1.
 
-        The hottest loop in the solver: attribute lookups are hoisted
-        and literal values computed inline (a literal code ``c`` is true
-        iff ``assign[c >> 1] ^ (c & 1) == 1``, with -1 = unassigned).
+        The hottest loop in the solver: attribute lookups are hoisted,
+        literal values computed inline (a literal code ``c`` is true
+        iff ``assign[c >> 1] ^ (c & 1) == 1``, with -1 = unassigned)
+        and a unit literal is enqueued inline, as :meth:`_enqueue` would.
         """
         trail = self.trail
         watches = self.watches
         clauses = self.clauses
         assign = self.assign
-        while self.queue_head < len(trail):
-            code = trail[self.queue_head]
-            self.queue_head += 1
-            self.propagations += 1
-            false_code = code ^ 1
+        level = self.level
+        reason = self.reason
+        current_level = len(self.trail_lim)
+        start = head = self.queue_head
+        while head < len(trail):
+            false_code = trail[head] ^ 1
+            head += 1
             watch_list = watches[false_code]
             i = 0
-            while i < len(watch_list):
+            end = len(watch_list)
+            while i < end:
                 clause_index = watch_list[i]
                 clause = clauses[clause_index]
                 # Normalise: watched literal under scrutiny at slot 1.
                 if clause[0] == false_code:
                     clause[0], clause[1] = clause[1], clause[0]
                 first = clause[0]
-                value = assign[first >> 1]
-                if value != _UNASSIGNED and value ^ (first & 1):
+                first_value = assign[first >> 1]
+                if first_value != _UNASSIGNED and first_value ^ (first & 1):
                     i += 1
                     continue
                 # Look for a replacement watch.
-                moved = False
                 for j in range(2, len(clause)):
                     other = clause[j]
                     value = assign[other >> 1]
                     if value == _UNASSIGNED or value ^ (other & 1):
                         clause[1], clause[j] = other, clause[1]
-                        watch_list[i] = watch_list[-1]
+                        end -= 1
+                        watch_list[i] = watch_list[end]
                         watch_list.pop()
                         watches[other].append(clause_index)
-                        moved = True
                         break
-                if moved:
-                    continue
-                # Clause is unit (or conflicting) on `first`.
-                if not self._enqueue(first, reason=clause_index):
-                    self.queue_head = len(trail)
-                    return clause_index
-                i += 1
+                else:
+                    # Clause is unit (or conflicting) on `first`.
+                    if first_value != _UNASSIGNED:
+                        self.propagations += head - start
+                        self.queue_head = len(trail)
+                        return clause_index
+                    var = first >> 1
+                    assign[var] = 1 - (first & 1)
+                    level[var] = current_level
+                    reason[var] = clause_index
+                    trail.append(first)
+                    i += 1
+        self.propagations += head - start
+        self.queue_head = head
         return -1
 
     # -- conflict analysis -------------------------------------------------
 
     def _bump(self, var: int) -> None:
-        self.activity[var] += self.var_inc
+        activity = self.activity
+        activity[var] += self.var_inc
         if self.assign[var] == _UNASSIGNED:
-            heapq.heappush(self._order, (-self.activity[var], var))
-        if self.activity[var] > 1e100:
-            for v in range(self.n_vars):
-                self.activity[v] *= 1e-100
+            heapq.heappush(self._order, (-activity[var], var))
+        if activity[var] > 1e100:
+            activity[:] = [value * 1e-100 for value in activity]
             self.var_inc *= 1e-100
-            # Every heap entry is stale after a rescale: rebuild it from
-            # the currently unassigned variables.
+            # Every heap entry is stale after a rescale, and an activity
+            # may underflow to 0: rebuild the heap from the unassigned
+            # variables still above 0 and rescan the rest from index 0.
+            assign = self.assign
             self._order = [
-                (-self.activity[v], v)
+                (-activity[v], v)
                 for v in range(self.n_vars)
-                if self.assign[v] == _UNASSIGNED
+                if assign[v] == _UNASSIGNED and activity[v] > 0.0
             ]
             heapq.heapify(self._order)
+            self._zero_floor = 0
 
     def _analyze(self, conflict_index: int) -> tuple[list[int], int]:
         """First-UIP learning; returns (learned clause codes, backjump level)."""
@@ -328,43 +355,61 @@ class SATSolver:
         return learned, self.level[learned[1] >> 1]
 
     def _backtrack(self, target_level: int) -> None:
-        order = self._order
-        while len(self.trail_lim) > target_level:
-            limit = self.trail_lim.pop()
-            while len(self.trail) > limit:
-                code = self.trail.pop()
+        trail, trail_lim = self.trail, self.trail_lim
+        if len(trail_lim) > target_level:
+            assign, phase, reason = self.assign, self.phase, self.reason
+            activity, order = self.activity, self._order
+            zero_floor = self._zero_floor
+            limit = trail_lim[target_level]
+            del trail_lim[target_level:]
+            for code in trail[limit:]:
                 var = code >> 1
-                self.phase[var] = self.assign[var] == 1
-                self.assign[var] = _UNASSIGNED
-                self.reason[var] = -1
-                heapq.heappush(order, (-self.activity[var], var))
-        self.queue_head = min(self.queue_head, len(self.trail))
+                phase[var] = assign[var] == 1
+                assign[var] = _UNASSIGNED
+                reason[var] = -1
+                if activity[var] > 0.0:
+                    heapq.heappush(order, (-activity[var], var))
+                elif var < zero_floor:
+                    zero_floor = var
+            del trail[limit:]
+            self._zero_floor = zero_floor
+        self.queue_head = min(self.queue_head, len(trail))
 
     # -- decisions ----------------------------------------------------------
 
     def _decide(self) -> bool:
-        # Lazy heap: pop entries that are assigned or carry a stale
-        # activity.  Every unassigned variable always has one fresh
-        # entry (pushed at reset, on unassignment, and on bumping), so
-        # an empty heap means a complete assignment.  Ties break toward
-        # the lowest variable index, like the linear scan this replaces.
+        # Pick the unassigned variable of highest activity, ties toward
+        # the lowest index.  Every unassigned variable with activity
+        # above 0 has a fresh ``(-activity, var)`` entry in ``_order``
+        # (pushed on bumping and on unassignment); the few entries that
+        # went stale (assigned since, or bumped again) are popped here.
+        # Once the heap runs dry every unassigned variable is at
+        # activity 0, and no such variable lies below ``_zero_floor``,
+        # so the first unassigned variable from there is the pick.
         order = self._order
         assign = self.assign
         activity = self.activity
-        best_var = -1
         while order:
-            neg_act, var = order[0]
+            neg_act, var = heapq.heappop(order)
             if assign[var] == _UNASSIGNED and neg_act == -activity[var]:
-                best_var = var
-                heapq.heappop(order)
                 break
-            heapq.heappop(order)
-        if best_var == -1:
-            return False
+        else:
+            n = self.n_vars
+            var = self._zero_floor
+            while var < n and assign[var] != _UNASSIGNED:
+                var += 1
+            if var == n:
+                self._zero_floor = n
+                return False
+            self._zero_floor = var + 1
+        # Enqueue the decision at a new level; ``var`` is unassigned.
         self.decisions += 1
         self.trail_lim.append(len(self.trail))
-        code = 2 * best_var + (0 if self.phase[best_var] else 1)
-        self._enqueue(code, reason=-1)
+        phase = self.phase[var]
+        assign[var] = 1 if phase else 0
+        self.level[var] = len(self.trail_lim)
+        self.reason[var] = -1
+        self.trail.append(2 * var + (0 if phase else 1))
         return True
 
     # -- main loop ------------------------------------------------------------
@@ -386,8 +431,11 @@ class SATSolver:
         ------
         ValidationError
             When an assumption is 0, names no variable, is a bool or is
-            not an integer; nothing is enqueued then.
+            not an integer, or when ``max_conflicts`` is neither ``None``
+            nor an integer ``>= 0``; nothing is enqueued then.
         """
+        budget = self.max_conflicts
+        _check_budget(budget)
         codes = [] if assumptions is None else self._assumption_codes(assumptions)
         if self._contradiction:
             return self._result("unsat")
@@ -397,7 +445,6 @@ class SATSolver:
         if self._propagate() != -1:
             return self._result("unsat")
 
-        budget = self.max_conflicts
         base_conflicts = self.conflicts
         conflicts_until_restart = 100 * _luby(self.restarts + 1)
         while True:

@@ -158,6 +158,21 @@ class TestAssumptionsAndReset:
         # The second call gets its own budget, not the leftovers.
         assert solver.solve().status == "unknown"
 
+    @pytest.mark.parametrize("budget", [float("nan"), True, 2.5, -1])
+    @pytest.mark.parametrize("route", ["constructor", "attribute"])
+    def test_invalid_budget_rejected(self, budget, route):
+        """A budget is None or an integer >= 0; a NaN one used to run
+        unbounded, since no conflict count is ``>= nan``.  The compiled
+        forgery encoding sets the attribute after construction, so
+        ``solve`` checks it too."""
+        with pytest.raises(ValidationError, match="max_conflicts"):
+            if route == "constructor":
+                SATSolver(_pigeonhole(3), max_conflicts=budget)
+            else:
+                solver = SATSolver(_pigeonhole(3))
+                solver.max_conflicts = budget
+                solver.solve()
+
     def test_assumptions_on_unsat_base_formula(self):
         cnf = CNF()
         cnf.new_var()
@@ -220,6 +235,7 @@ def _state(solver: SATSolver) -> dict:
         "phase": solver.phase,
         "activity": solver.activity,
         "order": solver._order,
+        "zero_floor": solver._zero_floor,
         "trail": solver.trail,
         "trail_lim": solver.trail_lim,
         "scalars": (
@@ -272,6 +288,74 @@ class TestResetDifferential:
         assert len(solver.clauses) > len(SATSolver(cnf).clauses)
         solver.reset()
         assert _state(solver) == _state(SATSolver(cnf))
+
+
+class _CheckedOrder(SATSolver):
+    """Asserts that every decision is the brute-force VSIDS choice: the
+    minimum of ``(-activity[v], v)`` over the unassigned variables."""
+
+    checked = 0
+
+    def _decide(self) -> bool:
+        candidates = [
+            (-self.activity[var], var)
+            for var in range(self.n_vars)
+            if self.assign[var] == -1
+        ]
+        decided = super()._decide()
+        assert decided == bool(candidates)
+        if decided:
+            assert self.trail[-1] >> 1 == min(candidates)[1]
+            self.checked += 1
+        return decided
+
+
+class TestDecisionOrder:
+    """The heap of bumped variables plus the lowest-index pointer pick
+    exactly what a linear scan over all variables would."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_cnfs_decide_like_a_scan(self, seed):
+        rng = np.random.default_rng(seed)
+        checked = 0
+        for _ in range(15):
+            cnf = _random_cnf(rng)
+            solver = _CheckedOrder(cnf)
+            for _ in range(4):
+                assumptions = [
+                    int(rng.choice([-1, 1])) * int(rng.integers(1, cnf.n_vars + 1))
+                    for _ in range(int(rng.integers(0, 4)))
+                ]
+                solver.solve(assumptions)
+                solver.reset()
+            checked += solver.checked
+        assert checked > 0
+
+    @pytest.mark.parametrize("var_inc", [1.0, 1e98])
+    def test_pigeonhole_decides_like_a_scan(self, var_inc):
+        """From ``var_inc = 1e98`` the search crosses the 1e100 rescale."""
+        solver = _CheckedOrder(_pigeonhole(5))
+        solver.var_inc = var_inc
+        assert solver.solve().is_unsat
+        assert solver.checked > 100
+        assert (solver.var_inc < var_inc) == (var_inc > 1.0)
+
+    def test_rescale_underflow_returns_variable_to_the_pointer(self):
+        """A rescale that flushes an unassigned activity to 0 moves that
+        variable from the heap back to the lowest-index pointer."""
+        cnf = CNF()
+        cnf.new_vars(4)
+        solver = _CheckedOrder(cnf)
+        solver.var_inc = 1e-250
+        solver._bump(0)
+        assert solver._decide() and solver._decide()  # x1 (bumped), then x2
+        solver._backtrack(0)  # x1 back in the heap, the pointer at x2
+        solver.var_inc = 2e100
+        solver._bump(3)  # crosses 1e100: x1's 1e-250 underflows to 0
+        assert solver.activity[0] == 0.0 and solver.activity[3] > 0.0
+        result = solver.solve()
+        assert result.is_sat and solver.checked == 6
+        assert [code >> 1 for code in solver.trail] == [3, 0, 1, 2]
 
 
 def _two_vars_not_x2() -> CNF:
