@@ -107,8 +107,8 @@ class SATSolver:
 
     The base formula is encoded once at construction.  ``solve()`` runs
     the search (optionally under assumptions); ``reset()`` rewinds the
-    solver to its pristine state — base clause order restored in place,
-    learned clauses dropped, heuristic state zeroed — so the next
+    solver to its pristine state — base clauses and watch lists restored
+    in place, learned clauses dropped, heuristic state zeroed — so the next
     ``solve()`` behaves exactly like a fresh solver without paying for
     clause re-encoding.
     """
