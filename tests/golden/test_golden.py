@@ -143,18 +143,35 @@ def _dispute_jobs2():
     return table_digest(model.ensemble.compile().to_tables())
 
 
-def _forged(epsilon: float, n_jobs):
-    model, X_test, y_test = mnist26_dispute()
-    fake = random_signature(16, 0.5, random_state=301)
+def _forge(dispute, fake_seed: int, epsilon: float, n_jobs=None, **limits):
+    """One forgery call on a dispute model with a 2,000-conflict budget,
+    and its status counts as an array."""
+    model, X_test, y_test = dispute()
+    fake = random_signature(16, 0.5, random_state=fake_seed)
     result = forge_trigger_set(
         model.ensemble, fake, X_test, y_test, epsilon,
-        max_instances=24, solver_budget=2000, n_jobs=n_jobs, random_state=302,
+        solver_budget=2000, n_jobs=n_jobs, random_state=fake_seed + 1, **limits,
     )
     statuses = np.array(
         [result.statuses.get(key, 0) for key in ("sat", "unsat", "unknown")],
         dtype=np.int64,
     )
+    return result, statuses
+
+
+def _forged(epsilon: float, n_jobs):
+    result, statuses = _forge(mnist26_dispute, 301, epsilon, n_jobs, max_instances=24)
     return digest(result.forged_X, result.source_index, statuses)
+
+
+def _forged_attempted(dispute, fake_seed: int, epsilon: float, **limits):
+    """A serial forgery call, its attempt count included: where the
+    sweep stops is pinned along with what it found."""
+    result, statuses = _forge(dispute, fake_seed, epsilon, **limits)
+    return digest(
+        result.forged_X, result.source_index, statuses,
+        np.array([result.n_attempted], dtype=np.int64),
+    )
 
 
 def _minimal_distortion(row: int, fake_seed: int):
@@ -428,6 +445,17 @@ FIXTURES = {
     "forged_eps0.3_serial": lambda: _forged(0.3, None),
     "forged_eps0.1_jobs2": lambda: _forged(0.1, 2),
     "forged_eps0.3_jobs2": lambda: _forged(0.3, 2),
+    # Tall narrow data: at ε = 0.1 the prescreen refutes every attempt.
+    "forged_ijcnn1_eps0.1_serial": lambda: _forged_attempted(
+        ijcnn1_dispute, 401, 0.1, max_instances=60
+    ),
+    "forged_ijcnn1_eps0.3_serial": lambda: _forged_attempted(
+        ijcnn1_dispute, 401, 0.3, max_instances=60
+    ),
+    # The sweep stops at the second forged row.
+    "forged_eps0.3_target2": lambda: _forged_attempted(
+        mnist26_dispute, 301, 0.3, target_size=2
+    ),
     "sat_trace_mnist26_eps0.3": _sat_trace_forged,
     "sat_trace_php6_rescale": _sat_trace_php6_rescale,
     "min_distortion_ijcnn1_row0": lambda: _minimal_distortion(0, 901),
