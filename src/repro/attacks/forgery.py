@@ -33,7 +33,13 @@ paper's loop, none of which changes what is computed:
   tree keeps no box, so most UNSAT attempts never run the solver, and
   a pattern none of whose attempts survive never builds its skeleton
   or solver.  Survivors are solved against the original box, so
-  witnesses are unchanged.
+  witnesses are unchanged.  A call screens its attempts together: each
+  label's attempts are one
+  :meth:`~repro.solver.CompiledPatternEncoding.solve_many` stream,
+  prescreened a chunk at a time by one batched propagation that first
+  tries the trees with the fewest boxes.  The stream is pulled in
+  attempt order, so the solver still meets the survivors one at a
+  time, in the order of the serial loop.
 - **Parallel fan-out** (``n_jobs``): instance attempts are dispatched
   in deterministic contiguous chunks over a process pool.  Every
   per-instance solve is a pure function of the forest, the signature
@@ -49,6 +55,7 @@ from __future__ import annotations
 import threading
 import time
 import weakref
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -64,7 +71,7 @@ from ..parallel import (
     run_batches,
     shared_payload,
 )
-from ..solver import EncodingCache, required_labels
+from ..solver import EncodingCache, PatternOutcome, required_labels
 
 __all__ = ["ForgeryAttackResult", "forge_trigger_set", "forgery_distortion"]
 
@@ -157,6 +164,29 @@ class _LabelEncodings(dict):
         return encoding
 
 
+def _outcomes(
+    encodings: _LabelEncodings,
+    labels: np.ndarray,
+    centers: np.ndarray,
+    epsilon: float,
+    budget: int | None,
+) -> Iterator[PatternOutcome]:
+    """The attempts' outcomes in attempt order, pulled lazily.
+
+    Each label reads one :meth:`~repro.solver.CompiledPatternEncoding.solve_many`
+    stream over its own rows, opened on the label's first attempt, so
+    a pattern no attempt reaches is never compiled.  Pulling in attempt
+    order runs the solvers in that order too.
+    """
+    streams = {}
+    for label in labels.tolist():
+        if label not in streams:
+            streams[label] = encodings[int(label)].solve_many(
+                centers[labels == label], epsilon, budget
+            )
+        yield next(streams[label])
+
+
 def _forge_batch(
     engine,
     signature: Signature,
@@ -183,13 +213,10 @@ def _forge_batch(
             )
         cache = EncodingCache(engine, n_features)
     encodings = _LabelEncodings(cache, signature)
-    out: list[tuple[str, np.ndarray | None]] = []
-    for label, center in zip(labels, centers):
-        outcome = encodings[int(label)].solve(
-            center=center, epsilon=epsilon, budget=budget
-        )
-        out.append((outcome.status, outcome.instance))
-    return out
+    return [
+        (outcome.status, outcome.instance)
+        for outcome in _outcomes(encodings, labels, centers, epsilon, budget)
+    ]
 
 
 def forge_trigger_set(
@@ -288,12 +315,13 @@ def forge_trigger_set(
     with _forest_encodings(forest, engine, n_features) as cache:
         encodings = _LabelEncodings(cache, fake_signature)
         if n_workers == 1:
+            outcomes = _outcomes(
+                encodings, y_test[order], X_test[order], float(epsilon), solver_budget
+            )
             for row in order:
                 if target_size is not None and len(forged) >= target_size:
                     break
-                outcome = encodings[int(y_test[row])].solve(
-                    center=X_test[row], epsilon=float(epsilon), budget=solver_budget
-                )
+                outcome = next(outcomes)
                 consume(int(row), outcome.status, outcome.instance)
         else:
             # Deterministic waves: solve a contiguous slice of the attempt

@@ -51,13 +51,20 @@ built by one loop over the screen's boxes, so its numbering does not
 depend on when it is built.  A SAT witness is replayed through the node
 table before it is returned.
 
-Per instance the engine computes the feature bounds and runs the
-prescreen; a survivor's bounds (not the tightened ones, so witnesses
-do not depend on the prescreen) become *assumptions* (see
+Instances are decided a stack at a time
+(:meth:`~CompiledPatternEncoding.solve_many`; :meth:`~CompiledPatternEncoding.solve`
+is the stack of one).  The engine computes the stack's feature bounds
+and runs the prescreen over a chunk of instances at once: an early pass
+screens the few trees with the fewest boxes, and the rounds then run
+over the instances still open, each leaving as soon as it is refuted or
+settles — per instance the same compares, minima and counts as alone.
+A survivor's bounds (not the tightened ones, so witnesses do not depend
+on the prescreen) become *assumptions* (see
 :meth:`repro.solver.sat.SATSolver.solve`) for the persistent solver,
 re-solved after a :meth:`~repro.solver.sat.SATSolver.reset` — no clause
-re-encoding, no re-allocation.  :func:`solve_pattern_smt` is the
-one-shot form for a single :class:`PatternProblem`.
+re-encoding, no re-allocation — when its outcome is pulled, so the
+solver meets survivors in input order.  :func:`solve_pattern_smt` is
+the one-shot form for a single :class:`PatternProblem`.
 
 **Determinism contract.**  A reset solver is bit-for-bit equivalent to
 a freshly constructed one (learned clauses and heuristic state are
@@ -69,6 +76,7 @@ fan instances out over worker processes without changing results.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,6 +89,7 @@ from .problem import (
     PatternOutcome,
     PatternProblem,
     check_pattern_inputs,
+    check_pattern_stack,
     compute_feature_bounds,
     pattern_holds,
 )
@@ -103,67 +112,80 @@ __all__ = [
 _MAX_PATTERNS = 8
 
 
-@dataclass
-class _Hulls:
-    """The constraint table grouped per ``(side, feature, tree)``.
+#: Trees the prescreen's early pass screens: the ones with the fewest
+#: required-label boxes.  A tree left without a compatible box refutes
+#: the attempt there, before round 1 screens every tree.  On the
+#: perfbench dispute models the 8 smallest trees refute 73% of tabular
+#: attempts (round 1 as a whole 89%) and 25% of image attempts (35%);
+#: forgery ran x1.63 faster with 4 trees, x1.71-1.80 with 8 and x1.72
+#: with 16.
+_EARLY_TREES = 8
 
-    Both sides bound from above, as closed bounds: an upper constraint
-    ``x_f <= v`` keeps ``v`` under key ``2f``, and a lower constraint
-    ``x_f > w``, which is ``x_f >= nextafter(w)``, keeps
-    ``-nextafter(w)`` under key ``2f + 1``.  :meth:`bound` gives, per
-    key, the tightest bound that every compatible box of some one tree
-    obeys.
+#: Attempts :meth:`CompiledPatternEncoding.solve_many` prescreens
+#: together.  A caller that stops early wastes at most one chunk.
+_SCREEN_CHUNK = 64
+
+
+@dataclass
+class _Fold:
+    """A reduction of stack rows per segment, for many short segments.
+
+    The prescreen's stacks hold one column per attempt and one row per
+    constraint (or box, or group); a segment's rows are reduced
+    element-wise.  ``ufunc.reduceat`` pays per segment, which is slow
+    with hundreds of segments of a few rows each, so the rows are
+    folded by *slot* instead: slot ``k`` holds the ``k``-th row of every
+    segment longer than ``k``.  Segments are placed longest first, so
+    each slot covers a prefix of the output, and a fold is one
+    element-wise ufunc call per slot.
     """
 
-    box: np.ndarray  # constraint boxes, ordered by key, then tree
-    value: np.ndarray
-    starts: np.ndarray  # first constraint of each (key, tree) group
-    group_tree: np.ndarray
-    keys: np.ndarray  # the distinct keys, ascending
-    runs: np.ndarray  # first group of each key
+    rows: np.ndarray  # the input rows in fold order: slot-major
+    widths: list[int]  # segments per slot
+    place: np.ndarray  # per segment, its output position
 
     @classmethod
-    def index(cls, screen: "_FlatScreen") -> "_Hulls":
-        box = np.concatenate([screen.upper_box, screen.lower_box])
-        key = np.concatenate([2 * screen.upper_feature, 2 * screen.lower_feature + 1])
-        value = np.concatenate(
-            [screen.upper_value, -np.nextafter(screen.lower_value, np.inf)]
-        )
-        tree = screen.box_tree[box]
-        order = np.lexsort((tree, key))
-        box, key, value, tree = box[order], key[order], value[order], tree[order]
-        first = np.ones(box.size, dtype=bool)
-        first[1:] = (key[1:] != key[:-1]) | (tree[1:] != tree[:-1])
-        starts = np.flatnonzero(first)
-        group_key = key[starts]
-        runs = np.flatnonzero(np.diff(group_key, prepend=-1))
-        return cls(box, value, starts, tree[starts], group_key[runs], runs)
+    def of(cls, segment: np.ndarray, n_segments: int) -> "_Fold":
+        size = np.bincount(segment, minlength=n_segments)
+        place = np.empty(n_segments, dtype=np.int64)
+        place[np.argsort(-size, kind="stable")] = np.arange(n_segments)
+        by_segment = np.argsort(segment, kind="stable")
+        slot = np.empty(segment.size, dtype=np.int64)
+        slot[by_segment] = np.arange(segment.size) - np.repeat(np.cumsum(size) - size, size)
+        rows = np.argsort(slot * n_segments + place[segment])
+        return cls(rows, np.bincount(slot).tolist(), place)
 
-    def bound(self, ok: np.ndarray, kept: np.ndarray) -> np.ndarray:
-        """Per key of :attr:`keys`, the least over trees of the largest
-        value among a tree's compatible boxes; ``inf`` where no tree
-        constrains the key in every compatible box.
-
-        A box holds at most one constraint per key, so a group covers
-        its tree when it counts as many compatible boxes as the tree
-        keeps (``kept``, all non-zero).
-        """
-        if not self.starts.size:
-            return self.value[:0]
-        active = ok[self.box]
-        covers = np.add.reduceat(active, self.starts) == kept[self.group_tree]
-        hull = np.maximum.reduceat(np.where(active, self.value, -np.inf), self.starts)
-        return np.minimum.reduceat(np.where(covers, hull, np.inf), self.runs)
+    def __call__(self, ufunc, stack: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Fold the rows of ``stack``, in fold order, into ``out``, which
+        holds the initial value of every segment; return one row per
+        segment, in segment order."""
+        first = 0
+        for width in self.widths:
+            ufunc(out[:width], stack[first : first + width], out=out[:width])
+            first += width
+        return out[self.place]
 
 
 @dataclass
-class _FlatScreen:
-    """The leaf-box constraints of every tree, for vectorised screening.
+class _Boxes:
+    """The leaf-box constraints of some trees, for screening stacks of
+    bounds.
 
-    Boxes are numbered across the ensemble in tree order; tree ``t``
-    owns boxes ``tree_offsets[t]:tree_offsets[t + 1]``.  Each upper
-    constraint ``x_f <= v`` and lower constraint ``x_f > v`` names its
-    box, feature and threshold; both columns are ordered by box.
+    Boxes are numbered in tree order; tree ``t`` owns boxes
+    ``tree_offsets[t]:tree_offsets[t + 1]``.  Each upper constraint
+    ``x_f <= v`` and lower constraint ``x_f > v`` names its box,
+    feature and threshold; both columns are ordered by box.
+
+    Screens read a **bounds stack** (:meth:`stack`): one column per
+    attempt, and for the ``i``-th feature the table constrains,
+    :attr:`features` ``[i] = f``, rows ``2i`` and ``2i + 1`` holding
+    ``hi_f`` and ``-lo_f`` — every row an upper bound, and no row for a
+    feature no constraint reads.  A box meets an attempt's bounds unless one of its
+    constraints falls outside them: ``x_f <= v`` when ``v < lo_f``, and
+    ``x_f > w`` when ``w >= hi_f``.  Both tests are kept as one compare,
+    ``row <= limit``: ``-lo_f <= -nextafter(v)`` and ``hi_f <= w``.
+    (No float lies strictly between ``v`` and ``nextafter(v)``, so
+    ``v < lo_f`` is ``nextafter(v) <= lo_f`` for every ``v < inf``.)
     """
 
     tree_offsets: np.ndarray  # n_trees + 1 box offsets
@@ -173,60 +195,229 @@ class _FlatScreen:
     lower_box: np.ndarray
     lower_feature: np.ndarray
     lower_value: np.ndarray
-    box_tree: np.ndarray = field(init=False, repr=False)
-    hulls: _Hulls = field(init=False, repr=False)
+    features: np.ndarray = field(init=False, repr=False)  # constrained, ascending
+    _rows: np.ndarray = field(init=False, repr=False)  # bounds row per constraint
+    _limits: np.ndarray = field(init=False, repr=False)
+    _fold: _Fold = field(init=False, repr=False)  # constraints per box
+    _filled: np.ndarray = field(init=False, repr=False)  # trees with boxes
 
     def __post_init__(self) -> None:
-        offsets = self.tree_offsets
-        self.box_tree = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
-        self.hulls = _Hulls.index(self)
+        fold = _Fold.of(
+            np.concatenate([self.upper_box, self.lower_box]), int(self.tree_offsets[-1])
+        )
+        self.features, position = np.unique(
+            np.concatenate([self.upper_feature, self.lower_feature]), return_inverse=True
+        )
+        n_upper = self.upper_feature.size
+        rows = np.concatenate([2 * position[:n_upper] + 1, 2 * position[n_upper:]])
+        limits = np.concatenate(
+            [-np.nextafter(self.upper_value, np.inf), self.lower_value]
+        )
+        self._rows, self._limits = rows[fold.rows], limits[fold.rows, None]
+        self._fold = fold
+        self._filled = np.flatnonzero(np.diff(self.tree_offsets))
 
-    def _screen(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Flat mask of boxes intersecting ``[lo, hi]``, and their count
-        per tree (0 for a tree without boxes)."""
-        ok = np.ones(self.box_tree.size, dtype=bool)
-        ok[self.upper_box[self.upper_value < lo[self.upper_feature]]] = False
-        ok[self.lower_box[self.lower_value >= hi[self.lower_feature]]] = False
-        return ok, np.bincount(self.box_tree[ok], minlength=self.tree_offsets.size - 1)
+    def stack(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """The bounds stack of the rows of ``[lo, hi]``."""
+        stack = np.empty((2 * self.features.size, lo.shape[0]))
+        stack[0::2], stack[1::2] = hi[:, self.features].T, -lo[:, self.features].T
+        return stack
+
+    def screen(self, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per column of the bounds stack, the mask of boxes meeting its
+        bounds, one row per box, and their count per tree (0 for a tree
+        without boxes)."""
+        n_boxes, n_columns = int(self.tree_offsets[-1]), bounds.shape[1]
+        outside = np.take(bounds, self._rows, axis=0) <= self._limits
+        missed = self._fold(np.logical_or, outside, np.zeros((n_boxes, n_columns), bool))
+        ok = ~missed
+        kept = np.zeros((self.tree_offsets.size - 1, n_columns), dtype=np.int64)
+        if n_boxes:
+            kept[self._filled] = np.add.reduceat(
+                ok, self.tree_offsets[self._filled], axis=0, dtype=np.int64
+            )
+        return ok, kept
+
+    def trees(self, chosen: np.ndarray) -> "_Boxes":
+        """The sub-table of the ``chosen`` trees (ascending), boxes
+        renumbered."""
+        sizes = np.diff(self.tree_offsets)
+        offsets = np.concatenate(([0], np.cumsum(sizes[chosen])))
+        renumber = np.full(int(self.tree_offsets[-1]), -1, dtype=np.int64)
+        for tree, first in zip(chosen, offsets):
+            start = self.tree_offsets[tree]
+            renumber[start : start + sizes[tree]] = np.arange(first, first + sizes[tree])
+        upper = renumber[self.upper_box] >= 0
+        lower = renumber[self.lower_box] >= 0
+        return _Boxes(
+            offsets,
+            renumber[self.upper_box[upper]],
+            self.upper_feature[upper],
+            self.upper_value[upper],
+            renumber[self.lower_box[lower]],
+            self.lower_feature[lower],
+            self.lower_value[lower],
+        )
+
+
+@dataclass
+class _Hulls:
+    """The constraint table grouped per ``(key, tree)``, for the hulls.
+
+    A key is a row of the bounds stack (see :class:`_Boxes`): an upper
+    constraint ``x_f <= v`` bounds the ``hi_f`` row by ``v``, a lower
+    constraint ``x_f > w``, which is ``x_f >= nextafter(w)``, bounds the
+    ``-lo_f`` row by ``-nextafter(w)``.  :meth:`bound` gives, per key, the
+    tightest bound that every compatible box of some one tree obeys.
+
+    Values are ranked once, from 1, by key and then value, so the hull
+    arithmetic runs on integer ranks: within a key a larger rank is a
+    larger (or equal) value, and rank ``n + 1`` (one past the last)
+    reads ``inf``.
+    """
+
+    keys: np.ndarray  # the distinct keys, ascending
+    box: np.ndarray  # constraint boxes, in group-fold order
+    rank: np.ndarray  # their value ranks, from 1, in group-fold order
+    values: np.ndarray  # values by rank, then inf
+    fold: _Fold  # constraints per group
+    group_tree: np.ndarray  # groups by key, then tree
+    key_groups: np.ndarray  # first group of each key
+
+    @classmethod
+    def index(cls, screen: "_FlatScreen") -> "_Hulls":
+        box = np.concatenate([screen.upper_box, screen.lower_box])
+        n_upper = screen.upper_feature.size
+        feature = np.concatenate([screen.upper_feature, screen.lower_feature])
+        key = 2 * np.searchsorted(screen.features, feature)
+        key[n_upper:] += 1
+        value = np.concatenate(
+            [screen.upper_value, -np.nextafter(screen.lower_value, np.inf)]
+        )
+        n_trees = screen.tree_offsets.size - 1
+        order = np.lexsort((value, key))
+        box, key, value = box[order], key[order], value[order]
+        # Groups numbered by key, then tree.
+        pairs, group = np.unique(key * n_trees + screen.box_tree[box], return_inverse=True)
+        group_key = pairs // n_trees
+        key_groups = np.flatnonzero(np.diff(group_key, prepend=-1))
+        fold = _Fold.of(group, pairs.size)
+        rank = np.arange(1, box.size + 1)
+        return cls(
+            keys=group_key[key_groups],
+            box=box[fold.rows],
+            rank=rank[fold.rows, None],
+            values=np.append(value, np.inf),
+            fold=fold,
+            group_tree=pairs % n_trees,
+            key_groups=key_groups,
+        )
+
+    def bound(self, ok: np.ndarray, kept: np.ndarray) -> np.ndarray:
+        """Per key of :attr:`keys` and column of the box masks ``ok``,
+        the least over trees of the largest value among a tree's
+        compatible boxes; ``inf`` where no tree constrains the key in
+        every compatible box.
+
+        A box holds at most one constraint per key, so a group covers
+        its tree when it counts as many compatible boxes as the tree
+        keeps (``kept``, all non-zero).
+        """
+        n_columns = ok.shape[1]
+        if not self.keys.size:
+            return np.empty((0, n_columns))
+        active = np.take(ok, self.box, axis=0)
+        shape = (self.group_tree.size, n_columns)
+        count = self.fold(np.add, active, np.zeros(shape, dtype=np.int64))
+        top = self.fold(np.maximum, active * self.rank, np.zeros(shape, dtype=np.int64))
+        # A group that does not cover reads rank n + 1, whose value is inf.
+        covers = count == np.take(kept, self.group_tree, axis=0)
+        top = np.maximum(top, ~covers * (self.box.size + 1))
+        least = np.minimum.reduceat(top, self.key_groups, axis=0)
+        return self.values[least - 1]
+
+
+@dataclass
+class _FlatScreen(_Boxes):
+    """The leaf-box constraints of every tree, for vectorised bound
+    propagation over stacks of attempts."""
+
+    box_tree: np.ndarray = field(init=False, repr=False)
+    hulls: _Hulls = field(init=False, repr=False)
+    early: _Boxes = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        sizes = np.diff(self.tree_offsets)
+        self.box_tree = np.repeat(np.arange(sizes.size), sizes)
+        self.hulls = _Hulls.index(self)
+        smallest = np.argsort(sizes, kind="stable")[:_EARLY_TREES]
+        self.early = self.trees(np.sort(smallest))
 
     def compatible(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
         """Flat mask of boxes intersecting the closed bounds ``[lo, hi]``;
         ``None`` when some tree keeps no compatible box."""
-        ok, kept = self._screen(lo, hi)
-        return ok if kept.all() else None
+        ok, kept = self.screen(self.stack(lo[None], hi[None]))
+        return ok[:, 0] if kept.all() else None
 
     def propagate(
         self, lo: np.ndarray, hi: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray] | None:
         """Tighten ``[lo, hi]`` by bound propagation over the boxes;
         ``None`` when that proves no point of ``[lo, hi]`` reaches a
-        required leaf in every tree.
+        required leaf in every tree.  One row of
+        :meth:`propagate_many`."""
+        refuted, lo, hi = self.propagate_many(lo[None], hi[None])
+        return None if refuted[0] else (lo[0], hi[0])
 
-        Such a point lies in one compatible box per tree, hence in each
-        tree's hull of compatible boxes.  Each round intersects the
-        bounds with every hull and screens again, until some tree keeps
-        no box or some ``lo_f > hi_f`` (refuted) or the bounds stop
-        moving (a fixpoint, whose bounds are returned).  The first
-        round is :meth:`compatible`.
+    def propagate_many(
+        self, lo: np.ndarray, hi: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Bound propagation over stacked bounds ``[lo, hi]``, one row per
+        attempt: which rows it refutes, and every row's final bounds
+        (the fixpoint of a row it leaves open).
+
+        A point realising the pattern lies in one compatible box per
+        tree, hence in each tree's hull of compatible boxes.  Each round
+        intersects a row's bounds with every hull and screens again,
+        until some tree keeps no box or some ``lo_f > hi_f`` (refuted)
+        or the bounds stop moving (a fixpoint).  A row leaves the stack
+        as soon as either happens, so the rows still open share each
+        round's array passes; the arithmetic per row — compares,
+        ``min``/``max`` and integer box counts — is that of a single row
+        alone.  Before round 1 an early pass screens the
+        :data:`_EARLY_TREES` trees with the fewest boxes: a row leaving
+        one of them without a box is refuted there, as round 1 would
+        refute it.
         """
-        if (lo > hi).any():
-            return None
-        ok, kept = self._screen(lo, hi)
-        # ``hi`` and ``-lo`` interleaved, indexed by the hulls' keys.
-        bounds = np.empty(2 * lo.size)
-        bounds[0::2], bounds[1::2] = hi, -lo
+        refuted = (lo > hi).any(axis=1)
+        live = np.flatnonzero(~refuted)
+        _, kept = self.early.screen(self.early.stack(lo[live], hi[live]))
+        cleared = kept.all(axis=0)
+        refuted[live[~cleared]] = True
+        live = live[cleared]
+        final_lo, final_hi = lo.copy(), hi.copy()
+        bounds = self.stack(lo[live], hi[live])
         keys = self.hulls.keys
-        while kept.all():
+        while live.size:
+            ok, kept = self.screen(bounds)
+            cleared = kept.all(axis=0)
+            refuted[live[~cleared]] = True
+            live, bounds = live[cleared], bounds[:, cleared]
+            if not live.size:
+                break
             current = bounds[keys]
-            tighter = np.minimum(current, self.hulls.bound(ok, kept))
-            if (tighter == current).all():
-                return lo, hi
-            bounds[keys] = tighter
-            hi, lo = bounds[0::2], -bounds[1::2]
-            if (lo > hi).any():
-                return None
-            ok, kept = self._screen(lo, hi)
-        return None
+            tighter = np.minimum(current, self.hulls.bound(ok[:, cleared], kept[:, cleared]))
+            moved = (tighter != current).any(axis=0)
+            settled = np.ix_(live[~moved], self.features)
+            final_hi[settled] = bounds[0::2, ~moved].T
+            final_lo[settled] = -bounds[1::2, ~moved].T
+            live, bounds = live[moved], bounds[:, moved]
+            bounds[keys] = tighter[:, moved]
+            crossed = (-bounds[1::2] > bounds[0::2]).any(axis=0)
+            refuted[live[crossed]] = True
+            live, bounds = live[~crossed], bounds[:, ~crossed]
+        return refuted, final_lo, final_hi
 
 
 def _table_boxes(engine: CompiledEnsemble, required: list[int]) -> _FlatScreen:
@@ -248,25 +439,23 @@ def _table_boxes(engine: CompiledEnsemble, required: list[int]) -> _FlatScreen:
     wanted = np.asarray(required, dtype=np.int64)
     tree = np.arange(engine.n_trees)
     node = np.asarray(engine.roots, dtype=np.int64)
-    passed = np.empty((tree.size, 0), dtype=np.int64)
-    right = np.empty((tree.size, 0), dtype=bool)
+    # Paths are padded to the full depth: rows -1, turns left.
+    passed = np.full((tree.size, depth), -1, dtype=np.int64)
+    right = np.zeros((tree.size, depth), dtype=bool)
     found: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     for level in range(depth + 1):
         leaf = feature[node] < 0
         keep = leaf & (engine.leaf_value[node] == wanted[tree])
-        pad = ((0, 0), (0, depth - level))
-        found.append((
-            tree[keep],
-            np.pad(passed[keep], pad, constant_values=-1),
-            np.pad(right[keep], pad),
-        ))
+        found.append((tree[keep], passed[keep], right[keep]))
+        if level == depth:
+            break
         parent = node[~leaf]
         tree = np.repeat(tree[~leaf], 2)
         node = np.column_stack([engine.left[parent], engine.right[parent]]).ravel()
-        passed = np.repeat(np.column_stack([passed[~leaf], parent]), 2, axis=0)
-        right = np.column_stack([
-            np.repeat(right[~leaf], 2, axis=0), np.tile([False, True], parent.size)
-        ])
+        passed = np.repeat(passed[~leaf], 2, axis=0)
+        passed[:, level] = np.repeat(parent, 2)
+        right = np.repeat(right[~leaf], 2, axis=0)
+        right[1::2, level] = True
     tree, passed, right = (np.concatenate(part) for part in zip(*found))
     # Paths are prefix-free, so padding them with left turns keeps
     # their lexicographic order.
@@ -424,7 +613,8 @@ class CompiledPatternEncoding:
     """The instance-independent part of a forgery query, precompiled.
 
     Use :func:`compile_pattern_encoding` to build one; then call
-    :meth:`solve` once per test instance with only the box constraints.
+    :meth:`solve_many` with a stack of test instances, or :meth:`solve`
+    with one, giving only the box constraints.
     The clause skeleton (:attr:`cnf` and the atom table) is built on
     first use — by :meth:`warm` or by reading one of its attributes —
     and then kept.
@@ -435,7 +625,6 @@ class CompiledPatternEncoding:
     n_features: int
     domain: tuple[float, float] | None
     screen: _FlatScreen
-    always_unsat: bool
     _skeleton: _Skeleton | None = field(default=None, repr=False)
     _solver: SATSolver | None = field(default=None, repr=False)
     _solver_dirty: bool = field(default=False, repr=False)
@@ -493,7 +682,7 @@ class CompiledPatternEncoding:
         """Build the clause skeleton and the persistent solver (encode
         clauses, set watches).
 
-        :meth:`solve` calls this on the first attempt the prescreen
+        :meth:`solve_many` calls this on the first attempt the prescreen
         leaves open, so an encoding whose every attempt is refuted
         builds neither.  Call it directly only to pay that cost up
         front.
@@ -517,7 +706,8 @@ class CompiledPatternEncoding:
         the budget; the solver is neither built nor run for it.  For
         the rest, ``budget`` caps the solver's conflicts, an integer
         ``>= 0``; ``None`` means unlimited.  An exhausted budget returns
-        ``status="unknown"``.
+        ``status="unknown"``.  The one-instance form of
+        :meth:`solve_many`.
         """
         center = check_pattern_inputs(
             self.engine, self.required, self.n_features, center, epsilon, self.domain
@@ -525,9 +715,46 @@ class CompiledPatternEncoding:
         if budget is not None:
             check_count(budget, "budget", minimum=0)
         lo, hi = self.feature_bounds(center, epsilon)
-        if self.always_unsat or self.screen.propagate(lo, hi) is None:
-            return PatternOutcome(status="unsat", stats={"trivial": True})
+        centers = None if center is None else center[None]
+        return next(self._decide(centers, epsilon, lo[None], hi[None], budget))
 
+    def solve_many(
+        self, centers: np.ndarray, epsilon: float, budget: int | None = None
+    ) -> Iterator[PatternOutcome]:
+        """Decide the instances around each row of ``centers``, lazily
+        and in order: the outcome of each, as :meth:`solve` gives it.
+
+        The inputs are checked here, at the call, with the errors of
+        :meth:`solve`.  The iterator prescreens the rows in chunks of
+        :data:`_SCREEN_CHUNK`, one batched bound propagation per chunk,
+        and solves each survivor when its outcome is pulled — so the
+        solver runs in row order, and a caller that stops early leaves
+        at most the rest of one chunk screened for nothing.
+        """
+        centers = check_pattern_stack(
+            self.engine, self.required, self.n_features, centers, epsilon, self.domain
+        )
+        if budget is not None:
+            check_count(budget, "budget", minimum=0)
+        lo, hi = self.feature_bounds(centers, epsilon)
+        return self._decide(centers, epsilon, lo, hi, budget)
+
+    def _decide(self, centers, epsilon, lo, hi, budget) -> Iterator[PatternOutcome]:
+        """Outcomes of checked instances with stacked bounds ``[lo, hi]``
+        (``centers`` is ``None`` for instances without a ball)."""
+        for first in range(0, lo.shape[0], _SCREEN_CHUNK):
+            rows = slice(first, first + _SCREEN_CHUNK)
+            refuted, _, _ = self.screen.propagate_many(lo[rows], hi[rows])
+            for row in range(first, first + refuted.size):
+                if refuted[row - first]:
+                    yield PatternOutcome(status="unsat", stats={"trivial": True})
+                else:
+                    center = None if centers is None else centers[row]
+                    yield self._search(center, epsilon, lo[row], hi[row], budget)
+
+    def _search(self, center, epsilon, lo, hi, budget) -> PatternOutcome:
+        """CDCL on the persistent solver for an instance the prescreen
+        leaves open; its bounds become the assumptions."""
         solver = self.warm()._solver
         assert solver is not None
         if self._solver_dirty:
@@ -588,7 +815,6 @@ def compile_pattern_encoding(
         n_features=n_features,
         domain=domain,
         screen=screen,
-        always_unsat=bool((np.diff(screen.tree_offsets) == 0).any()),
     )
 
 

@@ -28,6 +28,7 @@ __all__ = [
     "compute_feature_bounds",
     "check_pattern",
     "check_pattern_inputs",
+    "check_pattern_stack",
     "pattern_holds",
 ]
 
@@ -79,6 +80,23 @@ def check_pattern_inputs(
     whole (a finite center of shape ``(n_features,)`` and a positive
     radius) or not at all, and a non-empty domain.
     """
+    centers = None if center is None else [center]
+    centers = check_pattern_stack(engine, required, n_features, centers, epsilon, domain)
+    return None if centers is None else centers[0]
+
+
+def check_pattern_stack(
+    engine: CompiledEnsemble,
+    required: list[int],
+    n_features: int,
+    centers,
+    epsilon: float | None,
+    domain: tuple[float, float] | None,
+) -> np.ndarray | None:
+    """:func:`check_pattern_inputs` for a stack of queries that differ
+    only in their center: each row of ``centers`` is checked as a
+    ``center``, with the same errors.  Returns the stack as a float
+    array."""
     if engine.n_trees != len(required):
         raise ValidationError(
             f"{engine.n_trees} trees but {len(required)} required labels"
@@ -88,21 +106,21 @@ def check_pattern_inputs(
             f"n_features is {n_features} but the trees split on feature "
             f"{engine._min_width - 1}"
         )
-    if (center is None) != (epsilon is None):
+    if (centers is None) != (epsilon is None):
         raise ValidationError("center and epsilon must be given together")
     if epsilon is not None and not epsilon > 0:
         raise ValidationError(f"epsilon must be > 0, got {epsilon}")
-    if center is not None:
-        center = np.asarray(center, dtype=np.float64)
-        if center.shape != (n_features,):
+    if centers is not None:
+        centers = np.asarray(centers, dtype=np.float64)
+        if centers.shape[1:] != (n_features,):
             raise ValidationError(
-                f"center must have shape ({n_features},), got {center.shape}"
+                f"center must have shape ({n_features},), got {centers.shape[1:]}"
             )
-        if not np.isfinite(center).all():
+        if not np.isfinite(centers).all():
             raise ValidationError("center must be finite")
     if domain is not None and not domain[0] < domain[1]:
         raise ValidationError(f"empty domain {domain}")
-    return center
+    return centers
 
 
 def _admissible(x, center, epsilon, domain) -> np.ndarray | None:

@@ -8,8 +8,8 @@ from repro.attacks import forge_trigger_set, forgery_distortion
 from repro.core import random_signature
 from repro.exceptions import ValidationError
 from repro.solver import (
-    CompiledPatternEncoding,
     PatternProblem,
+    SATSolver,
     compile_pattern_encoding,
     required_labels,
 )
@@ -172,22 +172,27 @@ class TestForgeTriggerSet:
         self, wm_model, bc_data, monkeypatch
     ):
         """``solver_budget=None`` keeps its documented meaning here, while
-        ``CompiledPatternEncoding.solve(budget=None)`` is unlimited."""
+        ``CompiledPatternEncoding.solve(budget=None)`` is unlimited:
+        every solver search the call runs is capped at 200,000
+        conflicts.  The budget is read where the search starts, so an
+        attempt the prescreen refutes records none."""
         _, X_test, _, y_test = bc_data
         budgets = []
-        original = CompiledPatternEncoding.solve
+        original = SATSolver.solve
 
-        def recording(self, center=None, epsilon=None, budget=None):
-            budgets.append(budget)
-            return original(self, center, epsilon, budget)
+        def recording(self, assumptions=None):
+            budgets.append(self.max_conflicts)
+            return original(self, assumptions)
 
-        monkeypatch.setattr(CompiledPatternEncoding, "solve", recording)
+        monkeypatch.setattr(SATSolver, "solve", recording)
         fake = random_signature(len(wm_model.signature), random_state=63)
-        forge_trigger_set(
-            wm_model.ensemble, fake, X_test, y_test, epsilon=0.3,
+        result = forge_trigger_set(
+            wm_model.ensemble, fake, X_test, y_test, epsilon=0.9,
             max_instances=3, solver_budget=None,
         )
-        assert budgets == [200_000] * 3
+        assert result.n_attempted == 3
+        assert 1 <= len(budgets) <= 3
+        assert budgets == [200_000] * len(budgets)
 
     @pytest.mark.parametrize("width", [5, 60])
     def test_wrong_width_rejected(self, wm_model, bc_data, width):

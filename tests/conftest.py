@@ -29,12 +29,14 @@ from repro.solver import PatternProblem, required_labels
 BASE_PARAMS = {"max_depth": 8, "min_samples_leaf": 1}
 
 # The reference implementations kept with the tests — the box-DPLL
-# solver (``tests/solver/box_dpll_oracle.py``), the paper's literal
+# solver (``tests/solver/box_dpll_oracle.py``), the single-row bound
+# propagation (``tests/solver/prescreen_oracle.py``), the paper's literal
 # embedding loop (``tests/core/full_retrain_oracle.py``), the
 # object-graph ``predict_proba`` walk (``tests/trees/object_graph_oracle.py``)
 # and the node-dict writers of earlier releases
-# (``tests/persistence/legacy_node_dicts.py``) — are imported by module
-# name from every test directory.
+# (``tests/persistence/legacy_node_dicts.py``) — and the dispute models
+# (``tests/core/dispute_models.py``) are imported by module name from
+# every test directory.
 for _oracle_dir in ("solver", "core", "trees", "persistence"):
     sys.path.insert(0, str(Path(__file__).resolve().parent / _oracle_dir))
 

@@ -43,19 +43,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.api import (
-    EmbeddingSchedule,
-    TrainerConfig,
-    TriggerPolicy,
-    Watermarker,
-    available_attacks,
-    make_attack,
-)
+from repro.api import available_attacks, make_attack
 from repro.attacks import forge_trigger_set
 from repro.cli import main as cli_main
 from repro.core.multiclass import watermark_multiclass
 from repro.core.signature import random_signature
-from repro.datasets import breast_cancer_like, ijcnn1_like, mnist26_like
+from repro.datasets import breast_cancer_like, ijcnn1_like
 from repro.ensemble import GradientBoostingClassifier, RandomForestClassifier, compile_forest
 from repro.experiments.config import SMALL
 from repro.experiments.detection import build_watermarked_model
@@ -76,9 +69,11 @@ from repro.trees import DecisionTreeClassifier
 HERE = Path(__file__).resolve().parent
 HASHES = HERE / "hashes.json"
 
-# The literal loop lives with the tests; the conftest puts it on the path
-# under pytest, this line does so for ``--write``.
+# The literal loop and the dispute recipe live with the tests; the
+# conftest puts them on the path under pytest, this line does so for
+# ``--write``.
 sys.path.insert(0, str(HERE.parent / "core"))
+from dispute_models import dispute_model, ijcnn1_dispute, mnist26_dispute  # noqa: E402
 from full_retrain_oracle import train_with_trigger_full  # noqa: E402
 
 
@@ -104,40 +99,10 @@ def table_digest(tables: dict) -> str:
 # -- fixtures -------------------------------------------------------------
 
 
-def _dispute_model(dataset, seed: int, n_jobs=None):
-    """The perfbench dispute owner recipe with a 16-bit signature."""
-    X_train, X_test, y_train, y_test = train_test_split(
-        dataset.X, dataset.y, test_size=0.3, random_state=seed + 1
-    )
-    owner = Watermarker(
-        signature=random_signature(16, 0.5, random_state=seed + 2),
-        trigger=TriggerPolicy(fraction=0.02),
-        schedule=EmbeddingSchedule(escalation_factor=2.0),
-        trainer=TrainerConfig(
-            base_params={"max_depth": 10, "min_samples_leaf": 1},
-            adjust=True,
-            tree_feature_fraction=0.35,
-            n_jobs=n_jobs,
-        ),
-        random_state=seed + 3,
-    )
-    return owner.fit(X_train, y_train), X_test, y_test
-
-
-@functools.lru_cache(maxsize=None)
-def ijcnn1_dispute():
-    return _dispute_model(ijcnn1_like(700, random_state=101), 110)
-
-
-@functools.lru_cache(maxsize=None)
-def mnist26_dispute():
-    return _dispute_model(mnist26_like(300, random_state=201, image_size=14), 210)
-
-
 def _dispute_jobs2():
     """The dispute recipe embedded with two worker processes, so each
     fit and refit round splits its tree slots across the pool."""
-    model, _X_test, _y_test = _dispute_model(
+    model, _X_test, _y_test = dispute_model(
         ijcnn1_like(700, random_state=121), 130, n_jobs=2
     )
     return table_digest(model.ensemble.compile().to_tables())

@@ -158,7 +158,7 @@ class TestCompiledStructure:
     def test_always_unsat_without_required_leaves(self):
         all_negative = InternalNode(0, 0.5, Leaf(-1), Leaf(-1))
         encoding = compile_pattern_encoding(compile_trees([all_negative]), [+1], 1)
-        assert encoding.always_unsat
+        assert encoding.screen.tree_offsets.tolist() == [0, 0]
         outcome = encoding.solve()
         assert outcome.is_unsat
         assert outcome.stats["trivial"] is True

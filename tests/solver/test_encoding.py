@@ -23,11 +23,12 @@ def _stump(feature=0, threshold=0.5):
 
 class TestEncoding:
     def test_trivially_unsat_flag(self):
-        # No leaf of the tree predicts +1: the flag is set at compile
-        # time and both entry points answer unsat without a search.
+        # No leaf of the tree predicts +1: the tree has no box, and
+        # both entry points answer unsat without a search.
         all_negative = InternalNode(0, 0.5, Leaf(-1), Leaf(-1))
         encoding = compile_pattern_encoding(compile_trees([all_negative]), [+1], 1)
-        assert encoding.always_unsat
+        assert encoding.screen.tree_offsets.tolist() == [0, 0]
+        assert encoding.solve().stats == {"trivial": True}
         problem = PatternProblem(roots=[all_negative], required=[+1], n_features=1)
         outcome = solve_pattern_smt(problem)
         assert outcome.is_unsat
