@@ -9,7 +9,7 @@ misclassified, via label flipping), and interleaving their trees
 according to the owner's signature — lives in
 :class:`repro.api.Watermarker`, the one way to embed a watermark.
 
-Embedding is the repo's training hot path, and three engine-level levers
+Embedding is the repo's training hot path, and four engine-level levers
 keep it fast without changing what Algorithm 1 computes:
 
 - **incremental re-weighting rounds** — trees that already satisfy the
@@ -24,7 +24,12 @@ keep it fast without changing what Algorithm 1 computes:
   sample weights, never ``X``, so the per-feature sort orders behind
   split search (see :mod:`repro.trees.presort`) are computed once and
   reused by ``T0``, ``T1``, every escalation round, every
-  ``refit_trees`` call and the ``Adjust`` probe.
+  ``refit_trees`` call and the ``Adjust`` probe;
+- **compliance read from growth** — tree growth already places every
+  trigger row (weight >= 1) in the leaf prediction would send it to,
+  and each tree keeps that answer, so a round checks its trees without
+  compiling the forest, and a kept tree's answer is still its own.  An
+  embed compiles nothing; the forest compiles on its first prediction.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._validation import check_count, check_random_state
+from .._validation import check_count, check_random_state, check_X_y
 from ..ensemble.forest import RandomForestClassifier
 from ..exceptions import ConvergenceError, ValidationError
 from .adjustment import AdjustedHyperParameters
@@ -147,21 +152,6 @@ class WatermarkedModel:
         return model
 
 
-def _misfit_mask(
-    forest: RandomForestClassifier, trigger_X: np.ndarray, trigger_y: np.ndarray
-) -> np.ndarray:
-    """Boolean mask over trees: True where a tree misses any trigger label.
-
-    Each re-weighting round queries a *freshly (re)trained* forest on
-    the tiny trigger batch, so every round compiles the forest's node
-    table once, which keeps the embedding loop on the same inference
-    route as the judge.  On dispute-tabular that costs about 30 ms per
-    model over its five to seven rounds: 2.2% of embedding time while
-    split search ran node by node, about 5% since it is batched.
-    """
-    return (forest.predict_all(trigger_X) != trigger_y[None, :]).any(axis=1)
-
-
 def _check_trigger_indices(trigger_indices, n_rows: int) -> np.ndarray:
     """Trigger rows as int64, rejecting anything but distinct in-range ints."""
     indices = np.asarray(trigger_indices)
@@ -199,7 +189,10 @@ def train_with_trigger(
     compliant trees are kept as-is.  The forest has no bootstrap and its
     trees are independent given their feature subspaces, so a kept tree
     is exactly as valid as one retrained from scratch — each round costs
-    ``O(#stubborn)`` tree fits instead of ``O(m)``.
+    ``O(#stubborn)`` tree fits instead of ``O(m)``.  Each round reads
+    the trees' labels on the trigger rows from their growth, not from
+    a compiled forest.  ``X_train`` and ``y_train`` are validated once,
+    so every round fits on one array and shares its presort.
 
     Parameters
     ----------
@@ -216,10 +209,12 @@ def train_with_trigger(
     (forest, rounds, final_trigger_weight)
     """
     check_count(n_estimators, "n_estimators")
+    # Validated once: every round then fits on this one array, so the
+    # presort cache hits from the second fit on.
+    X_train, y_train = check_X_y(X_train, y_train)
     trigger_indices = _check_trigger_indices(trigger_indices, X_train.shape[0])
     rng = check_random_state(random_state)
 
-    trigger_X = X_train[trigger_indices]
     trigger_y = y_train[trigger_indices]
 
     weights = np.ones(X_train.shape[0], dtype=np.float64)
@@ -234,7 +229,9 @@ def train_with_trigger(
     )
     forest.fit(X_train, y_train, sample_weight=weights)
     while True:
-        misfit = _misfit_mask(forest, trigger_X, trigger_y)
+        # Every trigger row has weight >= 1, so growth placed it in a
+        # leaf of every tree; a kept tree's answer is still its own.
+        misfit = (forest._grown_predict_all(trigger_indices) != trigger_y).any(axis=1)
         if not misfit.any():
             return forest, rounds, float(weights[trigger_indices].max())
         rounds += 1

@@ -287,9 +287,12 @@ class RandomForestClassifier:
         X, y = check_X_y(X, y)
         X = self._check_n_features(X)
         weights = check_sample_weight(sample_weight, X.shape[0])
-        indices = np.unique(np.asarray(indices, dtype=np.int64))
+        indices = np.asarray(indices)
         if indices.size == 0:
             return self
+        if not np.issubdtype(indices.dtype, np.integer):
+            raise ValidationError(f"tree indices must be integers, got {indices.dtype}")
+        indices = np.unique(indices.astype(np.int64))
         if indices.min() < 0 or indices.max() >= len(trees):
             raise ValidationError(
                 f"tree indices must be in [0, {len(trees)}), got "
@@ -338,6 +341,7 @@ class RandomForestClassifier:
             new_tree.root_ = root
             new_tree._compiled_ = None
             new_tree._compiled_sources_ = None
+            new_tree._grown_ = None
             replaced.append(new_tree)
         clone.trees_ = replaced
         return clone
@@ -445,6 +449,16 @@ class RandomForestClassifier:
                 f"{self.n_features_in_}"
             )
         return X
+
+    def _grown_predict_all(self, rows: np.ndarray) -> np.ndarray:
+        """Per-tree predicted labels of training rows ``rows``, shape
+        ``(n_trees, len(rows))``, read from growth.
+
+        Equal to ``predict_all(X[rows])`` on the matrix every tree was
+        last fitted (or refitted) on, without compiling the forest; see
+        :meth:`DecisionTreeClassifier._grown_predict`.
+        """
+        return np.stack([tree._grown_predict(rows) for tree in self._check_fitted()])
 
     def predict_all(self, X) -> np.ndarray:
         """Per-tree predictions, shape ``(n_trees, n_samples)``.

@@ -23,8 +23,16 @@ A node's lanes are its rows sorted per subspace feature: the root's
 come from the dataset's global sort cache, and the lanes of every
 split node of a step are *partitioned* into its children's in one
 batched stable compress — no node ever re-sorts, and no per-node work
-depends on the full dataset size.  Leaves are labelled once, at the
-end, from one class-count pass per tree.
+depends on the full dataset size.  The roots of a grow call share one
+``index`` object, so a search that holds several of them scores each
+distinct feature once (see :func:`~repro.trees.splitter.find_best_split`).
+
+Leaves are labelled once, at the end, from one class-count pass per
+tree, which also yields the tree's answer on its training rows: the
+class code of the leaf each row reached.  A split sends a row left on
+the comparison descent makes, so that is what the fitted tree predicts
+for the row, and :func:`repro.core.embedding.train_with_trigger` reads
+trigger compliance from it instead of compiling the forest.
 """
 
 from __future__ import annotations
@@ -226,21 +234,31 @@ class _Tree:
                 self._leaf(node)
             self.heap = []
 
-    def finish(self, codes: np.ndarray, weights: np.ndarray, classes: np.ndarray) -> TreeNode:
-        """Label every leaf from one class-count pass and return the root."""
+    def finish(
+        self, codes: np.ndarray, weights: np.ndarray, classes: np.ndarray
+    ) -> tuple[TreeNode, np.ndarray]:
+        """Label every leaf from one class-count pass.
+
+        Returns the root and the tree's answer on its training rows: the
+        class code of the leaf each row reached, ``-1`` for the rows of
+        zero weight, which never entered the tree.
+        """
         n_classes = classes.shape[0]
         n_leaves = len(self.leaves)
         flat = np.concatenate([node.index for node in self.leaves])
+        leaf_of = np.repeat(np.arange(n_leaves), [node.index.shape[0] for node in self.leaves])
         # Each (leaf, class) bin sums its weights in row order, as a
         # per-leaf bincount would.
         counts = np.bincount(
-            np.repeat(np.arange(n_leaves) * n_classes, [node.index.shape[0] for node in self.leaves])
-            + codes[flat],
+            leaf_of * n_classes + codes[flat],
             weights=weights[flat],
             minlength=n_leaves * n_classes,
         ).reshape(n_leaves, n_classes)
+        leaf_codes = np.argmax(counts, axis=1)
+        answer = np.full(codes.shape[0], -1, dtype=np.min_scalar_type(-n_classes))
+        answer[flat] = leaf_codes[leaf_of]
         labels = classes.tolist()
-        predictions = classes[np.argmax(counts, axis=1)].tolist()
+        predictions = classes[leaf_codes].tolist()
         for node, prediction, row in zip(self.leaves, predictions, counts.tolist()):
             leaf = Leaf(
                 prediction=prediction,
@@ -248,7 +266,7 @@ class _Tree:
             )
             self._attach(node, leaf)
         assert self.root is not None
-        return self.root
+        return self.root, answer
 
 
 def _partition(presort: SortedDataset, partitions: list) -> None:
@@ -328,7 +346,7 @@ def grow_trees(
     params: GrowthParams,
     presort: SortedDataset,
     slots: list[tuple[np.ndarray, np.random.Generator]],
-) -> list[TreeNode]:
+) -> list[tuple[TreeNode, np.ndarray]]:
     """Grow one tree per ``(subspace, rng)`` slot over the full training set.
 
     ``presort`` is the training matrix's
@@ -340,17 +358,23 @@ def grow_trees(
     larger tree makes its own group).  Each tree is the one growing it
     alone would give — the batch only decides how many nodes share a
     search.
+
+    Returns, per slot, the tree's root and its answer on the training
+    rows: the class code of the leaf each row reached, ``-1`` where a
+    row of zero weight never entered the tree.  A split sends a row
+    left on ``X[row, feature] <= threshold``, the test descent makes,
+    so that leaf is the one prediction reaches.
     """
     index = np.flatnonzero(weights > 0)
-    roots: list[TreeNode] = []
+    grown: list[tuple[TreeNode, np.ndarray]] = []
     group: list[tuple[np.ndarray, np.random.Generator]] = []
     elements = 0
     for subspace, rng in slots:
         size = subspace.shape[0] * index.shape[0]
         if group and elements + size > _LOCKSTEP_ELEMENTS:
-            roots += _grow_lockstep(codes, weights, classes, params, presort, index, group)
+            grown += _grow_lockstep(codes, weights, classes, params, presort, index, group)
             group, elements = [], 0
         group.append((subspace, rng))
         elements += size
-    roots += _grow_lockstep(codes, weights, classes, params, presort, index, group)
-    return roots
+    grown += _grow_lockstep(codes, weights, classes, params, presort, index, group)
+    return grown

@@ -20,7 +20,11 @@ where the padding would cost more than the block, at most
 weights are gathered through the row ids per block, so the work is a
 few dozen NumPy calls per block instead of per node.  This is SLIQ's
 idea (Mehta, Agrawal & Rissanen, EDBT 1996) of scoring many nodes in
-one scan of presorted lists.
+one scan of presorted lists.  Nodes handed over with one ``index``
+object — the roots of a grow call — share their lanes, so each distinct
+feature among them is scored once and its gain and threshold scattered
+back to every node that asked for it, as PLANET (Panda et al., VLDB
+2009) shares one pass over the data among many nodes' searches.
 
 The batching changes no bit of any split:
 
@@ -279,20 +283,21 @@ def _score_block(kernel: _Kernel, parts, nodes, sizes, parent, features):
     return best, threshold
 
 
-def _blocks(order, sizes, n_lanes, n_classes):
+def _blocks(sizes, n_lanes, n_classes):
     """Group lanes into padded blocks of similar width.
 
-    ``order`` lists node ids by ascending size, so each node widens the
-    block it joins to its own size.  A node opens a new block when the
-    padding it would add to the lanes already there outweighs the fixed
-    cost of a block (``_BLOCK_OVERHEAD``), or when the block is full: it
+    ``sizes`` and ``n_lanes`` describe the searched nodes by ascending
+    size, so each node widens the block it joins to its own size.  A
+    node opens a new block when the padding it would add to the lanes
+    already there outweighs the fixed cost of a block
+    (``_BLOCK_OVERHEAD``), or when the block is full: it
     never exceeds ``_BATCH_ELEMENTS`` padded elements, and a node too
     wide for that alone is split across blocks lane by lane.
     """
     blocks: list[list[tuple[int, int, int]]] = []
     current: list[tuple[int, int, int]] = []
     current_rows = current_width = 0
-    for i in order:
+    for i in range(len(sizes)):
         k = int(sizes[i])
         rows_fit = max(1, _BATCH_ELEMENTS // (k * n_classes))
         first = 0
@@ -312,6 +317,63 @@ def _blocks(order, sizes, n_lanes, n_classes):
     if current:
         blocks.append(current)
     return blocks
+
+
+def _lane_plan(nodes, order):
+    """The lanes one call scores, each ``(index, feature)`` lane once.
+
+    Nodes handed over with the same ``index`` object — the roots of one
+    grow call, which all hold every training row of positive weight —
+    share their lanes feature by feature: sorting a node's rows by a
+    feature gives one lane whichever tree asks.  Each distinct feature
+    of such a group is scored once, on the lane of the first node in
+    ``order`` that holds it.
+
+    Returns ``(searched, owners, lane_of)``: the nodes to score (a
+    shared group's nodes narrowed to the features they contribute),
+    the node each one belongs to, and for every lane of the nodes of
+    ``order`` (concatenated) the searched lane holding its scores —
+    ``None`` when no node shares its index, and every node is searched
+    as handed over.
+    """
+    if len({id(nodes[i].index) for i in order}) == len(order):
+        return [nodes[i] for i in order], order, None
+    groups: dict[int, list[int]] = {}
+    for i in order:
+        groups.setdefault(id(nodes[i].index), []).append(i)
+    searched: list[NodeSearch] = []
+    owners: list[int] = []
+    node_map: dict[int, np.ndarray] = {}
+    base = 0  # searched lanes so far
+    for members in groups.values():
+        if len(members) == 1:
+            [i] = members
+            searched.append(nodes[i])
+            owners.append(i)
+            node_map[i] = np.arange(base, base + nodes[i].features.shape[0])
+            base += nodes[i].features.shape[0]
+            continue
+        features = np.concatenate([nodes[i].features for i in members])
+        _, first, inverse = np.unique(features, return_index=True, return_inverse=True)
+        taken = np.sort(first)
+        # A distinct feature's scores sit at its first occurrence's rank
+        # among the lanes taken, in member order.
+        rank = np.empty(first.shape[0], dtype=np.intp)
+        rank[np.argsort(first)] = np.arange(first.shape[0])
+        lane = base + rank[inverse]
+        base += first.shape[0]
+        start = 0
+        for i in members:
+            node = nodes[i]
+            stop = start + node.features.shape[0]
+            node_map[i] = lane[start:stop]
+            own = taken[(taken >= start) & (taken < stop)] - start
+            if own.size:
+                positions = own if node.lanes is None else node.lanes[own]
+                searched.append(NodeSearch(node.index, node.rows, node.features[own], positions))
+                owners.append(i)
+            start = stop
+    return searched, owners, np.concatenate([node_map[i] for i in order])
 
 
 def find_best_split(
@@ -335,7 +397,9 @@ def find_best_split(
         Full training arrays; ``codes`` are class codes in ``[0, n_classes)``.
     nodes:
         The nodes to search (see :class:`NodeSearch`), from any number
-        of trees grown on these arrays.
+        of trees grown on these arrays.  Nodes passing the same
+        ``index`` object must hold the same rows per feature (their
+        stable sort by it); their shared features are scored once.
     criterion:
         Vectorised impurity function from :mod:`repro.trees.criteria`.
     min_samples_leaf:
@@ -396,23 +460,30 @@ def find_best_split(
     )
 
     order = live[np.argsort(sizes[live], kind="stable")].tolist()
-    n_lanes = np.zeros(n_nodes, dtype=np.intp)
-    for i in order:
-        n_lanes[i] = nodes[i].features.shape[0]
-    features = np.concatenate([nodes[i].features for i in order])
+    searched, owners, lane_of = _lane_plan(nodes, order)
+    searched_sizes = sizes[owners]
+    searched_parent = parent[owners]
+    n_lanes = np.array([node.features.shape[0] for node in searched], dtype=np.intp)
+    features = np.concatenate([node.features for node in searched])
     gains = np.empty(features.shape[0])
     thresholds = np.empty(features.shape[0])
     row = 0
-    for parts in _blocks(order, sizes, n_lanes, n_classes):
+    for parts in _blocks(searched_sizes, n_lanes, n_classes):
         end = row + sum(stop - first for _, first, stop in parts)
         gains[row:end], thresholds[row:end] = _score_block(
-            kernel, parts, nodes, sizes, parent, features[row:end]
+            kernel, parts, searched, searched_sizes, searched_parent, features[row:end]
         )
         row = end
+    if lane_of is not None:
+        # Scatter the shared lanes' scores back to every node's lanes.
+        gains, thresholds = gains[lane_of], thresholds[lane_of]
+        features = np.concatenate([nodes[i].features for i in order])
+        node_lanes = np.array([nodes[i].features.shape[0] for i in order], dtype=np.intp)
+    else:
+        node_lanes = n_lanes
 
     # Per node: the maximal gain wins, exact ties go to the lowest
     # feature id (and, should a feature repeat, to its first lane).
-    node_lanes = n_lanes[order]
     starts = np.concatenate(([0], np.cumsum(node_lanes)[:-1]))
     row_node = np.repeat(np.arange(len(order)), node_lanes)
     top = np.maximum.reduceat(gains, starts)
@@ -425,20 +496,31 @@ def find_best_split(
         starts,
     )
     best_gain = gains[chosen]
-    accepted = ~(best_gain < min_impurity_decrease) & (best_gain > 1e-15)
-    best_feature = features[chosen]
-    best_threshold = thresholds[chosen]
-    for j in np.flatnonzero(accepted).tolist():
-        i = order[j]
-        feature = int(best_feature[j])
-        threshold = float(best_threshold[j])
-        index = nodes[i].index
-        go_left = presort.XT[feature, index] <= threshold
+    accepted = np.flatnonzero(~(best_gain < min_impurity_decrease) & (best_gain > 1e-15))
+    if accepted.size == 0:
+        return results
+    split_nodes = [order[j] for j in accepted.tolist()]
+    best_feature = features[chosen[accepted]]
+    best_threshold = thresholds[chosen[accepted]]
+    # Every split node's rows in one gather and one comparison; the
+    # stable compresses keep each node's rows in index order.
+    split_sizes = sizes[split_nodes]
+    split_index = np.concatenate([nodes[i].index for i in split_nodes])
+    go_left = presort.XT.take(
+        np.repeat(best_feature * n, split_sizes) + split_index
+    ) <= np.repeat(best_threshold, split_sizes)
+    n_left = np.add.reduceat(go_left, np.cumsum(split_sizes) - split_sizes, dtype=np.intp)
+    lefts = np.split(split_index[go_left], np.cumsum(n_left)[:-1])
+    rights = np.split(split_index[~go_left], np.cumsum(split_sizes - n_left)[:-1])
+    for i, feature, threshold, gain, left, right in zip(
+        split_nodes,
+        best_feature.tolist(),
+        best_threshold.tolist(),
+        best_gain[accepted].tolist(),
+        lefts,
+        rights,
+    ):
         results[i] = Split(
-            feature=feature,
-            threshold=threshold,
-            gain=float(best_gain[j]),
-            left_index=index[go_left],
-            right_index=index[~go_left],
+            feature=feature, threshold=threshold, gain=gain, left_index=left, right_index=right
         )
     return results

@@ -124,6 +124,10 @@ class DecisionTreeClassifier:
         self.n_features_in_: int | None = None
         self._compiled_ = None
         self._compiled_sources_: tuple | None = None
+        # ``(root, answer)`` from growth: the class code of the leaf each
+        # training row reached (see ``grow_trees``).  Valid while
+        # ``root_`` is that root; never persisted.
+        self._grown_: tuple | None = None
 
     # ------------------------------------------------------------------
     # Fitting
@@ -197,6 +201,23 @@ class DecisionTreeClassifier:
                 f"{self.n_features_in_}"
             )
         return X
+
+    def _grown_predict(self, rows: np.ndarray) -> np.ndarray:
+        """Predicted labels of training rows ``rows``, read from growth.
+
+        Equal to ``predict(X[rows])`` on the matrix the tree was last
+        fitted on, without compiling anything.  Raises
+        :class:`ValidationError` when the root was replaced since, or a
+        row had zero weight and never entered the tree.
+        """
+        grown = self._grown_
+        if grown is None or grown[0] is not self._check_fitted():
+            raise ValidationError("this tree's root was not grown by its last fit")
+        answer = grown[1][rows]
+        if (answer < 0).any():
+            raise ValidationError("a row of zero weight never entered the tree")
+        assert self.classes_ is not None
+        return self.classes_[answer]
 
     def compile(self):
         """Flatten the fitted tree into a one-tree ``CompiledEnsemble``.
@@ -274,7 +295,8 @@ def fit_trees(
     engine, so one batched split search serves every tree on each step,
     and each tree ends up exactly as fitting it alone would leave it.
     Trees must not share a ``Generator``: their per-split feature draws
-    would interleave.
+    would interleave.  Each tree keeps growth's answer on the training
+    rows, which ``_grown_predict`` reads.
     """
     X, y = check_X_y(X, y)
     weights = check_sample_weight(sample_weight, X.shape[0])
@@ -295,10 +317,11 @@ def fit_trees(
     if len({id(rng) for _, rng in slots}) != len(slots):
         raise ValidationError("trees fitted together must not share a random Generator")
 
-    roots = grow_trees(codes, weights, classes, params, presorted_dataset(X), slots)
-    for tree, root in zip(trees, roots):
+    grown = grow_trees(codes, weights, classes, params, presorted_dataset(X), slots)
+    for tree, (root, answer) in zip(trees, grown):
         tree.root_ = root
         tree.classes_ = classes
         tree.n_features_in_ = X.shape[1]
         tree._compiled_ = None
         tree._compiled_sources_ = None
+        tree._grown_ = (root, answer)

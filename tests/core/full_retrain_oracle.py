@@ -13,7 +13,10 @@ benchmark can compare the library against it.
   ``train_with_trigger`` and returns the same ``(forest, rounds,
   final_trigger_weight)``;
 - :func:`literal_loop` makes :meth:`repro.api.Watermarker.fit` use it
-  for the duration of a ``with`` block.
+  for the duration of a ``with`` block;
+- :func:`misfit_mask` is its trigger-compliance check, by compiled
+  prediction.  The library reads compliance from growth instead, and
+  the embedding tests hold the two equal.
 """
 
 from __future__ import annotations
@@ -28,7 +31,13 @@ from repro.core.embedding import EmbeddingSchedule
 from repro.ensemble import RandomForestClassifier
 from repro.exceptions import ConvergenceError
 
-__all__ = ["train_with_trigger_full", "literal_loop"]
+__all__ = ["train_with_trigger_full", "literal_loop", "misfit_mask"]
+
+
+def misfit_mask(forest, trigger_X: np.ndarray, trigger_y: np.ndarray) -> np.ndarray:
+    """Boolean mask over trees: True where a tree misses any trigger label,
+    answered by the compiled forest's ``predict_all``."""
+    return (forest.predict_all(trigger_X) != trigger_y[None, :]).any(axis=1)
 
 
 def train_with_trigger_full(
@@ -59,7 +68,7 @@ def train_with_trigger_full(
             n_jobs=n_jobs,
             **params,
         ).fit(X_train, y_train, sample_weight=weights)
-        misfit = (forest.predict_all(trigger_X) != trigger_y[None, :]).any(axis=1)
+        misfit = misfit_mask(forest, trigger_X, trigger_y)
         if not misfit.any():
             return forest, rounds, float(weights[trigger_indices].max())
         rounds += 1

@@ -4,12 +4,17 @@ import contextlib
 
 import numpy as np
 import pytest
-from full_retrain_oracle import literal_loop, train_with_trigger_full
+from dispute_models import dispute_model
+from full_retrain_oracle import literal_loop, misfit_mask, train_with_trigger_full
 from legacy_node_dicts import node_to_dict
 
 from repro.api import EmbeddingSchedule, TrainerConfig, TriggerPolicy, Watermarker
 from repro.core import Signature, random_signature, train_with_trigger, verify_ownership
+from repro.datasets import ijcnn1_like
+from repro.ensemble import RandomForestClassifier, compiled
 from repro.exceptions import ConvergenceError, ValidationError
+from repro.trees import growth, splitter
+from repro.trees.presort import presort_cache_stats
 
 BASE_PARAMS = {"max_depth": 8, "min_samples_leaf": 1}
 ESCALATING = EmbeddingSchedule(escalation_factor=2.0)
@@ -178,6 +183,118 @@ class TestTrainWithTrigger:
         )
         predictions = forest.predict_all(X_train[[0, last]])
         assert (predictions == y_train[[0, last]][None, :]).all()
+
+
+def _stubborn_trigger(bc_data):
+    """Flipped trigger labels that depth-4 trees fit only after two
+    re-weighting rounds."""
+    X_train, _, y_train, _ = bc_data
+    trigger = np.array([2, 9, 20, 33])
+    y_flipped = y_train.copy()
+    y_flipped[trigger] = -y_flipped[trigger]
+    return X_train, y_flipped, trigger
+
+
+class TestComplianceFromGrowth:
+    """``train_with_trigger`` reads each tree's trigger labels from its
+    growth, never from a compiled forest."""
+
+    def test_every_round_agrees_with_compiled_prediction(self, bc_data, monkeypatch):
+        X_train, y_flipped, trigger = _stubborn_trigger(bc_data)
+        read = RandomForestClassifier._grown_predict_all
+        masks = []
+
+        def checked(forest, rows):
+            answer = read(forest, rows)
+            assert np.array_equal(answer, forest.predict_all(X_train[rows]))
+            masks.append(misfit_mask(forest, X_train[rows], y_flipped[rows]))
+            return answer
+
+        monkeypatch.setattr(RandomForestClassifier, "_grown_predict_all", checked)
+        forest, rounds, _ = train_with_trigger(
+            X_train, y_flipped, trigger, 6, {"max_depth": 4}, random_state=1
+        )
+        assert rounds == 2 and len(masks) == 3
+        assert masks[0].any() and not masks[-1].any()
+
+    def test_float32_input_is_presorted_once(self, bc_data):
+        X_train, y_flipped, trigger = _stubborn_trigger(bc_data)
+        expected, rounds, _ = train_with_trigger(
+            X_train.astype(np.float32).astype(np.float64), y_flipped, trigger, 6,
+            {"max_depth": 4}, random_state=1,
+        )
+        before = presort_cache_stats()
+        forest, _, _ = train_with_trigger(
+            X_train.astype(np.float32), y_flipped, trigger, 6, {"max_depth": 4},
+            random_state=1,
+        )
+        after = presort_cache_stats()
+        assert rounds == 2
+        assert after["misses"] - before["misses"] == 1
+        assert [node_to_dict(r) for r in forest.roots()] == [
+            node_to_dict(r) for r in expected.roots()
+        ]
+
+    def test_list_input_is_validated(self, bc_data):
+        X_train, y_flipped, trigger = _stubborn_trigger(bc_data)
+        expected, _, _ = train_with_trigger(
+            X_train, y_flipped, trigger, 3, {"max_depth": 4}, random_state=2
+        )
+        forest, _, _ = train_with_trigger(
+            X_train.tolist(), y_flipped.tolist(), trigger.tolist(), 3, {"max_depth": 4},
+            random_state=2,
+        )
+        assert [node_to_dict(r) for r in forest.roots()] == [
+            node_to_dict(r) for r in expected.roots()
+        ]
+        with pytest.raises(ValidationError, match="2-dimensional"):
+            train_with_trigger(X_train[:, 0].tolist(), y_flipped, trigger, 3, {"max_depth": 4})
+
+    def test_dispute_embed_compiles_nothing_and_scores_roots_once(self, monkeypatch):
+        """The guard on both halves of the embedding's saving: a dispute
+        fit never compiles, and within one split search the nodes that
+        share a root index score each distinct feature once."""
+        compiles = []
+        compile_trees = compiled.compile_trees
+
+        def counting_compile(*args, **kwargs):
+            compiles.append(1)
+            return compile_trees(*args, **kwargs)
+
+        lanes: list = []
+        shared = {"requested": 0, "scored": 0}
+        score_block = splitter._score_block
+        search = growth.find_best_split
+
+        def recording_block(kernel, parts, nodes, sizes, parent, features):
+            row = 0
+            for i, first, stop in parts:
+                index = nodes[i].index
+                lanes.extend((id(index), int(f)) for f in features[row : row + stop - first])
+                row += stop - first
+            return score_block(kernel, parts, nodes, sizes, parent, features)
+
+        def recording_search(presort, codes, weights, nodes, *rest):
+            lanes.clear()
+            result = search(presort, codes, weights, nodes, *rest)
+            assert len(set(lanes)) == len(lanes), "a lane was scored twice in one call"
+            by_index: dict = {}
+            for node in nodes:
+                by_index.setdefault(id(node.index), []).append(node)
+            for group in by_index.values():
+                if len(group) > 1:
+                    shared["requested"] += sum(node.features.shape[0] for node in group)
+                    shared["scored"] += sum(key == id(group[0].index) for key, _ in lanes)
+            return result
+
+        monkeypatch.setattr(compiled, "compile_trees", counting_compile)
+        monkeypatch.setattr(splitter, "_score_block", recording_block)
+        monkeypatch.setattr(growth, "find_best_split", recording_search)
+        dispute_model(ijcnn1_like(700, random_state=101), 110)
+        assert compiles == []
+        # Roots of one call share most of their lanes: 22 features,
+        # each tree's root holds 8 of them.
+        assert 0 < shared["scored"] < shared["requested"] / 2
 
 
 class TestWatermark:

@@ -195,6 +195,19 @@ class TestLockstepGrowth:
     """A forest grows its slots in lockstep, one batched split search
     per step; no tree may change for it."""
 
+    @staticmethod
+    def _assert_slots_fitted_alone(forest, X, y, weights, params):
+        for seed, tree, subset in zip(forest._tree_seeds_, forest.trees_, forest.feature_subsets_):
+            rng = np.random.default_rng(seed)
+            alone_subset = np.sort(rng.choice(X.shape[1], size=subset.shape[0], replace=False))
+            alone = DecisionTreeClassifier(
+                feature_subset=alone_subset, random_state=rng, **params
+            ).fit(X, y, sample_weight=weights)
+            assert np.array_equal(alone_subset, subset)
+            assert node_to_dict(alone.root_) == node_to_dict(tree.root_)
+            # The slot's stream ends where the lone fit leaves it.
+            assert tree.random_state.bit_generator.state == rng.bit_generator.state
+
     @pytest.mark.parametrize("n_jobs", [None, 2])
     @pytest.mark.parametrize(
         "shape", [{"max_depth": 6}, {"max_leaf_nodes": 9}], ids=["depth-first", "best-first"]
@@ -207,16 +220,55 @@ class TestLockstepGrowth:
         forest = RandomForestClassifier(
             n_estimators=5, tree_feature_fraction=0.7, random_state=41, n_jobs=n_jobs, **params
         ).fit(X, y, sample_weight=weights)
-        for seed, tree, subset in zip(forest._tree_seeds_, forest.trees_, forest.feature_subsets_):
-            rng = np.random.default_rng(seed)
-            alone_subset = np.sort(rng.choice(X.shape[1], size=subset.shape[0], replace=False))
-            alone = DecisionTreeClassifier(
-                feature_subset=alone_subset, random_state=rng, **params
-            ).fit(X, y, sample_weight=weights)
-            assert np.array_equal(alone_subset, subset)
-            assert node_to_dict(alone.root_) == node_to_dict(tree.root_)
-            # The slot's stream ends where the lone fit leaves it.
-            assert tree.random_state.bit_generator.state == rng.bit_generator.state
+        self._assert_slots_fitted_alone(forest, X, y, weights, params)
+
+    @pytest.mark.parametrize("group_cap", [None, 1], ids=["one-group", "tree-per-group"])
+    @pytest.mark.parametrize("max_features", [None, 3], ids=["whole-subspace", "sampled"])
+    @pytest.mark.parametrize(
+        "fraction", [0.5, 1.0], ids=["overlapping-subspaces", "identical-subspaces"]
+    )
+    @pytest.mark.parametrize(
+        "shape", [{"max_depth": 6}, {"max_leaf_nodes": 9}], ids=["depth-first", "best-first"]
+    )
+    def test_shared_roots_equal_trees_fitted_alone(
+        self, shape, fraction, max_features, group_cap, monkeypatch
+    ):
+        """The roots of one search score each distinct feature once; the
+        scores they share must leave every slot as it grows alone."""
+        X, y, weights = _lockstep_data(2)
+        if group_cap is not None:
+            monkeypatch.setattr(growth, "_LOCKSTEP_ELEMENTS", group_cap)
+        params = dict(max_features=max_features, **shape)
+        forest = RandomForestClassifier(
+            n_estimators=6, tree_feature_fraction=fraction, random_state=43, **params
+        ).fit(X, y, sample_weight=weights)
+        self._assert_slots_fitted_alone(forest, X, y, weights, params)
+
+    def test_roots_retrying_their_whole_subspace_share_it(self, monkeypatch):
+        """Roots whose sampled feature is constant find no split and
+        retry with their whole subspace on the next step, together."""
+        X, y, weights = _lockstep_data(3)
+        X[:, [1, 3, 4, 5, 6]] = 0.5
+        searches = []
+        search = growth.find_best_split
+
+        def recording(presort, codes, weights, nodes, *rest):
+            searches.append([(id(node.index), node.lanes is None) for node in nodes])
+            return search(presort, codes, weights, nodes, *rest)
+
+        monkeypatch.setattr(growth, "find_best_split", recording)
+        params = dict(max_features=1, max_depth=5)
+        forest = RandomForestClassifier(
+            n_estimators=8, tree_feature_fraction=1.0, random_state=44, **params
+        ).fit(X, y, sample_weight=weights)
+        monkeypatch.undo()
+        # The first search holds the eight roots, each with one sampled
+        # feature; the second holds the roots that retry with all seven.
+        roots = {key for key, _ in searches[0]}
+        assert len(roots) == 1 and len(searches[0]) == 8
+        retries = [key for key, whole in searches[1] if whole and key in roots]
+        assert len(retries) >= 2
+        self._assert_slots_fitted_alone(forest, X, y, weights, params)
 
     @pytest.mark.parametrize("group_cap", [None, 1], ids=["one-group", "tree-per-group"])
     @pytest.mark.parametrize(
@@ -253,6 +305,54 @@ class TestLockstepGrowth:
         # lane), so nodes were split across blocks.
         assert all(lanes * width * 3 <= 16 or lanes == 1 for lanes, width, _ in blocks)
         assert any(first_lane > 0 for _, _, first_lane in blocks)
+
+
+class TestGrownAnswers:
+    """Growth's answer on the training rows is what the compiled forest
+    predicts for them; rows of zero weight never entered a tree."""
+
+    @pytest.mark.parametrize("n_jobs", [None, 2])
+    @pytest.mark.parametrize(
+        "shape", [{"max_depth": 5}, {"max_leaf_nodes": 7}], ids=["depth-first", "best-first"]
+    )
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equal_to_predict_all(self, seed, n_classes, shape, n_jobs):
+        rng = np.random.default_rng(900 + seed)
+        X = rng.random((140, 6))
+        X[:, 2] = np.round(X[:, 2], 1)
+        y = rng.integers(0, n_classes, 140) * 2 - 1
+        weights = rng.exponential(1.0, 140)
+        zero = rng.choice(140, size=15, replace=False)
+        weights[zero] = 0.0
+        forest = RandomForestClassifier(
+            n_estimators=5, max_features=4, tree_feature_fraction=0.7,
+            random_state=seed, n_jobs=n_jobs, **shape,
+        ).fit(X, y, sample_weight=weights)
+        held = np.flatnonzero(weights > 0)
+        assert np.array_equal(forest._grown_predict_all(held), forest.predict_all(X[held]))
+        with pytest.raises(ValidationError, match="zero weight"):
+            forest._grown_predict_all(zero[:1])
+        # A refit replaces the refitted slots' answers, a kept slot keeps its own.
+        weights[held[:10]] += 5.0
+        forest.refit_trees([1, 3], X, y, sample_weight=weights)
+        assert np.array_equal(forest._grown_predict_all(held), forest.predict_all(X[held]))
+
+    def test_dropped_with_replaced_roots_and_never_persisted(self, bc_data, tmp_path):
+        from repro.persistence import load, save
+
+        X_train, _, y_train, _ = bc_data
+        forest = RandomForestClassifier(
+            n_estimators=3, max_depth=4, random_state=12
+        ).fit(X_train, y_train)
+        rows = np.arange(5)
+        forest._grown_predict_all(rows)
+        clone = forest.with_roots(forest.roots())
+        with pytest.raises(ValidationError, match="not grown"):
+            clone._grown_predict_all(rows)
+        save(forest, tmp_path / "forest.rfbin")
+        with pytest.raises(ValidationError, match="not grown"):
+            load(tmp_path / "forest.rfbin")._grown_predict_all(rows)
 
 
 class TestRefitTrees:
@@ -315,6 +415,20 @@ class TestRefitTrees:
             forest.refit_trees([3], X_train, y_train)
         with pytest.raises(ValidationError):
             forest.refit_trees([-1], X_train, y_train)
+
+    @pytest.mark.parametrize(
+        "indices", [[False, False, False, True], [2.9], [2.0], ["1"]],
+        ids=["bool-mask", "float", "integral-float", "string"],
+    )
+    def test_non_integer_indices_rejected(self, bc_data, indices):
+        X_train, _, y_train, _ = bc_data
+        forest = RandomForestClassifier(
+            n_estimators=4, max_depth=3, random_state=9
+        ).fit(X_train, y_train)
+        before = _forest_fingerprint(forest)
+        with pytest.raises(ValidationError, match="integers"):
+            forest.refit_trees(indices, X_train, y_train)
+        assert _forest_fingerprint(forest) == before
 
     def test_empty_indices_noop(self, bc_data):
         X_train, _, y_train, _ = bc_data
