@@ -510,17 +510,24 @@ def find_best_split(
         np.repeat(best_feature * n, split_sizes) + split_index
     ) <= np.repeat(best_threshold, split_sizes)
     n_left = np.add.reduceat(go_left, np.cumsum(split_sizes) - split_sizes, dtype=np.intp)
-    lefts = np.split(split_index[go_left], np.cumsum(n_left)[:-1])
-    rights = np.split(split_index[~go_left], np.cumsum(split_sizes - n_left)[:-1])
-    for i, feature, threshold, gain, left, right in zip(
+    lefts, rights = split_index[go_left], split_index[~go_left]
+    left_ends = np.cumsum(n_left).tolist()
+    right_ends = np.cumsum(split_sizes - n_left).tolist()
+    left_start = right_start = 0
+    for i, feature, threshold, gain, left_end, right_end in zip(
         split_nodes,
         best_feature.tolist(),
         best_threshold.tolist(),
         best_gain[accepted].tolist(),
-        lefts,
-        rights,
+        left_ends,
+        right_ends,
     ):
         results[i] = Split(
-            feature=feature, threshold=threshold, gain=gain, left_index=left, right_index=right
+            feature=feature,
+            threshold=threshold,
+            gain=gain,
+            left_index=lefts[left_start:left_end],
+            right_index=rights[right_start:right_end],
         )
+        left_start, right_start = left_end, right_end
     return results
