@@ -191,8 +191,7 @@ def train_with_trigger(
     is exactly as valid as one retrained from scratch — each round costs
     ``O(#stubborn)`` tree fits instead of ``O(m)``.  Each round reads
     the trees' labels on the trigger rows from their growth, not from
-    a compiled forest.  ``X_train`` and ``y_train`` are validated once,
-    so every round fits on one array and shares its presort.
+    a compiled forest.
 
     Parameters
     ----------

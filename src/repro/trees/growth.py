@@ -26,13 +26,9 @@ batched stable compress — no node ever re-sorts, and no per-node work
 depends on the full dataset size.  The roots of a grow call share one
 ``index`` object, so a search that holds several of them scores each
 distinct feature once (see :func:`~repro.trees.splitter.find_best_split`).
-
 Leaves are labelled once, at the end, from one class-count pass per
-tree, which also yields the tree's answer on its training rows: the
-class code of the leaf each row reached.  A split sends a row left on
-the comparison descent makes, so that is what the fitted tree predicts
-for the row, and :func:`repro.core.embedding.train_with_trigger` reads
-trigger compliance from it instead of compiling the forest.
+tree, which also yields the tree's answer on its training rows (see
+:func:`grow_trees`).
 """
 
 from __future__ import annotations
